@@ -1,4 +1,4 @@
-//! Stable content hashing: FNV-1a 64.
+//! Stable content hashing (FNV-1a 64) and the simulator's map hasher.
 //!
 //! The serving layer (`dx100-serve`) keys its on-disk result cache by a
 //! content hash of the fully resolved job configuration, so the hash
@@ -13,6 +13,14 @@
 //! is effectively collision-free, and a collision only ever returns a
 //! *wrong cached report*, never corrupts state — acceptable for a
 //! memoization cache whose ground truth can always be recomputed.
+//!
+//! [`HashMap`] and [`HashSet`] are the maps every timed component uses on
+//! its per-cycle path. Their [`WordHasher`] multiplies once per machine
+//! word, where std's default SipHash mixes every key through several
+//! rounds, and it has no per-process random key, so iteration order is a
+//! function of the insertion sequence alone. It does not resist keys crafted to collide:
+//! use it only for keys the simulator derives itself (request ids, line
+//! and page numbers), never for keys taken from outside the program.
 
 /// FNV-1a 64 offset basis.
 pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -61,6 +69,76 @@ impl Fnv64 {
         self.0
     }
 }
+
+/// Multiplier of [`WordHasher`]: odd, with well-mixed bits (the constant
+/// of rustc's `FxHasher`, version 2).
+const WORD_MUL: u64 = 0xf135_7aea_2e62_a9c5;
+
+/// A deterministic one-multiply-per-word [`Hasher`](std::hash::Hasher) for
+/// simulator-internal keys (see the module docs for when not to use it).
+/// Integers of any width are one word; raw bytes, which no simulator key
+/// hashes, cost one word each.
+///
+/// The product's high bits depend on every input bit, its low bits only on
+/// the input's low bits; `finish` rotates the high bits down, because the
+/// map takes its bucket index from the low bits and aligned addresses have
+/// zero low bits.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(WORD_MUL);
+    }
+}
+
+impl std::hash::Hasher for WordHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A `std` hash map keyed through [`WordHasher`]. Build with
+/// `HashMap::default()`.
+pub type HashMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDefault<WordHasher>>;
+
+/// A `std` hash set keyed through [`WordHasher`]. Build with
+/// `HashSet::default()`.
+pub type HashSet<T> = std::collections::HashSet<T, std::hash::BuildHasherDefault<WordHasher>>;
 
 /// Fixed-width lowercase hex form used as the cache file name: 16 digits,
 /// zero-padded, so keys sort lexicographically like they sort numerically
@@ -112,6 +190,35 @@ mod tests {
         assert_eq!(hex16(0xcbf29ce484222325), "cbf29ce484222325");
         assert_eq!(hex16(u64::MAX), "ffffffffffffffff");
         assert_eq!(hex16(0xA), "000000000000000a");
+    }
+
+    /// The map hasher is a pure function of its input: no per-process
+    /// key, so two maps fed the same insertions iterate in the same order.
+    #[test]
+    fn word_hasher_is_deterministic() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let b = BuildHasherDefault::<WordHasher>::default();
+        assert_eq!(b.hash_one(42u64), b.hash_one(42u64));
+        assert_ne!(b.hash_one(42u64), b.hash_one(43u64));
+        let fill = || {
+            let mut m: HashMap<u64, u64> = HashMap::default();
+            for k in 0..1000u64 {
+                m.insert(k.wrapping_mul(0x9e37_79b9), k);
+            }
+            m.into_iter().collect::<Vec<_>>()
+        };
+        assert_eq!(fill(), fill());
+    }
+
+    /// Aligned keys (zero low bits) must still spread over the low bits
+    /// that pick a bucket; without the final rotation all 256 page-aligned
+    /// keys below would share one bucket.
+    #[test]
+    fn word_hasher_spreads_aligned_keys() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let b = BuildHasherDefault::<WordHasher>::default();
+        let buckets: HashSet<u64> = (0..256u64).map(|k| b.hash_one(k << 12) & 255).collect();
+        assert!(buckets.len() >= 64, "only {} of 256 buckets", buckets.len());
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! worker [`pool`] that parallel figure sweeps and sampled replay share,
 //! the observability layer's event tracing ([`trace`]), its
 //! dependency-free JSON value ([`json`]), and the stable content hash
-//! ([`hash`]) the serving layer keys its result cache by.
+//! ([`hash`]) the serving layer keys its result cache by, next to the
+//! deterministic hash maps of the timed components.
 //!
 //! # Example
 //!

@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 
 use dx100_common::flags::FlagId;
 
-use crate::isa::{Instruction, TileId};
+use crate::isa::{Instruction, TileList};
 
 /// An instruction with its scalar register operands resolved at reception
 /// time (the register file is read when the instruction arrives, so drivers
@@ -60,8 +60,8 @@ pub fn unit_of(instr: &Instruction) -> Unit {
 #[derive(Clone, Debug)]
 struct Inflight {
     handle: u64,
-    sources: Vec<TileId>,
-    dests: Vec<TileId>,
+    sources: TileList,
+    dests: TileList,
     flag: Option<FlagId>,
 }
 
@@ -123,7 +123,7 @@ impl Controller {
     ///
     /// # Panics
     /// Panics if the handle is not in flight.
-    pub fn retire(&mut self, handle: u64) -> (Vec<TileId>, Option<FlagId>) {
+    pub fn retire(&mut self, handle: u64) -> (TileList, Option<FlagId>) {
         let idx = self
             .inflight
             .iter()
@@ -152,6 +152,7 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::TileId;
     use dx100_common::DType;
 
     fn d(handle: u64, instr: Instruction) -> DispatchedInstr {
@@ -224,7 +225,7 @@ mod tests {
         c.receive(instr);
         c.try_dispatch().unwrap();
         let (dests, flag) = c.retire(9);
-        assert_eq!(dests, vec![T1]);
+        assert_eq!(dests[..], [T1]);
         assert_eq!(flag, Some(dx100_common::flags::FlagId(5)));
         assert!(c.is_idle());
     }

@@ -2,9 +2,10 @@
 //! stream unit, indirect unit, ALU, range fuser, TLB, coherency agent — and
 //! clocked against the memory system through [`MemPorts`].
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use dx100_common::flags::FlagId;
+use dx100_common::hash::{HashMap, HashSet};
 use dx100_common::{Addr, Cycle, LineAddr, ReqId, SpanTracker, TraceHandle, CACHE_LINE_BYTES};
 use dx100_dram::{AddrMap, DramConfig, Organization};
 
@@ -143,7 +144,7 @@ impl Dx100Engine {
             ids: IdAlloc::default(),
             resp_inbox: VecDeque::new(),
             retired: Vec::new(),
-            spd_cached: HashSet::new(),
+            spd_cached: HashSet::default(),
             stats: Dx100Stats::default(),
             next_handle: 0,
             halted: None,
@@ -471,12 +472,11 @@ impl Dx100Engine {
             };
             // Coherency agent: invalidate any host-cached scratchpad lines
             // of the instruction's tiles.
-            let mut tiles = d.instr.dest_tiles();
-            tiles.extend(d.instr.source_tiles());
-            for t in &tiles {
-                self.invalidate_tile_lines(*t, ports);
+            let (dests, sources) = (d.instr.dest_tiles(), d.instr.source_tiles());
+            for t in dests.into_iter().chain(sources) {
+                self.invalidate_tile_lines(t, ports);
             }
-            for t in d.instr.dest_tiles() {
+            for t in dests {
                 self.spd.begin_produce_unsized(t);
             }
             match unit_of(&d.instr) {
@@ -599,20 +599,19 @@ impl Dx100Engine {
         }
         let start = self.tile_elem_addr(tile, 0);
         let end = start + self.cfg.tile_elems as u64 * SPD_ELEM_BYTES;
-        let first = LineAddr::containing(start);
-        let last = LineAddr::containing(end - 1);
+        let lines = LineAddr::containing(start)..=LineAddr::containing(end - 1);
         // Only touch lines the coherency agent knows are cached (V bits).
-        let cached: Vec<LineAddr> = self
-            .spd_cached
-            .iter()
-            .copied()
-            .filter(|l| (first..=last).contains(l))
-            .collect();
-        for line in cached {
-            ports.invalidate(line);
-            self.spd_cached.remove(&line);
-            self.stats.coherency_invalidations += 1;
-        }
+        // Invalidations of distinct lines are independent, so the set's
+        // iteration order never reaches the simulated state.
+        let invalidations = &mut self.stats.coherency_invalidations;
+        self.spd_cached.retain(|line| {
+            if !lines.contains(line) {
+                return true;
+            }
+            ports.invalidate(*line);
+            *invalidations += 1;
+            false
+        });
     }
 
     /// Elements per tile and line count per tile (diagnostics).

@@ -19,8 +19,9 @@
 //! to the LLC), and *response* (walk the word list; extract words for ILD,
 //! merge and write back for IST/IRMW).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use dx100_common::hash::HashMap;
 use dx100_common::{value, Addr, AluOp, Cycle, DType, LineAddr, ReqId};
 use dx100_dram::{AddrMap, Organization};
 
@@ -76,6 +77,21 @@ struct Slice {
     rows: Vec<RowEntry>,
     /// The row currently being drained, so its columns issue consecutively.
     active_row: Option<u64>,
+    /// Columns that are sendable and not yet sent: the request stage's
+    /// candidates. Updated with every `sendable`/`sent` change, so the
+    /// request stage skips a slice with none without walking its rows.
+    ready: usize,
+}
+
+impl Slice {
+    /// Recounts [`Slice::ready`] from the rows (debug checks only).
+    fn count_ready(&self) -> usize {
+        self.rows
+            .iter()
+            .flat_map(|r| r.cols.iter())
+            .filter(|c| c.sendable && !c.sent)
+            .count()
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -171,12 +187,12 @@ impl IndirectUnit {
             rr: 0,
             fifo: VecDeque::new(),
             next_col_id: 0,
-            outstanding: HashMap::new(),
-            outstanding_writes: HashMap::new(),
+            outstanding: HashMap::default(),
+            outstanding_writes: HashMap::default(),
             pending_writes: VecDeque::new(),
             resp_queue: VecDeque::new(),
             fill_stall_until: 0,
-            line_owners: HashMap::new(),
+            line_owners: HashMap::default(),
             buffered_cols: 0,
         }
     }
@@ -221,7 +237,7 @@ impl IndirectUnit {
             pending_elems: 0,
             open_cols: 0,
             writes_outstanding: 0,
-            last_applied: HashMap::new(),
+            last_applied: HashMap::default(),
         });
     }
 
@@ -320,12 +336,18 @@ impl IndirectUnit {
         // Reorder mode: `pick_in_slice` clears a stale active row (a
         // mutation), so quiescence needs every slice settled with nothing
         // sendable left unsent.
-        self.slices.iter().all(|s| {
-            s.active_row.is_none()
-                && s.rows
-                    .iter()
-                    .all(|r| r.cols.iter().all(|c| c.sent || !c.sendable))
-        })
+        self.debug_check_ready_counts();
+        self.slices
+            .iter()
+            .all(|s| s.active_row.is_none() && s.ready == 0)
+    }
+
+    /// Checks every slice's [`Slice::ready`] against a recount.
+    fn debug_check_ready_counts(&self) {
+        debug_assert!(
+            self.slices.iter().all(|s| s.ready == s.count_ready()),
+            "sendable-column count drifted from the Row Table"
+        );
     }
 
     /// Requests still draining: in-flight reads/writes plus responses queued
@@ -551,6 +573,7 @@ impl IndirectUnit {
             sendable: !self.cfg.reorder,
             words: vec![word],
         };
+        let sendable = col.sendable;
         if let Some(r) = slice
             .rows
             .iter_mut()
@@ -567,6 +590,7 @@ impl IndirectUnit {
                 cols: vec![col],
             });
         }
+        slice.ready += sendable as usize;
         self.buffered_cols += 1;
         if !self.cfg.reorder {
             self.fifo.push_back((slice_idx, line, col_id));
@@ -588,6 +612,7 @@ impl IndirectUnit {
             for row in &mut slice.rows {
                 for col in &mut row.cols {
                     if col.job == job {
+                        slice.ready += (!col.sendable && !col.sent) as usize;
                         col.sendable = true;
                     }
                 }
@@ -663,6 +688,8 @@ impl IndirectUnit {
             self.col_by_id_mut(slice_idx, col_id)
                 .expect("picked column")
                 .sent = true;
+            // Picked columns are sendable and unsent.
+            self.slices[slice_idx].ready -= 1;
             self.outstanding.insert(id, (slice_idx, col_id));
             stats.indirect_line_reads += 1;
             budget -= 1;
@@ -696,6 +723,7 @@ impl IndirectUnit {
             }
             return None;
         }
+        self.debug_check_ready_counts();
         let num = self.slice_order.len();
         for step in 0..num {
             let pos = (self.rr + step) % num;
@@ -719,6 +747,11 @@ impl IndirectUnit {
     /// until it is fully issued (row-buffer locality).
     fn pick_in_slice(&mut self, slice_idx: usize) -> Option<u64> {
         let slice = &mut self.slices[slice_idx];
+        if slice.ready == 0 {
+            // The walk below would find nothing and only drop the active row.
+            slice.active_row = None;
+            return None;
+        }
         if let Some(active) = slice.active_row {
             if let Some(id) = find_unsent(slice, active) {
                 return Some(id);
@@ -860,6 +893,7 @@ impl IndirectUnit {
                 .position(|c| col_matches(c, col_id))
             {
                 let col = slice.rows[r_idx].cols.remove(c_idx);
+                slice.ready -= (col.sendable && !col.sent) as usize;
                 self.buffered_cols -= 1;
                 if slice.rows[r_idx].cols.is_empty() {
                     slice.rows.remove(r_idx);

@@ -35,6 +35,48 @@ impl fmt::Display for TileId {
     }
 }
 
+/// The tiles an instruction names in one operand role, held inline: at
+/// most three, so listing them never allocates (the controller's
+/// scoreboard probes them every cycle). Dereferences to a slice.
+#[derive(Debug, Clone, Copy)]
+pub struct TileList {
+    tiles: [TileId; 3],
+    len: u8,
+}
+
+impl TileList {
+    fn of(tiles: &[TileId]) -> Self {
+        let mut list = TileList {
+            tiles: [TileId(0); 3],
+            len: tiles.len() as u8,
+        };
+        list.tiles[..tiles.len()].copy_from_slice(tiles);
+        list
+    }
+
+    fn push(&mut self, t: TileId) {
+        self.tiles[self.len as usize] = t;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for TileList {
+    type Target = [TileId];
+
+    fn deref(&self) -> &[TileId] {
+        &self.tiles[..self.len as usize]
+    }
+}
+
+impl IntoIterator for TileList {
+    type Item = TileId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<TileId, 3>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.tiles.into_iter().take(self.len as usize)
+    }
+}
+
 /// Identifier of a scalar register (0..64).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RegId(u8);
@@ -276,29 +318,31 @@ impl Instruction {
     }
 
     /// Destination tiles written by this instruction.
-    pub fn dest_tiles(&self) -> Vec<TileId> {
+    pub fn dest_tiles(&self) -> TileList {
         match *self {
             Instruction::Ild { td, .. }
             | Instruction::Sld { td, .. }
             | Instruction::Aluv { td, .. }
-            | Instruction::Alus { td, .. } => vec![td],
-            Instruction::Rng { td1, td2, .. } => vec![td1, td2],
-            Instruction::Ist { .. } | Instruction::Irmw { .. } | Instruction::Sst { .. } => vec![],
+            | Instruction::Alus { td, .. } => TileList::of(&[td]),
+            Instruction::Rng { td1, td2, .. } => TileList::of(&[td1, td2]),
+            Instruction::Ist { .. } | Instruction::Irmw { .. } | Instruction::Sst { .. } => {
+                TileList::of(&[])
+            }
         }
     }
 
     /// Source tiles read by this instruction (including the condition tile).
-    pub fn source_tiles(&self) -> Vec<TileId> {
+    pub fn source_tiles(&self) -> TileList {
         let (mut v, tc) = match *self {
-            Instruction::Ild { ts1, tc, .. } => (vec![ts1], tc),
+            Instruction::Ild { ts1, tc, .. } => (TileList::of(&[ts1]), tc),
             Instruction::Ist { ts1, ts2, tc, .. } | Instruction::Irmw { ts1, ts2, tc, .. } => {
-                (vec![ts1, ts2], tc)
+                (TileList::of(&[ts1, ts2]), tc)
             }
-            Instruction::Sld { tc, .. } => (vec![], tc),
-            Instruction::Sst { ts, tc, .. } => (vec![ts], tc),
-            Instruction::Aluv { ts1, ts2, tc, .. } => (vec![ts1, ts2], tc),
-            Instruction::Alus { ts, tc, .. } => (vec![ts], tc),
-            Instruction::Rng { ts1, ts2, tc, .. } => (vec![ts1, ts2], tc),
+            Instruction::Sld { tc, .. } => (TileList::of(&[]), tc),
+            Instruction::Sst { ts, tc, .. } => (TileList::of(&[ts]), tc),
+            Instruction::Aluv { ts1, ts2, tc, .. } => (TileList::of(&[ts1, ts2]), tc),
+            Instruction::Alus { ts, tc, .. } => (TileList::of(&[ts]), tc),
+            Instruction::Rng { ts1, ts2, tc, .. } => (TileList::of(&[ts1, ts2]), tc),
         };
         if let Some(c) = tc {
             v.push(c);
@@ -731,8 +775,8 @@ mod tests {
             .with_condition(TileId::new(3));
         assert!(i.dest_tiles().is_empty());
         assert_eq!(
-            i.source_tiles(),
-            vec![TileId::new(1), TileId::new(2), TileId::new(3)]
+            i.source_tiles()[..],
+            [TileId::new(1), TileId::new(2), TileId::new(3)]
         );
         let r = Instruction::Rng {
             td1: TileId::new(4),
@@ -742,7 +786,11 @@ mod tests {
             rs1: RegId::new(0),
             tc: None,
         };
-        assert_eq!(r.dest_tiles(), vec![TileId::new(4), TileId::new(5)]);
+        assert_eq!(r.dest_tiles()[..], [TileId::new(4), TileId::new(5)]);
+        assert_eq!(
+            r.dest_tiles().into_iter().collect::<Vec<_>>(),
+            [TileId::new(4), TileId::new(5)]
+        );
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub struct TestPorts {
     /// Log of `(id, line, is_write, via_dram)` issues.
     pub issued: Vec<(ReqId, LineAddr, bool, bool)>,
     /// Lines reported as cached by `snoop`.
-    pub cached: std::collections::HashSet<LineAddr>,
+    pub cached: dx100_common::hash::HashSet<LineAddr>,
     /// When set, `dram_try_request` refuses this many times before
     /// accepting (back-pressure testing).
     pub dram_refusals: u32,

@@ -5,8 +5,9 @@
 //! the LLC via the Cache Interface. A Request-Table (MSHR-like, 128 entries)
 //! tracks outstanding lines and coalesces the elements that share one.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use dx100_common::hash::HashMap;
 use dx100_common::{Addr, Cycle, DType, LineAddr, ReqId};
 
 use crate::controller::DispatchedInstr;
@@ -90,8 +91,8 @@ impl StreamUnit {
             rate,
             table_cap,
             queue: VecDeque::new(),
-            outstanding: HashMap::new(),
-            inflight_lines: HashMap::new(),
+            outstanding: HashMap::default(),
+            inflight_lines: HashMap::default(),
         }
     }
 

@@ -5,8 +5,9 @@
 //! via an API call; a 256-entry TLB then covers 512 MB of data. Misses are
 //! possible for un-preloaded pages and stall the fill stage.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
+use dx100_common::hash::HashSet;
 use dx100_common::Addr;
 
 /// Huge-page size (2 MB).
@@ -26,7 +27,7 @@ impl Tlb {
     /// Creates a TLB with `capacity` huge-page entries.
     pub fn new(capacity: usize) -> Self {
         Tlb {
-            entries: HashSet::new(),
+            entries: HashSet::default(),
             order: VecDeque::new(),
             capacity,
             hits: 0,

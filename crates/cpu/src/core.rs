@@ -1,7 +1,7 @@
 //! The out-of-order core engine: in-order dispatch and retire, out-of-order
 //! issue, bounded by ROB/LQ/SQ and the issue widths of Table 3.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use dx100_common::flags::{FlagBoard, FlagId};
 use dx100_common::{Addr, CoreId, Cycle, DelayQueue, SpanTracker, TraceHandle};
@@ -78,7 +78,12 @@ pub struct Core {
     next_seq: u64,
     lq_used: usize,
     sq_used: usize,
-    waiters: HashMap<u64, Vec<u64>>,
+    /// Dependents of each in-flight op, in dispatch order, indexed by ROB
+    /// slot (see [`Core::slot`]). There are a power of two ≥ `cfg.rob`
+    /// slots and the ROB holds at most `cfg.rob` ops, so no two live ops
+    /// share a slot; each list keeps its capacity from one occupant to the
+    /// next.
+    waiters: Vec<Vec<u64>>,
     ready_mem: VecDeque<u64>,
     internal_done: DelayQueue<u64>,
     waiting_flag: Option<WaitState>,
@@ -180,7 +185,7 @@ pub struct CoreState {
     next_seq: u64,
     lq_used: usize,
     sq_used: usize,
-    waiters: HashMap<u64, Vec<u64>>,
+    waiters: Vec<Vec<u64>>,
     ready_mem: VecDeque<u64>,
     internal_done: DelayQueue<u64>,
     waiting_flag: Option<WaitState>,
@@ -234,6 +239,7 @@ impl Core {
     /// `Vec<CoreOp>`, a [`ChannelQueue`], or [`OpStreamKind`] directly).
     pub fn new(id: CoreId, cfg: CoreConfig, stream: impl Into<OpStreamKind>) -> Self {
         let stream = stream.into();
+        let slots = cfg.rob.next_power_of_two();
         Core {
             id,
             cfg,
@@ -245,7 +251,7 @@ impl Core {
             next_seq: 0,
             lq_used: 0,
             sq_used: 0,
-            waiters: HashMap::new(),
+            waiters: vec![Vec::new(); slots],
             ready_mem: VecDeque::new(),
             internal_done: DelayQueue::new(),
             waiting_flag: None,
@@ -475,7 +481,11 @@ impl Core {
                         }
                         EntryKind::Alu => {}
                     }
-                    self.waiters.remove(&self.head_seq);
+                    debug_assert!(
+                        self.waiters[self.slot(self.head_seq)].is_empty(),
+                        "retiring op {} still has waiters",
+                        self.head_seq
+                    );
                     self.head_seq += 1;
                     self.stats.instructions += 1;
                     retired += 1;
@@ -724,6 +734,11 @@ impl Core {
         }
     }
 
+    /// ROB slot of `seq`: the index of its waiter list.
+    fn slot(&self, seq: u64) -> usize {
+        seq as usize & (self.waiters.len() - 1)
+    }
+
     fn entry_mut(&mut self, seq: u64) -> Option<&mut Entry> {
         let idx = seq.checked_sub(self.head_seq)? as usize;
         self.rob.get_mut(idx)
@@ -745,21 +760,25 @@ impl Core {
         if let EntryKind::Mmio { signal: Some(sig) } = kind {
             self.mmio_signals.push(sig);
         }
-        if let Some(deps) = self.waiters.remove(&seq) {
-            for dseq in deps {
-                let Some(dep_entry) = self.entry_mut(dseq) else {
-                    continue;
-                };
-                if let EntryState::Waiting(n) = dep_entry.state {
-                    if n <= 1 {
-                        dep_entry.state = EntryState::Ready;
-                        self.route_ready(dseq, now, alu_latency);
-                    } else {
-                        dep_entry.state = EntryState::Waiting(n - 1);
-                    }
+        // Wake dependents in dispatch order. The list is taken out while
+        // routing borrows the core, then put back empty with its capacity.
+        let slot = self.slot(seq);
+        let mut deps = std::mem::take(&mut self.waiters[slot]);
+        for &dseq in &deps {
+            let Some(dep_entry) = self.entry_mut(dseq) else {
+                continue;
+            };
+            if let EntryState::Waiting(n) = dep_entry.state {
+                if n <= 1 {
+                    dep_entry.state = EntryState::Ready;
+                    self.route_ready(dseq, now, alu_latency);
+                } else {
+                    dep_entry.state = EntryState::Waiting(n - 1);
                 }
             }
         }
+        deps.clear();
+        self.waiters[slot] = deps;
     }
 
     /// Sends a newly ready entry to its functional unit.
@@ -890,7 +909,8 @@ impl Core {
                 if self.rob[idx].state == EntryState::Complete {
                     continue;
                 }
-                self.waiters.entry(dep_seq).or_default().push(seq);
+                let slot = self.slot(dep_seq);
+                self.waiters[slot].push(seq);
                 remaining += 1;
             }
             let state = if remaining == 0 {
@@ -937,6 +957,8 @@ mod tests {
         in_flight: DelayQueue<u64>,
         peak_outstanding: usize,
         outstanding: usize,
+        /// Every issue as `(cycle, address)`, in issue order.
+        issued: Vec<(Cycle, Addr)>,
     }
 
     impl FakeMem {
@@ -946,6 +968,7 @@ mod tests {
                 in_flight: DelayQueue::new(),
                 peak_outstanding: 0,
                 outstanding: 0,
+                issued: Vec::new(),
             }
         }
     }
@@ -968,9 +991,11 @@ mod tests {
             }
             let latency = mem.latency;
             let inflight = &mut mem.in_flight;
+            let log = &mut mem.issued;
             let mut issued_now = 0;
             core.tick(now, flags, &mut |iss| {
                 inflight.push_at(now + latency, iss.seq);
+                log.push((now, iss.addr));
                 issued_now += 1;
             });
             mem.outstanding += issued_now;
@@ -1012,6 +1037,95 @@ mod tests {
         let cycles = run(&mut core, &mut mem, 10_000);
         assert!(cycles >= 800, "dependent chain must serialize: {cycles}");
         assert!(mem.peak_outstanding <= 1);
+    }
+
+    /// A producer's six dependents wake in dispatch order. The dependent
+    /// loads issue in that order, and so do the loads behind the dependent
+    /// ALUs: equal ALU latency keeps the ALUs' completions in wake order.
+    #[test]
+    fn dependents_wake_in_dispatch_order() {
+        // seq 0: the producer; seqs 1..=6: loads and ALUs naming seq 0.
+        let mut ops = vec![CoreOp::load(0, 0)];
+        for k in 1..=6u16 {
+            let op = if k % 2 == 1 {
+                CoreOp::load(k as Addr * 64, 0)
+            } else {
+                CoreOp::alu()
+            };
+            ops.push(op.with_dep(k));
+        }
+        // seqs 7..=9: one load behind each ALU (seqs 2, 4, 6).
+        for (seq, alu) in [(7u16, 2u16), (8, 4), (9, 6)] {
+            ops.push(CoreOp::load(0x1000 + alu as Addr * 64, 0).with_dep(seq - alu));
+        }
+        let mut core = Core::new(0, CoreConfig::paper(), VecStream::new(ops));
+        let mut mem = FakeMem::new(100);
+        run(&mut core, &mut mem, 10_000);
+        let order: Vec<Addr> = mem.issued.iter().map(|&(_, a)| a).collect();
+        assert_eq!(order, [0, 64, 192, 320, 0x1080, 0x1100, 0x1180]);
+        let producer_done = mem.issued[0].0 + 100;
+        assert!(
+            mem.issued[1..].iter().all(|&(t, _)| t >= producer_done),
+            "a dependent issued before its producer completed: {:?}",
+            mem.issued
+        );
+    }
+
+    /// Ten ROB-lengths of dependent ops, with dependency distances up to
+    /// the ROB size so producer and consumer often sit on opposite sides of
+    /// the waiter-slot wrap: every op retires once, every memory op issues
+    /// once, and no memory op issues before a memory op it depends on
+    /// completes.
+    #[test]
+    fn dependencies_across_slot_wrap_retire_once() {
+        let mut cfg = CoreConfig::paper();
+        cfg.rob = 12; // 16 waiter slots
+        let latency = 7;
+        let n = 10 * cfg.rob as u64;
+        let dist = |i: u64| 1 + (i * 7) % 11; // 1..=11, within the ROB
+        let is_mem = |i: u64| i % 3 != 1;
+        let ops: Vec<CoreOp> = (0..n)
+            .map(|i| {
+                let op = match i % 3 {
+                    0 => CoreOp::load(i * 64, 0),
+                    1 => CoreOp::alu(),
+                    _ => CoreOp::store(i * 64, 0),
+                };
+                if i >= dist(i) {
+                    op.with_dep(dist(i) as u16)
+                } else {
+                    op
+                }
+            })
+            .collect();
+        let mut core = Core::new(0, cfg, VecStream::new(ops));
+        let mut mem = FakeMem::new(latency);
+        run(&mut core, &mut mem, 100_000);
+        assert_eq!(
+            core.stats().instructions,
+            n,
+            "every op retires exactly once"
+        );
+        let mut addrs: Vec<Addr> = mem.issued.iter().map(|&(_, a)| a).collect();
+        addrs.sort_unstable();
+        let want: Vec<Addr> = (0..n).filter(|&i| is_mem(i)).map(|i| i * 64).collect();
+        assert_eq!(addrs, want, "every memory op issues exactly once");
+        let issued_at = |i: u64| {
+            mem.issued
+                .iter()
+                .find(|&&(_, a)| a == i * 64)
+                .map(|&(t, _)| t)
+                .expect("memory op issued")
+        };
+        for i in (0..n).filter(|&i| is_mem(i) && i >= dist(i)) {
+            let p = i - dist(i);
+            if is_mem(p) {
+                assert!(
+                    issued_at(i) >= issued_at(p) + latency,
+                    "op {i} issued before the op {p} it depends on completed"
+                );
+            }
+        }
     }
 
     #[test]

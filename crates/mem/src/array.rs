@@ -27,7 +27,10 @@ pub struct Victim {
 /// functional layer owns data).
 #[derive(Clone, Debug)]
 pub struct CacheArray {
-    sets: Vec<Vec<Way>>,
+    /// Every way of every set in one allocation, set-major: set `s` is
+    /// `ways[s * assoc..(s + 1) * assoc]`.
+    ways: Vec<Way>,
+    assoc: usize,
     set_mask: u64,
     set_bits: u32,
     stamp: u64,
@@ -45,7 +48,8 @@ impl CacheArray {
         );
         assert!(ways > 0);
         CacheArray {
-            sets: vec![vec![Way::default(); ways]; sets],
+            ways: vec![Way::default(); sets * ways],
+            assoc: ways,
             set_mask: sets as u64 - 1,
             set_bits: sets.trailing_zeros(),
             stamp: 0,
@@ -64,6 +68,14 @@ impl CacheArray {
         LineAddr((tag << self.set_bits) | set as u64)
     }
 
+    fn set(&self, set: usize) -> &[Way] {
+        &self.ways[set * self.assoc..(set + 1) * self.assoc]
+    }
+
+    fn set_mut(&mut self, set: usize) -> &mut [Way] {
+        &mut self.ways[set * self.assoc..(set + 1) * self.assoc]
+    }
+
     /// Looks up `line`; on hit updates LRU and the dirty bit (if `is_write`)
     /// and returns `true` plus whether the hit consumed a prefetched line.
     pub fn access(&mut self, line: LineAddr, is_write: bool) -> Option<PrefetchHit> {
@@ -71,7 +83,7 @@ impl CacheArray {
         let tag = self.tag_of(line);
         self.stamp += 1;
         let stamp = self.stamp;
-        for way in &mut self.sets[set] {
+        for way in self.set_mut(set) {
             if way.valid && way.tag == tag {
                 way.used = stamp;
                 way.dirty |= is_write;
@@ -89,7 +101,7 @@ impl CacheArray {
     pub fn contains(&self, line: LineAddr) -> bool {
         let set = self.set_of(line);
         let tag = self.tag_of(line);
-        self.sets[set].iter().any(|w| w.valid && w.tag == tag)
+        self.set(set).iter().any(|w| w.valid && w.tag == tag)
     }
 
     /// Installs `line`, evicting the LRU way if the set is full. Returns the
@@ -99,38 +111,31 @@ impl CacheArray {
         let tag = self.tag_of(line);
         self.stamp += 1;
         let stamp = self.stamp;
+        let ways = self.set_mut(set);
         // Already present (e.g. racing fill): just update state.
-        if let Some(way) = self.sets[set].iter_mut().find(|w| w.valid && w.tag == tag) {
+        if let Some(way) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
             way.dirty |= dirty;
             way.used = stamp;
             return None;
         }
-        // Free way?
-        if let Some(way) = self.sets[set].iter_mut().find(|w| !w.valid) {
-            *way = Way {
-                tag,
-                valid: true,
-                dirty,
-                used: stamp,
-                prefetched,
-            };
-            return None;
-        }
-        // Evict LRU.
-        let victim_idx = self.sets[set]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| w.used)
-            .map(|(i, _)| i)
-            .unwrap();
-        let victim = self.sets[set][victim_idx];
-        self.sets[set][victim_idx] = Way {
+        let fresh = Way {
             tag,
             valid: true,
             dirty,
             used: stamp,
             prefetched,
         };
+        // Free way?
+        if let Some(way) = ways.iter_mut().find(|w| !w.valid) {
+            *way = fresh;
+            return None;
+        }
+        // Evict LRU.
+        let lru = ways
+            .iter_mut()
+            .min_by_key(|w| w.used)
+            .expect("a set has at least one way");
+        let victim = std::mem::replace(lru, fresh);
         Some(Victim {
             line: self.line_of(set, victim.tag),
             dirty: victim.dirty,
@@ -141,7 +146,7 @@ impl CacheArray {
     pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
         let set = self.set_of(line);
         let tag = self.tag_of(line);
-        for way in &mut self.sets[set] {
+        for way in self.set_mut(set) {
             if way.valid && way.tag == tag {
                 way.valid = false;
                 return Some(way.dirty);
@@ -152,7 +157,7 @@ impl CacheArray {
 
     /// Number of valid lines (test/diagnostic helper).
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().flatten().filter(|w| w.valid).count()
+        self.ways.iter().filter(|w| w.valid).count()
     }
 }
 

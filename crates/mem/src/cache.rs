@@ -1,8 +1,9 @@
 //! One cache level: tag array + MSHR file + optional stride prefetcher,
 //! with a latency-modeled lookup pipeline.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use dx100_common::hash::HashMap;
 use dx100_common::{Cycle, DelayQueue, LineAddr, TraceHandle};
 
 use crate::array::{CacheArray, Victim};
@@ -21,15 +22,6 @@ pub struct CacheOutputs {
     pub completed: Vec<Access>,
     /// Newly allocated misses to forward to the next level down.
     pub downstream: Vec<Access>,
-}
-
-/// Result of filling a line into this level.
-#[derive(Debug, Default)]
-pub struct FillResult {
-    /// Waiters released from the MSHR entry for the filled line.
-    pub waiters: Vec<Access>,
-    /// Dirty victim displaced by the fill, if any.
-    pub dirty_victim: Option<LineAddr>,
 }
 
 /// A single cache level.
@@ -73,7 +65,7 @@ impl Cache {
             stats: CacheStats::default(),
             scratch_candidates: Vec::new(),
             trace: None,
-            miss_since: HashMap::new(),
+            miss_since: HashMap::default(),
             profile: None,
             config,
         }
@@ -282,26 +274,31 @@ impl Cache {
         }
     }
 
-    /// Fills `line` into the array, releasing MSHR waiters. Demand-store
-    /// waiters mark the line dirty immediately (write-allocate replay).
-    pub fn fill(&mut self, line: LineAddr, now: Cycle) -> FillResult {
+    /// Fills `line` into the array, releasing its MSHR waiters into the
+    /// empty `waiters`. Demand-store waiters mark the line dirty immediately
+    /// (write-allocate replay). Returns the dirty victim displaced by the
+    /// fill, if any.
+    pub fn fill(
+        &mut self,
+        line: LineAddr,
+        now: Cycle,
+        waiters: &mut Vec<Access>,
+    ) -> Option<LineAddr> {
+        debug_assert!(waiters.is_empty());
         if let Some(t) = &self.trace {
             if let Some(start) = self.miss_since.remove(&line) {
                 t.span("mshr", format!("miss 0x{:x}", line.0), start, now);
             }
         }
-        let waiters = self.mshr.complete(line);
+        self.mshr.complete(line, waiters);
         let all_prefetch = !waiters.is_empty() && waiters.iter().all(|w| w.is_prefetch);
         let victim = self.array.insert(line, false, all_prefetch);
-        for w in &waiters {
+        for w in waiters.iter() {
             if w.is_write && !w.is_prefetch {
                 self.array.access(line, true);
             }
         }
-        FillResult {
-            waiters,
-            dirty_victim: victim.and_then(|v: Victim| v.dirty.then_some(v.line)),
-        }
+        victim.and_then(|v: Victim| v.dirty.then_some(v.line))
     }
 
     /// Inserts a write-back from the level above (dirty line landing here).
@@ -354,10 +351,16 @@ mod tests {
         assert_eq!(c.stats().demand_misses, 1);
     }
 
+    /// Fills `line`, dropping the waiters it releases; returns the dirty
+    /// victim.
+    fn fill(c: &mut Cache, line: LineAddr) -> Option<LineAddr> {
+        c.fill(line, 0, &mut Vec::new())
+    }
+
     #[test]
     fn hit_after_fill_completes() {
         let mut c = small_cache();
-        c.fill(LineAddr(7), 0);
+        fill(&mut c, LineAddr(7));
         c.accept(Access::load(2, LineAddr(7), 0, Requester::Core(0)), 0);
         let out = drive(&mut c, 10);
         assert_eq!(out.completed.len(), 1);
@@ -372,8 +375,9 @@ mod tests {
         c.accept(Access::load(2, LineAddr(7), 0, Requester::Core(0)), 0);
         let out = drive(&mut c, 10);
         assert_eq!(out.downstream.len(), 1, "one downstream request per line");
-        let fill = c.fill(LineAddr(7), 0);
-        assert_eq!(fill.waiters.len(), 2, "both waiters released");
+        let mut waiters = Vec::new();
+        c.fill(LineAddr(7), 0, &mut waiters);
+        assert_eq!(waiters.len(), 2, "both waiters released");
     }
 
     #[test]
@@ -386,7 +390,7 @@ mod tests {
         assert_eq!(out.downstream.len(), 2, "third miss blocked by MSHRs");
         assert!(c.stats().mshr_full_stalls > 0);
         // Fill one line; the retried access then allocates.
-        c.fill(LineAddr(10), 0);
+        fill(&mut c, LineAddr(10));
         let out2 = drive(&mut c, 8);
         assert_eq!(out2.downstream.len(), 1);
         assert_eq!(out2.downstream[0].line, LineAddr(30));
@@ -397,15 +401,14 @@ mod tests {
         let mut c = small_cache();
         c.accept(Access::store(1, LineAddr(5), 0, Requester::Core(0)), 0);
         drive(&mut c, 10);
-        c.fill(LineAddr(5), 0);
+        fill(&mut c, LineAddr(5));
         // Evict it by filling the same set until displacement; the victim
         // must come back dirty. Set index of line 5 with 16 sets: fill the
         // same set with 4 more lines (4 ways).
         let sets = 4 * 1024 / 64 / 4;
         let mut dirty_seen = false;
         for k in 1..=4u64 {
-            let r = c.fill(LineAddr(5 + k * sets as u64), 0);
-            if r.dirty_victim == Some(LineAddr(5)) {
+            if fill(&mut c, LineAddr(5 + k * sets as u64)) == Some(LineAddr(5)) {
                 dirty_seen = true;
             }
         }
@@ -441,7 +444,7 @@ mod tests {
     fn ports_bound_throughput() {
         let mut c = small_cache(); // 2 ports
         for i in 0..6u64 {
-            c.fill(LineAddr(i), 0);
+            fill(&mut c, LineAddr(i));
             c.accept(Access::load(i, LineAddr(i), 0, Requester::Core(0)), 0);
         }
         let mut out = CacheOutputs::default();

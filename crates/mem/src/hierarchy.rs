@@ -52,6 +52,8 @@ pub struct MemoryHierarchy {
     core_responses: VecDeque<CoreResponse>,
     dx100_responses: VecDeque<(ReqId, bool)>,
     scratch: CacheOutputs,
+    /// Waiters released by the fill being routed, reused across fills.
+    fill_waiters: Vec<Access>,
 }
 
 /// L1 lookup ports (two loads + one store per cycle, Skylake-like).
@@ -92,6 +94,7 @@ impl MemoryHierarchy {
             core_responses: VecDeque::new(),
             dx100_responses: VecDeque::new(),
             scratch: CacheOutputs::default(),
+            fill_waiters: Vec::new(),
             config,
         }
     }
@@ -230,8 +233,7 @@ impl MemoryHierarchy {
             self.scratch.completed.clear();
             self.scratch.downstream.clear();
             self.l2[core].tick(now, &mut self.scratch);
-            let completed: Vec<Access> = self.scratch.completed.drain(..).collect();
-            for acc in completed {
+            for acc in self.scratch.completed.drain(..) {
                 // A hit at L2 climbs one level toward the requester.
                 match acc.requester {
                     Requester::Core(c) | Requester::PrefetchL1(c) => {
@@ -251,8 +253,7 @@ impl MemoryHierarchy {
         self.scratch.completed.clear();
         self.scratch.downstream.clear();
         self.llc.tick(now, &mut self.scratch);
-        let completed: Vec<Access> = self.scratch.completed.drain(..).collect();
-        for acc in completed {
+        for acc in self.scratch.completed.drain(..) {
             match acc.requester {
                 Requester::Core(c) | Requester::PrefetchL1(c) | Requester::PrefetchL2(c) => {
                     self.links.push_at(now + link, Msg::FillL2(c, acc.line));
@@ -271,8 +272,7 @@ impl MemoryHierarchy {
     /// Delivers a DRAM read completion: fills the LLC and propagates fills
     /// (and write-backs) upward.
     pub fn dram_fill(&mut self, line: LineAddr, now: Cycle, to_dram: &mut Vec<DramBound>) {
-        let result = self.llc.fill(line, now);
-        if let Some(victim) = result.dirty_victim {
+        if let Some(victim) = self.llc.fill(line, now, &mut self.fill_waiters) {
             to_dram.push(DramBound {
                 line: victim,
                 is_write: true,
@@ -280,7 +280,7 @@ impl MemoryHierarchy {
         }
         let link = self.config.link_latency;
         let mut filled_l2 = [false; 64];
-        for acc in result.waiters {
+        for acc in self.fill_waiters.drain(..) {
             match acc.requester {
                 Requester::Core(c) | Requester::PrefetchL1(c) | Requester::PrefetchL2(c) => {
                     // One fill per L2 instance: same-line waiters from one
@@ -296,13 +296,12 @@ impl MemoryHierarchy {
     }
 
     fn fill_l2(&mut self, core: CoreId, line: LineAddr, now: Cycle, to_dram: &mut Vec<DramBound>) {
-        let result = self.l2[core].fill(line, now);
-        if let Some(victim) = result.dirty_victim {
+        if let Some(victim) = self.l2[core].fill(line, now, &mut self.fill_waiters) {
             self.writeback_to_llc(victim, to_dram);
         }
         let link = self.config.link_latency;
         let mut filled = false;
-        for acc in result.waiters {
+        for acc in self.fill_waiters.drain(..) {
             match acc.requester {
                 Requester::Core(c) | Requester::PrefetchL1(c) => {
                     debug_assert_eq!(c, core);
@@ -318,13 +317,12 @@ impl MemoryHierarchy {
     }
 
     fn fill_l1(&mut self, core: CoreId, line: LineAddr, now: Cycle, to_dram: &mut Vec<DramBound>) {
-        let result = self.l1[core].fill(line, now);
-        if let Some(victim) = result.dirty_victim {
+        if let Some(victim) = self.l1[core].fill(line, now, &mut self.fill_waiters) {
             if let Some(v2) = self.l2[core].insert_writeback(victim) {
                 self.writeback_to_llc(v2, to_dram);
             }
         }
-        for acc in result.waiters {
+        for acc in self.fill_waiters.drain(..) {
             match acc.requester {
                 Requester::Core(c) => {
                     debug_assert_eq!(c, core);

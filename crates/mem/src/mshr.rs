@@ -30,6 +30,9 @@ pub struct MshrFile {
     capacity: usize,
     /// `(line, waiters)` pairs, sorted by line; at most `capacity` long.
     entries: Vec<(LineAddr, Vec<Access>)>,
+    /// Emptied waiter lists of completed entries, reused by the next
+    /// allocations so a warm file allocates nothing per miss.
+    spare: Vec<Vec<Access>>,
 }
 
 impl MshrFile {
@@ -38,6 +41,7 @@ impl MshrFile {
         MshrFile {
             capacity,
             entries: Vec::with_capacity(capacity),
+            spare: Vec::new(),
         }
     }
 
@@ -54,18 +58,22 @@ impl MshrFile {
             }
             Err(_) if self.entries.len() >= self.capacity => MshrOutcome::Full,
             Err(i) => {
-                self.entries.insert(i, (access.line, vec![access]));
+                let mut waiters = self.spare.pop().unwrap_or_default();
+                waiters.push(access);
+                self.entries.insert(i, (access.line, waiters));
                 MshrOutcome::Allocated
             }
         }
     }
 
-    /// Releases the entry for `line`, returning every coalesced waiter.
-    /// Returns an empty vec if no entry existed (e.g. an unsolicited fill).
-    pub fn complete(&mut self, line: LineAddr) -> Vec<Access> {
-        match self.position(line) {
-            Ok(i) => self.entries.remove(i).1,
-            Err(_) => Vec::new(),
+    /// Releases the entry for `line`, appending every coalesced waiter to
+    /// `out` in arrival order. Appends nothing if no entry existed (e.g. an
+    /// unsolicited fill).
+    pub fn complete(&mut self, line: LineAddr, out: &mut Vec<Access>) {
+        if let Ok(i) = self.position(line) {
+            let (_, mut waiters) = self.entries.remove(i);
+            out.append(&mut waiters);
+            self.spare.push(waiters);
         }
     }
 
@@ -105,9 +113,13 @@ mod tests {
         assert_eq!(m.register(acc(1, 10)), MshrOutcome::Allocated);
         assert_eq!(m.register(acc(2, 10)), MshrOutcome::Coalesced);
         assert_eq!(m.in_use(), 1);
-        let waiters = m.complete(LineAddr(10));
-        assert_eq!(waiters.len(), 2);
+        let mut waiters = Vec::new();
+        m.complete(LineAddr(10), &mut waiters);
+        assert_eq!(waiters.iter().map(|a| a.id).collect::<Vec<_>>(), [1, 2]);
         assert!(m.is_empty());
+        // The emptied list is reused by the next allocation.
+        assert_eq!(m.register(acc(3, 20)), MshrOutcome::Allocated);
+        assert!(m.spare.is_empty());
     }
 
     #[test]
@@ -122,7 +134,9 @@ mod tests {
     #[test]
     fn complete_unknown_line_is_empty() {
         let mut m = MshrFile::new(1);
-        assert!(m.complete(LineAddr(99)).is_empty());
+        let mut waiters = Vec::new();
+        m.complete(LineAddr(99), &mut waiters);
+        assert!(waiters.is_empty());
     }
 
     #[test]
@@ -140,7 +154,9 @@ mod tests {
             assert_eq!(m.register(acc(line, line)), MshrOutcome::Allocated);
         }
         assert_eq!(m.register(acc(99, 99)), MshrOutcome::Full);
-        assert_eq!(m.complete(LineAddr(30)).len(), 1);
+        let mut waiters = Vec::new();
+        m.complete(LineAddr(30), &mut waiters);
+        assert_eq!(waiters.len(), 1);
         assert_eq!(m.register(acc(5, 5)), MshrOutcome::Allocated);
         let lines: Vec<u64> = m.entries.iter().map(|(l, _)| l.0).collect();
         let mut sorted = lines.clone();

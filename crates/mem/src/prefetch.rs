@@ -7,8 +7,7 @@
 //! evaluation, so the model trains per logical stream and only issues
 //! prefetches once a stride has repeated.
 
-use std::collections::HashMap;
-
+use dx100_common::hash::HashMap;
 use dx100_common::LineAddr;
 
 /// Training state for one stream.
@@ -36,7 +35,7 @@ impl StridePrefetcher {
     /// degree (4 lines per trigger).
     pub fn new() -> Self {
         StridePrefetcher {
-            table: HashMap::new(),
+            table: HashMap::default(),
             distance: 8,
             degree: 4,
             confidence_threshold: 2,

@@ -8,8 +8,7 @@
 //! State changes cost an acquisition latency; a region locked by in-flight
 //! instructions of another instance defers the requester.
 
-use std::collections::HashMap;
-
+use dx100_common::hash::HashMap;
 use dx100_common::Addr;
 
 /// Region state.
@@ -55,7 +54,7 @@ impl RegionCoherence {
     pub fn request(&mut self, instance: usize, base: Addr, write: bool) -> RegionGrant {
         let region = self.regions.entry(base).or_insert(Region {
             state: State::Shared(vec![]),
-            inflight: HashMap::new(),
+            inflight: HashMap::default(),
         });
         let others_inflight: usize = region
             .inflight

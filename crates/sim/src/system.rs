@@ -1,8 +1,9 @@
 //! The assembled machine and its cycle loop.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use dx100_common::flags::{FlagBoard, FlagId};
+use dx100_common::hash::{HashMap, HashSet};
 use dx100_common::{Addr, CoreId, Cycle, DelayQueue, LineAddr, ReqId, TraceHandle};
 use dx100_core::isa::{Instruction, RegId, TileId};
 use dx100_core::{Dx100Engine, MemPorts, MemoryImage};
@@ -203,14 +204,14 @@ impl System {
             flags: FlagBoard::new(),
             image,
             actions: Vec::new(),
-            dram_pending: HashMap::new(),
+            dram_pending: HashMap::default(),
             next_dram_id: 0,
             dram_retry: VecDeque::new(),
             spd_fills: DelayQueue::new(),
             region: RegionCoherence::new(),
-            host_pages: HashSet::new(),
+            host_pages: HashSet::default(),
             instr_delivery,
-            region_pins: HashMap::new(),
+            region_pins: HashMap::default(),
             roi_start: 0,
             roi_snapshot: None,
             issue_scratch: Vec::new(),

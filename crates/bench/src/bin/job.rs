@@ -26,7 +26,7 @@ fn main() {
         cli.spec.seed,
         cli.spec.cache_key()
     );
-    let report = match cli.spec.run(cli.threads) {
+    let report = match cli.spec.run() {
         Ok(r) => r.to_string() + "\n",
         Err(msg) => {
             eprintln!("error: {msg}");

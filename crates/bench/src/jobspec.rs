@@ -5,12 +5,11 @@
 //! local run of the same job.
 //!
 //! A [`JobSpec`] holds exactly the knobs that determine the report bytes:
-//! kernel, machine, scale, seed, and the mode flags (`sample`,
-//! `cycle_skip`, `profile`, `epoch`). Execution-only knobs — worker
-//! threads for sampled replay, whether the HTTP client waits — are *not*
-//! part of the spec: the simulator's determinism contract makes them
-//! invisible in the output, so including them would only fragment the
-//! result cache. [`JobSpec::cache_key`] hashes the canonical JSON form
+//! kernel, machine, scale, seed, and the mode flags (`cycle_skip`,
+//! `profile`, `epoch`). Execution-only knobs — such as whether the HTTP
+//! client waits — are *not* part of the spec: they are invisible in the
+//! output, so including them would only fragment the result cache.
+//! [`JobSpec::cache_key`] hashes the canonical JSON form
 //! ([`JobSpec::to_json`], fixed field order) with FNV-1a 64
 //! (`dx100_common::hash`), and [`JobSpec::run`] produces the versioned
 //! report the cache stores verbatim.
@@ -19,8 +18,7 @@ use std::path::PathBuf;
 
 use dx100_common::hash::{fnv1a_64, hex16};
 use dx100_common::json::{obj, Json};
-use dx100_sampling::{self as sampling, WarmCache};
-use dx100_sim::report::{run_stats_json, SCHEMA_VERSION};
+use dx100_sim::report::SCHEMA_VERSION;
 use dx100_sim::{ObservabilityConfig, SystemConfig};
 use dx100_workloads::{all_kernels, KernelRun, Mode, Scale};
 
@@ -73,11 +71,8 @@ pub struct JobSpec {
     pub machine: Mode,
     /// Dataset scale factor (> 0; 1.0 is the repo's default size).
     pub scale: f64,
-    /// Dataset + sampling RNG seed.
+    /// Dataset RNG seed.
     pub seed: u64,
-    /// Sampled pipeline instead of full cycle-by-cycle simulation
-    /// (kernels without an interval decomposition fall back to full).
-    pub sample: bool,
     /// Event-driven cycle skipping (bit-identical stats either way, but
     /// the skip telemetry differs, so it is part of the spec).
     pub cycle_skip: bool,
@@ -88,14 +83,14 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A job with the default mode flags (full fidelity, cycle skip on).
+    /// A job with the default mode flags (cycle skip on, no profile or
+    /// epochs).
     pub fn new(kernel: impl Into<String>, machine: Mode) -> Self {
         JobSpec {
             kernel: kernel.into(),
             machine,
             scale: 1.0,
             seed: 1,
-            sample: false,
             cycle_skip: true,
             profile: false,
             epoch: None,
@@ -130,7 +125,6 @@ impl JobSpec {
             ("machine", self.machine.label().into()),
             ("scale", self.scale.into()),
             ("seed", self.seed.into()),
-            ("sample", self.sample.into()),
             ("cycle_skip", self.cycle_skip.into()),
             ("profile", self.profile.into()),
             ("epoch", self.epoch.into()),
@@ -146,12 +140,11 @@ impl JobSpec {
             Json::Obj(fields) => fields,
             _ => return Err("job spec must be a JSON object".to_string()),
         };
-        const KNOWN: [&str; 8] = [
+        const KNOWN: [&str; 7] = [
             "kernel",
             "machine",
             "scale",
             "seed",
-            "sample",
             "cycle_skip",
             "profile",
             "epoch",
@@ -187,7 +180,6 @@ impl JobSpec {
                 _ => return Err("`seed` must be a non-negative integer".to_string()),
             }
         }
-        spec.sample = bool_field("sample", spec.sample)?;
         spec.cycle_skip = bool_field("cycle_skip", spec.cycle_skip)?;
         spec.profile = bool_field("profile", spec.profile)?;
         spec.epoch = match v.get("epoch") {
@@ -227,95 +219,26 @@ impl JobSpec {
 
     /// Runs the job and produces its versioned report — the exact bytes
     /// (after serialization) the serve cache stores and replays.
-    /// `threads` only parallelizes sampled window replay; it is invisible
-    /// in the report (the pool collects results in task order).
-    pub fn run(&self, threads: usize) -> Result<Json, String> {
+    pub fn run(&self) -> Result<Json, String> {
         self.validate()?;
         let kernel = find_kernel(&self.kernel, Scale(self.scale))?;
-        let cfg = self.resolved_config();
-        let label = format!("{}/{}", self.kernel, self.machine.label());
-
-        let (mode, run_block, checksum, sampling_block) = if self.sample {
-            match kernel.prepare_sampled(self.machine, &cfg, self.seed) {
-                Some(run) => {
-                    let plan = sampling::plan(&run, self.seed, &label);
-                    let warm = WarmCache::default();
-                    let tasks: Vec<Box<dyn FnOnce() -> dx100_sim::RunStats + Send + '_>> = plan
-                        .windows
-                        .iter()
-                        .map(|w| {
-                            let w = *w;
-                            let (run, warm) = (&run, &warm);
-                            Box::new(move || sampling::replay_window(run, w, warm))
-                                as Box<dyn FnOnce() -> dx100_sim::RunStats + Send + '_>
-                        })
-                        .collect();
-                    let stats = sampling::run_parallel(tasks, threads.max(1));
-                    let rec = sampling::reconstitute(&plan, &stats);
-                    let mut block = run_stats_json(&rec.stats);
-                    if let Json::Obj(fields) = &mut block {
-                        fields.push((
-                            "telemetry".to_string(),
-                            dx100_sim::RunTelemetry::default().to_json(),
-                        ));
-                    }
-                    let sampling_json = obj([
-                        ("windows", rec.windows.into()),
-                        ("total_intervals", rec.total_intervals.into()),
-                        (
-                            "errors",
-                            obj([
-                                ("cycles", rec.errors.cycles.into()),
-                                ("row_buffer_hit_rate", rec.errors.row_buffer_hit_rate.into()),
-                                ("llc_mpki", rec.errors.llc_mpki.into()),
-                                ("lower_bound", rec.errors.lower_bound.into()),
-                            ]),
-                        ),
-                    ]);
-                    ("sampled", block, run.checksum, sampling_json)
-                }
-                // No interval decomposition: fall back to a full run,
-                // reported as such (the spec still hashes with
-                // `sample: true` — the fallback is part of the result).
-                None => self.full_run(&*kernel, &cfg)?,
-            }
-        } else {
-            self.full_run(&*kernel, &cfg)?
-        };
-
+        let w = kernel.run(self.machine, &self.resolved_config(), self.seed);
         Ok(obj([
             ("schema_version", SCHEMA_VERSION.into()),
             ("kind", "job".into()),
             ("spec", self.to_json()),
-            ("mode", mode.into()),
-            ("checksum", checksum.into()),
-            ("run", run_block),
-            ("sampling", sampling_block),
+            ("checksum", w.checksum.into()),
+            ("run", crate::run_json(&w)),
         ]))
-    }
-
-    /// One full-fidelity run → (`"full"`, run block, checksum, null).
-    fn full_run(
-        &self,
-        kernel: &(dyn KernelRun + Send + Sync),
-        cfg: &SystemConfig,
-    ) -> Result<(&'static str, Json, u64, Json), String> {
-        let w = kernel.run(self.machine, cfg, self.seed);
-        let mut block = run_stats_json(&w.stats);
-        if let Json::Obj(fields) = &mut block {
-            fields.push(("telemetry".to_string(), w.telemetry.to_json()));
-        }
-        Ok(("full", block, w.checksum, Json::Null))
     }
 }
 
-/// Parsed `job` binary command line: the spec plus execution-only knobs.
+/// Parsed `job` binary command line: the spec plus where to write the
+/// report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobCli {
     /// The job to run.
     pub spec: JobSpec,
-    /// Worker threads for sampled window replay.
-    pub threads: usize,
     /// Report destination (`-`/absent = stdout).
     pub json: Option<PathBuf>,
 }
@@ -323,8 +246,8 @@ pub struct JobCli {
 impl JobCli {
     /// Usage string for the `job` binary's error paths.
     pub const USAGE: &'static str = "usage: job --kernel <name> --machine <baseline|dmp|dx100> \
-         [--scale <f>] [--seed <n>] [--sample] [--no-cycle-skip] [--profile] \
-         [--epoch <cycles>] [--threads <n>] [--json <path>]";
+         [--scale <f>] [--seed <n>] [--no-cycle-skip] [--profile] \
+         [--epoch <cycles>] [--json <path>]";
 
     /// Fallible parser over an explicit argument list (testable). Same
     /// strictness as the spec's JSON parser: unknown or duplicate flags
@@ -334,7 +257,6 @@ impl JobCli {
         let mut machine: Option<Mode> = None;
         let mut out = JobCli {
             spec: JobSpec::new("", Mode::Baseline),
-            threads: crate::default_threads(),
             json: None,
         };
         let mut seen: Vec<&'static str> = Vec::new();
@@ -345,11 +267,9 @@ impl JobCli {
                 "--machine" => "--machine",
                 "--scale" => "--scale",
                 "--seed" => "--seed",
-                "--sample" => "--sample",
                 "--no-cycle-skip" => "--no-cycle-skip",
                 "--profile" => "--profile",
                 "--epoch" => "--epoch",
-                "--threads" => "--threads",
                 "--json" => "--json",
                 other => return Err(format!("unknown argument `{other}`")),
             };
@@ -375,7 +295,6 @@ impl JobCli {
                         .parse::<u64>()
                         .map_err(|_| format!("invalid --seed value `{v}`"))?;
                 }
-                "--sample" => out.spec.sample = true,
                 "--no-cycle-skip" => out.spec.cycle_skip = false,
                 "--profile" => out.spec.profile = true,
                 "--epoch" => {
@@ -386,14 +305,6 @@ impl JobCli {
                             .filter(|e| *e > 0)
                             .ok_or_else(|| format!("invalid --epoch value `{v}`"))?,
                     );
-                }
-                "--threads" => {
-                    let v = value()?;
-                    out.threads = v
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|t| *t > 0)
-                        .ok_or_else(|| format!("invalid --threads value `{v}`"))?;
                 }
                 "--json" => {
                     let v = value()?;
@@ -425,7 +336,6 @@ mod tests {
     #[test]
     fn canonical_json_round_trips_and_hash_is_stable() {
         let s = JobSpec {
-            sample: true,
             profile: true,
             epoch: Some(5000),
             seed: 7,
@@ -437,7 +347,7 @@ mod tests {
         // spec JSON was spelled: defaults made explicit, fields reordered.
         let reordered = Json::parse(
             r#"{"seed":7,"machine":"dx100","epoch":5000,"profile":true,
-                "sample":true,"kernel":"is","scale":0.000000001}"#,
+                "kernel":"is","scale":0.000000001}"#,
         )
         .unwrap();
         let s2 = JobSpec::from_json(&reordered).unwrap();
@@ -453,7 +363,7 @@ mod tests {
         assert_eq!(minimal.scale, 1.0);
         assert_eq!(minimal.seed, 1);
         assert!(minimal.cycle_skip);
-        assert!(!minimal.sample && !minimal.profile);
+        assert!(!minimal.profile);
         let mut other = minimal.clone();
         other.profile = true;
         assert_ne!(minimal.cache_key(), other.cache_key());
@@ -478,6 +388,10 @@ mod tests {
             ),
             (
                 r#"{"kernel":"is","machine":"dx100","wait":true}"#,
+                "unknown job spec field",
+            ),
+            (
+                r#"{"kernel":"is","machine":"dx100","sample":true}"#,
                 "unknown job spec field",
             ),
             (r#"[1,2]"#, "object"),
@@ -517,8 +431,6 @@ mod tests {
                 "--profile",
                 "--epoch",
                 "5000",
-                "--threads",
-                "2",
             ]
             .map(String::from),
         )
@@ -533,7 +445,6 @@ mod tests {
         .unwrap();
         assert_eq!(cli.spec, json);
         assert_eq!(cli.spec.cache_key(), json.cache_key());
-        assert_eq!(cli.threads, 2);
     }
 
     #[test]
@@ -550,42 +461,74 @@ mod tests {
         );
         assert!(parse(&["--kernel", "is", "--machine", "dx100", "--scale", "0"]).is_err());
         assert!(parse(&["--kernel", "is", "--machine", "dx100", "--frob"]).is_err());
+        // Removed knobs fail loudly.
+        assert!(parse(&["--kernel", "is", "--machine", "dx100", "--sample"]).is_err());
+        assert!(parse(&["--kernel", "is", "--machine", "dx100", "--threads", "2"]).is_err());
     }
 
     #[test]
-    fn job_reports_are_deterministic_and_thread_invariant() {
+    fn job_reports_are_deterministic() {
         let s = spec("is", Mode::Dx100);
-        let a = s.run(1).unwrap().to_string();
-        let b = s.run(1).unwrap().to_string();
+        let a = s.run().unwrap().to_string();
+        let b = s.run().unwrap().to_string();
         assert_eq!(a, b, "repeat runs must be byte-identical");
-        let sampled = JobSpec {
-            sample: true,
-            ..spec("is", Mode::Dx100)
-        };
-        let t1 = sampled.run(1).unwrap().to_string();
-        let t4 = sampled.run(4).unwrap().to_string();
-        assert_eq!(t1, t4, "replay threads must be invisible in the report");
-        let parsed = Json::parse(&t1).unwrap();
-        assert_eq!(parsed.get("mode").and_then(Json::as_str), Some("sampled"));
-        assert!(parsed.get("sampling").unwrap().get("windows").is_some());
+    }
+
+    /// Pins the serialized `run` block and the checksum of four jobs: any
+    /// change to what a job simulates or to how its report is written
+    /// shows up here. Values: (kernel, machine, checksum, FNV-1a 64 of
+    /// `report["run"].to_string()`).
+    #[test]
+    fn job_report_bytes_match_goldens() {
+        const IS: u64 = 12710991020669359088;
+        const PR: u64 = 15036263534936017701;
+        const GOLDEN: [(&str, Mode, u64, u64); 4] = [
+            ("is", Mode::Baseline, IS, 0xf00a_b0d7_ba25_120f),
+            ("is", Mode::Dx100, IS, 0x0e8c_2709_145e_6bd0),
+            ("pr", Mode::Baseline, PR, 0x19b4_97d1_fb3e_2053),
+            ("pr", Mode::Dx100, PR, 0x74c0_1d14_df22_83d1),
+        ];
+        for (kernel, machine, checksum, run_hash) in GOLDEN {
+            let report = spec(kernel, machine).run().unwrap();
+            let label = format!("{kernel}/{}", machine.label());
+            assert_eq!(
+                report.get("checksum"),
+                Some(&Json::from(checksum)),
+                "{label}"
+            );
+            let run = report.get("run").unwrap().to_string();
+            assert_eq!(fnv1a_64(run.as_bytes()), run_hash, "{label}");
+        }
     }
 
     #[test]
     fn full_job_report_has_the_run_schema() {
-        let report = spec("pr", Mode::Baseline).run(1).unwrap();
+        fn keys(v: &Json) -> String {
+            match v {
+                Json::Obj(fields) => {
+                    let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+                    names.join(",")
+                }
+                other => panic!("not an object: {other}"),
+            }
+        }
+        let report = spec("pr", Mode::Baseline).run().unwrap();
         let parsed = Json::parse(&report.to_string()).unwrap();
+        assert_eq!(keys(&parsed), "schema_version,kind,spec,checksum,run");
         assert_eq!(
             parsed.get("schema_version").and_then(Json::as_f64),
             Some(SCHEMA_VERSION as f64)
         );
         assert_eq!(parsed.get("kind").and_then(Json::as_str), Some("job"));
-        assert_eq!(parsed.get("mode").and_then(Json::as_str), Some("full"));
         let run = parsed.get("run").unwrap();
         for key in ["cycles", "instructions", "dram", "caches", "telemetry"] {
             assert!(run.get(key).is_some(), "run missing {key}");
         }
-        assert_eq!(parsed.get("sampling"), Some(&Json::Null));
         let spec_block = parsed.get("spec").unwrap();
         assert_eq!(spec_block.get("kernel").and_then(Json::as_str), Some("pr"));
+        assert_eq!(
+            keys(spec_block),
+            "kernel,machine,scale,seed,cycle_skip,profile,epoch"
+        );
     }
 }

@@ -36,34 +36,28 @@
 //! Sweep-execution flags (row-based figure binaries):
 //!
 //! * `--threads <n>` — worker threads for the kernel × machine sweep
-//!   (default: available cores). Governs *both* modes: full-fidelity
-//!   sweeps run each (kernel, machine) job on the shared pool, and sampled
-//!   sweeps run each replay window there. Every output — tables, `--json`
-//!   reports, epoch series, `--trace` files — is bit-identical at any
-//!   thread count; only wall-clock time and stderr progress order change.
-//! * `--sample` — run the checkpointed, sampled pipeline (`dx100-sampling`)
-//!   instead of full cycle-by-cycle simulation: kernels with interval
-//!   decompositions simulate only representative windows; the rest run in
-//!   full, but all of it in parallel across `--threads` workers. The report
-//!   records per-metric sampling-error estimates.
-//! * `--seed <n>` — dataset + sampling RNG seed (default 1); runs are
+//!   (default: available cores): each (kernel, machine) job runs on the
+//!   shared pool. Every output — tables, `--json` reports, epoch series,
+//!   `--trace` files — is bit-identical at any thread count; only
+//!   wall-clock time and stderr progress order change.
+//! * `--seed <n>` — dataset RNG seed (default 1); runs are
 //!   bit-reproducible for a given seed regardless of thread count.
 
 pub mod jobspec;
 pub mod progress;
-pub mod sampled;
+pub mod sweep;
 
 pub use jobspec::{machine_config, JobCli, JobSpec};
 pub use progress::Progress;
-pub use sampled::{run_figure, FigureRun, WalltimeEntry};
+pub use sweep::{run_figure, FigureRun, WalltimeEntry};
 
 use std::path::{Path, PathBuf};
 
 use dx100_common::json::{obj, Json};
 use dx100_common::trace::chrome_trace_json;
 use dx100_sim::report::{run_stats_json, SCHEMA_VERSION};
-use dx100_sim::{ObservabilityConfig, RunStats, SystemConfig};
-use dx100_workloads::{all_kernels, KernelRun, Mode, Scale, WorkloadResult};
+use dx100_sim::{ObservabilityConfig, RunStats};
+use dx100_workloads::WorkloadResult;
 
 /// Measurements for one kernel across the machines of interest.
 #[derive(Debug, Clone)]
@@ -92,94 +86,6 @@ impl KernelRow {
     }
 }
 
-/// Runs one kernel in the given modes (None = skip DMP).
-pub fn run_kernel_row(kernel: &dyn KernelRun, with_dmp: bool, seed: u64) -> KernelRow {
-    run_kernel_row_with(kernel, with_dmp, seed, &ObservabilityConfig::default())
-}
-
-/// [`run_kernel_row`] with observability (tracing / epoch sampling) applied
-/// to every machine.
-pub fn run_kernel_row_with(
-    kernel: &dyn KernelRun,
-    with_dmp: bool,
-    seed: u64,
-    obs: &ObservabilityConfig,
-) -> KernelRow {
-    run_kernel_row_timed(kernel, with_dmp, seed, obs).0
-}
-
-/// [`run_kernel_row_with`] plus per-machine wall-clock seconds
-/// `[baseline, dx100, dmp]` (dmp is 0 when skipped) for walltime reports.
-pub fn run_kernel_row_timed(
-    kernel: &dyn KernelRun,
-    with_dmp: bool,
-    seed: u64,
-    obs: &ObservabilityConfig,
-) -> (KernelRow, [f64; 3]) {
-    let with_obs = |mut cfg: SystemConfig| {
-        cfg.obs = obs.clone();
-        cfg
-    };
-    let timed = |mode: Mode, cfg: SystemConfig| {
-        let t = std::time::Instant::now();
-        let r = kernel.run(mode, &cfg, seed);
-        (r, t.elapsed().as_secs_f64())
-    };
-    // Machine construction is shared with the job/serve path
-    // (`jobspec::machine_config`), so CLI sweeps and served jobs measure
-    // provably identical configurations.
-    let (baseline, tb) = timed(Mode::Baseline, with_obs(machine_config(Mode::Baseline)));
-    let (dx100, tx) = timed(Mode::Dx100, with_obs(machine_config(Mode::Dx100)));
-    let (dmp, td) = match with_dmp.then(|| timed(Mode::Dmp, with_obs(machine_config(Mode::Dmp)))) {
-        Some((r, t)) => (Some(r), t),
-        None => (None, 0.0),
-    };
-    (
-        KernelRow {
-            name: kernel.name(),
-            baseline,
-            dx100,
-            dmp,
-        },
-        [tb, tx, td],
-    )
-}
-
-/// Runs all kernels at `scale`, optionally including DMP.
-pub fn run_all(scale: f64, with_dmp: bool, seed: u64) -> Vec<KernelRow> {
-    run_all_with(scale, with_dmp, seed, &ObservabilityConfig::default())
-}
-
-/// [`run_all`] with observability applied to every run. Executes the
-/// (kernel × machine) matrix on the machine's available cores; see
-/// [`run_all_threaded`] for the determinism contract.
-pub fn run_all_with(
-    scale: f64,
-    with_dmp: bool,
-    seed: u64,
-    obs: &ObservabilityConfig,
-) -> Vec<KernelRow> {
-    run_all_threaded(scale, with_dmp, seed, obs, default_threads())
-}
-
-/// [`run_all_with`] with an explicit worker-thread count.
-///
-/// Every (kernel, machine) simulation is an independent job on the shared
-/// deterministic pool ([`dx100_common::pool`]); results are collected in
-/// job order, so rows — and everything derived from them: tables, JSON
-/// reports, epoch series, Chrome traces — are bit-identical for any
-/// `threads` value.
-pub fn run_all_threaded(
-    scale: f64,
-    with_dmp: bool,
-    seed: u64,
-    obs: &ObservabilityConfig,
-    threads: usize,
-) -> Vec<KernelRow> {
-    let kernels = all_kernels(Scale(scale));
-    sampled::run_matrix(&kernels, with_dmp, seed, obs, threads, "full sweep").0
-}
-
 /// Command-line arguments shared by the figure binaries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchArgs {
@@ -195,13 +101,10 @@ pub struct BenchArgs {
     /// utilization counters per component, a `profile` section per run in
     /// the `--json` report, and a printed bottleneck summary.
     pub profile: bool,
-    /// Run the sampled-simulation pipeline (`--sample`).
-    pub sample: bool,
-    /// Worker threads for the kernel × machine sweep (`--threads`):
-    /// full-fidelity jobs and sampled replay windows both execute on this
-    /// many workers, with bit-identical output at any value.
+    /// Worker threads for the kernel × machine sweep (`--threads`), with
+    /// bit-identical output at any value.
     pub threads: usize,
-    /// Dataset + sampling RNG seed (`--seed`).
+    /// Dataset RNG seed (`--seed`).
     pub seed: u64,
 }
 
@@ -220,7 +123,6 @@ impl Default for BenchArgs {
             trace: None,
             epoch: None,
             profile: false,
-            sample: false,
             threads: default_threads(),
             seed: 1,
         }
@@ -238,7 +140,7 @@ impl BenchArgs {
                 eprintln!("error: {msg}");
                 eprintln!(
                     "usage: [--scale <factor>] [--json <path>] [--trace <path>] [--epoch <cycles>] \
-                     [--profile] [--sample] [--threads <n>] [--seed <n>]"
+                     [--profile] [--threads <n>] [--seed <n>]"
                 );
                 std::process::exit(2);
             }
@@ -264,7 +166,6 @@ impl BenchArgs {
                 "--json" => out.json = Some(PathBuf::from(value("--json")?)),
                 "--trace" => out.trace = Some(PathBuf::from(value("--trace")?)),
                 "--profile" => out.profile = true,
-                "--sample" => out.sample = true,
                 "--threads" => {
                     let v = value("--threads")?;
                     out.threads = v
@@ -354,22 +255,6 @@ impl BenchArgs {
             eprintln!("wrote report to {}", path.display());
         }
     }
-
-    /// Writes the report / trace files requested on the command line.
-    /// Call once after the figure's rows are measured.
-    pub fn emit_artifacts(&self, generator: &str, rows: &[KernelRow]) {
-        if let Some(path) = &self.json {
-            write_or_die(
-                path,
-                &(report_json(generator, self.scale, rows).to_string() + "\n"),
-            );
-            eprintln!("wrote report to {}", path.display());
-        }
-        if let Some(path) = &self.trace {
-            write_or_die(path, &trace_json(rows));
-            eprintln!("wrote trace to {} (open in Perfetto)", path.display());
-        }
-    }
 }
 
 fn write_or_die(path: &Path, contents: &str) {
@@ -377,12 +262,6 @@ fn write_or_die(path: &Path, contents: &str) {
         eprintln!("error: cannot write {}: {e}", path.display());
         std::process::exit(1);
     }
-}
-
-/// Parses `--scale <f>` from the command line (default 1.0); exits
-/// non-zero on malformed arguments.
-pub fn scale_from_args() -> f64 {
-    BenchArgs::parse().scale
 }
 
 /// The machine-readable report for a set of kernel rows: per-kernel
@@ -404,8 +283,8 @@ pub fn report_json(generator: &str, scale: f64, rows: &[KernelRow]) -> Json {
 
 /// One run's JSON: [`run_stats_json`] plus the run's telemetry (skip
 /// counters always; the versioned `profile` section when `--profile`
-/// was on, `null` otherwise).
-fn run_json(w: &WorkloadResult) -> Json {
+/// was on, `null` otherwise). Figure reports and job reports share it.
+pub(crate) fn run_json(w: &WorkloadResult) -> Json {
     let mut j = run_stats_json(&w.stats);
     if let Json::Obj(fields) = &mut j {
         fields.push(("telemetry".to_string(), w.telemetry.to_json()));
@@ -553,7 +432,6 @@ mod tests {
             "--epoch",
             "5000",
             "--profile",
-            "--sample",
             "--threads",
             "4",
             "--seed",
@@ -565,7 +443,6 @@ mod tests {
         assert_eq!(args.trace.as_deref(), Some(Path::new("t.json")));
         assert_eq!(args.epoch, Some(5000));
         assert!(args.profile);
-        assert!(args.sample);
         assert_eq!(args.threads, 4);
         assert_eq!(args.seed, 7);
         let obs = args.observability();
@@ -594,6 +471,8 @@ mod tests {
         assert!(parse(&["--threads", "many"]).is_err());
         assert!(parse(&["--seed", "-3"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
+        // Removed knobs fail loudly.
+        assert!(parse(&["--sample"]).is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Differential tests for the parallel full-fidelity sweep executor.
+//! Differential tests for the parallel figure sweep ([`run_figure`]).
 //!
-//! The executor's contract is that `--threads` is *invisible* in every
+//! The sweep's contract is that `--threads` is *invisible* in every
 //! measured artifact: tables, `--json` reports (including epoch
 //! time-series), and Chrome traces must be byte-identical whether the
 //! (kernel × machine) matrix ran on one worker or many. These tests run
@@ -9,21 +9,27 @@
 //! artifacts byte for byte, then repeat the row comparison with DMP
 //! included (the fig12 matrix shape).
 
-use dx100_bench::{report_json, run_all_threaded, trace_json, BenchArgs, KernelRow};
+use std::path::PathBuf;
+
+use dx100_bench::{run_figure, trace_json, BenchArgs, KernelRow};
 use dx100_sim::report::run_stats_json;
-use dx100_sim::ObservabilityConfig;
 
 /// Minimum dataset sizes: every kernel runs, nothing takes long in debug.
 const SMOKE_SCALE: f64 = 1e-9;
 const SEED: u64 = 1;
 
-/// Full observability, so the comparison covers trace event streams and
-/// epoch series, not just end-of-run counters.
-fn obs() -> ObservabilityConfig {
-    ObservabilityConfig {
-        trace: true,
-        epoch_cycles: Some(5000),
-        ..ObservabilityConfig::default()
+/// The smoke sweep on `threads` workers with full observability, so the
+/// comparison covers trace event streams and epoch series, not just
+/// end-of-run counters. A trace path turns tracing on; `run_figure`
+/// never writes it (only `FigureRun::emit` writes files).
+fn sweep(threads: usize) -> BenchArgs {
+    BenchArgs {
+        scale: SMOKE_SCALE,
+        seed: SEED,
+        threads,
+        trace: Some(PathBuf::from("unwritten-trace.json")),
+        epoch: Some(5000),
+        ..BenchArgs::default()
     }
 }
 
@@ -45,21 +51,21 @@ fn row_fingerprint(r: &KernelRow) -> String {
 
 #[test]
 fn full_sweep_is_bit_identical_for_any_thread_count() {
-    let serial = run_all_threaded(SMOKE_SCALE, false, SEED, &obs(), 1);
-    let parallel = run_all_threaded(SMOKE_SCALE, false, SEED, &obs(), 4);
+    let serial = run_figure(&sweep(1), false);
+    let parallel = run_figure(&sweep(4), false);
 
-    assert_eq!(serial.len(), parallel.len());
-    for (s, p) in serial.iter().zip(&parallel) {
+    assert_eq!(serial.rows.len(), parallel.rows.len());
+    for (s, p) in serial.rows.iter().zip(&parallel.rows) {
         assert_eq!(row_fingerprint(s), row_fingerprint(p), "{}", s.name);
     }
     // The machine-readable report (rows, speedups, run stats, epoch
     // series) and the Chrome trace must serialize to identical bytes.
     assert_eq!(
-        report_json("fig09", SMOKE_SCALE, &serial).to_string(),
-        report_json("fig09", SMOKE_SCALE, &parallel).to_string(),
+        serial.report_json("fig09").to_string(),
+        parallel.report_json("fig09").to_string(),
     );
-    let st = trace_json(&serial);
-    assert_eq!(st, trace_json(&parallel));
+    let st = trace_json(&serial.rows);
+    assert_eq!(st, trace_json(&parallel.rows));
     assert!(st.contains("traceEvents"));
 }
 
@@ -67,9 +73,10 @@ fn full_sweep_is_bit_identical_for_any_thread_count() {
 fn dmp_sweep_rows_are_thread_count_invariant() {
     // The fig12 shape: three machines per kernel, so job order inside a
     // kernel (baseline, dx100, dmp) is exercised too.
-    let serial = run_all_threaded(SMOKE_SCALE, true, SEED, &obs(), 1);
-    let parallel = run_all_threaded(SMOKE_SCALE, true, SEED, &obs(), 3);
-    for (s, p) in serial.iter().zip(&parallel) {
+    let serial = run_figure(&sweep(1), true);
+    let parallel = run_figure(&sweep(3), true);
+    assert_eq!(serial.rows.len(), parallel.rows.len());
+    for (s, p) in serial.rows.iter().zip(&parallel.rows) {
         assert!(s.dmp.is_some(), "{}: dmp machine missing", s.name);
         assert_eq!(row_fingerprint(s), row_fingerprint(p), "{}", s.name);
     }
@@ -82,7 +89,7 @@ fn figure_run_walltime_is_per_job_and_ordered() {
         threads: 4,
         ..BenchArgs::default()
     };
-    let fig = dx100_bench::run_figure(&args, false);
+    let fig = run_figure(&args, false);
     // One walltime entry per (kernel × machine) job, in job order:
     // kernel-major, baseline before dx100.
     assert_eq!(fig.walltime.len(), fig.rows.len() * 2);
@@ -96,7 +103,6 @@ fn figure_run_walltime_is_per_job_and_ordered() {
         assert!(pair[0].seconds >= 0.0 && pair[0].seconds <= fig.total_seconds);
         assert!(pair[1].seconds >= 0.0 && pair[1].seconds <= fig.total_seconds);
     }
-    assert_eq!(fig.mode, "full");
     assert_eq!(fig.threads, 4);
     let wt = fig.walltime_json("fig09").to_string();
     let parsed = dx100_common::json::Json::parse(&wt).unwrap();

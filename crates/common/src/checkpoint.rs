@@ -3,12 +3,12 @@
 //! A [`Checkpoint`] snapshot captures everything a timing component needs to
 //! resume exactly where it left off: restoring a saved state into a freshly
 //! constructed component and continuing must produce the same statistics and
-//! trace events as a run that was never interrupted (the sampling layer's
-//! parallel replay workers rely on this, and property tests in each
-//! component crate enforce it).
+//! trace events as a run that was never interrupted, so one warmed-up
+//! state can fork several simulations (property tests in each component
+//! crate enforce it).
 //!
 //! States must be [`Send`] so one saved checkpoint can be restored
-//! concurrently by many replay threads; `restore` takes the state by
+//! concurrently on several threads; `restore` takes the state by
 //! reference for the same reason.
 
 /// Why a component could not be checkpointed.
@@ -37,7 +37,7 @@ impl std::error::Error for CheckpointError {}
 /// Snapshot/restore of a component's complete simulation state.
 pub trait Checkpoint {
     /// The saved state. `Send + Sync` so one checkpoint behind an `Arc`
-    /// can be restored concurrently from many replay threads; `'static` so
+    /// can be restored concurrently from several threads; `'static` so
     /// it outlives the component it came from.
     type State: Send + Sync + 'static;
 

@@ -7,7 +7,7 @@
 //! ([`value`]), a deterministic [`DelayQueue`] used to model fixed-latency
 //! links, lightweight statistics helpers ([`stats`]), batch-exact
 //! cycle-attribution primitives ([`profile`]), the deterministic
-//! worker [`pool`] that parallel figure sweeps and sampled replay share,
+//! worker [`pool`]s behind parallel figure sweeps and the serve daemon,
 //! the observability layer's event tracing ([`trace`]), its
 //! dependency-free JSON value ([`json`]), and the stable content hash
 //! ([`hash`]) the serving layer keys its result cache by, next to the

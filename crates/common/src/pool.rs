@@ -9,7 +9,7 @@
 //!   foundation of the bench harness's "bit-identical at any `--threads`"
 //!   guarantee. Only scheduling (which worker runs which task, and when)
 //!   varies with the thread count; every observable output is fixed.
-//!   Used by sampled-replay windows and full-fidelity figure sweeps.
+//!   Used by the figure sweeps, whose tasks borrow the sweep's state.
 //! * [`WorkerPool`] — a *long-lived* pool for open-ended work: tasks
 //!   arrive over time (the `dx100-serve` job scheduler submits one per
 //!   accepted simulation job) and run FIFO on a fixed set of worker
@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn borrows_locals_across_the_scope() {
         // The 'a lifetime lets tasks capture references to caller state —
-        // the sampled sweep borrows its prepared plans this way.
+        // the figure sweep borrows its kernels and configs this way.
         let data: Vec<u64> = (0..10).collect();
         let tasks: Vec<Box<dyn FnOnce() -> u64 + Send + '_>> = data
             .iter()

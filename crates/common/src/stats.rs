@@ -78,21 +78,6 @@ impl RunningAverage {
         self.sum += other.sum;
         self.count += other.count;
     }
-
-    /// Reassembles an average from its `(sum, count)` parts — the inverse of
-    /// [`sum`](Self::sum)/[`count`](Self::count), used when reconstituting
-    /// weighted statistics from sampled intervals.
-    pub fn from_parts(sum: f64, count: u64) -> Self {
-        RunningAverage { sum, count }
-    }
-
-    /// Folds `other` in with every sample weighted by `factor` (fractional
-    /// counts are rounded). Scaling both sum and count leaves the mean
-    /// intact while giving the interval `factor`× its measured weight.
-    pub fn merge_scaled(&mut self, other: &RunningAverage, factor: f64) {
-        self.sum += other.sum * factor;
-        self.count += (other.count as f64 * factor).round() as u64;
-    }
 }
 
 /// A hit/miss (or success/failure) ratio counter.
@@ -160,18 +145,6 @@ impl Ratio {
         self.misses += other.misses;
     }
 
-    /// Reassembles a counter from explicit hit/miss counts (weighted
-    /// reconstitution of sampled intervals).
-    pub fn from_parts(hits: u64, misses: u64) -> Self {
-        Ratio { hits, misses }
-    }
-
-    /// Folds `other` in with both counts scaled by `factor` (rounded).
-    pub fn merge_scaled(&mut self, other: &Ratio, factor: f64) {
-        self.hits += (other.hits as f64 * factor).round() as u64;
-        self.misses += (other.misses as f64 * factor).round() as u64;
-    }
-
     /// Hit rate in `[0, 1]`; 0 if no events were recorded.
     pub fn rate(&self) -> f64 {
         if self.total() == 0 {
@@ -208,11 +181,10 @@ pub fn mean(values: &[f64]) -> f64 {
 // ---------------------------------------------------------------------------
 // Cumulative-counter interval diffing.
 //
-// Both the epoch time-series sampler (`dx100-sim::epoch`) and the sampled-
-// simulation interval profiler (`dx100-sampling`) measure *intervals* by
-// snapshotting monotonically growing cumulative counters at boundaries and
-// diffing consecutive snapshots. The arithmetic lives here so the two
-// agree exactly on edge cases (empty intervals, counter resets).
+// The epoch time-series sampler (`dx100-sim::epoch`) measures *intervals*
+// by snapshotting monotonically growing cumulative counters at boundaries
+// and diffing consecutive snapshots. The arithmetic lives here so its edge
+// cases (empty intervals, counter resets) are handled in one place.
 // ---------------------------------------------------------------------------
 
 /// Interval delta of a cumulative counter. Saturates at zero so a counter

@@ -87,8 +87,6 @@ struct SchedInner {
     /// Signaled whenever any job reaches a terminal status.
     done: Condvar,
     cache: ResultCache,
-    /// Sampled-replay threads per job (1: workers are the parallelism).
-    replay_threads: usize,
 }
 
 /// See module docs.
@@ -118,7 +116,6 @@ impl Scheduler {
                 }),
                 done: Condvar::new(),
                 cache,
-                replay_threads: 1,
             }),
             pool: WorkerPool::new(max_jobs),
         }
@@ -205,7 +202,7 @@ impl Scheduler {
                     rec.status = JobStatus::Running;
                 }
             }
-            let outcome = spec.run(inner.replay_threads);
+            let outcome = spec.run();
             let mut st = inner.state.lock().unwrap();
             match outcome {
                 Ok(report) => {

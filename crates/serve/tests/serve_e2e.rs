@@ -115,8 +115,8 @@ fn concurrent_distinct_jobs_match_serial_cli_runs() {
     spec_is.scale = TINY;
     let mut spec_pr = JobSpec::new("pr", Mode::Dx100);
     spec_pr.scale = TINY;
-    let want_is = spec_is.run(1).unwrap().to_string();
-    let want_pr = spec_pr.run(1).unwrap().to_string();
+    let want_is = spec_is.run().unwrap().to_string();
+    let want_pr = spec_pr.run().unwrap().to_string();
 
     // Submit both concurrently against a 2-worker daemon.
     let addr2 = addr.clone();
@@ -180,7 +180,7 @@ fn async_submission_polls_to_done() {
 #[test]
 fn protocol_errors_answer_with_json_and_right_statuses() {
     let (addr, handle, _cache) = start("errors", 1);
-    let cases: [(&str, &str, Option<&str>, u16); 7] = [
+    let cases: [(&str, &str, Option<&str>, u16); 8] = [
         ("POST", "/v1/jobs", Some("not json"), 400),
         (
             "POST",
@@ -192,6 +192,13 @@ fn protocol_errors_answer_with_json_and_right_statuses() {
             "POST",
             "/v1/jobs",
             Some("{\"kernel\":\"is\",\"machine\":\"baseline\",\"bogus\":1}"),
+            400,
+        ),
+        // A removed spec field fails loudly instead of being ignored.
+        (
+            "POST",
+            "/v1/jobs",
+            Some("{\"kernel\":\"is\",\"machine\":\"dx100\",\"sample\":true}"),
             400,
         ),
         ("GET", "/v1/jobs/999", None, 404),

@@ -11,8 +11,10 @@ use crate::epoch::EpochSample;
 use crate::stats::RunStats;
 
 /// Version stamp emitted by report writers (see `dx100-bench`); bumped on
-/// any breaking change to the shapes produced here.
-pub const SCHEMA_VERSION: u64 = 1;
+/// any breaking change to the shapes produced here or to the reports that
+/// embed them. Version 2 removed the `mode` and `sampling` keys from job,
+/// figure and walltime reports, and `sample` from the job spec.
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// The full per-run report object.
 pub fn run_stats_json(stats: &RunStats) -> Json {

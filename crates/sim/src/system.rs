@@ -1176,8 +1176,8 @@ impl System {
 }
 
 /// Complete saved state of a [`System`], sufficient to resume simulation
-/// exactly where it left off. `Send`, so one checkpoint can be restored
-/// into many per-thread `System` instances for parallel interval replay.
+/// exactly where it left off. `Send`, so one checkpoint (a shared
+/// warm-up, say) can be restored into many per-thread `System` instances.
 pub struct SystemCheckpoint {
     clock: Cycle,
     cores: Vec<dx100_cpu::CoreState>,
@@ -1210,8 +1210,8 @@ impl SystemCheckpoint {
     }
 }
 
-/// Compile-time proof that checkpoints can cross replay-thread boundaries
-/// (and be shared from behind an `Arc` by many workers at once).
+/// Compile-time proof that checkpoints can cross thread boundaries (and be
+/// shared from behind an `Arc` by many workers at once).
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SystemCheckpoint>();

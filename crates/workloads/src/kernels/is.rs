@@ -17,7 +17,6 @@ use dx100_core::isa::Instruction;
 use dx100_core::ArrayHandle;
 use dx100_cpu::{CoreOp, OpStream};
 use dx100_prefetch::IndirectPattern;
-use dx100_sampling::{AccessSink, InstallFn, Resident, SampledRun, SampledStage};
 use dx100_sim::{System, SystemConfig};
 
 use crate::datasets::rng;
@@ -275,177 +274,6 @@ impl KernelRun for IntegerSort {
             telemetry,
         }
     }
-
-    fn prepare_sampled(&self, mode: Mode, cfg: &SystemConfig, seed: u64) -> Option<SampledRun> {
-        use dx100_sim::Checkpoint;
-
-        let (image, d) = self.build(seed);
-        let checksum = self.result_checksum(&d);
-        let mut sys = System::new(cfg.clone(), image);
-        match mode {
-            Mode::Dx100 => sys.mark_host_resident(d.h_hist.base(), d.h_hist.size_bytes()),
-            Mode::Dmp => {
-                let dmp = sys.dmp_mut().expect("DMP mode requires a DMP config");
-                dmp.add_pattern(IndirectPattern::simple(
-                    d.h_keys.base(),
-                    self.keys as u64,
-                    DType::U32,
-                    d.h_hist.base(),
-                    DType::U32,
-                ));
-            }
-            Mode::Baseline => {}
-        }
-        let cores = sys.num_cores();
-        let checkpoint = Arc::new(sys.save().ok()?);
-        let tile = cfg.dx100.as_ref().map(|x| x.tile_elems);
-        let (h_keys, h_hist, h_rank) = (d.h_keys, d.h_hist, d.h_rank);
-
-        // Every address below derives from the key array fixed at build
-        // time, never from values the kernel writes mid-run, so each window
-        // can replay from the clock-0 checkpoint without the functional
-        // effects of the items it skipped. That is also why the DX100
-        // prefix phase's image write is dropped here: it only changes
-        // histogram *values*, which no later address depends on.
-        let ak = d.keys.clone();
-        let hist_access = Box::new(move |i: usize, s: &mut AccessSink| {
-            s.stream(h_keys.addr_of(i as u64));
-            s.alu(1);
-            s.indirect(h_hist.addr_of(ak[i] as u64));
-        });
-        let ik = d.keys.clone();
-        let hist_install: InstallFn = match mode {
-            Mode::Baseline | Mode::Dmp => Arc::new(move |sys: &mut System, lo, hi| {
-                for (c, (plo, phi)) in chunks(hi - lo, cores).iter().enumerate() {
-                    sys.push_stream(
-                        c,
-                        HistStream {
-                            keys: ik.clone(),
-                            h_keys,
-                            h_hist,
-                            i: lo + plo,
-                            hi: lo + phi,
-                            step: 0,
-                        },
-                    );
-                }
-            }),
-            Mode::Dx100 => {
-                let tile = tile?;
-                Arc::new(move |sys: &mut System, lo, hi| {
-                    let jobs: Vec<TileJob> = split_tiles(hi - lo, tile)
-                        .iter()
-                        .enumerate()
-                        .map(|(k, (tlo, thi))| {
-                            hist_tile(k % cores, k, lo + tlo, lo + thi, h_keys, h_hist)
-                        })
-                        .collect();
-                    install_jobs(sys, &jobs);
-                })
-            }
-        };
-
-        let prefix_access = Box::new(move |k: usize, s: &mut AccessSink| {
-            s.stream(h_hist.addr_of(k as u64));
-            s.alu(1);
-            s.stream(h_hist.addr_of(k as u64));
-        });
-        let prefix_install: InstallFn = Arc::new(move |sys: &mut System, lo, hi| {
-            sys.push_stream(
-                0,
-                PrefixStream {
-                    h_hist,
-                    k: lo,
-                    n: hi,
-                    step: 0,
-                },
-            );
-        });
-
-        let ak = d.keys.clone();
-        let rank_access = Box::new(move |i: usize, s: &mut AccessSink| {
-            s.stream(h_keys.addr_of(i as u64));
-            s.alu(1);
-            s.indirect(h_hist.addr_of(ak[i] as u64));
-            s.stream(h_rank.addr_of(i as u64));
-        });
-        let ik = d.keys.clone();
-        let rank_install: InstallFn = match mode {
-            Mode::Baseline | Mode::Dmp => Arc::new(move |sys: &mut System, lo, hi| {
-                for (c, (plo, phi)) in chunks(hi - lo, cores).iter().enumerate() {
-                    sys.push_stream(
-                        c,
-                        RankStream {
-                            keys: ik.clone(),
-                            h_keys,
-                            h_hist,
-                            h_rank,
-                            i: lo + plo,
-                            hi: lo + phi,
-                            step: 0,
-                        },
-                    );
-                }
-            }),
-            Mode::Dx100 => {
-                let tile = tile?;
-                Arc::new(move |sys: &mut System, lo, hi| {
-                    let jobs: Vec<TileJob> = split_tiles(hi - lo, tile)
-                        .iter()
-                        .enumerate()
-                        .map(|(k, (tlo, thi))| {
-                            rank_tile(k % cores, k, lo + tlo, lo + thi, h_keys, h_hist, h_rank)
-                        })
-                        .collect();
-                    install_jobs(sys, &jobs);
-                })
-            }
-        };
-
-        let hist_resident = |prior_touches: u64| {
-            vec![Resident {
-                base: d.h_hist.base(),
-                bytes: d.h_hist.size_bytes(),
-                prior_touches,
-                host_resident: true, // DX100 runs mark it (H-bit RMWs)
-            }]
-        };
-
-        Some(SampledRun {
-            cfg: cfg.clone(),
-            checkpoint,
-            checksum,
-            stages: vec![
-                // Every phase reuses the histogram (one random line per
-                // hist/rank item), so the full run progressively pulls it
-                // into the hierarchy — via the cores in baseline/DMP runs,
-                // via the host-resident H-bit LLC path in DX100 runs.
-                // Declaring it lets window replays warm it to the
-                // residency the full run reaches at each window.
-                SampledStage {
-                    name: "hist",
-                    items: self.keys,
-                    access: hist_access,
-                    install: hist_install,
-                    resident: hist_resident(0),
-                },
-                SampledStage {
-                    name: "prefix",
-                    items: self.key_space,
-                    access: prefix_access,
-                    install: prefix_install,
-                    resident: hist_resident(self.keys as u64),
-                },
-                SampledStage {
-                    name: "rank",
-                    items: self.keys,
-                    access: rank_access,
-                    install: rank_install,
-                    resident: hist_resident((self.keys + self.key_space) as u64),
-                },
-            ],
-        })
-    }
 }
 
 fn baseline_phases(d: &Data, keys: usize, key_space: usize, cores: usize) -> Vec<Phase> {
@@ -678,25 +506,6 @@ mod tests {
         assert_eq!(base.checksum, dx.checksum);
         // The accelerator offloads the core's instruction stream.
         assert!(dx.stats.instructions < base.stats.instructions);
-    }
-
-    #[test]
-    fn sampled_windows_replay_from_checkpoint() {
-        let k = tiny();
-        for (mode, cfg) in [
-            (Mode::Baseline, SystemConfig::paper_baseline()),
-            (Mode::Dx100, SystemConfig::paper_dx100()),
-        ] {
-            let run = k.prepare_sampled(mode, &cfg, 42).unwrap();
-            assert_eq!(run.stages.len(), 3);
-            let plan = dx100_sampling::plan(&run, 1, "is/test");
-            assert!(!plan.windows.is_empty());
-            let stats = dx100_sampling::replay_window(&run, plan.windows[0], &Default::default());
-            assert!(stats.cycles > 0, "{mode:?}");
-            // Planning is deterministic in the seed.
-            let again = dx100_sampling::plan(&run, 1, "is/test");
-            assert_eq!(plan.windows.len(), again.windows.len());
-        }
     }
 
     #[test]

@@ -13,7 +13,6 @@ use dx100_core::isa::Instruction;
 use dx100_core::ArrayHandle;
 use dx100_cpu::{CoreOp, OpStream};
 use dx100_prefetch::IndirectPattern;
-use dx100_sampling::{AccessSink, InstallFn, Resident, SampledRun, SampledStage};
 use dx100_sim::{System, SystemConfig};
 
 use crate::datasets::uniform_graph;
@@ -308,159 +307,6 @@ impl KernelRun for PageRank {
             telemetry,
         }
     }
-
-    fn prepare_sampled(&self, mode: Mode, cfg: &SystemConfig, seed: u64) -> Option<SampledRun> {
-        use dx100_sim::Checkpoint;
-
-        let (image, d) = self.build(seed);
-        let checksum = checksum(d.ref_next.iter().map(|&v| quantize_f64(v)));
-        let mut sys = System::new(cfg.clone(), image);
-        let edges = d.col.len();
-        if mode == Mode::Dmp {
-            let dmp = sys.dmp_mut().expect("DMP mode requires a DMP config");
-            dmp.add_pattern(IndirectPattern::simple(
-                d.h_col.base(),
-                edges as u64,
-                DType::U32,
-                d.h_next.base(),
-                DType::F64,
-            ));
-            dmp.add_pattern(IndirectPattern::simple(
-                d.h_src.base(),
-                edges as u64,
-                DType::U32,
-                d.h_contrib.base(),
-                DType::F64,
-            ));
-        }
-        let cores = sys.num_cores();
-        let checkpoint = Arc::new(sys.save().ok()?);
-        let (h_src, h_col, h_contrib, h_next) = (d.h_src, d.h_col, d.h_contrib, d.h_next);
-        let (h_rank, h_deg) = (d.h_rank, d.h_deg);
-
-        // Scatter addresses come from `src`/`col`, fixed at build time, so
-        // windows replay soundly from the clock-0 checkpoint. The contrib
-        // values the full run writes functionally before the scatter only
-        // feed ild *data*, never an address, and are dropped here.
-        let contrib_access = Box::new(move |u: usize, s: &mut AccessSink| {
-            s.stream(h_rank.addr_of(u as u64));
-            s.stream(h_deg.addr_of(u as u64));
-            s.alu(1);
-            s.stream(h_contrib.addr_of(u as u64));
-        });
-        let contrib_install: InstallFn = Arc::new(move |sys: &mut System, lo, hi| {
-            for (c, (plo, phi)) in chunks(hi - lo, cores).iter().enumerate() {
-                sys.push_stream(
-                    c,
-                    ContribStream {
-                        h_rank,
-                        h_deg,
-                        h_contrib,
-                        u: lo + plo,
-                        hi: lo + phi,
-                        step: 0,
-                    },
-                );
-            }
-        });
-
-        let (asrc, acol) = (d.src.clone(), d.col.clone());
-        let scatter_access = Box::new(move |j: usize, s: &mut AccessSink| {
-            s.stream(h_src.addr_of(j as u64));
-            s.alu(1);
-            s.indirect(h_contrib.addr_of(asrc[j] as u64));
-            s.stream(h_col.addr_of(j as u64));
-            s.alu(1);
-            s.indirect(h_next.addr_of(acol[j] as u64));
-        });
-        let scatter_install: InstallFn = match mode {
-            Mode::Baseline | Mode::Dmp => {
-                let (src, col) = (d.src.clone(), d.col.clone());
-                Arc::new(move |sys: &mut System, lo, hi| {
-                    for (c, (plo, phi)) in chunks(hi - lo, cores).iter().enumerate() {
-                        sys.push_stream(
-                            c,
-                            EdgeStream {
-                                src: src.clone(),
-                                col: col.clone(),
-                                h_src,
-                                h_col,
-                                h_contrib,
-                                h_next,
-                                j: lo + plo,
-                                hi: lo + phi,
-                                step: 0,
-                            },
-                        );
-                    }
-                })
-            }
-            Mode::Dx100 => {
-                let tile = cfg.dx100.as_ref()?.tile_elems;
-                Arc::new(move |sys: &mut System, lo, hi| {
-                    let jobs: Vec<TileJob> = split_tiles(hi - lo, tile)
-                        .iter()
-                        .enumerate()
-                        .map(|(k, (tlo, thi))| {
-                            scatter_tile(
-                                k % cores,
-                                k,
-                                lo + tlo,
-                                lo + thi,
-                                h_src,
-                                h_contrib,
-                                h_col,
-                                h_next,
-                            )
-                        })
-                        .collect();
-                    install_jobs(sys, &jobs);
-                })
-            }
-        };
-
-        Some(SampledRun {
-            cfg: cfg.clone(),
-            checkpoint,
-            checksum,
-            stages: vec![
-                // The contrib phase streams rank/deg/contrib once each —
-                // no standing working set to warm.
-                SampledStage {
-                    name: "contrib",
-                    items: self.nodes,
-                    access: contrib_access,
-                    install: contrib_install,
-                    resident: Vec::new(),
-                },
-                // The scatter gathers from `contrib` (fully written by the
-                // contrib phase, so already cached when scatter starts)
-                // and accumulates into `next` (cold at scatter start);
-                // both per-node arrays see one random touch per edge while
-                // the edge arrays stream past them.
-                SampledStage {
-                    name: "scatter",
-                    items: edges,
-                    access: scatter_access,
-                    install: scatter_install,
-                    resident: vec![
-                        Resident {
-                            base: h_contrib.base(),
-                            bytes: h_contrib.size_bytes(),
-                            prior_touches: self.nodes as u64,
-                            host_resident: false,
-                        },
-                        Resident {
-                            base: h_next.base(),
-                            bytes: h_next.size_bytes(),
-                            prior_touches: 0,
-                            host_resident: false,
-                        },
-                    ],
-                },
-            ],
-        })
-    }
 }
 
 /// One DX100 scatter tile: `next[col[lo..hi]] += contrib[src[lo..hi]]`.
@@ -505,23 +351,5 @@ mod tests {
         let x = k.run(Mode::Dx100, &SystemConfig::paper_dx100(), 11);
         assert_eq!(b.checksum, x.checksum);
         assert!(x.stats.instructions < b.stats.instructions);
-    }
-
-    #[test]
-    fn sampled_windows_replay_from_checkpoint() {
-        let k = PageRank::new(Scale(1.0 / 64.0));
-        let run = k
-            .prepare_sampled(Mode::Dx100, &SystemConfig::paper_dx100(), 11)
-            .unwrap();
-        assert_eq!(run.stages.len(), 2);
-        let plan = dx100_sampling::plan(&run, 1, "pr/test");
-        assert!(!plan.windows.is_empty());
-        // Replay a scatter-stage window; DX100 tile work must show up.
-        let w = plan.windows.iter().find(|w| w.stage == 1).copied().unwrap();
-        let stats = dx100_sampling::replay_window(&run, w, &Default::default());
-        assert!(stats.cycles > 0);
-        let dx = stats.dx100.unwrap();
-        assert!(dx.instructions_retired > 0);
-        assert!(dx.indirect_line_writes > 0); // the window's IRMW scatter ran
     }
 }

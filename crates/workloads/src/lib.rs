@@ -61,8 +61,7 @@ pub struct WorkloadResult {
     pub checksum: u64,
     /// Cycle-skip counters and (with `obs.profile`) the cycle attribution.
     /// Kept outside [`RunStats`] so those stay bit-identical across
-    /// telemetry switches; defaulted on paths that extrapolate stats
-    /// rather than simulate end-to-end (sampled runs).
+    /// telemetry switches.
     pub telemetry: RunTelemetry,
 }
 
@@ -76,23 +75,6 @@ pub trait KernelRun {
     /// The same `seed` produces the same dataset in every mode, and DX100
     /// runs verify their output against the functional reference.
     fn run(&self, mode: Mode, cfg: &SystemConfig, seed: u64) -> WorkloadResult;
-
-    /// Prepares this kernel for sampled simulation: a clock-0 checkpoint
-    /// plus per-stage functional access models and window installers (see
-    /// `dx100-sampling`). Kernels without an interval decomposition return
-    /// `None` and run in full (inside a replay worker thread).
-    ///
-    /// Sampled runs skip output verification — the returned checksum comes
-    /// from the functional reference, and full runs of the same kernel
-    /// (which do verify) cover correctness.
-    fn prepare_sampled(
-        &self,
-        _mode: Mode,
-        _cfg: &SystemConfig,
-        _seed: u64,
-    ) -> Option<dx100_sampling::SampledRun> {
-        None
-    }
 }
 
 /// Dataset scale: 1.0 is this reproduction's default size (documented per
@@ -108,8 +90,8 @@ impl Scale {
     }
 }
 
-/// All 12 paper kernels at `scale`. Kernels are `Send + Sync` so the
-/// sampled bench path can run them from replay worker threads.
+/// All 12 paper kernels at `scale`. Kernels are `Send + Sync` so a
+/// figure sweep can run them from its worker threads.
 pub fn all_kernels(scale: Scale) -> Vec<Box<dyn KernelRun + Send + Sync>> {
     vec![
         Box::new(kernels::is::IntegerSort::new(scale)),

@@ -10,17 +10,24 @@
 //! client waits — are *not* part of the spec: they are invisible in the
 //! output, so including them would only fragment the result cache.
 //! [`JobSpec::cache_key`] hashes the canonical JSON form
-//! ([`JobSpec::to_json`], fixed field order) with FNV-1a 64
-//! (`dx100_common::hash`), and [`JobSpec::run`] produces the versioned
-//! report the cache stores verbatim.
+//! ([`JobSpec::to_json`], fixed field order) together with
+//! [`BUILD_FINGERPRINT`] with FNV-1a 64 (`dx100_common::hash`), and
+//! [`JobSpec::run`] produces the versioned report the cache stores
+//! verbatim.
 
 use std::path::PathBuf;
 
-use dx100_common::hash::{fnv1a_64, hex16};
+use dx100_common::hash::{hex16, Fnv64};
 use dx100_common::json::{obj, Json};
 use dx100_sim::report::SCHEMA_VERSION;
 use dx100_sim::{ObservabilityConfig, SystemConfig};
 use dx100_workloads::{all_kernels, KernelRun, Mode, Scale};
+
+/// FNV-1a 64 (hex) of the simulator sources this binary was built from
+/// (see `build.rs`). Report bytes are a pure function of the spec only
+/// within one build, so the cache key folds this in: a daemon restarted on
+/// a changed simulator misses on every old entry instead of serving it.
+pub const BUILD_FINGERPRINT: &str = env!("DX100_BUILD_FINGERPRINT");
 
 /// Builds the machine configuration for `mode` — the single place the
 /// paper's three machines are constructed for measurement, shared by the
@@ -191,14 +198,17 @@ impl JobSpec {
         Ok(spec)
     }
 
-    /// FNV-1a 64 over the canonical serialization.
-    pub fn content_hash(&self) -> u64 {
-        fnv1a_64(self.to_json().to_string().as_bytes())
+    /// The fixed-width hex cache key: FNV-1a 64 over the canonical
+    /// serialization and this build's [`BUILD_FINGERPRINT`].
+    pub fn cache_key(&self) -> String {
+        self.cache_key_for(BUILD_FINGERPRINT)
     }
 
-    /// The content hash as the fixed-width hex cache key.
-    pub fn cache_key(&self) -> String {
-        hex16(self.content_hash())
+    fn cache_key_for(&self, fingerprint: &str) -> String {
+        let mut h = Fnv64::new();
+        h.write(self.to_json().to_string().as_bytes());
+        h.write(fingerprint.as_bytes());
+        hex16(h.finish())
     }
 
     /// The `SystemConfig` this spec resolves to: the machine for
@@ -325,6 +335,7 @@ impl JobCli {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dx100_common::hash::fnv1a_64;
 
     fn spec(kernel: &str, machine: Mode) -> JobSpec {
         JobSpec {
@@ -353,6 +364,19 @@ mod tests {
         let s2 = JobSpec::from_json(&reordered).unwrap();
         assert_eq!(s2.cache_key(), s.cache_key());
         assert_eq!(s2.to_json().to_string(), s.to_json().to_string());
+    }
+
+    /// One spec keys differently under two builds, so a daemon restarted
+    /// on a changed simulator never serves a report the old one cached.
+    #[test]
+    fn cache_key_depends_on_the_build_fingerprint() {
+        let s = spec("is", Mode::Dx100);
+        assert_ne!(
+            s.cache_key_for("0123456789abcdef"),
+            s.cache_key_for("0123456789abcdee")
+        );
+        assert_eq!(s.cache_key(), s.cache_key_for(BUILD_FINGERPRINT));
+        assert_eq!(BUILD_FINGERPRINT.len(), 16);
     }
 
     #[test]
@@ -477,16 +501,18 @@ mod tests {
     /// Pins the serialized `run` block and the checksum of four jobs: any
     /// change to what a job simulates or to how its report is written
     /// shows up here. Values: (kernel, machine, checksum, FNV-1a 64 of
-    /// `report["run"].to_string()`).
+    /// `report["run"].to_string()`). The block includes the gating
+    /// telemetry (`skipped_cycles`, `skip_events`), so a change to how
+    /// units sleep moves these hashes without moving a simulated bit.
     #[test]
     fn job_report_bytes_match_goldens() {
         const IS: u64 = 12710991020669359088;
         const PR: u64 = 15036263534936017701;
         const GOLDEN: [(&str, Mode, u64, u64); 4] = [
-            ("is", Mode::Baseline, IS, 0xf00a_b0d7_ba25_120f),
-            ("is", Mode::Dx100, IS, 0x0e8c_2709_145e_6bd0),
-            ("pr", Mode::Baseline, PR, 0x19b4_97d1_fb3e_2053),
-            ("pr", Mode::Dx100, PR, 0x74c0_1d14_df22_83d1),
+            ("is", Mode::Baseline, IS, 0x709b_956b_b698_39c6),
+            ("is", Mode::Dx100, IS, 0x5e0b_0e0c_122f_8bf7),
+            ("pr", Mode::Baseline, PR, 0xb5e9_6c3b_7a65_59f8),
+            ("pr", Mode::Dx100, PR, 0xcd6e_2170_d380_78e2),
         ];
         for (kernel, machine, checksum, run_hash) in GOLDEN {
             let report = spec(kernel, machine).run().unwrap();

@@ -23,9 +23,9 @@ pub struct WalltimeEntry {
     pub config: &'static str,
     /// Simulation seconds.
     pub seconds: f64,
-    /// Cycles elided by event-driven skipping.
+    /// Cycles on which no unit ticked (activity gating).
     pub skipped_cycles: u64,
-    /// Quiescent spans entered by the skip layer.
+    /// Entries into the everything-asleep path.
     pub skip_events: u64,
 }
 

@@ -33,6 +33,9 @@ pub struct FlagId(pub usize);
 #[derive(Debug, Clone, Default)]
 pub struct FlagBoard {
     flags: Vec<bool>,
+    /// Number of [`FlagBoard::set`] calls so far: a change tells the
+    /// system glue that cores waiting on a flag may have to wake.
+    sets: u64,
 }
 
 impl FlagBoard {
@@ -61,6 +64,12 @@ impl FlagBoard {
     /// Panics if `id` was not allocated on this board.
     pub fn set(&mut self, id: FlagId) {
         self.flags[id.0] = true;
+        self.sets += 1;
+    }
+
+    /// How many times [`FlagBoard::set`] has been called.
+    pub fn set_count(&self) -> u64 {
+        self.sets
     }
 
     /// Clears a flag (tile reuse across loop iterations).

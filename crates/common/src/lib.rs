@@ -26,21 +26,21 @@
 //! assert_eq!(value::to_f32(sum), 3.75);
 //! ```
 
-pub mod checkpoint;
 pub mod flags;
 pub mod hash;
 pub mod json;
 pub mod pool;
 pub mod profile;
 pub mod queue;
+pub mod sleep;
 pub mod stats;
 pub mod trace;
 pub mod types;
 pub mod value;
 
-pub use checkpoint::{Checkpoint, CheckpointError};
 pub use profile::{Counter, OccAccum, Pow2Histogram};
 pub use queue::DelayQueue;
+pub use sleep::Sleep;
 pub use trace::{SpanTracker, TraceBuffer, TraceHandle};
 pub use types::{
     Addr, AluOp, CoreId, Cycle, DType, LineAddr, ReqId, CACHE_LINE_BYTES, CACHE_LINE_SHIFT,

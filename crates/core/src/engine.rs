@@ -112,18 +112,6 @@ pub struct Dx100Engine {
 /// (`drain`).
 const PHASE_NAMES: [&str; 3] = ["fill", "issue", "drain"];
 
-impl dx100_common::Checkpoint for Dx100Engine {
-    type State = Dx100Engine;
-
-    fn save(&self) -> Result<Self::State, dx100_common::CheckpointError> {
-        Ok(self.clone())
-    }
-
-    fn restore(&mut self, state: &Self::State) {
-        *self = state.clone();
-    }
-}
-
 impl Dx100Engine {
     /// Builds an engine whose Row Table mirrors `dram`'s bank geometry.
     pub fn new(cfg: Dx100Config, dram: &DramConfig) -> Self {
@@ -287,7 +275,8 @@ impl Dx100Engine {
         self.push_instruction(instr, flag)
     }
 
-    /// Delivers a memory completion from the system glue.
+    /// Delivers a memory completion from the system glue (which wakes a
+    /// sleeping engine first).
     pub fn mem_response(&mut self, id: ReqId) {
         self.resp_inbox.push_back(id);
     }
@@ -434,14 +423,20 @@ impl Dx100Engine {
         }
     }
 
-    /// Advances one CPU cycle.
-    pub fn tick(&mut self, now: Cycle, mem: &mut MemoryImage, ports: &mut dyn MemPorts) {
+    /// Advances one CPU cycle. Returns whether the tick visibly did work:
+    /// routed a response, dispatched or retired an instruction, or moved a
+    /// counter. `false` is a hint, not a certificate: some unit steps (tile
+    /// sizing, say) progress without a counter, which [`Self::next_event`]
+    /// then reports.
+    pub fn tick(&mut self, now: Cycle, mem: &mut MemoryImage, ports: &mut dyn MemPorts) -> bool {
         if self.halted.is_some() {
             if let Some(p) = &mut self.profile {
                 p.halted += 1;
             }
-            return;
+            return false;
         }
+        let stats_before = self.stats;
+        let mut worked = !self.resp_inbox.is_empty();
         // Cycle attribution: classify before any state changes so the
         // class matches what `credit_idle_span` computes for a skipped
         // span (whose inputs are exactly this pre-tick state).
@@ -470,6 +465,7 @@ impl Dx100Engine {
             let Some(d) = self.controller.try_dispatch() else {
                 break;
             };
+            worked = true;
             // Coherency agent: invalidate any host-cached scratchpad lines
             // of the instruction's tiles.
             let (dests, sources) = (d.instr.dest_tiles(), d.instr.source_tiles());
@@ -512,7 +508,7 @@ impl Dx100Engine {
             Ok(None) => {}
             Err(e) => {
                 self.halted = Some(e);
-                return;
+                return true;
             }
         }
         match self.range.step(&mut self.spd) {
@@ -520,11 +516,12 @@ impl Dx100Engine {
             Ok(None) => {}
             Err(e) => {
                 self.halted = Some(e);
-                return;
+                return true;
             }
         }
 
         // 4. Retire.
+        worked |= !retired.is_empty();
         for h in retired {
             let (dests, flag) = self.controller.retire(h);
             for d in dests {
@@ -559,6 +556,7 @@ impl Dx100Engine {
             }
             self.prev_phase_counts = cur;
         }
+        worked || self.stats != stats_before
     }
 
     /// Computes this tick's attribution class from the pre-tick state: the

@@ -1,7 +1,7 @@
 //! DX100 engine statistics.
 
 /// Counters for one DX100 instance.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Dx100Stats {
     /// Instructions retired.
     pub instructions_retired: u64,

@@ -15,13 +15,10 @@
 
 use std::collections::VecDeque;
 
-use dx100_common::CheckpointError;
-
 use crate::op::{CoreOp, OpStream};
 
-/// How many ops a queued generator is polled for per refill. Large enough
-/// to amortize the virtual call, small enough that a checkpoint taken
-/// mid-segment stays cheap to clone.
+/// How many ops a queued generator is polled for per refill: large enough
+/// to amortize the virtual call.
 const GEN_BATCH: usize = 128;
 
 enum Segment {
@@ -111,40 +108,6 @@ impl ChannelQueue {
                 .iter()
                 .all(|s| matches!(s, Segment::Ops(q) if q.is_empty()))
     }
-
-    /// Snapshots the queued segments for a checkpoint. Ops a generator has
-    /// already been polled for sit in a literal segment ahead of it, so the
-    /// snapshot reproduces the exact stream position. Fails with
-    /// [`CheckpointError::UnclonableStream`] if a queued generator does not
-    /// support `try_clone`.
-    pub fn save_segments(&self) -> Result<Vec<SegmentState>, CheckpointError> {
-        self.segments
-            .iter()
-            .map(|s| match s {
-                Segment::Ops(q) => Ok(SegmentState::Ops(q.clone())),
-                Segment::Gen(g) => g
-                    .try_clone()
-                    .map(SegmentState::Gen)
-                    .ok_or(CheckpointError::UnclonableStream),
-            })
-            .collect()
-    }
-
-    /// Rebuilds a channel from a previously saved snapshot.
-    pub fn from_saved(saved: &[SegmentState]) -> Self {
-        ChannelQueue {
-            segments: saved
-                .iter()
-                .map(|s| match s {
-                    SegmentState::Ops(q) => Segment::Ops(q.clone()),
-                    SegmentState::Gen(g) => Segment::Gen(
-                        g.try_clone()
-                            .expect("a saved generator clone must itself be clonable"),
-                    ),
-                })
-                .collect(),
-        }
-    }
 }
 
 impl std::fmt::Debug for ChannelQueue {
@@ -154,15 +117,6 @@ impl std::fmt::Debug for ChannelQueue {
             .field("empty", &self.is_empty())
             .finish()
     }
-}
-
-/// Saved form of one channel segment. Generators are stored as `Send +
-/// Sync` clones so whole-system checkpoints can cross thread boundaries.
-pub enum SegmentState {
-    /// Literal queued micro-ops.
-    Ops(VecDeque<CoreOp>),
-    /// A lazy generator, captured via [`OpStream::try_clone`].
-    Gen(Box<dyn OpStream + Send + Sync>),
 }
 
 #[cfg(test)]
@@ -207,24 +161,5 @@ mod tests {
         }
         assert_eq!(ch.next_op(), Some(CoreOp::alu()));
         assert_eq!(ch.next_op(), None);
-    }
-
-    #[test]
-    fn save_mid_batch_round_trips() {
-        let n = GEN_BATCH + 13;
-        let ops: Vec<CoreOp> = (0..n).map(|i| CoreOp::load(i as u64 * 64, 0)).collect();
-        let mut ch = ChannelQueue::new();
-        ch.push_gen(Box::new(VecStream::new(ops.clone())));
-        // Drain a few ops (forces one refill, leaves buffered ops + a
-        // partially consumed generator).
-        for op in ops.iter().take(5) {
-            assert_eq!(ch.next_op().as_ref(), Some(op));
-        }
-        let saved = ch.save_segments().unwrap();
-        let mut restored = ChannelQueue::from_saved(&saved);
-        for op in ops.iter().skip(5) {
-            assert_eq!(restored.next_op().as_ref(), Some(op));
-        }
-        assert_eq!(restored.next_op(), None);
     }
 }

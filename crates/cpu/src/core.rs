@@ -6,9 +6,9 @@ use std::collections::VecDeque;
 use dx100_common::flags::{FlagBoard, FlagId};
 use dx100_common::{Addr, CoreId, Cycle, DelayQueue, SpanTracker, TraceHandle};
 
-use crate::channel::{ChannelQueue, SegmentState};
+use crate::channel::ChannelQueue;
 use crate::config::CoreConfig;
-use crate::op::{CoreOp, OpStreamKind, VecStream};
+use crate::op::{CoreOp, OpStreamKind};
 use crate::profile::CoreProfile;
 use crate::stats::CoreStats;
 
@@ -146,83 +146,6 @@ struct WaitState {
     next_poll_at: Cycle,
 }
 
-/// Saved form of a core's op stream, mirroring [`OpStreamKind`] variant
-/// for variant. Channel segments capture queued generators via
-/// [`crate::OpStream::try_clone`], including any ops already batched out
-/// of a live generator.
-pub enum StreamState {
-    /// No op source.
-    Empty,
-    /// A pre-built vector stream at its current position.
-    Vec(VecStream),
-    /// A channel's queued segments.
-    Channel(Vec<SegmentState>),
-}
-
-impl std::fmt::Debug for StreamState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamState::Empty => f.write_str("Empty"),
-            StreamState::Vec(_) => f.write_str("Vec"),
-            StreamState::Channel(segs) => write!(f, "Channel({} segments)", segs.len()),
-        }
-    }
-}
-
-/// A [`Core`]'s saved execution state (see [`Checkpoint`]).
-///
-/// Mirrors every field of [`Core`] except the configuration (the restore
-/// target must be built with an equivalent one) and the trace sink (the
-/// restore target keeps its own). The op stream — channel contents
-/// included, now that cores own their channels — is captured as a
-/// [`StreamState`].
-pub struct CoreState {
-    stream: StreamState,
-    stream_done: bool,
-    peeked: Option<CoreOp>,
-    rob: VecDeque<Entry>,
-    head_seq: u64,
-    next_seq: u64,
-    lq_used: usize,
-    sq_used: usize,
-    waiters: Vec<Vec<u64>>,
-    ready_mem: VecDeque<u64>,
-    internal_done: DelayQueue<u64>,
-    waiting_flag: Option<WaitState>,
-    atomic_pending: bool,
-    mem_inflight: usize,
-    mmio_signals: Vec<u32>,
-    stats: CoreStats,
-    profile: Option<CoreProfile>,
-    stall_spans: [SpanTracker; 4],
-    prev_stalls: [u64; 4],
-}
-
-impl std::fmt::Debug for CoreState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CoreState")
-            .field("rob_occupancy", &self.rob.len())
-            .field("head_seq", &self.head_seq)
-            .field("stream_done", &self.stream_done)
-            .field("stream", &self.stream)
-            .finish()
-    }
-}
-
-impl dx100_common::Checkpoint for Core {
-    type State = CoreState;
-
-    /// Fails with [`CheckpointError::UnclonableStream`] when a generator
-    /// queued in the core's channel does not support cloning.
-    fn save(&self) -> Result<CoreState, dx100_common::CheckpointError> {
-        self.save_state()
-    }
-
-    fn restore(&mut self, state: &CoreState) {
-        self.restore_state(state);
-    }
-}
-
 impl std::fmt::Debug for Core {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Core")
@@ -267,7 +190,7 @@ impl Core {
     }
 
     /// Turns on cycle attribution: every live cycle is classified into one
-    /// [`CoreProfile`] bucket, in [`Core::tick`] and in skip-span credits
+    /// [`CoreProfile`] bucket, in [`Core::tick`] and in slept-span credits
     /// alike.
     pub fn enable_profile(&mut self) {
         self.profile = Some(CoreProfile::default());
@@ -296,69 +219,6 @@ impl Core {
     /// This core's identifier.
     pub fn id(&self) -> CoreId {
         self.id
-    }
-
-    /// Captures this core's execution state, op stream included. Fails with
-    /// [`CheckpointError`](dx100_common::CheckpointError) only when a
-    /// generator queued in a channel does not support [`try_clone`]
-    /// (`OpStream::try_clone`).
-    ///
-    /// [`try_clone`]: crate::OpStream::try_clone
-    pub fn save_state(&self) -> Result<CoreState, dx100_common::CheckpointError> {
-        let stream = match &self.stream {
-            OpStreamKind::Empty => StreamState::Empty,
-            OpStreamKind::Vec(v) => StreamState::Vec(v.clone()),
-            OpStreamKind::Channel(c) => StreamState::Channel(c.save_segments()?),
-        };
-        Ok(CoreState {
-            stream,
-            stream_done: self.stream_done,
-            peeked: self.peeked,
-            rob: self.rob.clone(),
-            head_seq: self.head_seq,
-            next_seq: self.next_seq,
-            lq_used: self.lq_used,
-            sq_used: self.sq_used,
-            waiters: self.waiters.clone(),
-            ready_mem: self.ready_mem.clone(),
-            internal_done: self.internal_done.clone(),
-            waiting_flag: self.waiting_flag,
-            atomic_pending: self.atomic_pending,
-            mem_inflight: self.mem_inflight,
-            mmio_signals: self.mmio_signals.clone(),
-            stats: self.stats.clone(),
-            profile: self.profile,
-            stall_spans: self.stall_spans,
-            prev_stalls: self.prev_stalls,
-        })
-    }
-
-    /// Restores a state saved by [`Core::save_state`]: the saved stream
-    /// (channel contents included) replaces the current one.
-    pub fn restore_state(&mut self, s: &CoreState) {
-        self.stream = match &s.stream {
-            StreamState::Empty => OpStreamKind::Empty,
-            StreamState::Vec(v) => OpStreamKind::Vec(v.clone()),
-            StreamState::Channel(segs) => OpStreamKind::Channel(ChannelQueue::from_saved(segs)),
-        };
-        self.stream_done = s.stream_done;
-        self.peeked = s.peeked;
-        self.rob = s.rob.clone();
-        self.head_seq = s.head_seq;
-        self.next_seq = s.next_seq;
-        self.lq_used = s.lq_used;
-        self.sq_used = s.sq_used;
-        self.waiters = s.waiters.clone();
-        self.ready_mem = s.ready_mem.clone();
-        self.internal_done = s.internal_done.clone();
-        self.waiting_flag = s.waiting_flag;
-        self.atomic_pending = s.atomic_pending;
-        self.mem_inflight = s.mem_inflight;
-        self.mmio_signals = s.mmio_signals.clone();
-        self.stats = s.stats.clone();
-        self.profile = s.profile;
-        self.stall_spans = s.stall_spans;
-        self.prev_stalls = s.prev_stalls;
     }
 
     /// Replaces the op stream (used when a workload phase hands a core a new
@@ -416,10 +276,15 @@ impl Core {
         std::mem::take(&mut self.mmio_signals)
     }
 
-    /// Whether completed-MMIO signals await draining by the system glue
-    /// (forbids cycle skipping: the drain is due this very cycle).
+    /// Whether completed-MMIO signals await [`Core::drain_mmio_signals`].
     pub fn has_mmio_signals(&self) -> bool {
         !self.mmio_signals.is_empty()
+    }
+
+    /// The flag this core's dispatch is blocked on, if any. Setting it is
+    /// an input that must wake the core when it sleeps.
+    pub fn waiting_on(&self) -> Option<FlagId> {
+        self.waiting_flag.map(|w| w.flag)
     }
 
     /// Delivers a memory completion for the op with sequence number `seq`.
@@ -446,24 +311,34 @@ impl Core {
         self.finish(seq, now);
     }
 
-    /// Advances one cycle. Ready memory ops are handed to `issue`.
-    pub fn tick(&mut self, now: Cycle, flags: &mut FlagBoard, issue: &mut dyn FnMut(MemIssue)) {
+    /// Advances one cycle. Ready memory ops are handed to `issue`. Returns
+    /// whether the tick did work (completed, retired, dispatched or issued
+    /// something); a tick that did none only advanced stall counters, as
+    /// [`Core::credit_idle_span`] would have.
+    pub fn tick(
+        &mut self,
+        now: Cycle,
+        flags: &mut FlagBoard,
+        issue: &mut dyn FnMut(MemIssue),
+    ) -> bool {
         if self.is_done() {
-            return;
+            return false;
         }
         self.stats.cycles += 1;
 
         // 0. Cycle attribution: classify before any state changes, with the
-        //    same predicate the skip layer's batch credit uses, so the
-        //    breakdown is bit-identical with skipping on or off.
+        //    same predicate the gating layer's batch credit uses, so the
+        //    breakdown is bit-identical with gating on or off.
         if self.profile.is_some() {
-            let class = self.idle_class(now, flags);
+            let class = self.idle_class(now, |f| flags.get(f));
             self.credit_profile(class, 1);
         }
 
         // 1. Internal completions (ALU latency, MMIO latency, atomic locks).
+        let mut worked = false;
         while let Some(seq) = self.internal_done.pop_ready(now) {
             self.finish(seq, now);
+            worked = true;
         }
 
         // 2. Retire from the head, in order.
@@ -495,7 +370,8 @@ impl Core {
         }
 
         // 3. Dispatch up to `width` new µops.
-        self.dispatch(now, flags);
+        worked |= retired > 0;
+        worked |= self.dispatch(now, flags);
 
         // 4. Issue ready memory ops to the L1 port. Atomics have fence
         //    semantics on the memory stream: an atomic issues only when no
@@ -536,6 +412,7 @@ impl Core {
             };
             self.mem_inflight += 1;
             self.stats.mem_ops_issued += 1;
+            worked = true;
             issue(MemIssue {
                 seq,
                 addr,
@@ -562,6 +439,7 @@ impl Core {
             }
             self.prev_stalls = cur;
         }
+        worked
     }
 
     /// Classifies this cycle as quiescent (returns what each stage's stall
@@ -573,7 +451,8 @@ impl Core {
     /// `break`ing stall path in the issue loop to an [`IssueIdle`] variant.
     /// While the core's inputs are frozen (no flag set, no completion, no
     /// stream refill), the classification is constant from cycle to cycle.
-    fn idle_class(&mut self, now: Cycle, flags: &FlagBoard) -> Option<IdleClass> {
+    /// `flag_set` reads the flag a blocked dispatch waits on.
+    fn idle_class(&mut self, now: Cycle, flag_set: impl Fn(FlagId) -> bool) -> Option<IdleClass> {
         debug_assert!(!self.is_done());
         if let Some(t) = self.internal_done.next_ready_at() {
             if t <= now {
@@ -584,7 +463,7 @@ impl Core {
             return None;
         }
         let dispatch = if let Some(w) = self.waiting_flag {
-            if flags.get(w.flag) {
+            if flag_set(w.flag) {
                 return None;
             }
             DispatchIdle::Wait { spin: w.spin }
@@ -631,31 +510,33 @@ impl Core {
 
     /// Earliest cycle ≥ `now` at which [`Core::tick`] might change
     /// architectural state, assuming no external input (flag set, memory
-    /// completion, stream refill) arrives — external wakeups come from
-    /// components that are themselves active, which ends any skip. `None`
-    /// means the core is inert until such input: its only self-timed wakeup
-    /// source is the internal completion queue.
+    /// completion, stream refill) arrives — the system glue wakes a
+    /// sleeping core on each of those. `None` means the core is inert until
+    /// such input: its only self-timed wakeup source is the internal
+    /// completion queue.
     pub fn next_event(&mut self, now: Cycle, flags: &FlagBoard) -> Option<Cycle> {
         if self.is_done() {
             return None;
         }
-        if self.idle_class(now, flags).is_none() {
+        if self.idle_class(now, |f| flags.get(f)).is_none() {
             return Some(now);
         }
         self.internal_done.next_ready_at()
     }
 
     /// Credits the stall-only cycles `[from, to)` in bulk: bit-identical to
-    /// calling [`Core::tick`] once per cycle while [`Core::idle_class`] holds
-    /// (which the caller guarantees by only skipping spans certified by
-    /// [`Core::next_event`] across *all* components).
-    pub fn credit_idle_span(&mut self, from: Cycle, to: Cycle, flags: &FlagBoard) {
+    /// calling [`Core::tick`] once per cycle while [`Core::idle_class`] holds,
+    /// which the caller guarantees by crediting only spans that
+    /// [`Core::next_event`] certified and no input interrupted. A flag the
+    /// core waits on was therefore clear throughout the span, even when it
+    /// has just been set by the input that ends the span.
+    pub fn credit_idle_span(&mut self, from: Cycle, to: Cycle) {
         if self.is_done() || from >= to {
             return;
         }
         let n = to - from;
         let class = self
-            .idle_class(from, flags)
+            .idle_class(from, |_| false)
             .expect("credit_idle_span requires a quiescent core");
         self.stats.cycles += n;
         self.credit_profile(Some(class), n);
@@ -797,12 +678,16 @@ impl Core {
         }
     }
 
-    fn dispatch(&mut self, now: Cycle, flags: &mut FlagBoard) {
+    /// Dispatches up to `width` µops; returns whether anything moved (an op
+    /// taken from the stream or a flag wait released).
+    fn dispatch(&mut self, now: Cycle, flags: &mut FlagBoard) -> bool {
+        let mut progressed = false;
         for _ in 0..self.cfg.width {
             // Blocked on a flag?
             if let Some(w) = self.waiting_flag {
                 if flags.get(w.flag) {
                     self.waiting_flag = None;
+                    progressed = true;
                 } else {
                     self.stats.wait_cycles += 1;
                     if w.spin && now >= w.next_poll_at {
@@ -813,15 +698,16 @@ impl Core {
                             ..w
                         });
                     }
-                    return;
+                    return progressed;
                 }
             }
             let Some(op) = self.peek_op() else {
-                return;
+                return progressed;
             };
             match op {
                 CoreOp::WaitFlag { flag, spin } => {
                     self.take_op();
+                    progressed = true;
                     self.waiting_flag = Some(WaitState {
                         flag,
                         spin,
@@ -833,9 +719,10 @@ impl Core {
                     // Light fence: publish only once prior work retired.
                     if !self.rob.is_empty() {
                         self.stats.stall_fence += 1;
-                        return;
+                        return progressed;
                     }
                     self.take_op();
+                    progressed = true;
                     flags.set(flag);
                     self.stats.instructions += 1;
                     continue;
@@ -844,27 +731,27 @@ impl Core {
             }
             if self.rob.len() >= self.cfg.rob {
                 self.stats.stall_rob_full += 1;
-                return;
+                return progressed;
             }
             let (kind, addr, stream, dep) = match op {
                 CoreOp::Load { addr, stream, dep } => {
                     if self.lq_used >= self.cfg.lq {
                         self.stats.stall_lq_full += 1;
-                        return;
+                        return progressed;
                     }
                     (EntryKind::Load, addr, stream, dep)
                 }
                 CoreOp::Store { addr, stream, dep } => {
                     if self.sq_used >= self.cfg.sq {
                         self.stats.stall_sq_full += 1;
-                        return;
+                        return progressed;
                     }
                     (EntryKind::Store, addr, stream, dep)
                 }
                 CoreOp::AtomicRmw { addr, stream, dep } => {
                     if self.lq_used >= self.cfg.lq || self.sq_used >= self.cfg.sq {
                         self.stats.stall_lq_full += 1;
-                        return;
+                        return progressed;
                     }
                     (EntryKind::Atomic { locked: false }, addr, stream, dep)
                 }
@@ -872,7 +759,7 @@ impl Core {
                 CoreOp::Mmio { latency, signal } => {
                     if self.sq_used >= self.cfg.sq {
                         self.stats.stall_sq_full += 1;
-                        return;
+                        return progressed;
                     }
                     // Stash the latency in `addr`; see `route_ready`.
                     (EntryKind::Mmio { signal }, latency as Addr, 0, [0, 0])
@@ -882,6 +769,7 @@ impl Core {
                 }
             };
             self.take_op();
+            progressed = true;
             let seq = self.next_seq;
             self.next_seq += 1;
             match kind {
@@ -928,6 +816,7 @@ impl Core {
                 self.route_ready(seq, now, self.cfg.alu_latency);
             }
         }
+        progressed
     }
 
     fn peek_op(&mut self) -> Option<CoreOp> {

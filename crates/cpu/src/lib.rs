@@ -42,8 +42,8 @@ pub mod op;
 pub mod profile;
 pub mod stats;
 
-pub use crate::core::{Core, CoreState, MemIssue, MemKind, StreamState};
-pub use channel::{ChannelQueue, SegmentState};
+pub use crate::core::{Core, MemIssue, MemKind};
+pub use channel::ChannelQueue;
 pub use config::CoreConfig;
 pub use op::{CoreOp, EmptyStream, OpStream, OpStreamKind, VecStream};
 pub use profile::CoreProfile;

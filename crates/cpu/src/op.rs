@@ -145,15 +145,6 @@ impl CoreOp {
 pub trait OpStream {
     /// The next op, or `None` when the stream is exhausted.
     fn next_op(&mut self) -> Option<CoreOp>;
-
-    /// A deep copy of this stream at its current position, when the
-    /// implementation supports checkpointing. Streams backed by plain data
-    /// (index arrays, pre-built op vectors) return `Some`; streams that
-    /// share interior state with the system (channels) return `None` and
-    /// are checkpointed by their owner instead.
-    fn try_clone(&self) -> Option<Box<dyn OpStream + Send + Sync>> {
-        None
-    }
 }
 
 /// An [`OpStream`] over a pre-built vector (tests and small phases).
@@ -175,10 +166,6 @@ impl OpStream for VecStream {
     fn next_op(&mut self) -> Option<CoreOp> {
         self.ops.next()
     }
-
-    fn try_clone(&self) -> Option<Box<dyn OpStream + Send + Sync>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 /// An empty stream (idle core).
@@ -188,10 +175,6 @@ pub struct EmptyStream;
 impl OpStream for EmptyStream {
     fn next_op(&mut self) -> Option<CoreOp> {
         None
-    }
-
-    fn try_clone(&self) -> Option<Box<dyn OpStream + Send + Sync>> {
-        Some(Box::new(EmptyStream))
     }
 }
 

@@ -205,18 +205,20 @@ impl ChannelController {
     }
 
     /// Advances one DRAM tick: deliver completed reads, sample occupancy,
-    /// issue at most one command.
-    pub fn tick(&mut self, now: Cycle, responses: &mut VecDeque<MemResponse>) {
+    /// issue at most one command. Returns whether the tick delivered a read
+    /// or issued a command; one that did neither took the bookkeeping-only
+    /// path [`ChannelController::credit_idle_ticks`] reproduces.
+    pub fn tick(&mut self, now: Cycle, responses: &mut VecDeque<MemResponse>) -> bool {
+        let mut worked = false;
         while let Some(resp) = self.in_flight.pop_ready(now) {
             responses.push_back(resp);
+            worked = true;
         }
         self.stats.ticks += 1;
         self.stats
             .occupancy
             .sample(self.buffer.len() as f64 / self.config.request_buffer_size as f64);
-        self.stats.data_busy_ticks = self.channel.data_busy_ticks - self.stats.data_busy_base;
-        self.stats.activates = self.channel.activates - self.stats.act_base;
-        self.stats.precharges = self.channel.precharges - self.stats.pre_base;
+        self.snapshot_command_counts();
         if let Some(p) = &mut self.profile {
             p.queue_depth.record(self.buffer.len() as u64);
         }
@@ -229,6 +231,15 @@ impl ChannelController {
                 TickWork::Idle => p.idle_ticks += 1,
             }
         }
+        worked || matches!(work, TickWork::Command)
+    }
+
+    /// Re-derives the ROI-relative command counters from the channel's
+    /// running totals (every tick does this before scheduling).
+    fn snapshot_command_counts(&mut self) {
+        self.stats.data_busy_ticks = self.channel.data_busy_ticks - self.stats.data_busy_base;
+        self.stats.activates = self.channel.activates - self.stats.act_base;
+        self.stats.precharges = self.channel.precharges - self.stats.pre_base;
     }
 
     /// The command-scheduling half of [`ChannelController::tick`], returning
@@ -509,22 +520,27 @@ impl ChannelController {
         if onset > from {
             consider(onset);
         }
-        // Per-request earliest command-legal tick, scanning the full buffer
-        // (a superset of the starving scan, so never late in either mode).
+        // Per-request earliest command-legal tick, scanning the buffer (a
+        // superset of the starving scan, so never late in either mode) until
+        // some command is legal at `from` already.
         for i in 0..self.buffer.len() {
             let bank_idx = self.buffer.bank_idx[i];
-            match self.channel.bank(bank_idx).open_row() {
-                Some(row) if row == self.buffer.rows[i] => consider(self.channel.cas_ready_tick(
+            let t = match self.channel.bank(bank_idx).open_row() {
+                Some(row) if row == self.buffer.rows[i] => self.channel.cas_ready_tick(
                     bank_idx,
                     self.buffer.bank_group[i],
                     self.buffer.is_write[i],
-                )),
-                Some(_) => consider(self.channel.pre_ready_tick(bank_idx)),
-                None => consider(self.channel.act_ready_tick(
+                ),
+                Some(_) => self.channel.pre_ready_tick(bank_idx),
+                None => self.channel.act_ready_tick(
                     bank_idx,
                     self.buffer.rank[i],
                     self.buffer.bank_group[i],
-                )),
+                ),
+            };
+            consider(t);
+            if t <= from {
+                break;
             }
         }
         ev
@@ -533,17 +549,23 @@ impl ChannelController {
     /// Credits `n` skipped ticks' worth of bookkeeping starting at tick
     /// `from`: bit-identical to `n` [`ChannelController::tick`] calls that
     /// each took the bookkeeping-only path. The derived counters
-    /// (`data_busy_ticks`, `activates`, `precharges`) are snapshots
-    /// re-assigned on every real tick and cannot move while no command
-    /// issues, so they need no update here.
+    /// (`data_busy_ticks`, `activates`, `precharges`) are snapshots every
+    /// tick re-takes before it schedules; no command issues inside the span,
+    /// so re-taking them once here catches up a command issued on the tick
+    /// just before it.
     ///
-    /// The skip certificate guarantees the span is command-free, but it may
-    /// still overlap a tRFC refresh window (`next_event` names
-    /// `refresh_until` as the next event, so the span ends at or before it).
+    /// The caller credits only spans `next_event` showed command-free, but
+    /// such a span may still overlap a tRFC refresh window (`next_event`
+    /// names `refresh_until` as the next event, so the span ends at or
+    /// before it).
     /// The profiled refresh/idle split therefore falls out of the frozen
     /// `refresh_until` watermark.
     pub fn credit_idle_ticks(&mut self, from: Cycle, n: u64) {
+        if n == 0 {
+            return;
+        }
         self.stats.ticks += n;
+        self.snapshot_command_counts();
         self.stats.occupancy.sample_n(
             self.buffer.len() as f64 / self.config.request_buffer_size as f64,
             n,

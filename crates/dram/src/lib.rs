@@ -50,7 +50,7 @@ pub use mapping::{AddrMap, DramCoord};
 pub use profile::{CasOutcome, ChannelProfile};
 pub use stats::DramStats;
 
-use dx100_common::{Cycle, LineAddr, ReqId, TraceHandle};
+use dx100_common::{Cycle, LineAddr, ReqId, Sleep, TraceHandle};
 
 /// A memory request at cache-line granularity, as seen by the DRAM system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,18 +107,13 @@ pub struct DramSystem {
     config: DramConfig,
     controllers: Vec<ChannelController>,
     responses: std::collections::VecDeque<MemResponse>,
-}
-
-impl dx100_common::Checkpoint for DramSystem {
-    type State = DramSystem;
-
-    fn save(&self) -> Result<Self::State, dx100_common::CheckpointError> {
-        Ok(self.clone())
-    }
-
-    fn restore(&mut self, state: &Self::State) {
-        *self = state.clone();
-    }
+    /// Whether idle channels sleep (see [`DramSystem::enable_gating`]).
+    gating: bool,
+    /// One sleep state per channel, in DRAM ticks.
+    sleep: Vec<Sleep>,
+    /// First tick whose slot has not passed. An enqueue at tick `now` ends
+    /// a sleeping channel's span at `max(now, clock)`.
+    clock: Cycle,
 }
 
 impl DramSystem {
@@ -128,10 +123,66 @@ impl DramSystem {
             .map(|ch| ChannelController::new(ch, config.clone()))
             .collect();
         DramSystem {
+            sleep: vec![Sleep::default(); config.organization.channels],
             config,
             controllers,
             responses: std::collections::VecDeque::new(),
+            gating: false,
+            clock: 0,
         }
+    }
+
+    /// Turns on per-channel activity gating: a channel whose tick did no
+    /// work sleeps until its next event or its next enqueue, and the slept
+    /// ticks are credited by [`ChannelController::credit_idle_ticks`] when
+    /// it wakes. Off, every channel ticks on every call to
+    /// [`DramSystem::tick`].
+    pub fn enable_gating(&mut self) {
+        self.gating = true;
+    }
+
+    /// The first tick at which some channel ticks: the next tick for an
+    /// awake channel, else the earliest sleeper's timer (`Cycle::MAX`: none
+    /// without input). `None` while a completed response awaits the caller.
+    pub fn next_tick_due(&self) -> Option<Cycle> {
+        if !self.responses.is_empty() {
+            return None;
+        }
+        Some(
+            self.sleep
+                .iter()
+                .map(|s| s.until().unwrap_or(self.clock))
+                .min()
+                .unwrap_or(Cycle::MAX),
+        )
+    }
+
+    /// Declares every tick before `tick` passed while all channels slept:
+    /// the caller elides whole cycles then, and calls no [`DramSystem::tick`]
+    /// for them.
+    pub fn sleep_through(&mut self, tick: Cycle) {
+        self.clock = tick;
+    }
+
+    /// Credits every sleeping channel's span up to tick `to` and leaves it
+    /// asleep (statistics are about to be read).
+    pub fn settle(&mut self, to: Cycle) {
+        for (s, c) in self.sleep.iter_mut().zip(&mut self.controllers) {
+            if let Some((from, to)) = s.settle(to) {
+                c.credit_idle_ticks(from, to - from);
+            }
+        }
+    }
+
+    /// Wakes every channel with its span ending at tick `to`, the first
+    /// tick whose slot has not passed.
+    pub fn wake_all(&mut self, to: Cycle) {
+        for (s, c) in self.sleep.iter_mut().zip(&mut self.controllers) {
+            if let Some((from, to)) = s.wake(to) {
+                c.credit_idle_ticks(from, to - from);
+            }
+        }
+        self.clock = to;
     }
 
     /// The configuration this system was built with.
@@ -157,12 +208,23 @@ impl DramSystem {
     /// ownership semantics by value) if the buffer is full; the caller must
     /// retry later, which is exactly the back-pressure a real controller
     /// exerts on the on-chip fabric.
+    ///
+    /// An accepted request wakes its channel, crediting the slept span from
+    /// the buffer occupancy before the request.
     pub fn try_enqueue(&mut self, req: MemRequest, now: Cycle) -> bool {
         let coord = self
             .config
             .addr_map
             .decode(req.line, &self.config.organization);
-        self.controllers[coord.channel].try_enqueue(req, coord, now)
+        let ch = coord.channel;
+        let ctrl = &mut self.controllers[ch];
+        if ctrl.free_slots() == 0 {
+            return false;
+        }
+        if let Some((from, to)) = self.sleep[ch].wake(now.max(self.clock)) {
+            ctrl.credit_idle_ticks(from, to - from);
+        }
+        ctrl.try_enqueue(req, coord, now)
     }
 
     /// Free request-buffer slots in the channel that `line` maps to.
@@ -171,11 +233,22 @@ impl DramSystem {
         self.controllers[ch].free_slots()
     }
 
-    /// Advances every channel by one DRAM tick.
+    /// Advances every channel by one DRAM tick. With gating on, a sleeping
+    /// channel is skipped until its timer runs out.
     pub fn tick(&mut self, now: Cycle) {
-        for ctrl in &mut self.controllers {
-            ctrl.tick(now, &mut self.responses);
+        for (s, ctrl) in self.sleep.iter_mut().zip(&mut self.controllers) {
+            if !s.due(now) {
+                continue;
+            }
+            if let Some((from, to)) = s.wake(now) {
+                ctrl.credit_idle_ticks(from, to - from);
+            }
+            let worked = ctrl.tick(now, &mut self.responses);
+            if self.gating {
+                s.after_tick(now, worked, |t| ctrl.next_event(t));
+            }
         }
+        self.clock = now + 1;
     }
 
     /// Pops the next completed request, if any (FIFO by completion).
@@ -186,11 +259,6 @@ impl DramSystem {
     /// Whether all request buffers are empty and no command is in flight.
     pub fn is_idle(&self) -> bool {
         self.responses.is_empty() && self.controllers.iter().all(|c| c.is_idle())
-    }
-
-    /// Whether any completed response is waiting to be popped.
-    pub fn has_pending_responses(&self) -> bool {
-        !self.responses.is_empty()
     }
 
     /// Earliest DRAM tick ≥ `from` at which any channel might do more than
@@ -207,7 +275,8 @@ impl DramSystem {
     }
 
     /// Credits `n` skipped ticks of bookkeeping starting at tick `from` to
-    /// every channel (see [`ChannelController::credit_idle_ticks`]).
+    /// every channel (see [`ChannelController::credit_idle_ticks`]), for a
+    /// caller that skips whole spans itself with gating off.
     pub fn credit_idle_ticks(&mut self, from: Cycle, n: u64) {
         for c in &mut self.controllers {
             c.credit_idle_ticks(from, n);

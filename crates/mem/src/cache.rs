@@ -152,13 +152,16 @@ impl Cache {
     }
 
     /// Processes up to `ports` ready accesses (retries first), producing
-    /// hits and newly allocated misses.
-    pub fn tick(&mut self, now: Cycle, out: &mut CacheOutputs) {
+    /// hits and newly allocated misses. Returns whether any access was
+    /// looked up; a tick that looked up none only sampled occupancy, as
+    /// [`Cache::credit_idle_ticks`] would have.
+    pub fn tick(&mut self, now: Cycle, out: &mut CacheOutputs) -> bool {
         // Sample occupancy from the pre-tick state so a credited span (which
         // sees the same frozen state) is bit-identical to per-cycle ticks.
         if self.profile.is_some() {
             self.credit_idle_ticks(1);
         }
+        let mut worked = false;
         for _ in 0..self.ports {
             let access = if let Some(a) = self.retry.pop_front() {
                 a
@@ -168,7 +171,9 @@ impl Cache {
                 break;
             };
             self.lookup(access, now, out);
+            worked = true;
         }
+        worked
     }
 
     fn lookup(&mut self, access: Access, now: Cycle, out: &mut CacheOutputs) {

@@ -3,7 +3,8 @@
 
 use std::collections::VecDeque;
 
-use dx100_common::{CoreId, Cycle, DelayQueue, LineAddr, ReqId, TraceHandle};
+use dx100_common::sleep::all_asleep_until;
+use dx100_common::{CoreId, Cycle, DelayQueue, LineAddr, ReqId, Sleep, TraceHandle};
 
 use crate::cache::{Cache, CacheOutputs};
 use crate::config::HierarchyConfig;
@@ -54,6 +55,14 @@ pub struct MemoryHierarchy {
     scratch: CacheOutputs,
     /// Waiters released by the fill being routed, reused across fills.
     fill_waiters: Vec<Access>,
+    /// Whether idle caches sleep (see [`MemoryHierarchy::enable_gating`]).
+    gating: bool,
+    /// One sleep state per cache: the L1s, then the L2s, then the LLC.
+    sleep: Vec<Sleep>,
+    /// First cycle whose cache slots have not run yet. An input arriving
+    /// at `now` ends a sleeping cache's span at `max(now, clock)`: at `now`
+    /// before this cycle's [`MemoryHierarchy::tick`], after it at `now + 1`.
+    clock: Cycle,
 }
 
 /// L1 lookup ports (two loads + one store per cycle, Skylake-like).
@@ -62,18 +71,6 @@ const L1_PORTS: usize = 3;
 const L2_PORTS: usize = 2;
 /// LLC lookup ports (banked/shared across cores and DX100).
 const LLC_PORTS: usize = 4;
-
-impl dx100_common::Checkpoint for MemoryHierarchy {
-    type State = MemoryHierarchy;
-
-    fn save(&self) -> Result<Self::State, dx100_common::CheckpointError> {
-        Ok(self.clone())
-    }
-
-    fn restore(&mut self, state: &Self::State) {
-        *self = state.clone();
-    }
-}
 
 impl MemoryHierarchy {
     /// Builds the hierarchy described by `config`.
@@ -95,7 +92,112 @@ impl MemoryHierarchy {
             dx100_responses: VecDeque::new(),
             scratch: CacheOutputs::default(),
             fill_waiters: Vec::new(),
+            gating: false,
+            sleep: vec![Sleep::default(); 2 * config.cores + 1],
+            clock: 0,
             config,
+        }
+    }
+
+    /// Turns on per-cache activity gating: a cache whose tick looked up
+    /// nothing sleeps until its next event or its next input, and its
+    /// occupancy profile is credited for the slept span when it wakes.
+    /// Off, every cache ticks every cycle.
+    pub fn enable_gating(&mut self) {
+        self.gating = true;
+    }
+
+    fn l2_unit(&self, core: CoreId) -> usize {
+        self.config.cores + core
+    }
+
+    fn llc_unit(&self) -> usize {
+        2 * self.config.cores
+    }
+
+    /// The cache behind sleep-state index `unit`.
+    fn cache(&self, unit: usize) -> &Cache {
+        let n = self.config.cores;
+        if unit < n {
+            &self.l1[unit]
+        } else if unit < 2 * n {
+            &self.l2[unit - n]
+        } else {
+            &self.llc
+        }
+    }
+
+    fn cache_mut(&mut self, unit: usize) -> &mut Cache {
+        let n = self.config.cores;
+        if unit < n {
+            &mut self.l1[unit]
+        } else if unit < 2 * n {
+            &mut self.l2[unit - n]
+        } else {
+            &mut self.llc
+        }
+    }
+
+    /// Wakes cache `unit` for an input arriving at `now`, crediting its
+    /// slept span from the state before the input.
+    fn wake(&mut self, unit: usize, now: Cycle) {
+        if let Some((from, to)) = self.sleep[unit].wake(now.max(self.clock)) {
+            self.cache_mut(unit).credit_idle_ticks(to - from);
+        }
+    }
+
+    /// Whether cache `unit` ticks at `now`. A sleeper whose timer ran out
+    /// is woken first.
+    fn tick_due(&mut self, unit: usize, now: Cycle) -> bool {
+        if !self.sleep[unit].due(now) {
+            return false;
+        }
+        self.wake(unit, now);
+        true
+    }
+
+    /// Gates cache `unit` after its tick at `now` (see [`Sleep::after_tick`]).
+    fn sleep_if_idle(&mut self, unit: usize, worked: bool, now: Cycle) {
+        if self.gating {
+            // `Self::cache` spelled out, so the cache and its sleep state
+            // can be borrowed together.
+            let n = self.config.cores;
+            let cache = if unit < n {
+                &self.l1[unit]
+            } else if unit < 2 * n {
+                &self.l2[unit - n]
+            } else {
+                &self.llc
+            };
+            self.sleep[unit].after_tick(now, worked, |t| cache.next_event(t));
+        }
+    }
+
+    /// `None` while any cache is awake; otherwise the earliest cycle at
+    /// which a cache's timer runs out or a link message lands (`Cycle::MAX`
+    /// when neither will happen without new input).
+    pub fn asleep_until(&self) -> Option<Cycle> {
+        if !self.core_responses.is_empty() || !self.dx100_responses.is_empty() {
+            return None;
+        }
+        let caches = all_asleep_until(&self.sleep)?;
+        Some(self.links.next_ready_at().map_or(caches, |t| t.min(caches)))
+    }
+
+    /// Credits every sleeping cache's span up to `to` and leaves it asleep
+    /// (statistics are about to be read).
+    pub fn settle(&mut self, to: Cycle) {
+        for unit in 0..self.sleep.len() {
+            if let Some((from, to)) = self.sleep[unit].settle(to) {
+                self.cache_mut(unit).credit_idle_ticks(to - from);
+            }
+        }
+    }
+
+    /// Wakes every cache with its span ending at `to`.
+    pub fn wake_all(&mut self, to: Cycle) {
+        for unit in 0..self.sleep.len() {
+            self.wake(unit, to);
         }
     }
 
@@ -112,6 +214,7 @@ impl MemoryHierarchy {
         let Requester::Core(core) = access.requester else {
             panic!("core_access requires a Core requester");
         };
+        self.wake(core, now);
         self.l1[core].accept(access, now);
     }
 
@@ -135,6 +238,7 @@ impl MemoryHierarchy {
             is_prefetch: true,
             requester: Requester::PrefetchL2(core),
         };
+        self.wake(self.l2_unit(core), now);
         self.l2[core].accept(access, now);
     }
 
@@ -157,13 +261,16 @@ impl MemoryHierarchy {
     }
 
     /// Invalidates `line` everywhere (DX100 coherency agent); returns whether
-    /// any copy was dirty.
+    /// any copy was dirty. The agent acts after this cycle's cache ticks, so
+    /// a woken holder's span ends at the hierarchy's clock.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
         let mut dirty = false;
-        for c in self.l1.iter_mut().chain(self.l2.iter_mut()) {
-            dirty |= c.invalidate(line).unwrap_or(false);
+        for unit in 0..self.sleep.len() {
+            if self.cache(unit).contains(line) {
+                self.wake(unit, self.clock);
+                dirty |= self.cache_mut(unit).invalidate(line).unwrap_or(false);
+            }
         }
-        dirty |= self.llc.invalidate(line).unwrap_or(false);
         dirty
     }
 
@@ -177,28 +284,6 @@ impl MemoryHierarchy {
             && self.l2.iter().all(|c| c.is_idle())
     }
 
-    /// Earliest cycle ≥ `from` at which [`MemoryHierarchy::tick`] would do
-    /// any work: deliver a link message, process a cache access or retry, or
-    /// hand back a buffered response. `None` means the hierarchy is fully
-    /// drained and will stay inert until new accesses are injected.
-    pub fn next_event(&self, from: Cycle) -> Option<Cycle> {
-        if !self.core_responses.is_empty() || !self.dx100_responses.is_empty() {
-            return Some(from);
-        }
-        let mut ev = self.links.next_ready_at();
-        let caches = self
-            .l1
-            .iter()
-            .chain(self.l2.iter())
-            .chain(std::iter::once(&self.llc));
-        for cache in caches {
-            if let Some(t) = cache.next_event(from) {
-                ev = Some(ev.map_or(t, |e: Cycle| e.min(t)));
-            }
-        }
-        ev
-    }
-
     /// Advances one CPU cycle. LLC misses and write-backs are appended to
     /// `to_dram`; the caller forwards them to the DRAM system and later calls
     /// [`MemoryHierarchy::dram_fill`] for each read once data returns.
@@ -206,8 +291,14 @@ impl MemoryHierarchy {
         // 1. Deliver link messages that arrive this cycle.
         while let Some(msg) = self.links.pop_ready(now) {
             match msg {
-                Msg::AccessL2(core, acc) => self.l2[core].accept(acc, now),
-                Msg::AccessLlc(acc) => self.llc.accept(acc, now),
+                Msg::AccessL2(core, acc) => {
+                    self.wake(self.l2_unit(core), now);
+                    self.l2[core].accept(acc, now);
+                }
+                Msg::AccessLlc(acc) => {
+                    self.wake(self.llc_unit(), now);
+                    self.llc.accept(acc, now);
+                }
                 Msg::FillL2(core, line) => self.fill_l2(core, line, now, to_dram),
                 Msg::FillL1(core, line) => self.fill_l1(core, line, now, to_dram),
             }
@@ -217,22 +308,30 @@ impl MemoryHierarchy {
 
         // 2. L1 lookups.
         for core in 0..self.config.cores {
+            if !self.tick_due(core, now) {
+                continue;
+            }
             self.scratch.completed.clear();
             self.scratch.downstream.clear();
-            self.l1[core].tick(now, &mut self.scratch);
+            let worked = self.l1[core].tick(now, &mut self.scratch);
             for acc in self.scratch.completed.drain(..) {
                 route_from_l1(core, acc, &mut self.core_responses);
             }
             for acc in self.scratch.downstream.drain(..) {
                 self.links.push_at(now + link, Msg::AccessL2(core, acc));
             }
+            self.sleep_if_idle(core, worked, now);
         }
 
         // 3. L2 lookups.
         for core in 0..self.config.cores {
+            let unit = self.l2_unit(core);
+            if !self.tick_due(unit, now) {
+                continue;
+            }
             self.scratch.completed.clear();
             self.scratch.downstream.clear();
-            self.l2[core].tick(now, &mut self.scratch);
+            let worked = self.l2[core].tick(now, &mut self.scratch);
             for acc in self.scratch.completed.drain(..) {
                 // A hit at L2 climbs one level toward the requester.
                 match acc.requester {
@@ -247,31 +346,38 @@ impl MemoryHierarchy {
             for acc in self.scratch.downstream.drain(..) {
                 self.links.push_at(now + link, Msg::AccessLlc(acc));
             }
+            self.sleep_if_idle(unit, worked, now);
         }
 
         // 4. LLC lookups.
-        self.scratch.completed.clear();
-        self.scratch.downstream.clear();
-        self.llc.tick(now, &mut self.scratch);
-        for acc in self.scratch.completed.drain(..) {
-            match acc.requester {
-                Requester::Core(c) | Requester::PrefetchL1(c) | Requester::PrefetchL2(c) => {
-                    self.links.push_at(now + link, Msg::FillL2(c, acc.line));
+        let unit = self.llc_unit();
+        if self.tick_due(unit, now) {
+            self.scratch.completed.clear();
+            self.scratch.downstream.clear();
+            let worked = self.llc.tick(now, &mut self.scratch);
+            for acc in self.scratch.completed.drain(..) {
+                match acc.requester {
+                    Requester::Core(c) | Requester::PrefetchL1(c) | Requester::PrefetchL2(c) => {
+                        self.links.push_at(now + link, Msg::FillL2(c, acc.line));
+                    }
+                    Requester::Dx100 => self.dx100_responses.push_back((acc.id, acc.is_write)),
                 }
-                Requester::Dx100 => self.dx100_responses.push_back((acc.id, acc.is_write)),
             }
+            for acc in self.scratch.downstream.drain(..) {
+                to_dram.push(DramBound {
+                    line: acc.line,
+                    is_write: false,
+                });
+            }
+            self.sleep_if_idle(unit, worked, now);
         }
-        for acc in self.scratch.downstream.drain(..) {
-            to_dram.push(DramBound {
-                line: acc.line,
-                is_write: false,
-            });
-        }
+        self.clock = now + 1;
     }
 
     /// Delivers a DRAM read completion: fills the LLC and propagates fills
     /// (and write-backs) upward.
     pub fn dram_fill(&mut self, line: LineAddr, now: Cycle, to_dram: &mut Vec<DramBound>) {
+        self.wake(self.llc_unit(), now);
         if let Some(victim) = self.llc.fill(line, now, &mut self.fill_waiters) {
             to_dram.push(DramBound {
                 line: victim,
@@ -296,8 +402,9 @@ impl MemoryHierarchy {
     }
 
     fn fill_l2(&mut self, core: CoreId, line: LineAddr, now: Cycle, to_dram: &mut Vec<DramBound>) {
+        self.wake(self.l2_unit(core), now);
         if let Some(victim) = self.l2[core].fill(line, now, &mut self.fill_waiters) {
-            self.writeback_to_llc(victim, to_dram);
+            self.writeback_to_llc(victim, now, to_dram);
         }
         let link = self.config.link_latency;
         let mut filled = false;
@@ -317,9 +424,11 @@ impl MemoryHierarchy {
     }
 
     fn fill_l1(&mut self, core: CoreId, line: LineAddr, now: Cycle, to_dram: &mut Vec<DramBound>) {
+        self.wake(core, now);
         if let Some(victim) = self.l1[core].fill(line, now, &mut self.fill_waiters) {
+            self.wake(self.l2_unit(core), now);
             if let Some(v2) = self.l2[core].insert_writeback(victim) {
-                self.writeback_to_llc(v2, to_dram);
+                self.writeback_to_llc(v2, now, to_dram);
             }
         }
         for acc in self.fill_waiters.drain(..) {
@@ -338,7 +447,8 @@ impl MemoryHierarchy {
         }
     }
 
-    fn writeback_to_llc(&mut self, line: LineAddr, to_dram: &mut Vec<DramBound>) {
+    fn writeback_to_llc(&mut self, line: LineAddr, now: Cycle, to_dram: &mut Vec<DramBound>) {
+        self.wake(self.llc_unit(), now);
         if let Some(victim) = self.llc.insert_writeback(line) {
             to_dram.push(DramBound {
                 line: victim,
@@ -396,15 +506,6 @@ impl MemoryHierarchy {
             c.enable_profile();
         }
         self.llc.enable_profile();
-    }
-
-    /// Credits an elided quiescent span of `n` cycles to every level's
-    /// occupancy profile (every cache is frozen across the span).
-    pub fn credit_idle_span(&mut self, n: u64) {
-        for c in self.l1.iter_mut().chain(self.l2.iter_mut()) {
-            c.credit_idle_ticks(n);
-        }
-        self.llc.credit_idle_ticks(n);
     }
 
     /// Per-level occupancy profiles with private levels merged across

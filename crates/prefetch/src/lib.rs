@@ -133,18 +133,6 @@ pub struct Dmp {
     pub issued: u64,
 }
 
-impl dx100_common::Checkpoint for Dmp {
-    type State = Dmp;
-
-    fn save(&self) -> Result<Self::State, dx100_common::CheckpointError> {
-        Ok(self.clone())
-    }
-
-    fn restore(&mut self, state: &Self::State) {
-        *self = state.clone();
-    }
-}
-
 impl Dmp {
     /// Creates a DMP for `cores` cores.
     pub fn new(config: DmpConfig, cores: usize) -> Self {

@@ -1,11 +1,12 @@
 //! The content-addressed on-disk result cache.
 //!
-//! One file per distinct job config, named by the config's FNV-1a 64 hash
+//! One file per distinct job config, named by its cache key
 //! (`<cache-dir>/<16-hex>.json`) and holding the exact report bytes the
-//! first run produced. `SystemCheckpoint` determinism makes those bytes
-//! *the* answer for that config — not an approximation — so a hit is an
-//! O(1) file read serving a byte-identical body, however long ago and on
-//! however many threads the original simulation ran.
+//! first run produced. Simulation is deterministic for a given build, and
+//! the key folds in a fingerprint of the build's simulator sources, so
+//! those bytes are *the* answer for that config — not an approximation —
+//! and a hit is an O(1) file read serving a byte-identical body, however
+//! long ago and on however many threads the original simulation ran.
 //!
 //! Eviction is size-capped LRU by file mtime: a hit touches the file's
 //! mtime, and when the cache grows past its cap after a write, the

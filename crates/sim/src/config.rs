@@ -65,10 +65,11 @@ pub struct SystemConfig {
     pub region_acquire_latency: u64,
     /// Hard simulation cap (guards against driver deadlocks).
     pub max_cycles: u64,
-    /// Event-driven cycle skipping: when every component is quiescent,
-    /// fast-forward the clock to the next event instead of ticking
-    /// cycle-by-cycle. Bit-identical results either way (differentially
-    /// tested); off only costs wall-clock time.
+    /// Activity gating: each core, cache, DRAM channel and DX100 engine
+    /// sleeps while it has no work instead of ticking every cycle, and a
+    /// cycle on which all of them sleep is only counted. Bit-identical
+    /// results either way (differentially tested); off ticks every unit
+    /// every cycle and only costs wall-clock time.
     pub cycle_skip: bool,
     /// Event tracing and epoch sampling (off by default).
     pub obs: ObservabilityConfig,

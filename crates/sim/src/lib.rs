@@ -41,8 +41,7 @@ pub mod system;
 
 pub use config::{ObservabilityConfig, SystemConfig};
 pub use driver::{Driver, DriverStatus};
-pub use dx100_common::{Checkpoint, CheckpointError};
 pub use epoch::{EpochSample, EpochSampler};
 pub use profile::{RunTelemetry, SystemProfile, PROFILE_VERSION};
 pub use stats::RunStats;
-pub use system::{System, SystemCheckpoint};
+pub use system::System;

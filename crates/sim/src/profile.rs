@@ -23,14 +23,14 @@ use dx100_mem::{CacheProfile, HierarchyProfile};
 pub const PROFILE_VERSION: u64 = 1;
 
 /// Per-run telemetry that deliberately lives outside [`crate::RunStats`]:
-/// cycle-skip effectiveness and, when profiling is on, the cycle
-/// attribution. Keeping it separate is what lets the skip/profile switches
-/// guarantee bit-identical `RunStats`.
+/// activity-gating counters and, when profiling is on, the cycle
+/// attribution. Keeping it separate is what lets the gating/profile
+/// switches guarantee bit-identical `RunStats`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunTelemetry {
-    /// Cycles elided by event-driven skipping.
+    /// Cycles on which no unit ticked (every unit asleep).
     pub skipped_cycles: u64,
-    /// Quiescent spans entered.
+    /// Entries into the everything-asleep path.
     pub skip_events: u64,
     /// Cycle attribution, when `obs.profile` was set.
     pub profile: Option<SystemProfile>,

@@ -4,7 +4,8 @@ use std::collections::VecDeque;
 
 use dx100_common::flags::{FlagBoard, FlagId};
 use dx100_common::hash::{HashMap, HashSet};
-use dx100_common::{Addr, CoreId, Cycle, DelayQueue, LineAddr, ReqId, TraceHandle};
+use dx100_common::sleep::all_asleep_until;
+use dx100_common::{Addr, CoreId, Cycle, DelayQueue, LineAddr, ReqId, Sleep, TraceHandle};
 use dx100_core::isa::{Instruction, RegId, TileId};
 use dx100_core::{Dx100Engine, MemPorts, MemoryImage};
 use dx100_cpu::{Core, CoreOp, MemKind, OpStream, OpStreamKind};
@@ -116,23 +117,20 @@ pub struct System {
     wb_scratch: Vec<DramBound>,
     /// Read lines completed by DRAM this tick, reused across cycles.
     fill_scratch: Vec<LineAddr>,
-    /// Telemetry: cycles elided by event-driven skipping. Deliberately not
-    /// part of [`RunStats`], which must stay bit-identical with skipping
-    /// off.
+    /// Sleep state of each core under activity gating (`cycle_skip`); the
+    /// hierarchy and the DRAM system gate their caches and channels.
+    core_sleep: Vec<Sleep>,
+    /// Sleep state of each DX100 engine.
+    engine_sleep: Vec<Sleep>,
+    /// Cycles before this one pass with every unit asleep: `step` only
+    /// advances the clock. Cleared by every driver-facing mutation (see
+    /// [`System::wake`]).
+    all_asleep_until: Cycle,
+    /// Telemetry: cycles on which no unit ticked. Deliberately not part of
+    /// [`RunStats`], which must stay bit-identical with gating off.
     skipped_cycles: u64,
-    /// Telemetry: number of quiescent spans entered.
+    /// Telemetry: entries into the everything-asleep path.
     skip_events: u64,
-    /// Cached quiescence certificate: cycles before this one may be elided
-    /// without re-checking the machine. Invalidated by every driver-facing
-    /// mutation (see [`System::wake`]).
-    skip_until: Cycle,
-    /// Start of the elided-but-uncredited span `[span_start, clock)`.
-    /// While a certificate is live, elided cycles only advance the clock;
-    /// their stat/trace bookkeeping is credited in one batched
-    /// [`System::settle`] call when the span closes (certificate expiry or
-    /// [`System::wake`]). Invariant everywhere outside the skip fast path:
-    /// `span_start == clock`.
-    span_start: Cycle,
     /// Root trace handle when tracing is on; components hold child handles.
     trace_root: Option<TraceHandle>,
     /// Separate sink for profile counter events (`"ph":"C"`). Kept out of
@@ -193,6 +191,11 @@ impl System {
             profile_trace = Some(TraceHandle::root(cfg.obs.trace_capacity));
         }
         let sampler = cfg.obs.epoch_cycles.map(|e| EpochSampler::new(e, 0));
+        if cfg.cycle_skip {
+            hier.enable_gating();
+            dram.enable_gating();
+        }
+        let engine_sleep = vec![Sleep::default(); engines.len()];
         System {
             clock: 0,
             cores,
@@ -218,10 +221,11 @@ impl System {
             to_dram_scratch: Vec::new(),
             wb_scratch: Vec::new(),
             fill_scratch: Vec::new(),
+            core_sleep: vec![Sleep::default(); cfg.cores],
+            engine_sleep,
+            all_asleep_until: 0,
             skipped_cycles: 0,
             skip_events: 0,
-            skip_until: 0,
-            span_start: 0,
             trace_root,
             profile_trace,
             sampler,
@@ -437,7 +441,7 @@ impl System {
 
     /// Starts the region of interest: clears all statistics.
     pub fn roi_begin(&mut self) {
-        self.wake();
+        self.settle(self.clock);
         self.roi_start = self.clock;
         for c in &mut self.cores {
             c.reset_stats();
@@ -454,10 +458,7 @@ impl System {
 
     /// Ends the region of interest, snapshotting statistics.
     pub fn roi_end(&mut self) {
-        // Any elided-but-uncredited span must be folded into the stats
-        // before the snapshot (and the certificate no longer describes the
-        // machine the driver is about to mutate).
-        self.wake();
+        self.settle(self.clock);
         self.roi_snapshot = Some(self.collect_stats());
     }
 
@@ -493,7 +494,7 @@ impl System {
     /// Closes open trace spans, records the final (partial) epoch, and
     /// attaches both to the run's statistics.
     fn finalize_observability(&mut self) -> RunStats {
-        self.settle();
+        self.settle(self.clock);
         let now = self.clock;
         if self.trace_root.is_some() {
             for c in &mut self.cores {
@@ -547,15 +548,12 @@ impl System {
     /// Rolls every component's cycle attribution into one
     /// [`SystemProfile`], or `None` when `obs.profile` is off. Checks the
     /// MECE contract on collection: each component's buckets must sum to
-    /// exactly the cycles (or DRAM ticks) it was timed for.
-    pub fn collect_profile(&self) -> Option<SystemProfile> {
+    /// exactly the cycles (or DRAM ticks) it was timed for, which also
+    /// catches a slept span left uncredited. Call after a settle.
+    fn collect_profile(&self) -> Option<SystemProfile> {
         if !self.cfg.obs.profile {
             return None;
         }
-        debug_assert_eq!(
-            self.span_start, self.clock,
-            "profile collected with an unsettled skip span"
-        );
         let elapsed = self.clock - self.roi_start;
         let mut cores = dx100_cpu::CoreProfile::default();
         let mut live = 0u64;
@@ -604,9 +602,11 @@ impl System {
         })
     }
 
-    /// Cycle-skip counters plus (when profiling is on) the full cycle
+    /// Gating counters plus (when profiling is on) the full cycle
     /// attribution — everything deliberately kept outside [`RunStats`].
-    pub fn telemetry(&self) -> RunTelemetry {
+    /// Credits every sleeping unit's span first; the units stay asleep.
+    pub fn telemetry(&mut self) -> RunTelemetry {
+        self.settle(self.clock);
         RunTelemetry {
             skipped_cycles: self.skipped_cycles,
             skip_events: self.skip_events,
@@ -617,9 +617,9 @@ impl System {
 
     /// Emits Chrome-trace counter tracks (`"ph":"C"`) for the headline
     /// utilization series, into the profile-only sink. Called only at epoch
-    /// boundaries and at finalization, which the skip certificate never
-    /// elides, so the emitted series is bit-identical with cycle skipping
-    /// on or off.
+    /// boundaries and at finalization: settle points whose cycles are never
+    /// elided, so the emitted series is bit-identical with gating on or
+    /// off.
     fn emit_profile_counters(&self, now: Cycle, dx100_depth: u64) {
         let Some(root) = &self.profile_trace else {
             return;
@@ -642,189 +642,150 @@ impl System {
         root.counter("profile", "dx100_queue_depth", now, dx100_depth);
     }
 
-    /// Event-driven cycle skipping: when every component certifies that the
-    /// current cycle would be pure bookkeeping, cache a quiescence
-    /// certificate up to the earliest cycle at which anything can happen
-    /// and elide the current cycle. [`System::step`] then elides one cycle
-    /// per call until the certificate expires, crediting each elided cycle
-    /// so statistics, epoch samples, and traces stay bit-identical to a
-    /// cycle-by-cycle run. Returns whether the cycle was elided (in which
-    /// case the caller must not run the normal tick).
-    ///
-    /// Safe because every `next_event` implementation is conservative: it
-    /// may report an event earlier than anything real (the tick at that
-    /// cycle is then a no-op and stepping resumes normally), but never
-    /// later. Eliding one cycle per `step` call — rather than jumping the
-    /// clock across the whole span — keeps the driver's poll cadence
-    /// exactly as in a cycle-by-cycle run: drivers are polled once per
-    /// cycle either way, so even stateful poll sequencing (a driver that
-    /// observes completion on one poll and reports `Done` on the next)
-    /// sees the same clock values. Any driver call that mutates the
-    /// machine revokes the certificate via [`System::wake`].
-    fn try_skip(&mut self) -> bool {
-        let now = self.clock;
-        // Work queued for this very cycle forbids a skip.
-        if !self.dram_retry.is_empty()
-            || self.dram.has_pending_responses()
-            || self.dmp.as_ref().is_some_and(|d| d.has_pending())
-            || self.cores.iter().any(|c| c.has_mmio_signals())
-            || self.sampler.as_ref().is_some_and(|s| s.due(now))
-        {
-            return false;
-        }
-        fn fold(ev: Option<Cycle>, t: Cycle) -> Option<Cycle> {
-            Some(ev.map_or(t, |e: Cycle| e.min(t)))
-        }
-        let mut ev: Option<Cycle> = None;
-        for core in &mut self.cores {
-            match core.next_event(now, &self.flags) {
-                Some(t) if t <= now => return false,
-                Some(t) => ev = fold(ev, t),
-                None => {}
+    /// Credits every sleeping unit's span up to cycle `to` and leaves it
+    /// asleep: statistics are about to be read (epoch boundary, ROI
+    /// boundary, end of run, telemetry). Idempotent.
+    fn settle(&mut self, to: Cycle) {
+        for (s, core) in self.core_sleep.iter_mut().zip(&mut self.cores) {
+            if let Some((from, to)) = s.settle(to) {
+                core.credit_idle_span(from, to);
             }
         }
+        for (s, e) in self.engine_sleep.iter_mut().zip(&mut self.engines) {
+            if let Some((from, to)) = s.settle(to) {
+                e.credit_idle_span(from, to);
+            }
+        }
+        self.hier.settle(to);
+        self.dram
+            .settle(to.div_ceil(self.cfg.cpu_cycles_per_dram_tick));
+    }
+
+    /// Wakes every unit, crediting slept spans up to the current cycle
+    /// from the state before the driver's mutation: driver-facing methods
+    /// that can change machine state call this *before* mutating, so the
+    /// change is seen on the very next cycle.
+    fn wake(&mut self) {
+        let now = self.clock;
+        for c in 0..self.cores.len() {
+            self.wake_core(c, now);
+        }
+        for e in 0..self.engines.len() {
+            self.wake_engine(e, now);
+        }
+        self.hier.wake_all(now);
+        self.dram
+            .wake_all(now.div_ceil(self.cfg.cpu_cycles_per_dram_tick));
+        self.all_asleep_until = 0;
+    }
+
+    /// Wakes core `c` for an input; its slept span ends at `to`, which is
+    /// the current cycle if the core's slot in it is still ahead and the
+    /// next cycle otherwise.
+    fn wake_core(&mut self, c: usize, to: Cycle) {
+        if let Some((from, to)) = self.core_sleep[c].wake(to) {
+            self.cores[c].credit_idle_span(from, to);
+        }
+    }
+
+    /// Wakes engine `e` for an input; `to` as in [`System::wake_core`].
+    fn wake_engine(&mut self, e: usize, to: Cycle) {
+        if let Some((from, to)) = self.engine_sleep[e].wake(to) {
+            self.engines[e].credit_idle_span(from, to);
+        }
+    }
+
+    /// Wakes every sleeping core whose awaited flag is now set. Cores before
+    /// `first_unticked` had their slot in this cycle and saw the flag clear,
+    /// so their spans end at `now + 1`; the rest tick in this cycle.
+    fn wake_flag_waiters(&mut self, now: Cycle, first_unticked: usize) {
+        for c in 0..self.cores.len() {
+            if self.cores[c]
+                .waiting_on()
+                .is_some_and(|f| self.flags.get(f))
+            {
+                let to = if c < first_unticked { now + 1 } else { now };
+                self.wake_core(c, to);
+            }
+        }
+    }
+
+    /// `None` unless every unit sleeps and no glue work is due at the
+    /// current cycle; otherwise the first cycle at which anything can
+    /// happen — the earliest unit timer, link message, scratchpad fill or
+    /// delayed MMIO delivery — capped at the next epoch boundary (samples
+    /// land on the same cycles as an ungated run) and at `max_cycles` (the
+    /// deadlock panic fires at the same cycle). DRAM channels tick only on
+    /// every `cpu_cycles_per_dram_tick`-th cycle, so an awake channel counts
+    /// as asleep until its next tick.
+    fn everything_asleep_until(&self) -> Option<Cycle> {
+        let now = self.clock;
+        let m = self.cfg.cpu_cycles_per_dram_tick;
+        // Engines first: on accelerated runs they are the unit most often
+        // awake, so the common failing check ends after one load.
+        let mut until = all_asleep_until(self.engine_sleep.iter().chain(&self.core_sleep))?;
+        until = until.min(self.hier.asleep_until()?);
+        until = until.min(self.dram.next_tick_due()?.saturating_mul(m));
+        if !self.dram_retry.is_empty() || self.dmp.as_ref().is_some_and(|d| d.has_pending()) {
+            return None;
+        }
         // In-order MMIO delivery: only a not-yet-ready instruction head is
-        // certainly inert (a ready head may acquire regions; a register or
-        // tile write applies immediately).
+        // inert (a ready head may acquire regions; a register or tile write
+        // applies at once).
         for q in &self.instr_delivery {
             match q.front() {
                 None => {}
-                Some(PendingMmio::Instr { ready_at, .. }) => {
-                    if *ready_at <= now {
-                        return false;
-                    }
-                    ev = fold(ev, *ready_at);
+                Some(PendingMmio::Instr { ready_at, .. }) if *ready_at > now => {
+                    until = until.min(*ready_at);
                 }
-                Some(_) => return false,
-            }
-        }
-        match self.hier.next_event(now) {
-            Some(t) if t <= now => return false,
-            Some(t) => ev = fold(ev, t),
-            None => {}
-        }
-        for e in &self.engines {
-            match e.next_event(now) {
-                Some(t) if t <= now => return false,
-                Some(t) => ev = fold(ev, t),
-                None => {}
+                Some(_) => return None,
             }
         }
         if let Some(t) = self.spd_fills.next_ready_at() {
-            if t <= now {
-                return false;
-            }
-            ev = fold(ev, t);
+            until = until.min(t);
         }
-        // DRAM, converting clock domains: DRAM tick `d` executes during CPU
-        // cycle `d * m`, and the next one due is at the next multiple of
-        // `m` ≥ now (possibly this very cycle).
-        let m = self.cfg.cpu_cycles_per_dram_tick;
-        let d0 = now.div_ceil(m);
-        if let Some(td) = self.dram.next_event(d0) {
-            let t = td * m;
-            if t <= now {
-                return false;
-            }
-            ev = fold(ev, t);
-        }
-        // Fully quiescent. Jump to the earliest event, clamped to the next
-        // epoch boundary (samples must land on the same cycles as a
-        // cycle-by-cycle run) and to the simulation cap (the deadlock
-        // panic must fire at the same cycle). With no event at all —
-        // drained machine or true deadlock — plain stepping already
-        // matches baseline behavior, so don't jump.
-        let Some(mut target) = ev else {
-            return false;
-        };
         if let Some(s) = &self.sampler {
-            target = target.min(s.next_boundary());
+            until = until.min(s.next_boundary());
         }
-        target = target.min(self.cfg.max_cycles);
-        if target <= now {
-            return false;
-        }
-        self.skip_until = target;
-        self.skip_events += 1;
-        // `settle` ran just before `try_skip`, so `span_start == now`:
-        // eliding is now just the clock increment; crediting is deferred
-        // to the batched `settle` when the span closes.
-        self.skipped_cycles += 1;
-        self.clock = now + 1;
-        true
-    }
-
-    /// Credits the elided span `[span_start, clock)` in one batch: exactly
-    /// the bookkeeping per-cycle no-op ticks would have done (stall/idle
-    /// accounting, occupancy samples via `RunningAverage::sample_n`, trace
-    /// span updates, the every-other-cycle DRAM tick counter). Bit-identical
-    /// to per-cycle crediting because a quiescent span's idle classification
-    /// is constant — its inputs are frozen until the certificate expires or
-    /// is revoked — and all batched samples sit on a dyadic grid.
-    ///
-    /// Public because drivers that checkpoint mid-run must settle before
-    /// calling [`Checkpoint::save`](dx100_common::Checkpoint::save):
-    /// with cycle skipping on, the clock can run ahead of the credited
-    /// stats inside a certified span, and a checkpoint taken there would
-    /// silently drop the span's idle accounting. Settling is idempotent
-    /// and leaves any active skip certificate intact.
-    pub fn settle(&mut self) {
-        let (from, to) = (self.span_start, self.clock);
-        if from >= to {
-            return;
-        }
-        for core in &mut self.cores {
-            core.credit_idle_span(from, to, &self.flags);
-        }
-        for e in &mut self.engines {
-            e.credit_idle_span(from, to);
-        }
-        // DRAM ticks at every multiple of `m`; the span covers the ticks
-        // in [from, to), i.e. ceil(to/m) - ceil(from/m) of them.
-        let m = self.cfg.cpu_cycles_per_dram_tick;
-        let ticks = to.div_ceil(m) - from.div_ceil(m);
-        if ticks > 0 {
-            self.dram.credit_idle_ticks(from.div_ceil(m), ticks);
-        }
-        // The hierarchy ticks every CPU cycle; its occupancy profile gets
-        // one frozen sample per elided cycle.
-        self.hier.credit_idle_span(to - from);
-        self.span_start = to;
-    }
-
-    /// Revokes the cached quiescence certificate, settling any pending
-    /// elided span first (the settle must see the pre-mutation machine, so
-    /// driver-facing methods call `wake` *before* mutating state). Every
-    /// driver-facing method that can change machine state calls this, so
-    /// work injected between steps is picked up on the very next cycle.
-    fn wake(&mut self) {
-        self.settle();
-        self.skip_until = 0;
+        Some(until.min(self.cfg.max_cycles))
     }
 
     /// Advances the machine one CPU cycle.
+    ///
+    /// With `cycle_skip` on, each core, cache, DRAM channel and DX100
+    /// engine is gated: after a tick that did no work it asks its own
+    /// `next_event` once and sleeps until then, or until an input reaches
+    /// it, and its slept span is credited with its batch rule when it
+    /// wakes. A cycle on which every unit sleeps costs a compare and an
+    /// increment. The driver is still polled once per cycle, so even
+    /// stateful poll sequencing sees the same clock values as an ungated
+    /// run.
     pub fn step(&mut self) {
-        if self.cfg.cycle_skip {
-            if self.clock < self.skip_until {
-                // Inside a certified span: the entire per-cycle cost is
-                // these two increments; crediting happens in `settle`.
-                self.skipped_cycles += 1;
-                self.clock += 1;
-                return;
-            }
-            self.settle();
-            if self.try_skip() {
-                return;
-            }
+        if self.clock < self.all_asleep_until {
+            self.skipped_cycles += 1;
+            self.clock += 1;
+            return;
         }
         let now = self.clock;
+        let gating = self.cfg.cycle_skip;
 
         // --- Cores tick and issue memory operations. ---
         let mut issues = std::mem::take(&mut self.issue_scratch);
         issues.clear();
-        for core in &mut self.cores {
-            let cid = core.id();
-            core.tick(now, &mut self.flags, &mut |iss| issues.push((cid, iss)));
+        for c in 0..self.cores.len() {
+            if !self.core_sleep[c].due(now) {
+                continue;
+            }
+            self.wake_core(c, now);
+            let sets = self.flags.set_count();
+            let worked = self.cores[c].tick(now, &mut self.flags, &mut |iss| issues.push((c, iss)));
+            if self.flags.set_count() != sets {
+                self.wake_flag_waiters(now, c + 1);
+            }
+            if gating {
+                let (core, flags) = (&mut self.cores[c], &self.flags);
+                self.core_sleep[c].after_tick(now, worked, |t| core.next_event(t, flags));
+            }
         }
         for (c, iss) in issues.drain(..) {
             if let (Some(dmp), MemKind::Load) = (&mut self.dmp, iss.kind) {
@@ -844,6 +805,9 @@ impl System {
 
         // --- Execute landed MMIO actions. ---
         for c in 0..self.cores.len() {
+            if !self.cores[c].has_mmio_signals() {
+                continue;
+            }
             for signal in self.cores[c].drain_mmio_signals() {
                 let action = self.actions[signal as usize]
                     .take()
@@ -876,6 +840,13 @@ impl System {
             let dram_now = now / self.cfg.cpu_cycles_per_dram_tick;
             let (engines, hier, dram) = (&mut self.engines, &mut self.hier, &mut self.dram);
             for (e_idx, engine) in engines.iter_mut().enumerate() {
+                let sleep = &mut self.engine_sleep[e_idx];
+                if !sleep.due(now) {
+                    continue;
+                }
+                if let Some((from, to)) = sleep.wake(now) {
+                    engine.credit_idle_span(from, to);
+                }
                 let mut ports = SystemPorts {
                     e_idx,
                     hier,
@@ -885,13 +856,18 @@ impl System {
                     dram_now,
                     host_pages: &self.host_pages,
                 };
-                engine.tick(now, &mut self.image, &mut ports);
+                let worked = engine.tick(now, &mut self.image, &mut ports);
                 if let Some(err) = engine.error() {
                     panic!("DX100 instance {e_idx} halted: {err}");
                 }
+                if gating {
+                    sleep.after_tick(now, worked, |t| engine.next_event(t));
+                }
             }
         }
-        // Engine retirements → flags + region releases.
+        // Engine retirements → flags + region releases. Every core's slot
+        // in this cycle has passed.
+        let sets = self.flags.set_count();
         for e_idx in 0..self.engines.len() {
             for (handle, flag) in self.engines[e_idx].drain_retired() {
                 if let Some(f) = flag {
@@ -902,10 +878,14 @@ impl System {
                 }
             }
         }
+        if self.flags.set_count() != sets {
+            self.wake_flag_waiters(now, self.cores.len());
+        }
         // Engine LLC responses.
         while let Some((id, _w)) = self.hier.pop_dx100_response() {
             let e_idx = (id >> ENGINE_ID_SHIFT) as usize;
             let inner = id & ((1u64 << ENGINE_ID_SHIFT) - 1);
+            self.wake_engine(e_idx, now + 1);
             self.engines[e_idx].mem_response(inner);
         }
 
@@ -945,6 +925,7 @@ impl System {
                     Some(DramOrigin::HierRead) => fills.push(resp.line),
                     Some(DramOrigin::HierWrite) => {}
                     Some(DramOrigin::Dx100 { engine, id }) => {
+                        self.wake_engine(engine, now + 1);
                         self.engines[engine].mem_response(id);
                     }
                     None => debug_assert!(false, "unknown DRAM response"),
@@ -964,11 +945,13 @@ impl System {
 
         // --- Core memory responses. ---
         while let Some(resp) = self.hier.pop_core_response() {
+            self.wake_core(resp.core, now + 1);
             self.cores[resp.core].mem_complete(resp.id, now);
         }
 
         // --- Epoch boundary: snapshot interval metrics. ---
         if self.sampler.as_ref().is_some_and(|s| s.due(now)) {
+            self.settle(now + 1);
             let cumulative = self.collect_stats();
             let depth = self.dx100_queue_depth();
             if let Some(s) = &mut self.sampler {
@@ -978,9 +961,16 @@ impl System {
         }
 
         self.clock += 1;
-        // An executed cycle is its own bookkeeping; only elided cycles
-        // leave the span marker behind the clock.
-        self.span_start = self.clock;
+        if gating {
+            if let Some(until) = self.everything_asleep_until() {
+                if until > self.clock {
+                    self.all_asleep_until = until;
+                    self.skip_events += 1;
+                    self.dram
+                        .sleep_through(until.div_ceil(self.cfg.cpu_cycles_per_dram_tick));
+                }
+            }
+        }
     }
 
     fn apply_action(&mut self, action: MmioAction) {
@@ -990,6 +980,7 @@ impl System {
                 if multi {
                     self.instr_delivery[engine].push_back(PendingMmio::Reg { reg, value });
                 } else {
+                    self.wake_engine(engine, self.clock);
                     self.engines[engine].write_reg(reg, value);
                 }
             }
@@ -997,6 +988,7 @@ impl System {
                 if multi {
                     self.instr_delivery[engine].push_back(PendingMmio::Tile { tile, data });
                 } else {
+                    self.wake_engine(engine, self.clock);
                     self.engines[engine].write_tile(tile, &data);
                 }
             }
@@ -1022,7 +1014,8 @@ impl System {
 
     /// Delivers queued MMIO events to each engine, strictly in order:
     /// region acquisition may stall or delay a queue's head but never lets
-    /// a younger event overtake it.
+    /// a younger event overtake it. Runs before the engines' slots, so a
+    /// delivery wakes its engine into this very cycle.
     fn deliver_instructions(&mut self, now: Cycle) {
         for e in 0..self.instr_delivery.len() {
             while let Some(head) = self.instr_delivery[e].front_mut() {
@@ -1051,7 +1044,9 @@ impl System {
                         }
                     }
                 }
-                match self.instr_delivery[e].pop_front().unwrap() {
+                let pending = self.instr_delivery[e].pop_front().unwrap();
+                self.wake_engine(e, now);
+                match pending {
                     PendingMmio::Instr { instr, flag, .. } => {
                         self.push_to_engine(e, instr, flag);
                     }
@@ -1063,6 +1058,7 @@ impl System {
     }
 
     fn push_to_engine(&mut self, engine: usize, instr: Instruction, flag: Option<FlagId>) -> u64 {
+        self.wake_engine(engine, self.clock);
         let handle = self.engines[engine]
             .push_instruction(instr, flag)
             .unwrap_or_else(|e| panic!("illegal instruction reached DX100: {e}"));
@@ -1088,6 +1084,8 @@ impl System {
                         .as_ref()
                         .map(|c| c.spd_read_latency)
                         .unwrap_or(20);
+                    // Routing runs after the engines' slots.
+                    self.wake_engine(e_idx, now + 1);
                     self.engines[e_idx].note_spd_cached(d.line);
                     self.spd_fills.push_at(now + latency, d.line);
                 }
@@ -1172,129 +1170,6 @@ impl System {
             epochs: Vec::new(),
             trace: None,
         }
-    }
-}
-
-/// Complete saved state of a [`System`], sufficient to resume simulation
-/// exactly where it left off. `Send`, so one checkpoint (a shared
-/// warm-up, say) can be restored into many per-thread `System` instances.
-pub struct SystemCheckpoint {
-    clock: Cycle,
-    cores: Vec<dx100_cpu::CoreState>,
-    hier: MemoryHierarchy,
-    dram: DramSystem,
-    engines: Vec<Dx100Engine>,
-    dmp: Option<Dmp>,
-    flags: FlagBoard,
-    image: MemoryImage,
-    actions: Vec<Option<MmioAction>>,
-    dram_pending: HashMap<ReqId, DramOrigin>,
-    next_dram_id: ReqId,
-    dram_retry: VecDeque<(MemRequest, DramOrigin)>,
-    spd_fills: DelayQueue<LineAddr>,
-    region: RegionCoherence,
-    host_pages: HashSet<u64>,
-    instr_delivery: Vec<VecDeque<PendingMmio>>,
-    region_pins: HashMap<(usize, u64), Addr>,
-    roi_start: Cycle,
-    roi_snapshot: Option<RunStats>,
-    sampler: Option<EpochSampler>,
-    skipped_cycles: u64,
-    skip_events: u64,
-}
-
-impl SystemCheckpoint {
-    /// Cycle at which this checkpoint was taken.
-    pub fn clock(&self) -> Cycle {
-        self.clock
-    }
-}
-
-/// Compile-time proof that checkpoints can cross thread boundaries (and be
-/// shared from behind an `Arc` by many workers at once).
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<SystemCheckpoint>();
-};
-
-impl dx100_common::Checkpoint for System {
-    type State = SystemCheckpoint;
-
-    /// Snapshots the whole machine. Core-side op streams — channel
-    /// contents included, since each core owns its channel — are captured
-    /// as part of the per-core state.
-    fn save(&self) -> Result<SystemCheckpoint, dx100_common::CheckpointError> {
-        // A checkpoint must not be taken while an elided span is pending:
-        // its stats would be missing the span's credit. `run` settles on
-        // exit and `step`/`wake` re-establish the invariant everywhere
-        // else; drivers checkpointing mid-run call `System::settle` first.
-        debug_assert_eq!(
-            self.span_start, self.clock,
-            "checkpoint taken with an unsettled skip span"
-        );
-        Ok(SystemCheckpoint {
-            clock: self.clock,
-            cores: self
-                .cores
-                .iter()
-                .map(|c| c.save_state())
-                .collect::<Result<_, _>>()?,
-            hier: self.hier.clone(),
-            dram: self.dram.clone(),
-            engines: self.engines.clone(),
-            dmp: self.dmp.clone(),
-            flags: self.flags.clone(),
-            image: self.image.clone(),
-            actions: self.actions.clone(),
-            dram_pending: self.dram_pending.clone(),
-            next_dram_id: self.next_dram_id,
-            dram_retry: self.dram_retry.clone(),
-            spd_fills: self.spd_fills.clone(),
-            region: self.region.clone(),
-            host_pages: self.host_pages.clone(),
-            instr_delivery: self.instr_delivery.clone(),
-            region_pins: self.region_pins.clone(),
-            roi_start: self.roi_start,
-            roi_snapshot: self.roi_snapshot.clone(),
-            sampler: self.sampler.clone(),
-            skipped_cycles: self.skipped_cycles,
-            skip_events: self.skip_events,
-        })
-    }
-
-    /// Restores a checkpoint into this system. The system must have been
-    /// built with an equivalent [`SystemConfig`]; its own configuration and
-    /// trace root are kept, everything else — channel contents included —
-    /// is overwritten.
-    fn restore(&mut self, s: &SystemCheckpoint) {
-        self.clock = s.clock;
-        for (core, cs) in self.cores.iter_mut().zip(&s.cores) {
-            core.restore_state(cs);
-        }
-        self.hier = s.hier.clone();
-        self.dram = s.dram.clone();
-        self.engines = s.engines.clone();
-        self.dmp = s.dmp.clone();
-        self.flags = s.flags.clone();
-        self.image = s.image.clone();
-        self.actions = s.actions.clone();
-        self.dram_pending = s.dram_pending.clone();
-        self.next_dram_id = s.next_dram_id;
-        self.dram_retry = s.dram_retry.clone();
-        self.spd_fills = s.spd_fills.clone();
-        self.region = s.region.clone();
-        self.host_pages = s.host_pages.clone();
-        self.instr_delivery = s.instr_delivery.clone();
-        self.region_pins = s.region_pins.clone();
-        self.roi_start = s.roi_start;
-        self.roi_snapshot = s.roi_snapshot.clone();
-        self.sampler = s.sampler.clone();
-        self.skipped_cycles = s.skipped_cycles;
-        self.skip_events = s.skip_events;
-        // The certificate described the pre-restore machine; re-derive it.
-        // The checkpoint was settled at save time, so no span is pending.
-        self.skip_until = 0;
-        self.span_start = self.clock;
     }
 }
 

@@ -1,20 +1,23 @@
-//! Differential and property tests for event-driven cycle skipping.
+//! Differential and property tests for activity gating (`cycle_skip`).
 //!
-//! The skip layer in `System::step` must be *invisible*: with
-//! `cycle_skip` on, every kernel must produce bit-identical statistics,
-//! epoch samples, and trace events to a cycle-by-cycle run — only
+//! Gating in `System::step` must be *invisible*: with `cycle_skip` on,
+//! every kernel must produce bit-identical statistics, epoch samples, and
+//! trace events to a run that ticks every unit every cycle — only
 //! wall-clock time may differ. These tests run every paper kernel both
-//! ways and compare, check that skipping actually engages on an
-//! idle-heavy run, and property-test the `next_event` contracts of the
-//! two substrate schedulers ([`DelayQueue`] and the DRAM channel
-//! controller) that the skip decision is built on.
+//! ways and compare (plus the two-instance Figure 14 machine), drive one
+//! tiny machine per wake edge (an input reaching a sleeping unit), check
+//! that whole-system sleep engages on an idle-heavy run, and property-test
+//! the `next_event` contracts of the two substrate schedulers
+//! ([`DelayQueue`] and the DRAM channel controller) that sleeping is built
+//! on.
 
 use dx100::common::hash::fnv1a_64;
 use dx100::common::{DType, DelayQueue, LineAddr};
+use dx100::core::isa::{Instruction, TileId};
 use dx100::cpu::CoreOp;
 use dx100::dram::{DramConfig, DramSystem, MemRequest};
 use dx100::sim::driver::NullDriver;
-use dx100::sim::{System, SystemConfig};
+use dx100::sim::{Driver, DriverStatus, System, SystemConfig};
 use dx100::workloads::{all_kernels, Mode, Scale};
 use dx100_core::MemoryImage;
 use proptest::prelude::*;
@@ -74,6 +77,13 @@ const GOLDEN: &[(&str, &str, u64, u64)] = &[
     ("xrage", "dx100", 0xf43bad5b6ef1dd5b, 0x551a634da7b61a5f),
 ];
 
+/// Pinned results of the two-instance runs below, recorded like
+/// [`GOLDEN`]: (kernel, checksum, FNV-1a 64 of the stats' Debug form).
+const GOLDEN_TWO_INSTANCE: &[(&str, u64, u64)] = &[
+    ("is", 0x14a1aeaa43b49145, 0x851c243e12ab36e9),
+    ("gzz", 0xd64b75cfce3b6325, 0xfd198b271a63150b),
+];
+
 /// Asserts one skip-on run against its [`GOLDEN`] entry.
 fn assert_golden(kernel: &str, mode: Mode, checksum: u64, stats_debug: &str) {
     let &(_, _, want_checksum, want_digest) = GOLDEN
@@ -112,8 +122,9 @@ fn skip_on_off_bit_identical_all_kernels() {
     }
 }
 
-/// The DMP prefetcher path (pending-injection forbid rule) gets its own
-/// differential pass on the two most prefetch-sensitive kernels.
+/// The DMP prefetcher path (pending injections keep the system awake and
+/// wake the L2s they land in) gets its own differential pass on the two
+/// most prefetch-sensitive kernels.
 #[test]
 fn skip_on_off_bit_identical_dmp() {
     for kernel in all_kernels(TINY) {
@@ -139,6 +150,42 @@ fn skip_on_off_bit_identical_dmp() {
     }
 }
 
+/// Figure 14's two-instance machine (8 cores, 4 DRAM channels, two DX100
+/// engines) runs region coherence and the in-order MMIO delivery queues,
+/// whose deliveries wake engines; no single-instance run covers them.
+#[test]
+fn skip_on_off_bit_identical_two_instances() {
+    for kernel in all_kernels(TINY) {
+        let Some(&(_, want_checksum, want_digest)) =
+            GOLDEN_TWO_INSTANCE.iter().find(|g| g.0 == kernel.name())
+        else {
+            continue;
+        };
+        let run = |skip: bool| {
+            let mut cfg = SystemConfig::scaled(8, 2);
+            cfg.cycle_skip = skip;
+            cfg.obs.trace = true;
+            cfg.obs.epoch_cycles = Some(5000);
+            kernel.run(Mode::Dx100, &cfg, SEED)
+        };
+        let (on, off) = (run(true), run(false));
+        let label = format!("{} [8 cores, 2 instances]", kernel.name());
+        let on_debug = format!("{:?}", on.stats);
+        assert_eq!(
+            on_debug,
+            format!("{:?}", off.stats),
+            "stats diverged: {label}"
+        );
+        assert_eq!(on.checksum, off.checksum, "checksum diverged: {label}");
+        assert_eq!(on.checksum, want_checksum, "checksum moved: {label}");
+        assert_eq!(
+            fnv1a_64(on_debug.as_bytes()),
+            want_digest,
+            "simulated stats moved from the golden digest: {label}"
+        );
+    }
+}
+
 fn cfg_profiled(mode: Mode, skip: bool) -> SystemConfig {
     let mut cfg = cfg_for(mode, skip);
     cfg.obs.profile = true;
@@ -146,9 +193,9 @@ fn cfg_profiled(mode: Mode, skip: bool) -> SystemConfig {
 }
 
 /// With profiling on, the attribution itself must be bit-identical between
-/// cycle-skip on and off: every elided span is batch-credited through the
-/// same settle path that credits stats, and the counter-event series is
-/// sampled only at never-elided cycles. Also re-checks the MECE sums in
+/// gating on and off: every slept span is batch-credited through the same
+/// rules that credit stats, and the counter-event series is sampled only at
+/// settle points, which are never elided. Also re-checks the MECE sums in
 /// release builds, where `collect_profile`'s debug_asserts are compiled
 /// out.
 #[test]
@@ -266,6 +313,168 @@ fn skip_engages_on_idle_heavy_run() {
     assert!(skip_events > 0);
 }
 
+// ---------------------------------------------------------------------------
+// One tiny machine per wake edge. Each scenario puts the receiving unit to
+// sleep with no event of its own due, then delivers the input; a missed
+// wake either leaves the unit asleep for good (the run hits `max_cycles`)
+// or lets it tick late, and either way the gated run stops matching the
+// ungated one.
+// ---------------------------------------------------------------------------
+
+/// Waits for every core to drain.
+struct DrainDriver;
+
+impl Driver for DrainDriver {
+    fn poll(&mut self, sys: &mut System) -> DriverStatus {
+        if sys.cores_idle() {
+            DriverStatus::Done
+        } else {
+            DriverStatus::Running
+        }
+    }
+}
+
+/// A 16 MB array of `u32`: large enough that lines 64 KB apart miss every
+/// cache and land in distinct DRAM rows.
+fn big_image() -> (MemoryImage, dx100::core::ArrayHandle) {
+    let mut image = MemoryImage::new();
+    let a = image.alloc("A", DType::U32, 1 << 22);
+    for i in 0..(1 << 12) {
+        image.write_elem(a, i, i * 7 % 4096);
+    }
+    (image, a)
+}
+
+/// Runs `program` on `cfg` with gating on and off and asserts the two runs
+/// agree bit for bit. A missed wake fails fast: `max_cycles` is small.
+fn assert_gating_invisible(mut cfg: SystemConfig, program: impl Fn(&mut System)) {
+    cfg.max_cycles = 1_000_000;
+    cfg.obs.trace = true;
+    cfg.obs.epoch_cycles = Some(500);
+    let run = |skip: bool| {
+        let mut cfg = cfg.clone();
+        cfg.cycle_skip = skip;
+        let (image, _) = big_image();
+        let mut sys = System::new(cfg, image);
+        program(&mut sys);
+        format!("{:?}", sys.run(&mut DrainDriver))
+    };
+    assert_eq!(
+        run(true),
+        run(false),
+        "gated run diverged from the ungated one"
+    );
+}
+
+/// A load's completion wakes its core, asleep on a full ROB.
+#[test]
+fn completion_wakes_core_asleep_on_rob_full() {
+    let mut cfg = SystemConfig::paper_baseline();
+    cfg.core.rob = 8;
+    assert_gating_invisible(cfg, |sys| {
+        let a = big_image().1;
+        let mut ops: Vec<CoreOp> = (0..8)
+            .map(|i| CoreOp::load(a.addr_of(i << 14), 1))
+            .collect();
+        ops.extend((0..32).map(|_| CoreOp::alu()));
+        sys.push_ops(0, ops);
+    });
+}
+
+/// A `SetFlag` wakes a waiter on another core: a higher-index waiter ticks
+/// in the setter's own cycle, a lower-index one in the next.
+#[test]
+fn flag_set_by_a_core_wakes_waiters_in_order() {
+    assert_gating_invisible(SystemConfig::paper_baseline(), |sys| {
+        let (f, g) = (sys.alloc_flag(), sys.alloc_flag());
+        let chain = |n: usize| {
+            (0..n).map(|i| {
+                if i == 0 {
+                    CoreOp::alu()
+                } else {
+                    CoreOp::alu().with_dep(1)
+                }
+            })
+        };
+        sys.push_wait(3, f, false);
+        sys.push_ops(3, chain(4));
+        sys.push_ops(0, chain(40));
+        sys.push_ops(0, [CoreOp::SetFlag { flag: f }]);
+        sys.push_wait(1, g, true);
+        sys.push_ops(1, chain(4));
+        sys.push_ops(2, chain(90));
+        sys.push_ops(2, [CoreOp::SetFlag { flag: g }]);
+    });
+}
+
+/// An engine retirement sets the flag its issuing core sleeps on.
+#[test]
+fn engine_retirement_wakes_flag_waiter() {
+    assert_gating_invisible(SystemConfig::paper_dx100(), |sys| {
+        let a = big_image().1;
+        let idx: Vec<u64> = (0..256).map(|i| i * 37 % 4096).collect();
+        sys.dx100(0).write_tile(TileId::new(0), &idx);
+        let f = sys.alloc_flag();
+        let ild = Instruction::ild(DType::U32, a.base(), TileId::new(1), TileId::new(0));
+        sys.send_instruction(0, ild, Some(f));
+        sys.push_wait(0, f, false);
+        sys.push_wait(1, f, true);
+    });
+}
+
+/// Two dependent cold loads with a long ALU chain between them: by the
+/// second load the L1, the L2, the LLC and both DRAM channels have gone
+/// back to sleep.
+fn load_after_idle_gap(sys: &mut System) {
+    let a = big_image().1;
+    let mut ops = vec![CoreOp::load(a.addr_of(0), 1)];
+    ops.extend((0..60).map(|_| CoreOp::alu().with_dep(1)));
+    ops.push(CoreOp::load(a.addr_of(1 << 20), 1).with_dep(1));
+    sys.push_ops(0, ops);
+}
+
+/// A core access reaches its sleeping L1.
+#[test]
+fn core_access_wakes_sleeping_l1() {
+    assert_gating_invisible(SystemConfig::paper_baseline(), load_after_idle_gap);
+}
+
+/// An LLC miss's enqueue reaches a sleeping DRAM channel.
+#[test]
+fn enqueue_wakes_sleeping_dram_channel() {
+    assert_gating_invisible(SystemConfig::paper_baseline(), load_after_idle_gap);
+}
+
+/// An indirect gather whose engine sleeps between responses: through the
+/// LLC when the array's pages are host-resident, straight from DRAM when
+/// they are not.
+fn gather(marked: bool) -> impl Fn(&mut System) {
+    move |sys| {
+        let a = big_image().1;
+        if marked {
+            sys.mark_host_resident(a.base(), 4096 * 4);
+        }
+        let idx: Vec<u64> = (0..64).map(|i| i * 1031 % 4096).collect();
+        sys.dx100(0).write_tile(TileId::new(0), &idx);
+        let f = sys.alloc_flag();
+        let ild = Instruction::ild(DType::U32, a.base(), TileId::new(1), TileId::new(0));
+        sys.send_instruction(0, ild, Some(f));
+        sys.push_wait(0, f, false);
+    }
+}
+
+/// LLC responses reach a sleeping engine.
+#[test]
+fn llc_response_wakes_sleeping_engine() {
+    assert_gating_invisible(SystemConfig::paper_dx100(), gather(true));
+}
+
+/// DRAM responses reach a sleeping engine.
+#[test]
+fn dram_response_wakes_sleeping_engine() {
+    assert_gating_invisible(SystemConfig::paper_dx100(), gather(false));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -294,7 +503,7 @@ proptest! {
     }
 
     /// The DRAM scheduler's quiescence contract, phrased exactly as the
-    /// system skip layer uses it: whenever `next_event(now)` names a future
+    /// gating layer uses it: whenever `next_event(now)` names a future
     /// tick `t`, (a) ticking each cycle of the gap one-by-one and (b)
     /// jumping over it with `credit_idle_ticks` must leave bit-identical
     /// statistics — including the cycle-attribution profile, whose elided

@@ -1,8 +1,7 @@
 //! The shared job specification: one (kernel × machine × scale × mode
-//! flags) description that the CLI (`job` binary, figure sweeps) and the
-//! `dx100-serve` daemon both resolve into *the same* `SystemConfig` and
-//! driver — the guarantee that a served result is byte-identical to the
-//! local run of the same job.
+//! flags) description that `dx100 job` and the `dx100-serve` daemon both
+//! resolve into *the same* `SystemConfig` and driver — the guarantee that
+//! a served result is byte-identical to the local run of the same job.
 //!
 //! A [`JobSpec`] holds exactly the knobs that determine the report bytes:
 //! kernel, machine, scale, seed, and the mode flags (`cycle_skip`,
@@ -14,8 +13,6 @@
 //! [`BUILD_FINGERPRINT`] with FNV-1a 64 (`dx100_common::hash`), and
 //! [`JobSpec::run`] produces the versioned report the cache stores
 //! verbatim.
-
-use std::path::PathBuf;
 
 use dx100_common::hash::{hex16, Fnv64};
 use dx100_common::json::{obj, Json};
@@ -31,7 +28,7 @@ pub const BUILD_FINGERPRINT: &str = env!("DX100_BUILD_FINGERPRINT");
 
 /// Builds the machine configuration for `mode` — the single place the
 /// paper's three machines are constructed for measurement, shared by the
-/// figure sweeps, the `job` CLI, and the serve daemon.
+/// figure sweeps, `dx100 job`, and the serve daemon.
 pub fn machine_config(mode: Mode) -> SystemConfig {
     match mode {
         Mode::Baseline => SystemConfig::paper_baseline(),
@@ -214,7 +211,7 @@ impl JobSpec {
     /// The `SystemConfig` this spec resolves to: the machine for
     /// [`Self::machine`] with the spec's mode flags applied. Traces are
     /// never recorded for jobs (a trace buffer in a cached report would
-    /// dwarf the stats it annotates); `--trace` stays a figure-binary
+    /// dwarf the stats it annotates); `--trace` stays a figure-subcommand
     /// affair.
     pub fn resolved_config(&self) -> SystemConfig {
         let mut cfg = machine_config(self.machine);
@@ -232,7 +229,7 @@ impl JobSpec {
     pub fn run(&self) -> Result<Json, String> {
         self.validate()?;
         let kernel = find_kernel(&self.kernel, Scale(self.scale))?;
-        let w = kernel.run(self.machine, &self.resolved_config(), self.seed);
+        let w = crate::sweep::simulate(&*kernel, self.machine, &self.resolved_config(), self.seed);
         Ok(obj([
             ("schema_version", SCHEMA_VERSION.into()),
             ("kind", "job".into()),
@@ -240,95 +237,6 @@ impl JobSpec {
             ("checksum", w.checksum.into()),
             ("run", crate::run_json(&w)),
         ]))
-    }
-}
-
-/// Parsed `job` binary command line: the spec plus where to write the
-/// report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobCli {
-    /// The job to run.
-    pub spec: JobSpec,
-    /// Report destination (`-`/absent = stdout).
-    pub json: Option<PathBuf>,
-}
-
-impl JobCli {
-    /// Usage string for the `job` binary's error paths.
-    pub const USAGE: &'static str = "usage: job --kernel <name> --machine <baseline|dmp|dx100> \
-         [--scale <f>] [--seed <n>] [--no-cycle-skip] [--profile] \
-         [--epoch <cycles>] [--json <path>]";
-
-    /// Fallible parser over an explicit argument list (testable). Same
-    /// strictness as the spec's JSON parser: unknown or duplicate flags
-    /// and missing/invalid values are errors.
-    pub fn try_parse(args: impl IntoIterator<Item = String>) -> Result<JobCli, String> {
-        let mut kernel: Option<String> = None;
-        let mut machine: Option<Mode> = None;
-        let mut out = JobCli {
-            spec: JobSpec::new("", Mode::Baseline),
-            json: None,
-        };
-        let mut seen: Vec<&'static str> = Vec::new();
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            let flag: &'static str = match arg.as_str() {
-                "--kernel" => "--kernel",
-                "--machine" => "--machine",
-                "--scale" => "--scale",
-                "--seed" => "--seed",
-                "--no-cycle-skip" => "--no-cycle-skip",
-                "--profile" => "--profile",
-                "--epoch" => "--epoch",
-                "--json" => "--json",
-                other => return Err(format!("unknown argument `{other}`")),
-            };
-            if seen.contains(&flag) {
-                return Err(format!("duplicate flag {flag}"));
-            }
-            seen.push(flag);
-            let mut value = || it.next().ok_or_else(|| format!("{flag} requires a value"));
-            match flag {
-                "--kernel" => kernel = Some(value()?),
-                "--machine" => machine = Some(machine_from_label(&value()?)?),
-                "--scale" => {
-                    let v = value()?;
-                    out.spec.scale = v
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|s| s.is_finite() && *s > 0.0)
-                        .ok_or_else(|| format!("invalid --scale value `{v}`"))?;
-                }
-                "--seed" => {
-                    let v = value()?;
-                    out.spec.seed = v
-                        .parse::<u64>()
-                        .map_err(|_| format!("invalid --seed value `{v}`"))?;
-                }
-                "--no-cycle-skip" => out.spec.cycle_skip = false,
-                "--profile" => out.spec.profile = true,
-                "--epoch" => {
-                    let v = value()?;
-                    out.spec.epoch = Some(
-                        v.parse::<u64>()
-                            .ok()
-                            .filter(|e| *e > 0)
-                            .ok_or_else(|| format!("invalid --epoch value `{v}`"))?,
-                    );
-                }
-                "--json" => {
-                    let v = value()?;
-                    if v != "-" {
-                        out.json = Some(PathBuf::from(v));
-                    }
-                }
-                _ => unreachable!(),
-            }
-        }
-        out.spec.kernel = kernel.ok_or("--kernel is required")?;
-        out.spec.machine = machine.ok_or("--machine is required")?;
-        out.spec.validate()?;
-        Ok(out)
     }
 }
 
@@ -438,56 +346,6 @@ mod tests {
         assert_eq!(kernel_names().len(), 12);
         assert!(find_kernel("is", Scale(1e-9)).is_ok());
         assert!(find_kernel("bogus", Scale(1e-9)).is_err());
-    }
-
-    #[test]
-    fn cli_and_json_paths_build_identical_specs() {
-        let cli = JobCli::try_parse(
-            [
-                "--kernel",
-                "is",
-                "--machine",
-                "dx100",
-                "--scale",
-                "0.000000001",
-                "--seed",
-                "3",
-                "--profile",
-                "--epoch",
-                "5000",
-            ]
-            .map(String::from),
-        )
-        .unwrap();
-        let json = JobSpec::from_json(
-            &Json::parse(
-                r#"{"kernel":"is","machine":"dx100","scale":1e-9,"seed":3,
-                    "profile":true,"epoch":5000}"#,
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        assert_eq!(cli.spec, json);
-        assert_eq!(cli.spec.cache_key(), json.cache_key());
-    }
-
-    #[test]
-    fn cli_rejects_malformed_input() {
-        let parse = |args: &[&str]| JobCli::try_parse(args.iter().map(|s| s.to_string()));
-        assert!(parse(&[]).unwrap_err().contains("--kernel"));
-        assert!(parse(&["--kernel", "is"])
-            .unwrap_err()
-            .contains("--machine"));
-        assert!(
-            parse(&["--kernel", "is", "--machine", "dx100", "--kernel", "is"])
-                .unwrap_err()
-                .contains("duplicate")
-        );
-        assert!(parse(&["--kernel", "is", "--machine", "dx100", "--scale", "0"]).is_err());
-        assert!(parse(&["--kernel", "is", "--machine", "dx100", "--frob"]).is_err());
-        // Removed knobs fail loudly.
-        assert!(parse(&["--kernel", "is", "--machine", "dx100", "--sample"]).is_err());
-        assert!(parse(&["--kernel", "is", "--machine", "dx100", "--threads", "2"]).is_err());
     }
 
     #[test]

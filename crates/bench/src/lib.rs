@@ -1,9 +1,9 @@
-//! The figure/table harness: runs the paper's workloads on the simulated
-//! machines and prints each figure's rows.
+//! The figure/table harness behind the `dx100` command: runs the paper's
+//! workloads on the simulated machines and prints each figure's rows.
 //!
-//! Every binary in `src/bin/` regenerates one figure or table:
+//! One subcommand regenerates each figure or table ([`commands`]):
 //!
-//! | Binary | Reproduces |
+//! | Subcommand | Reproduces |
 //! |---|---|
 //! | `fig08a` | All-hit microbenchmark speedups |
 //! | `fig08bc` | All-miss gather speedup + bandwidth vs index order |
@@ -15,39 +15,42 @@
 //! | `fig14` | Core/instance scaling |
 //! | `table4` | Area and power model |
 //! | `ablation` | Reorder/coalesce/interleave/LLC-injection ablations |
+//! | `main_results` | Figures 9–11 from one sweep |
 //!
-//! Use `--scale <f>` to trade fidelity for runtime (default 1.0 ≈ seconds
-//! per run; the paper's full sizes would take hours, like the original gem5
-//! artifact's 84).
+//! `job` runs one [`JobSpec`] and `serve` starts the `dx100-serve`
+//! daemon on the same specs. [`cli`] is the one strict flag table for all
+//! of them; each subcommand honours only the flags it lists, and anything
+//! else exits 2 with its usage line.
 //!
-//! Observability flags (shared by all figure binaries):
-//!
-//! * `--json <path>` — write a machine-readable run report.
-//! * `--trace <path>` — write a Chrome trace (load in Perfetto / `about:tracing`).
+//! * `--scale <f>` trades fidelity for runtime (default 1.0 ≈ seconds per
+//!   run; the paper's full sizes would take hours, like the original gem5
+//!   artifact's 84).
+//! * `--seed <n>` — dataset RNG seed (default 1).
+//! * `--threads <n>` — workers for the figure's job list (default:
+//!   available cores). Every figure submits its simulations to one
+//!   executor ([`sweep`]) and prints from the results in job order, so
+//!   stdout, `--json` reports, epoch series and `--trace` files are
+//!   bit-identical at any thread count; only wall-clock time and stderr
+//!   progress order change.
+//! * `--json <path>` — write a machine-readable report.
+//! * `--trace <path>` — write a Chrome trace (load in Perfetto /
+//!   `about:tracing`).
 //! * `--epoch <cycles>` — sample epoch time-series metrics every N cycles
 //!   (included in the `--json` report).
 //! * `--profile` — cycle-attribution profiling: every timed component
 //!   classifies each of its cycles (stall taxonomy, utilization,
 //!   occupancy histograms), the per-run JSON gains a versioned `profile`
-//!   section, and a per-kernel bottleneck summary prints after the table.
+//!   section, and a per-run bottleneck summary prints after the table.
 //!   Never changes simulated results: `RunStats` are bit-identical with
 //!   the flag on or off.
-//!
-//! Sweep-execution flags (row-based figure binaries):
-//!
-//! * `--threads <n>` — worker threads for the kernel × machine sweep
-//!   (default: available cores): each (kernel, machine) job runs on the
-//!   shared pool. Every output — tables, `--json` reports, epoch series,
-//!   `--trace` files — is bit-identical at any thread count; only
-//!   wall-clock time and stderr progress order change.
-//! * `--seed <n>` — dataset RNG seed (default 1); runs are
-//!   bit-reproducible for a given seed regardless of thread count.
 
+pub mod cli;
+pub mod commands;
 pub mod jobspec;
 pub mod progress;
 pub mod sweep;
 
-pub use jobspec::{machine_config, JobCli, JobSpec};
+pub use jobspec::{machine_config, JobSpec};
 pub use progress::Progress;
 pub use sweep::{run_figure, FigureRun, WalltimeEntry};
 
@@ -56,7 +59,7 @@ use std::path::{Path, PathBuf};
 use dx100_common::json::{obj, Json};
 use dx100_common::trace::chrome_trace_json;
 use dx100_sim::report::{run_stats_json, SCHEMA_VERSION};
-use dx100_sim::{ObservabilityConfig, RunStats};
+use dx100_sim::{ObservabilityConfig, RunStats, SystemConfig};
 use dx100_workloads::WorkloadResult;
 
 /// Measurements for one kernel across the machines of interest.
@@ -86,7 +89,7 @@ impl KernelRow {
     }
 }
 
-/// Command-line arguments shared by the figure binaries.
+/// The figure subcommands' options, filled by [`cli::parse`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchArgs {
     /// Problem-size scale factor (`--scale`, default 1.0).
@@ -101,7 +104,7 @@ pub struct BenchArgs {
     /// utilization counters per component, a `profile` section per run in
     /// the `--json` report, and a printed bottleneck summary.
     pub profile: bool,
-    /// Worker threads for the kernel × machine sweep (`--threads`), with
+    /// Worker threads for the figure's job list (`--threads`), with
     /// bit-identical output at any value.
     pub threads: usize,
     /// Dataset RNG seed (`--seed`).
@@ -130,71 +133,6 @@ impl Default for BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses the process arguments; prints the problem and exits non-zero
-    /// on anything malformed (a typo'd `--scale` silently running the
-    /// full-size workload for hours is worse than an error).
-    pub fn parse() -> BenchArgs {
-        match Self::try_parse(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!(
-                    "usage: [--scale <factor>] [--json <path>] [--trace <path>] [--epoch <cycles>] \
-                     [--profile] [--threads <n>] [--seed <n>]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Fallible parser over an explicit argument list (testable).
-    pub fn try_parse(args: impl IntoIterator<Item = String>) -> Result<BenchArgs, String> {
-        let mut out = BenchArgs::default();
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            let mut value =
-                |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
-            match arg.as_str() {
-                "--scale" => {
-                    let v = value("--scale")?;
-                    out.scale = v
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|s| s.is_finite() && *s > 0.0)
-                        .ok_or_else(|| format!("invalid --scale value `{v}`"))?;
-                }
-                "--json" => out.json = Some(PathBuf::from(value("--json")?)),
-                "--trace" => out.trace = Some(PathBuf::from(value("--trace")?)),
-                "--profile" => out.profile = true,
-                "--threads" => {
-                    let v = value("--threads")?;
-                    out.threads = v
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|t| *t > 0)
-                        .ok_or_else(|| format!("invalid --threads value `{v}`"))?;
-                }
-                "--seed" => {
-                    let v = value("--seed")?;
-                    out.seed = v
-                        .parse::<u64>()
-                        .map_err(|_| format!("invalid --seed value `{v}`"))?;
-                }
-                "--epoch" => {
-                    let v = value("--epoch")?;
-                    out.epoch = Some(
-                        v.parse::<u64>()
-                            .ok()
-                            .filter(|e| *e > 0)
-                            .ok_or_else(|| format!("invalid --epoch value `{v}`"))?,
-                    );
-                }
-                other => return Err(format!("unknown argument `{other}`")),
-            }
-        }
-        Ok(out)
-    }
-
     /// The simulator observability configuration these flags request.
     pub fn observability(&self) -> ObservabilityConfig {
         ObservabilityConfig {
@@ -205,17 +143,15 @@ impl BenchArgs {
         }
     }
 
-    /// Prints each kernel's bottleneck summary (no-op without `--profile`).
-    /// Call after the figure's table so the report reads top-down.
-    pub fn print_profile(&self, rows: &[KernelRow]) {
-        if !self.profile {
-            return;
+    /// `cfg` with the observability these flags request.
+    pub fn observed(&self, cfg: SystemConfig) -> SystemConfig {
+        SystemConfig {
+            obs: self.observability(),
+            ..cfg
         }
-        print_bottlenecks(rows);
     }
 
-    /// Prints one run's bottleneck summary under `label` — for figure
-    /// binaries whose sweeps do not produce [`KernelRow`]s. No-op without
+    /// Prints one run's bottleneck summary under `label`. No-op without
     /// `--profile` or when the run carries no attribution.
     pub fn print_run_profile(&self, label: &str, w: &WorkloadResult) {
         if !self.profile {
@@ -227,28 +163,8 @@ impl BenchArgs {
         }
     }
 
-    /// Warns when artifact flags were passed to a binary whose output has
-    /// no per-kernel run shape to report. `supports_json` suppresses the
-    /// warning for `--json` (the binary writes its own report);
-    /// `supports_profile` suppresses it for `--profile` (the binary prints
-    /// per-run bottleneck summaries itself).
-    pub fn warn_unsupported(&self, generator: &str, supports_json: bool, supports_profile: bool) {
-        if self.json.is_some() && !supports_json {
-            eprintln!("note: {generator} does not emit --json reports; flag ignored");
-        }
-        if self.trace.is_some() {
-            eprintln!("note: {generator} does not emit --trace files; flag ignored");
-        }
-        if self.epoch.is_some() {
-            eprintln!("note: {generator} does not report --epoch samples; flag ignored");
-        }
-        if self.profile && !supports_profile {
-            eprintln!("note: {generator} does not profile its runs; flag ignored");
-        }
-    }
-
-    /// Writes a JSON report produced by the binary itself (for figures
-    /// whose rows are not kernel × machine runs).
+    /// Writes a JSON report produced by the subcommand itself (for
+    /// figures whose rows are not kernel × machine runs).
     pub fn emit_custom_report(&self, report: &Json) {
         if let Some(path) = &self.json {
             write_or_die(path, &(report.to_string() + "\n"));
@@ -290,22 +206,6 @@ pub(crate) fn run_json(w: &WorkloadResult) -> Json {
         fields.push(("telemetry".to_string(), w.telemetry.to_json()));
     }
     j
-}
-
-/// Prints the per-run bottleneck summaries for every profiled run.
-pub fn print_bottlenecks(rows: &[KernelRow]) {
-    for r in rows {
-        for (mode, w) in [
-            ("baseline", Some(&r.baseline)),
-            ("dx100", Some(&r.dx100)),
-            ("dmp", r.dmp.as_ref()),
-        ] {
-            if let Some(p) = w.and_then(|w| w.telemetry.profile.as_ref()) {
-                println!("-- {}/{mode}", r.name);
-                print!("{}", p.bottleneck_summary());
-            }
-        }
-    }
 }
 
 fn row_json(r: &KernelRow) -> Json {
@@ -415,65 +315,6 @@ pub fn summarize(name: &str, s: &RunStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn parse(args: &[&str]) -> Result<BenchArgs, String> {
-        BenchArgs::try_parse(args.iter().map(|s| s.to_string()))
-    }
-
-    #[test]
-    fn parses_all_flags() {
-        let args = parse(&[
-            "--scale",
-            "0.05",
-            "--json",
-            "r.json",
-            "--trace",
-            "t.json",
-            "--epoch",
-            "5000",
-            "--profile",
-            "--threads",
-            "4",
-            "--seed",
-            "7",
-        ])
-        .unwrap();
-        assert_eq!(args.scale, 0.05);
-        assert_eq!(args.json.as_deref(), Some(Path::new("r.json")));
-        assert_eq!(args.trace.as_deref(), Some(Path::new("t.json")));
-        assert_eq!(args.epoch, Some(5000));
-        assert!(args.profile);
-        assert_eq!(args.threads, 4);
-        assert_eq!(args.seed, 7);
-        let obs = args.observability();
-        assert!(obs.trace);
-        assert_eq!(obs.epoch_cycles, Some(5000));
-        assert!(obs.profile);
-    }
-
-    #[test]
-    fn defaults_without_flags() {
-        let args = parse(&[]).unwrap();
-        assert_eq!(args, BenchArgs::default());
-        assert!(!args.observability().trace);
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        assert!(parse(&["--scale", "fast"]).is_err());
-        assert!(parse(&["--scale", "-1"]).is_err());
-        assert!(parse(&["--scale", "0"]).is_err());
-        assert!(parse(&["--scale"]).is_err());
-        assert!(parse(&["--epoch", "0"]).is_err());
-        assert!(parse(&["--epoch", "soon"]).is_err());
-        assert!(parse(&["--json"]).is_err());
-        assert!(parse(&["--threads", "0"]).is_err());
-        assert!(parse(&["--threads", "many"]).is_err());
-        assert!(parse(&["--seed", "-3"]).is_err());
-        assert!(parse(&["--frobnicate"]).is_err());
-        // Removed knobs fail loudly.
-        assert!(parse(&["--sample"]).is_err());
-    }
 
     #[test]
     fn report_has_stable_shape() {

@@ -1,18 +1,103 @@
-//! The figure sweep: the one entry point row-based figure binaries call.
+//! The job executor every multi-run subcommand submits to, and the
+//! kernel × machine sweep the row figures build on it.
 //!
-//! Every kernel × machine is an independent full-fidelity job, executed
-//! across `--threads` workers by [`run_parallel`]. The sweep is timed per
-//! job, so every figure also emits a `<generator>_sim_walltime.json`.
+//! A figure enumerates its simulations up front as a list of [`Job`]s;
+//! [`execute`] runs them across `--threads` workers of the shared
+//! order-preserving pool ([`run_parallel`]) and hands the results back in
+//! job order, so everything printed from them is byte-identical at any
+//! thread count. Each job builds its entire driver state (dataset walk,
+//! `System`, observability sinks) on its worker thread and is timed with
+//! its own [`Instant`] span. The row figures also emit a
+//! `<generator>_sim_walltime.json` from those spans.
 
 use std::time::Instant;
 
 use dx100_common::json::{obj, Json};
-use dx100_common::pool::run_parallel;
+use dx100_common::pool::{run_parallel, PoolTask};
 use dx100_sim::report::SCHEMA_VERSION;
-use dx100_sim::{ObservabilityConfig, SystemConfig};
+use dx100_sim::SystemConfig;
 use dx100_workloads::{all_kernels, KernelRun, Mode, Scale, WorkloadResult};
 
 use crate::{report_json, trace_json, BenchArgs, KernelRow, Progress};
+
+/// One unit of work for [`execute`]: a label for progress lines and
+/// `--profile` summaries, and the simulation to run.
+pub(crate) struct Job<'a, T> {
+    label: String,
+    work: PoolTask<'a, T>,
+}
+
+impl<'a, T> Job<'a, T> {
+    /// A job running `work` under `label`.
+    pub(crate) fn new(label: String, work: impl FnOnce() -> T + Send + 'a) -> Self {
+        Job {
+            label,
+            work: Box::new(work),
+        }
+    }
+}
+
+/// A finished [`Job`].
+pub(crate) struct Done<T> {
+    /// The job's label.
+    pub(crate) label: String,
+    /// What the job returned.
+    pub(crate) result: T,
+    /// Wall-clock seconds the job took on its worker.
+    pub(crate) seconds: f64,
+}
+
+/// Runs `kernel` on the `mode` machine that `cfg` configures: the one
+/// simulation step behind every figure's kernel jobs and [`JobSpec::run`].
+///
+/// [`JobSpec::run`]: crate::JobSpec::run
+pub(crate) fn simulate(
+    kernel: &dyn KernelRun,
+    mode: Mode,
+    cfg: &SystemConfig,
+    seed: u64,
+) -> WorkloadResult {
+    kernel.run(mode, cfg, seed)
+}
+
+/// A job that [`simulate`]s `kernel` on `cfg`'s `mode` machine.
+pub(crate) fn kernel_job<'a>(
+    label: String,
+    kernel: &'a (dyn KernelRun + Send + Sync),
+    mode: Mode,
+    cfg: &'a SystemConfig,
+    seed: u64,
+) -> Job<'a, WorkloadResult> {
+    Job::new(label, move || simulate(kernel, mode, cfg, seed))
+}
+
+/// Runs `jobs` on up to `threads` workers, announcing each start and
+/// finish on stderr under the `what` header, and returns them finished in
+/// job order.
+pub(crate) fn execute<T: Send>(what: &str, jobs: Vec<Job<'_, T>>, threads: usize) -> Vec<Done<T>> {
+    let threads = threads.clamp(1, jobs.len().max(1));
+    let progress = Progress::new(jobs.len());
+    progress.header(what, threads);
+    let progress = &progress;
+    let tasks: Vec<PoolTask<'_, Done<T>>> = jobs
+        .into_iter()
+        .map(|job| -> PoolTask<'_, Done<T>> {
+            Box::new(move || {
+                progress.start(&job.label);
+                let t = Instant::now();
+                let result = (job.work)();
+                let seconds = t.elapsed().as_secs_f64();
+                progress.finish(&job.label, seconds);
+                Done {
+                    label: job.label,
+                    result,
+                    seconds,
+                }
+            })
+        })
+        .collect();
+    run_parallel(tasks, threads)
+}
 
 /// Wall-clock seconds spent simulating one kernel × machine.
 #[derive(Debug, Clone)]
@@ -43,84 +128,45 @@ pub struct FigureRun {
     scale: f64,
 }
 
-/// Runs the figure's kernel × machine sweep per `args`.
+/// Runs the row figures' kernel × machine sweep per `args`: every kernel
+/// on the baseline and DX100 machines (and DMP when `with_dmp`), as one
+/// job list, kernel-major with machines in that order. The machines come
+/// from [`crate::machine_config`], the constructor the job/serve path
+/// resolves specs through.
 pub fn run_figure(args: &BenchArgs, with_dmp: bool) -> FigureRun {
     let start = Instant::now();
     let kernels = all_kernels(Scale(args.scale));
-    let jobs = kernels.len() * if with_dmp { 3 } else { 2 };
-    let threads = args.threads.clamp(1, jobs);
-    let (rows, walltime) = run_matrix(
-        &kernels,
-        with_dmp,
-        args.seed,
-        &args.observability(),
-        threads,
-    );
-    FigureRun {
-        rows,
-        walltime,
-        total_seconds: start.elapsed().as_secs_f64(),
-        threads,
-        scale: args.scale,
-    }
-}
-
-/// Executes the full-fidelity (kernel × machine) job matrix on `threads`
-/// workers, returning the figure rows plus one per-job walltime entry.
-///
-/// Jobs are enumerated up front, kernel-major with machines in baseline /
-/// dx100 / dmp order, and the shared pool collects results in that job
-/// order — so rows, and everything derived from them, are bit-identical at
-/// any thread count. Each job constructs its entire driver state (dataset
-/// walk, `System`, observability sinks) on its worker thread and is timed
-/// with its own [`Instant`] span, so per-job seconds stay accurate under
-/// concurrency.
-fn run_matrix(
-    kernels: &[Box<dyn KernelRun + Send + Sync>],
-    with_dmp: bool,
-    seed: u64,
-    obs: &ObservabilityConfig,
-    threads: usize,
-) -> (Vec<KernelRow>, Vec<WalltimeEntry>) {
-    let modes: Vec<(Mode, SystemConfig)> = sweep_modes(with_dmp)
-        .into_iter()
-        .map(|(m, mut cfg)| {
-            cfg.obs = obs.clone();
-            (m, cfg)
-        })
+    let modes: &[Mode] = if with_dmp {
+        &[Mode::Baseline, Mode::Dx100, Mode::Dmp]
+    } else {
+        &[Mode::Baseline, Mode::Dx100]
+    };
+    let cfgs: Vec<SystemConfig> = modes
+        .iter()
+        .map(|&m| args.observed(crate::machine_config(m)))
         .collect();
-    let jobs = kernels.len() * modes.len();
-    let progress = Progress::new(jobs);
-    progress.header("full sweep", threads);
-    let mut tasks: Vec<Box<dyn FnOnce() -> (WorkloadResult, f64) + Send + '_>> = Vec::new();
-    for kernel in kernels {
-        for (mode, cfg) in &modes {
-            let progress = &progress;
-            tasks.push(Box::new(move || {
-                let label = format!("{}/{}", kernel.name(), mode.label());
-                progress.start(&label);
-                let t = Instant::now();
-                let r = kernel.run(*mode, cfg, seed);
-                let secs = t.elapsed().as_secs_f64();
-                progress.finish(&label, secs);
-                (r, secs)
-            }));
+    let mut jobs = Vec::with_capacity(kernels.len() * modes.len());
+    for kernel in &kernels {
+        for (&mode, cfg) in modes.iter().zip(&cfgs) {
+            let label = format!("{}/{}", kernel.name(), mode.label());
+            jobs.push(kernel_job(label, &**kernel, mode, cfg, args.seed));
         }
     }
-    let mut results = run_parallel(tasks, threads).into_iter();
+    let threads = args.threads.clamp(1, jobs.len());
+    let mut done = execute("full sweep", jobs, threads).into_iter();
     let mut rows = Vec::with_capacity(kernels.len());
-    let mut walltime = Vec::with_capacity(jobs);
-    for kernel in kernels {
+    let mut walltime = Vec::with_capacity(kernels.len() * modes.len());
+    for kernel in &kernels {
         let mut take = |mode: Mode| {
-            let (r, secs) = results.next().expect("one result per enumerated job");
+            let d = done.next().expect("one result per enumerated job");
             walltime.push(WalltimeEntry {
                 kernel: kernel.name(),
                 config: mode.label(),
-                seconds: secs,
-                skipped_cycles: r.telemetry.skipped_cycles,
-                skip_events: r.telemetry.skip_events,
+                seconds: d.seconds,
+                skipped_cycles: d.result.telemetry.skipped_cycles,
+                skip_events: d.result.telemetry.skip_events,
             });
-            r
+            d.result
         };
         rows.push(KernelRow {
             name: kernel.name(),
@@ -129,21 +175,13 @@ fn run_matrix(
             dmp: with_dmp.then(|| take(Mode::Dmp)),
         });
     }
-    (rows, walltime)
-}
-
-/// The modes a sweep runs, with their machine configurations — built by
-/// [`crate::jobspec::machine_config`], the same constructor the job/serve
-/// path resolves specs through.
-fn sweep_modes(with_dmp: bool) -> Vec<(Mode, SystemConfig)> {
-    let mut m = vec![
-        (Mode::Baseline, crate::machine_config(Mode::Baseline)),
-        (Mode::Dx100, crate::machine_config(Mode::Dx100)),
-    ];
-    if with_dmp {
-        m.push((Mode::Dmp, crate::machine_config(Mode::Dmp)));
+    FigureRun {
+        rows,
+        walltime,
+        total_seconds: start.elapsed().as_secs_f64(),
+        threads,
+        scale: args.scale,
     }
-    m
 }
 
 impl FigureRun {
@@ -186,9 +224,19 @@ impl FigureRun {
 
     /// Writes the figure's artifacts: the `--json` report and `--trace`
     /// file when requested, and `<generator>_sim_walltime.json` always.
-    /// Under `--profile`, first prints the per-run bottleneck summaries.
+    /// Under `--profile`, first prints every run's bottleneck summary.
     pub fn emit(&self, args: &BenchArgs, generator: &str) {
-        args.print_profile(&self.rows);
+        for r in &self.rows {
+            for (mode, w) in [
+                ("baseline", Some(&r.baseline)),
+                ("dx100", Some(&r.dx100)),
+                ("dmp", r.dmp.as_ref()),
+            ] {
+                if let Some(w) = w {
+                    args.print_run_profile(&format!("{}/{mode}", r.name), w);
+                }
+            }
+        }
         if let Some(path) = &args.json {
             crate::write_or_die(path, &(self.report_json(generator).to_string() + "\n"));
             eprintln!("wrote report to {}", path.display());

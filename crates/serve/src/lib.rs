@@ -19,8 +19,9 @@
 //!   worker-pool execution, graceful drain.
 //! - [`server`] — routing and the accept loop.
 //!
-//! Start one with the `serve` binary; the same job specs also run
-//! locally via the `job` binary in dx100-bench (the two paths share
+//! Start one with `dx100 serve`, which fills a
+//! [`ServeOpts`](dx100_common::flags::ServeOpts) from its flags; the same
+//! job specs also run locally via `dx100 job` (the two paths share
 //! [`dx100_bench::JobSpec`], so their reports are byte-identical).
 
 pub mod cache;

@@ -26,7 +26,7 @@ pub struct ObservabilityConfig {
     pub profile: bool,
 }
 
-/// Default per-run trace event cap (bounds file size when a figure binary
+/// Default per-run trace event cap (bounds file size when a figure
 /// traces dozens of runs).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 

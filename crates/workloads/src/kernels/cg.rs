@@ -168,7 +168,8 @@ impl KernelRun for ConjugateGradient {
         let nnz = d.m.nnz();
 
         let mut phases = vec![Phase::RoiBegin];
-        let mut verify_tile: Option<(TileId, usize, usize)> = None;
+        // (core, tile, lo, hi) of the last DX100 tile, checked after the run.
+        let mut verify_tile: Option<(usize, TileId, usize, usize)> = None;
         match mode {
             Mode::Baseline | Mode::Dmp => {
                 if mode == Mode::Dmp {
@@ -207,7 +208,7 @@ impl KernelRun for ConjugateGradient {
                 let tiles = split_tiles(nnz, tile);
                 let (h_col, h_val, h_x) = (d.h_col, d.h_val, d.h_x);
                 if let Some((k, (lo, hi))) = tiles.iter().enumerate().next_back() {
-                    verify_tile = Some((tile_set4(k)[1], *lo, *hi));
+                    verify_tile = Some((k % cores, tile_set4(k)[1], *lo, *hi));
                 }
                 phases.push(Phase::setup(move |sys| {
                     let jobs: Vec<TileJob> = tiles
@@ -269,9 +270,14 @@ impl KernelRun for ConjugateGradient {
         let telemetry = sys.telemetry();
 
         if mode == Mode::Dx100 {
-            // Verify the final gathered tile against x[col[j]].
-            let (t, lo, hi) = verify_tile.expect("at least one tile");
-            let got = sys.dx100_ref(0).tile(t).valid().to_vec();
+            // Verify the final gathered tile against x[col[j]], on the
+            // instance that serves the core the tile ran on.
+            let (core, t, lo, hi) = verify_tile.expect("at least one tile");
+            let got = sys
+                .dx100_ref(sys.engine_of_core(core))
+                .tile(t)
+                .valid()
+                .to_vec();
             assert_eq!(got.len(), hi - lo);
             for (i, lane) in got.iter().enumerate() {
                 let c = d.m.cols[lo + i] as usize;
@@ -301,5 +307,18 @@ mod tests {
         let b = k.run(Mode::Baseline, &SystemConfig::paper_baseline(), 5);
         let x = k.run(Mode::Dx100, &SystemConfig::paper_dx100(), 5);
         assert_eq!(b.checksum, x.checksum);
+    }
+
+    /// `run` checks the last tile on the instance of the core it ran on:
+    /// with 8 cores on 2 instances, the smallest dataset's last tile lands
+    /// on a core of instance 1.
+    #[test]
+    fn gather_verified_on_the_last_tiles_instance() {
+        let k = ConjugateGradient::new(Scale(1e-9));
+        k.run(
+            Mode::Dx100,
+            &SystemConfig::scaled(8, 2).with_tile_elems(1024),
+            1,
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! The bodies of the `dx100` subcommands, one function each. A figure
 //! that runs more than one simulation builds its job list up front, runs
-//! it on the one executor ([`execute`]) and prints from the results in
+//! it on the one executor (`execute`) and prints from the results in
 //! job order.
 
 use std::path::Path;
@@ -15,7 +15,7 @@ use dx100_workloads::kernels::ume::Ume;
 use dx100_workloads::micro::allmiss::{run_allmiss, Scenario};
 use dx100_workloads::{all_kernels, KernelRun, Mode, Scale, WorkloadResult};
 
-use crate::sweep::{execute, kernel_job, simulate, Job};
+use crate::sweep::{execute, kernel_job, Job};
 use crate::{
     print_geomean, print_table, run_figure, summarize, write_or_die, BenchArgs, JobSpec, KernelRow,
 };
@@ -419,7 +419,7 @@ pub fn ablation(args: &BenchArgs) {
         for k in &kernels {
             let (k, seed) = (&**k, args.seed);
             jobs.push(Job::new(format!("{name}: {}", k.name()), move || {
-                Ablated::Kernel(Box::new(simulate(k, Mode::Dx100, cfg, seed)))
+                Ablated::Kernel(Box::new(k.run(Mode::Dx100, cfg, seed)))
             }));
         }
     }

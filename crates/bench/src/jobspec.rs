@@ -188,7 +188,7 @@ impl JobSpec {
         spec.profile = bool_field("profile", spec.profile)?;
         spec.epoch = match v.get("epoch") {
             None | Some(Json::Null) => None,
-            Some(Json::Int(i)) if *i > 0 => Some(*i as u64),
+            Some(Json::Int(i)) if *i > 0 && *i <= u64::MAX as i128 => Some(*i as u64),
             Some(_) => return Err("`epoch` must be a positive integer or null".to_string()),
         };
         spec.validate()?;
@@ -229,7 +229,7 @@ impl JobSpec {
     pub fn run(&self) -> Result<Json, String> {
         self.validate()?;
         let kernel = find_kernel(&self.kernel, Scale(self.scale))?;
-        let w = crate::sweep::simulate(&*kernel, self.machine, &self.resolved_config(), self.seed);
+        let w = kernel.run(self.machine, &self.resolved_config(), self.seed);
         Ok(obj([
             ("schema_version", SCHEMA_VERSION.into()),
             ("kind", "job".into()),
@@ -313,6 +313,10 @@ mod tests {
             (r#"{"kernel":"is","machine":"gpu"}"#, "unknown machine"),
             (r#"{"kernel":"is","machine":"dx100","scale":0}"#, "scale"),
             (r#"{"kernel":"is","machine":"dx100","epoch":0}"#, "epoch"),
+            (
+                r#"{"kernel":"is","machine":"dx100","epoch":18446744073709551621}"#,
+                "epoch",
+            ),
             (r#"{"kernel":"is","machine":"dx100","seed":-1}"#, "seed"),
             (
                 r#"{"kernel":"is","machine":"dx100","threads":4}"#,

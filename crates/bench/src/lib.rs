@@ -139,7 +139,6 @@ impl BenchArgs {
             trace: self.trace.is_some(),
             epoch_cycles: self.epoch,
             profile: self.profile,
-            ..ObservabilityConfig::default()
         }
     }
 

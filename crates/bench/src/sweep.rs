@@ -1,8 +1,8 @@
 //! The job executor every multi-run subcommand submits to, and the
 //! kernel × machine sweep the row figures build on it.
 //!
-//! A figure enumerates its simulations up front as a list of [`Job`]s;
-//! [`execute`] runs them across `--threads` workers of the shared
+//! A figure enumerates its simulations up front as a list of `Job`s;
+//! `execute` runs them across `--threads` workers of the shared
 //! order-preserving pool ([`run_parallel`]) and hands the results back in
 //! job order, so everything printed from them is byte-identical at any
 //! thread count. Each job builds its entire driver state (dataset walk,
@@ -47,20 +47,7 @@ pub(crate) struct Done<T> {
     pub(crate) seconds: f64,
 }
 
-/// Runs `kernel` on the `mode` machine that `cfg` configures: the one
-/// simulation step behind every figure's kernel jobs and [`JobSpec::run`].
-///
-/// [`JobSpec::run`]: crate::JobSpec::run
-pub(crate) fn simulate(
-    kernel: &dyn KernelRun,
-    mode: Mode,
-    cfg: &SystemConfig,
-    seed: u64,
-) -> WorkloadResult {
-    kernel.run(mode, cfg, seed)
-}
-
-/// A job that [`simulate`]s `kernel` on `cfg`'s `mode` machine.
+/// A job that runs `kernel` on the `mode` machine that `cfg` configures.
 pub(crate) fn kernel_job<'a>(
     label: String,
     kernel: &'a (dyn KernelRun + Send + Sync),
@@ -68,7 +55,7 @@ pub(crate) fn kernel_job<'a>(
     cfg: &'a SystemConfig,
     seed: u64,
 ) -> Job<'a, WorkloadResult> {
-    Job::new(label, move || simulate(kernel, mode, cfg, seed))
+    Job::new(label, move || kernel.run(mode, cfg, seed))
 }
 
 /// Runs `jobs` on up to `threads` workers, announcing each start and

@@ -1,41 +1,40 @@
-//! Core-owned op channels: the driver appends micro-ops or whole lazy
-//! generators; the core drains them.
+//! A core's op channel: the driver appends literal micro-ops or whole
+//! loops; the core drains them in order.
 //!
-//! Until PR 6 this lived in the sim crate behind an `Arc<Mutex<…>>` handle
-//! shared between the [`System`] and the core's boxed trait-object stream.
-//! The core now *owns* its channel inside [`OpStreamKind`], so the per-op
-//! path is a plain ring pop — no lock, no virtual call. Generators (the
-//! open, workload-defined half of the old `OpStream` hierarchy) are still
-//! boxed, but they are polled in batches of [`GEN_BATCH`] ops that land in
-//! a flat segment, amortizing the one remaining virtual call to under 1%
-//! of ops.
-//!
-//! [`System`]: ../../dx100_sim/struct.System.html
-//! [`OpStreamKind`]: crate::OpStreamKind
+//! A loop is a range of elements and a body that appends one element's
+//! micro-ops to a ring. When a loop reaches the front of the channel, the
+//! channel runs the body for successive elements, one whole element at a
+//! time, until the ring holds at least `GEN_BATCH` ops, and the core then
+//! pops the ring. The ring is one buffer the channel reuses for every
+//! loop, so generating ops allocates nothing once it has grown to its
+//! working size, and the body's virtual call is paid once per element.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
-use crate::op::{CoreOp, OpStream};
+use crate::op::CoreOp;
 
-/// How many ops a queued generator is polled for per refill: large enough
-/// to amortize the virtual call.
+/// How many ops a loop refill generates at least: large enough to amortize
+/// the refill, small enough that the ring stays in cache.
 const GEN_BATCH: usize = 128;
 
+/// A loop body: `body(i, ops)` appends element `i`'s micro-ops to `ops`.
+type LoopBody = Box<dyn FnMut(usize, &mut VecDeque<CoreOp>) + Send>;
+
 enum Segment {
+    /// Literal ops.
     Ops(VecDeque<CoreOp>),
-    Gen(Box<dyn OpStream + Send>),
+    /// The elements of a loop that are still to be generated.
+    Loop { elems: Range<usize>, body: LoopBody },
 }
 
-impl Default for Segment {
-    fn default() -> Self {
-        Segment::Ops(VecDeque::new())
-    }
-}
-
-/// One core's op channel: an ordered queue of literal-op and generator
+/// One core's op channel: an ordered queue of literal-op and loop
 /// segments.
 #[derive(Default)]
 pub struct ChannelQueue {
+    /// Ops the front loop generated that the core has not taken yet; they
+    /// run before every queued segment.
+    ring: VecDeque<CoreOp>,
     segments: VecDeque<Segment>,
 }
 
@@ -55,66 +54,57 @@ impl ChannelQueue {
             .push_back(Segment::Ops(ops.into_iter().collect()));
     }
 
-    /// Appends a lazy generator to run after everything queued so far.
-    pub fn push_gen(&mut self, gen: Box<dyn OpStream + Send>) {
-        self.segments.push_back(Segment::Gen(gen));
+    /// Appends a loop over `elems` to run after everything queued so far:
+    /// `body(i, ops)` appends element `i`'s micro-ops to `ops`, for each
+    /// `i` in order.
+    pub fn push_loop(
+        &mut self,
+        elems: Range<usize>,
+        body: impl FnMut(usize, &mut VecDeque<CoreOp>) + Send + 'static,
+    ) {
+        self.segments.push_back(Segment::Loop {
+            elems,
+            body: Box::new(body),
+        });
     }
 
-    /// The next queued op. Generators at the front are drained in batches
-    /// of [`GEN_BATCH`] into a flat segment first, so the common case is a
-    /// ring pop.
+    /// The next queued op. A loop at the front is first run into the ring,
+    /// whole elements at a time, until the ring holds `GEN_BATCH` ops or
+    /// the loop ends, so the common case is a ring pop.
     #[inline]
     pub fn next_op(&mut self) -> Option<CoreOp> {
         loop {
-            match self.segments.front_mut() {
-                None => return None,
-                Some(Segment::Ops(q)) => match q.pop_front() {
-                    Some(op) => return Some(op),
-                    None => {
-                        self.segments.pop_front();
+            if let Some(op) = self.ring.pop_front() {
+                return Some(op);
+            }
+            match self.segments.front_mut()? {
+                Segment::Ops(q) => {
+                    if let Some(op) = q.pop_front() {
+                        return Some(op);
                     }
-                },
-                Some(Segment::Gen(g)) => {
-                    let mut buf = VecDeque::with_capacity(GEN_BATCH);
-                    let mut exhausted = false;
-                    for _ in 0..GEN_BATCH {
-                        match g.next_op() {
-                            Some(op) => buf.push_back(op),
-                            None => {
-                                exhausted = true;
-                                break;
-                            }
+                }
+                Segment::Loop { elems, body } => {
+                    for i in elems.by_ref() {
+                        body(i, &mut self.ring);
+                        if self.ring.len() >= GEN_BATCH {
+                            break;
                         }
                     }
-                    if exhausted {
-                        self.segments.pop_front();
-                    }
-                    if !buf.is_empty() {
-                        // Buffered ops run before the (possibly still
-                        // live) generator they came from.
-                        self.segments.push_front(Segment::Ops(buf));
+                    if elems.start < elems.end {
+                        continue;
                     }
                 }
             }
+            self.segments.pop_front();
         }
-    }
-
-    /// Whether nothing is queued (generators count as non-empty until they
-    /// report exhaustion).
-    pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
-            || self
-                .segments
-                .iter()
-                .all(|s| matches!(s, Segment::Ops(q) if q.is_empty()))
     }
 }
 
 impl std::fmt::Debug for ChannelQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChannelQueue")
+            .field("ring", &self.ring.len())
             .field("segments", &self.segments.len())
-            .field("empty", &self.is_empty())
             .finish()
     }
 }
@@ -122,16 +112,17 @@ impl std::fmt::Debug for ChannelQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::VecStream;
 
     #[test]
-    fn ops_then_gen_then_ops() {
+    fn ops_then_loop_then_ops() {
         let mut ch = ChannelQueue::new();
         ch.push_ops([CoreOp::alu()]);
-        ch.push_gen(Box::new(VecStream::new(vec![CoreOp::load(64, 1)])));
+        ch.push_loop(1..3, |i, ops| ops.push_back(CoreOp::load(i as u64 * 64, 1)));
+        ch.push_loop(0..0, |_, _| unreachable!("an empty loop runs no body"));
         ch.push_ops([CoreOp::store(128, 2)]);
         assert_eq!(ch.next_op(), Some(CoreOp::alu()));
         assert_eq!(ch.next_op(), Some(CoreOp::load(64, 1)));
+        assert_eq!(ch.next_op(), Some(CoreOp::load(128, 1)));
         assert_eq!(ch.next_op(), Some(CoreOp::store(128, 2)));
         assert_eq!(ch.next_op(), None);
         // Refill after exhaustion works (driver appends later).
@@ -147,17 +138,37 @@ mod tests {
         assert_eq!(ch.segments.len(), 1);
     }
 
+    /// A loop of several refills, with bodies of varying length (empty
+    /// ones included) and trailing literal ops: the order is exactly
+    /// loop-then-literals, every refill ends at an element boundary, and
+    /// the ring keeps the capacity of its first refill.
     #[test]
-    fn long_generator_batches_without_reordering() {
-        // A generator longer than one batch, with trailing literal ops:
-        // order must be exactly generator-then-literals.
+    fn long_loop_refills_whole_elements_in_order() {
+        // Element `i` emits `i % 4` loads; load `k` of element `i` reads
+        // line `4i + k`.
         let n = GEN_BATCH * 3 + 7;
-        let ops: Vec<CoreOp> = (0..n).map(|i| CoreOp::load(i as u64 * 64, 0)).collect();
+        let body = |i: usize, ops: &mut VecDeque<CoreOp>| {
+            for k in 0..i % 4 {
+                ops.push_back(CoreOp::load((i * 4 + k) as u64 * 64, 0));
+            }
+        };
+        let mut want = VecDeque::new();
+        (0..n).for_each(|i| body(i, &mut want));
         let mut ch = ChannelQueue::new();
-        ch.push_gen(Box::new(VecStream::new(ops.clone())));
+        ch.push_loop(0..n, body);
         ch.push_ops([CoreOp::alu()]);
-        for (i, expect) in ops.iter().enumerate() {
-            assert_eq!(ch.next_op().as_ref(), Some(expect), "op {i}");
+        let mut capacity = None;
+        for (k, expect) in want.iter().enumerate() {
+            assert_eq!(ch.next_op().as_ref(), Some(expect), "op {k}");
+            if ch.ring.is_empty() {
+                let CoreOp::Load { addr, .. } = expect else {
+                    unreachable!("the loop emits loads only")
+                };
+                let line = (addr / 64) as usize;
+                assert_eq!(line % 4 + 1, line / 4 % 4, "a refill split an element");
+            }
+            let cap = *capacity.get_or_insert(ch.ring.capacity());
+            assert_eq!(ch.ring.capacity(), cap, "the ring reallocated");
         }
         assert_eq!(ch.next_op(), Some(CoreOp::alu()));
         assert_eq!(ch.next_op(), None);

@@ -8,7 +8,7 @@ use dx100_common::{Addr, CoreId, Cycle, DelayQueue, SpanTracker, TraceHandle};
 
 use crate::channel::ChannelQueue;
 use crate::config::CoreConfig;
-use crate::op::{CoreOp, OpStreamKind};
+use crate::op::CoreOp;
 use crate::profile::CoreProfile;
 use crate::stats::CoreStats;
 
@@ -70,7 +70,8 @@ struct Entry {
 pub struct Core {
     id: CoreId,
     cfg: CoreConfig,
-    stream: OpStreamKind,
+    channel: ChannelQueue,
+    /// The channel had no op at the last poll; appending clears it.
     stream_done: bool,
     peeked: Option<CoreOp>,
     rob: VecDeque<Entry>,
@@ -158,15 +159,13 @@ impl std::fmt::Debug for Core {
 }
 
 impl Core {
-    /// Creates a core that will execute `stream` (a [`VecStream`], a
-    /// `Vec<CoreOp>`, a [`ChannelQueue`], or [`OpStreamKind`] directly).
-    pub fn new(id: CoreId, cfg: CoreConfig, stream: impl Into<OpStreamKind>) -> Self {
-        let stream = stream.into();
+    /// Creates a core with an empty op channel.
+    pub fn new(id: CoreId, cfg: CoreConfig) -> Self {
         let slots = cfg.rob.next_power_of_two();
         Core {
             id,
             cfg,
-            stream,
+            channel: ChannelQueue::new(),
             stream_done: false,
             peeked: None,
             rob: VecDeque::new(),
@@ -221,30 +220,12 @@ impl Core {
         self.id
     }
 
-    /// Replaces the op stream (used when a workload phase hands a core a new
-    /// program).
-    pub fn set_stream(&mut self, stream: impl Into<OpStreamKind>) {
-        self.stream = stream.into();
-        self.stream_done = false;
-        self.peeked = None;
-    }
-
-    /// Wakes the core after more ops were appended to a channel that had
-    /// previously reported exhaustion.
-    pub fn nudge(&mut self) {
-        self.stream_done = false;
-    }
-
-    /// The core's channel queue, for the driver side to append ops and
-    /// generators to. Callers pair every push with [`Core::nudge`].
-    ///
-    /// # Panics
-    /// Panics if the core was not built with [`OpStreamKind::channel`].
+    /// The core's op channel, for the driver side to append ops and loops
+    /// to. The core polls it again on its next tick, even if it had found
+    /// it empty before.
     pub fn channel_mut(&mut self) -> &mut ChannelQueue {
-        match &mut self.stream {
-            OpStreamKind::Channel(c) => c,
-            _ => panic!("core {} does not execute a channel stream", self.id),
-        }
+        self.stream_done = false;
+        &mut self.channel
     }
 
     /// Whether the core has fully drained: stream exhausted, ROB empty, and
@@ -525,7 +506,7 @@ impl Core {
     }
 
     /// Credits the stall-only cycles `[from, to)` in bulk: bit-identical to
-    /// calling [`Core::tick`] once per cycle while [`Core::idle_class`] holds,
+    /// calling [`Core::tick`] once per cycle while `Core::idle_class` holds,
     /// which the caller guarantees by crediting only spans that
     /// [`Core::next_event`] certified and no input interrupted. A flag the
     /// core waits on was therefore clear throughout the span, even when it
@@ -821,7 +802,7 @@ impl Core {
 
     fn peek_op(&mut self) -> Option<CoreOp> {
         if self.peeked.is_none() && !self.stream_done {
-            self.peeked = self.stream.next_op();
+            self.peeked = self.channel.next_op();
             if self.peeked.is_none() {
                 self.stream_done = true;
             }
@@ -837,8 +818,14 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::VecStream;
     use dx100_common::flags::FlagBoard;
+
+    /// A core whose channel holds `ops`.
+    fn core_running(cfg: CoreConfig, ops: Vec<CoreOp>) -> Core {
+        let mut core = Core::new(0, cfg);
+        core.channel_mut().push_ops(ops);
+        core
+    }
 
     /// Fake memory: completes every issue after `latency` cycles.
     struct FakeMem {
@@ -901,7 +888,7 @@ mod tests {
         // 16 independent loads at 100-cycle latency should take ~100 cycles,
         // not 1600: the ROB/LQ expose the parallelism.
         let ops: Vec<CoreOp> = (0..16).map(|i| CoreOp::load(i * 64, 0)).collect();
-        let mut core = Core::new(0, CoreConfig::paper(), VecStream::new(ops));
+        let mut core = core_running(CoreConfig::paper(), ops);
         let mut mem = FakeMem::new(100);
         let cycles = run(&mut core, &mut mem, 10_000);
         assert!(cycles < 130, "independent loads must overlap: {cycles}");
@@ -921,7 +908,7 @@ mod tests {
                 }
             })
             .collect();
-        let mut core = Core::new(0, CoreConfig::paper(), VecStream::new(ops));
+        let mut core = core_running(CoreConfig::paper(), ops);
         let mut mem = FakeMem::new(100);
         let cycles = run(&mut core, &mut mem, 10_000);
         assert!(cycles >= 800, "dependent chain must serialize: {cycles}");
@@ -947,7 +934,7 @@ mod tests {
         for (seq, alu) in [(7u16, 2u16), (8, 4), (9, 6)] {
             ops.push(CoreOp::load(0x1000 + alu as Addr * 64, 0).with_dep(seq - alu));
         }
-        let mut core = Core::new(0, CoreConfig::paper(), VecStream::new(ops));
+        let mut core = core_running(CoreConfig::paper(), ops);
         let mut mem = FakeMem::new(100);
         run(&mut core, &mut mem, 10_000);
         let order: Vec<Addr> = mem.issued.iter().map(|&(_, a)| a).collect();
@@ -987,7 +974,7 @@ mod tests {
                 }
             })
             .collect();
-        let mut core = Core::new(0, cfg, VecStream::new(ops));
+        let mut core = core_running(cfg, ops);
         let mut mem = FakeMem::new(latency);
         run(&mut core, &mut mem, 100_000);
         assert_eq!(
@@ -1023,7 +1010,7 @@ mod tests {
         cfg.lq = 4;
         cfg.rob = 224;
         let ops: Vec<CoreOp> = (0..64).map(|i| CoreOp::load(i * 64, 0)).collect();
-        let mut core = Core::new(0, cfg, VecStream::new(ops));
+        let mut core = core_running(cfg, ops);
         let mut mem = FakeMem::new(50);
         run(&mut core, &mut mem, 100_000);
         assert!(mem.peak_outstanding <= 4, "LQ must cap MLP");
@@ -1037,7 +1024,7 @@ mod tests {
         // A long-latency load followed by many ALUs: the window fills.
         let mut ops = vec![CoreOp::load(0, 0)];
         ops.extend((0..64).map(|_| CoreOp::alu()));
-        let mut core = Core::new(0, cfg, VecStream::new(ops));
+        let mut core = core_running(cfg, ops);
         let mut mem = FakeMem::new(200);
         run(&mut core, &mut mem, 10_000);
         assert!(
@@ -1052,10 +1039,10 @@ mod tests {
         let n = 32u64;
         let plain: Vec<CoreOp> = (0..n).map(|i| CoreOp::store(i * 64, 0)).collect();
         let atomics: Vec<CoreOp> = (0..n).map(|i| CoreOp::atomic(i * 64, 0)).collect();
-        let mut c1 = Core::new(0, CoreConfig::paper(), VecStream::new(plain));
+        let mut c1 = core_running(CoreConfig::paper(), plain);
         let mut m1 = FakeMem::new(20);
         let t_plain = run(&mut c1, &mut m1, 100_000);
-        let mut c2 = Core::new(0, CoreConfig::paper(), VecStream::new(atomics));
+        let mut c2 = core_running(CoreConfig::paper(), atomics);
         let mut m2 = FakeMem::new(20);
         let t_atomic = run(&mut c2, &mut m2, 100_000);
         let ratio = t_atomic as f64 / t_plain as f64;
@@ -1067,7 +1054,7 @@ mod tests {
     fn width_bounds_alu_throughput() {
         let n = 800u64;
         let ops: Vec<CoreOp> = (0..n).map(|_| CoreOp::alu()).collect();
-        let mut core = Core::new(0, CoreConfig::paper(), VecStream::new(ops));
+        let mut core = core_running(CoreConfig::paper(), ops);
         let mut mem = FakeMem::new(1);
         let cycles = run(&mut core, &mut mem, 10_000);
         // 8-wide: at least n/8 cycles, and close to it.
@@ -1087,7 +1074,7 @@ mod tests {
             },
             CoreOp::alu(),
         ];
-        let mut core = Core::new(0, CoreConfig::paper(), VecStream::new(ops));
+        let mut core = core_running(CoreConfig::paper(), ops);
         let mut flags = FlagBoard::new();
         let flag = flags.alloc();
         let mut mem = FakeMem::new(1);
@@ -1125,7 +1112,7 @@ mod tests {
                 }
             })
             .collect();
-        let mut core = Core::new(0, CoreConfig::paper(), VecStream::new(ops));
+        let mut core = core_running(CoreConfig::paper(), ops);
         core.enable_profile();
         let mut mem = FakeMem::new(100);
         run(&mut core, &mut mem, 10_000);
@@ -1155,7 +1142,7 @@ mod tests {
                 signal: Some(43),
             },
         ];
-        let mut core = Core::new(0, CoreConfig::paper(), VecStream::new(ops));
+        let mut core = core_running(CoreConfig::paper(), ops);
         let mut mem = FakeMem::new(1);
         let mut flags = FlagBoard::new();
         let mut signals = Vec::new();
@@ -1183,8 +1170,8 @@ mod tests {
             },
             CoreOp::alu(),
         ];
-        let mut c0 = Core::new(0, CoreConfig::paper(), VecStream::new(setter));
-        let mut c1 = Core::new(1, CoreConfig::paper(), VecStream::new(waiter));
+        let mut c0 = core_running(CoreConfig::paper(), setter);
+        let mut c1 = core_running(CoreConfig::paper(), waiter);
         for now in 0..100u64 {
             c0.tick(now, &mut flags, &mut |_| {});
             c1.tick(now, &mut flags, &mut |_| {});

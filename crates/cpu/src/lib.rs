@@ -19,15 +19,15 @@
 //!
 //! ```
 //! use dx100_common::flags::FlagBoard;
-//! use dx100_cpu::{Core, CoreConfig, CoreOp, VecStream};
+//! use dx100_cpu::{Core, CoreConfig, CoreOp};
 //!
 //! // A two-op dependency chain: the second load's address depends on the
 //! // first load's data (A[B[i]]).
-//! let ops = vec![
+//! let mut core = Core::new(0, CoreConfig::paper());
+//! core.channel_mut().push_ops([
 //!     CoreOp::load(0x1000, 0),
 //!     CoreOp::load(0x8000, 1).with_dep(1),
-//! ];
-//! let mut core = Core::new(0, CoreConfig::paper(), VecStream::new(ops));
+//! ]);
 //! let mut flags = FlagBoard::new();
 //! let mut issued = Vec::new();
 //! core.tick(0, &mut flags, &mut |iss| issued.push(iss));
@@ -45,6 +45,6 @@ pub mod stats;
 pub use crate::core::{Core, MemIssue, MemKind};
 pub use channel::ChannelQueue;
 pub use config::CoreConfig;
-pub use op::{CoreOp, EmptyStream, OpStream, OpStreamKind, VecStream};
+pub use op::CoreOp;
 pub use profile::CoreProfile;
 pub use stats::CoreStats;

@@ -1,4 +1,4 @@
-//! Abstract micro-ops and the lazy op-stream interface workloads implement.
+//! The abstract micro-ops a core executes.
 
 use dx100_common::flags::FlagId;
 use dx100_common::Addr;
@@ -8,7 +8,7 @@ use dx100_common::Addr;
 /// Dependencies are expressed as *relative distances*: `dep = [d1, d2]`
 /// means this op consumes the results of the ops `d1` and `d2` positions
 /// earlier in the same stream (0 = no dependency). Distances must stay
-/// within the ROB depth; generators emit intra-iteration dependencies only.
+/// within the ROB depth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreOp {
     /// A load from `addr` tagged with a prefetcher `stream` id.
@@ -137,108 +137,6 @@ impl CoreOp {
     }
 }
 
-/// A lazily generated stream of micro-ops (one per core).
-///
-/// Implementations walk the kernel's data structures and emit the baseline
-/// loop body op-by-op, so multi-million-element workloads never materialize
-/// their full traces in memory.
-pub trait OpStream {
-    /// The next op, or `None` when the stream is exhausted.
-    fn next_op(&mut self) -> Option<CoreOp>;
-}
-
-/// An [`OpStream`] over a pre-built vector (tests and small phases).
-#[derive(Debug, Clone)]
-pub struct VecStream {
-    pub(crate) ops: std::vec::IntoIter<CoreOp>,
-}
-
-impl VecStream {
-    /// Wraps `ops` in a stream.
-    pub fn new(ops: Vec<CoreOp>) -> Self {
-        VecStream {
-            ops: ops.into_iter(),
-        }
-    }
-}
-
-impl OpStream for VecStream {
-    fn next_op(&mut self) -> Option<CoreOp> {
-        self.ops.next()
-    }
-}
-
-/// An empty stream (idle core).
-#[derive(Debug, Clone, Default)]
-pub struct EmptyStream;
-
-impl OpStream for EmptyStream {
-    fn next_op(&mut self) -> Option<CoreOp> {
-        None
-    }
-}
-
-/// The closed set of op sources a [`Core`](crate::Core) executes, dispatched
-/// by `match` rather than through a `Box<dyn OpStream>` vtable.
-///
-/// The per-cycle hot path (`Core::peek_op`) runs once per dispatched µop,
-/// so the indirection cost of a trait object is paid millions of times per
-/// simulated millisecond. The *open* extension point for workloads remains
-/// the [`OpStream`] trait — but generators now enter a core only through a
-/// [`ChannelQueue`](crate::ChannelQueue) segment, where they are polled in
-/// batches into flat op rings instead of once per op.
-#[derive(Debug, Default)]
-pub enum OpStreamKind {
-    /// No ops at all (idle core).
-    #[default]
-    Empty,
-    /// A pre-built op vector (tests and small phases).
-    Vec(VecStream),
-    /// A driver-fed channel of op and generator segments.
-    Channel(crate::ChannelQueue),
-}
-
-impl OpStreamKind {
-    /// An empty channel ready for driver pushes.
-    pub fn channel() -> Self {
-        OpStreamKind::Channel(crate::ChannelQueue::new())
-    }
-
-    /// The next op, or `None` when the stream is (currently) exhausted.
-    #[inline]
-    pub fn next_op(&mut self) -> Option<CoreOp> {
-        match self {
-            OpStreamKind::Empty => None,
-            OpStreamKind::Vec(v) => v.ops.next(),
-            OpStreamKind::Channel(c) => c.next_op(),
-        }
-    }
-}
-
-impl From<VecStream> for OpStreamKind {
-    fn from(v: VecStream) -> Self {
-        OpStreamKind::Vec(v)
-    }
-}
-
-impl From<Vec<CoreOp>> for OpStreamKind {
-    fn from(ops: Vec<CoreOp>) -> Self {
-        OpStreamKind::Vec(VecStream::new(ops))
-    }
-}
-
-impl From<EmptyStream> for OpStreamKind {
-    fn from(_: EmptyStream) -> Self {
-        OpStreamKind::Empty
-    }
-}
-
-impl From<crate::ChannelQueue> for OpStreamKind {
-    fn from(c: crate::ChannelQueue) -> Self {
-        OpStreamKind::Channel(c)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,13 +171,5 @@ mod tests {
             .instruction_count(),
             0
         );
-    }
-
-    #[test]
-    fn vec_stream_drains_in_order() {
-        let mut s = VecStream::new(vec![CoreOp::alu(), CoreOp::load(8, 1)]);
-        assert_eq!(s.next_op(), Some(CoreOp::alu()));
-        assert_eq!(s.next_op(), Some(CoreOp::load(8, 1)));
-        assert_eq!(s.next_op(), None);
     }
 }

@@ -1,10 +1,10 @@
 //! Cache-level attribution: MSHR occupancy accumulators and depth
 //! histograms, sampled once per tick from the pre-tick state.
 //!
-//! Sampling pre-tick makes the counters batch-exact under cycle skipping:
-//! a certified quiescent span freezes every MSHR file, so
-//! [`crate::MemoryHierarchy::credit_idle_span`] records `n` samples of the
-//! frozen occupancy in one step — bit-identical to `n` no-op ticks.
+//! Sampling pre-tick makes the counters batch-exact under activity gating:
+//! a sleeping cache's MSHR file is frozen, so
+//! [`crate::Cache::credit_idle_ticks`] records `n` samples of the frozen
+//! occupancy in one step — bit-identical to `n` no-op ticks.
 
 use dx100_common::{OccAccum, Pow2Histogram};
 

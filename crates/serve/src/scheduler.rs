@@ -1,5 +1,5 @@
 //! The job scheduler: accepted specs become numbered jobs, simulated on a
-//! shared [`WorkerPool`](dx100_common::pool::WorkerPool) (`--max-jobs`
+//! shared [`WorkerPool`] (`--max-jobs`
 //! workers), with results memoized through the [`ResultCache`].
 //!
 //! Three ways a submission resolves:

@@ -10,14 +10,12 @@ use dx100_prefetch::DmpConfig;
 /// Both default to off, in which case the simulator records nothing and
 /// pays no cost (components hold no trace handle, the tick loop skips the
 /// sampler entirely).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ObservabilityConfig {
     /// Record trace events (DRAM commands, MSHR lifecycles, DX100 tile
-    /// phases, core stalls) for Chrome-trace export.
+    /// phases, core stalls) for Chrome-trace export, at most
+    /// [`DEFAULT_TRACE_CAPACITY`] per run.
     pub trace: bool,
-    /// Maximum events retained per run; later events are counted as
-    /// dropped rather than grown without bound.
-    pub trace_capacity: usize,
     /// Snapshot epoch metrics every N CPU cycles (`None` = off).
     pub epoch_cycles: Option<u64>,
     /// Cycle-attribution profiling: per-component stall taxonomy,
@@ -26,20 +24,10 @@ pub struct ObservabilityConfig {
     pub profile: bool,
 }
 
-/// Default per-run trace event cap (bounds file size when a figure
-/// traces dozens of runs).
+/// Per-run trace event cap: later events are counted as dropped rather
+/// than grown without bound (bounds file size when a figure traces dozens
+/// of runs).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
-
-impl Default for ObservabilityConfig {
-    fn default() -> Self {
-        ObservabilityConfig {
-            trace: false,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
-            epoch_cycles: None,
-            profile: false,
-        }
-    }
-}
 
 /// Configuration of the simulated machine.
 #[derive(Debug, Clone)]

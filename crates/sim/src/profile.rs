@@ -4,13 +4,13 @@
 //!
 //! Every timed component attributes each of its cycles to exactly one
 //! bucket (see the per-crate `profile` modules); [`SystemProfile`] merges
-//! them and [`crate::System::collect_profile`] checks the sums: per core
-//! `attributed == cycles ticked`, per DX100 instance `attributed ==
-//! elapsed`, per DRAM channel `attributed == ticks`. Profiling never
-//! alters [`crate::RunStats`], traces, or epoch samples, and its counters
-//! are bit-identical with cycle skipping on or off: elided spans are
-//! batch-credited by the same [`crate::System::settle`] call that credits
-//! statistics.
+//! them, and [`crate::System::telemetry`] checks the sums as it collects
+//! them: per core `attributed == cycles ticked`, per DX100 instance
+//! `attributed == elapsed`, per DRAM channel `attributed == ticks`.
+//! Profiling never alters [`crate::RunStats`], traces, or epoch samples,
+//! and its counters are bit-identical with activity gating on or off: a
+//! sleeping unit's span is batch-credited by the same settle step that
+//! credits its statistics.
 
 use dx100_common::json::{obj, Json};
 use dx100_common::TraceBuffer;

@@ -1,6 +1,7 @@
 //! The assembled machine and its cycle loop.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use dx100_common::flags::{FlagBoard, FlagId};
 use dx100_common::hash::{HashMap, HashSet};
@@ -8,12 +9,12 @@ use dx100_common::sleep::all_asleep_until;
 use dx100_common::{Addr, CoreId, Cycle, DelayQueue, LineAddr, ReqId, Sleep, TraceHandle};
 use dx100_core::isa::{Instruction, RegId, TileId};
 use dx100_core::{Dx100Engine, MemPorts, MemoryImage};
-use dx100_cpu::{Core, CoreOp, MemKind, OpStream, OpStreamKind};
+use dx100_cpu::{Core, CoreOp, MemKind};
 use dx100_dram::{DramSystem, MemRequest};
 use dx100_mem::{Access, DramBound, MemoryHierarchy, Requester};
 use dx100_prefetch::Dmp;
 
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, DEFAULT_TRACE_CAPACITY};
 use crate::driver::{Driver, DriverStatus};
 use crate::epoch::EpochSampler;
 use crate::profile::{RunTelemetry, SystemProfile};
@@ -146,7 +147,7 @@ impl System {
     /// Builds the machine over an application memory image.
     pub fn new(cfg: SystemConfig, image: MemoryImage) -> Self {
         let mut cores: Vec<Core> = (0..cfg.cores)
-            .map(|c| Core::new(c, cfg.core.clone(), OpStreamKind::channel()))
+            .map(|c| Core::new(c, cfg.core.clone()))
             .collect();
         let mut hier = MemoryHierarchy::new(cfg.hierarchy.clone());
         let mut dram = DramSystem::new(cfg.dram.clone());
@@ -167,7 +168,7 @@ impl System {
         let trace_root = cfg
             .obs
             .trace
-            .then(|| TraceHandle::root(cfg.obs.trace_capacity));
+            .then(|| TraceHandle::root(DEFAULT_TRACE_CAPACITY));
         if let Some(root) = &trace_root {
             dram.attach_trace(root, cfg.cpu_cycles_per_dram_tick);
             hier.attach_trace(root);
@@ -188,7 +189,7 @@ impl System {
             for engine in &mut engines {
                 engine.enable_profile();
             }
-            profile_trace = Some(TraceHandle::root(cfg.obs.trace_capacity));
+            profile_trace = Some(TraceHandle::root(DEFAULT_TRACE_CAPACITY));
         }
         let sampler = cfg.obs.epoch_cycles.map(|e| EpochSampler::new(e, 0));
         if cfg.cycle_skip {
@@ -290,14 +291,20 @@ impl System {
     pub fn push_ops<I: IntoIterator<Item = CoreOp>>(&mut self, core: CoreId, ops: I) {
         self.wake();
         self.cores[core].channel_mut().push_ops(ops);
-        self.cores[core].nudge();
     }
 
-    /// Appends a lazy op generator to a core's program.
-    pub fn push_stream(&mut self, core: CoreId, gen: impl OpStream + Send + 'static) {
+    /// Appends a loop to a core's program: `body(i, ops)` appends element
+    /// `i`'s micro-ops to `ops`, for each `i` in `elems` in order. The
+    /// core generates elements as it dispatches, a batch at a time, so a
+    /// loop over millions of elements never materializes its trace.
+    pub fn push_loop(
+        &mut self,
+        core: CoreId,
+        elems: Range<usize>,
+        body: impl FnMut(usize, &mut VecDeque<CoreOp>) + Send + 'static,
+    ) {
         self.wake();
-        self.cores[core].channel_mut().push_gen(Box::new(gen));
-        self.cores[core].nudge();
+        self.cores[core].channel_mut().push_loop(elems, body);
     }
 
     /// Blocks the core on `flag` (the `wait` API; `spin` charges poll

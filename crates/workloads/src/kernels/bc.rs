@@ -12,12 +12,11 @@ use std::sync::Arc;
 
 use dx100_common::{AluOp, DType};
 use dx100_core::isa::Instruction;
-use dx100_core::ArrayHandle;
-use dx100_cpu::{CoreOp, OpStream};
+use dx100_cpu::CoreOp;
 use dx100_prefetch::IndirectPattern;
 use dx100_sim::{System, SystemConfig};
 
-use crate::datasets::{uniform_graph, Csr};
+use crate::datasets::uniform_graph;
 use crate::kernels::bfs::INF;
 use crate::kernels::is::split_tiles;
 use crate::util::{
@@ -42,79 +41,6 @@ impl BetweennessCentrality {
     pub fn new(scale: Scale) -> Self {
         BetweennessCentrality {
             nodes: scale.apply(1 << 17, 1 << 9),
-        }
-    }
-}
-
-/// Baseline per-level stream: frontier edges with conditional atomic adds.
-struct LevelStream {
-    g: Arc<Csr>,
-    frontier: Arc<Vec<u32>>,
-    depth: Arc<Vec<u32>>,
-    h_k: ArrayHandle,
-    h_off: ArrayHandle,
-    h_col: ArrayHandle,
-    h_depth: ArrayHandle,
-    h_sigma: ArrayHandle,
-    d: u32,
-    i: usize,
-    hi: usize,
-    pending: std::collections::VecDeque<CoreOp>,
-}
-
-impl LevelStream {
-    fn refill(&mut self) {
-        let u = self.frontier[self.i] as usize;
-        self.pending
-            .push_back(CoreOp::load(self.h_k.addr_of(self.i as u64), S_K));
-        self.pending.push_back(CoreOp::alu().with_dep(1));
-        self.pending.push_back(CoreOp::Load {
-            addr: self.h_off.addr_of(u as u64),
-            stream: S_H,
-            dep: [1, 0],
-        });
-        self.pending.push_back(CoreOp::Load {
-            addr: self.h_off.addr_of((u + 1) as u64),
-            stream: S_H,
-            dep: [2, 0],
-        });
-        // sigma[u] load (reused across the row).
-        self.pending.push_back(CoreOp::Load {
-            addr: self.h_sigma.addr_of(u as u64),
-            stream: S_SIGMA,
-            dep: [3, 0],
-        });
-        let (lo, hi) = (self.g.offsets[u], self.g.offsets[u + 1]);
-        for j in lo..hi {
-            let v = self.g.cols[j as usize] as usize;
-            self.pending
-                .push_back(CoreOp::load(self.h_col.addr_of(j as u64), S_COL));
-            self.pending.push_back(CoreOp::alu().with_dep(1));
-            self.pending.push_back(CoreOp::Load {
-                addr: self.h_depth.addr_of(v as u64),
-                stream: S_DEPTH,
-                dep: [1, 0],
-            });
-            self.pending.push_back(CoreOp::alu().with_dep(1)); // compare
-            if self.depth[v] == self.d + 1 {
-                self.pending
-                    .push_back(CoreOp::atomic(self.h_sigma.addr_of(v as u64), S_SIGMA).with_dep(1));
-            }
-        }
-    }
-}
-
-impl OpStream for LevelStream {
-    fn next_op(&mut self) -> Option<CoreOp> {
-        loop {
-            if let Some(op) = self.pending.pop_front() {
-                return Some(op);
-            }
-            if self.i >= self.hi {
-                return None;
-            }
-            self.refill();
-            self.i += 1;
         }
     }
 }
@@ -221,25 +147,36 @@ impl KernelRun for BetweennessCentrality {
                 let m = frontier2.len();
                 match mode2 {
                     Mode::Baseline | Mode::Dmp => {
+                        // Frontier edges with conditional atomic adds.
                         let parts = chunks(m, sys.num_cores());
-                        for (c, (lo, hi)) in parts.iter().enumerate() {
-                            sys.push_stream(
-                                c,
-                                LevelStream {
-                                    g: g2.clone(),
-                                    frontier: frontier2.clone(),
-                                    depth: depth_rc.clone(),
-                                    h_k,
-                                    h_off,
-                                    h_col,
-                                    h_depth,
-                                    h_sigma,
-                                    d,
-                                    i: *lo,
-                                    hi: *hi,
-                                    pending: Default::default(),
-                                },
-                            );
+                        for (c, &(lo, hi)) in parts.iter().enumerate() {
+                            let (g, frontier, depth) =
+                                (g2.clone(), frontier2.clone(), depth_rc.clone());
+                            sys.push_loop(c, lo..hi, move |i, ops| {
+                                let u = frontier[i] as usize;
+                                ops.extend([
+                                    CoreOp::load(h_k.addr_of(i as u64), S_K),
+                                    CoreOp::alu().with_dep(1),
+                                    CoreOp::load(h_off.addr_of(u as u64), S_H).with_dep(1),
+                                    CoreOp::load(h_off.addr_of((u + 1) as u64), S_H).with_dep(2),
+                                    // sigma[u] load (reused across the row).
+                                    CoreOp::load(h_sigma.addr_of(u as u64), S_SIGMA).with_dep(3),
+                                ]);
+                                for j in g.offsets[u]..g.offsets[u + 1] {
+                                    let v = g.cols[j as usize] as u64;
+                                    ops.extend([
+                                        CoreOp::load(h_col.addr_of(j as u64), S_COL),
+                                        CoreOp::alu().with_dep(1),
+                                        CoreOp::load(h_depth.addr_of(v), S_DEPTH).with_dep(1),
+                                        CoreOp::alu().with_dep(1), // compare
+                                    ]);
+                                    if depth[v as usize] == d + 1 {
+                                        ops.push_back(
+                                            CoreOp::atomic(h_sigma.addr_of(v), S_SIGMA).with_dep(1),
+                                        );
+                                    }
+                                }
+                            });
                         }
                     }
                     Mode::Dx100 => {

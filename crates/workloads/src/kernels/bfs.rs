@@ -17,7 +17,7 @@ use std::sync::Arc;
 use dx100_common::{AluOp, DType};
 use dx100_core::isa::Instruction;
 use dx100_core::ArrayHandle;
-use dx100_cpu::{CoreOp, OpStream};
+use dx100_cpu::CoreOp;
 use dx100_prefetch::IndirectPattern;
 use dx100_sim::{Driver, DriverStatus, System, SystemConfig};
 
@@ -83,75 +83,6 @@ struct Shared {
     h_depth: ArrayHandle,
 }
 
-/// Baseline per-level stream: for each unvisited node, walk neighbors until
-/// a level-`d` one is found (replayed from the functional state).
-struct LevelStream {
-    shared: Arc<Shared>,
-    unvisited: Arc<Vec<u32>>,
-    depth: Arc<Vec<u32>>,
-    d: u32,
-    i: usize,
-    hi: usize,
-    pending: std::collections::VecDeque<CoreOp>,
-}
-
-impl LevelStream {
-    fn refill(&mut self) {
-        let u = self.unvisited[self.i] as usize;
-        let g = &self.shared.g;
-        self.pending
-            .push_back(CoreOp::load(self.shared.h_u.addr_of(self.i as u64), S_U));
-        self.pending.push_back(CoreOp::alu().with_dep(1));
-        self.pending.push_back(CoreOp::Load {
-            addr: self.shared.h_off.addr_of(u as u64),
-            stream: S_H,
-            dep: [1, 0],
-        });
-        self.pending.push_back(CoreOp::Load {
-            addr: self.shared.h_off.addr_of((u + 1) as u64),
-            stream: S_H,
-            dep: [2, 0],
-        });
-        let (lo, hi) = (g.offsets[u], g.offsets[u + 1]);
-        for j in lo..hi {
-            let v = g.cols[j as usize] as usize;
-            self.pending
-                .push_back(CoreOp::load(self.shared.h_col.addr_of(j as u64), S_COL));
-            self.pending.push_back(CoreOp::alu().with_dep(1));
-            self.pending.push_back(CoreOp::Load {
-                addr: self.shared.h_depth.addr_of(v as u64),
-                stream: S_DEPTH,
-                dep: [1, 0],
-            });
-            self.pending.push_back(CoreOp::alu().with_dep(1)); // compare
-            if self.depth[v] == self.d {
-                // Discovered: store the new depth, stop scanning.
-                self.pending.push_back(CoreOp::Store {
-                    addr: self.shared.h_depth.addr_of(u as u64),
-                    stream: S_DEPTH,
-                    dep: [1, 0],
-                });
-                break;
-            }
-        }
-    }
-}
-
-impl OpStream for LevelStream {
-    fn next_op(&mut self) -> Option<CoreOp> {
-        loop {
-            if let Some(op) = self.pending.pop_front() {
-                return Some(op);
-            }
-            if self.i >= self.hi {
-                return None;
-            }
-            self.refill();
-            self.i += 1;
-        }
-    }
-}
-
 /// The level-loop driver, shared by baseline and DX100 modes.
 struct BfsDriver {
     shared: Arc<Shared>,
@@ -180,22 +111,44 @@ impl BfsDriver {
         let m = self.unvisited.len();
         match self.mode {
             Mode::Baseline | Mode::Dmp => {
+                // For each unvisited node, walk its neighbors until a
+                // level-`d` one is found (replayed from the functional
+                // state).
                 let parts = chunks(m, sys.num_cores());
                 let unvisited = Arc::new(self.unvisited.clone());
                 let depth = Arc::new(self.depth.clone());
-                for (c, (lo, hi)) in parts.iter().enumerate() {
-                    sys.push_stream(
-                        c,
-                        LevelStream {
-                            shared: self.shared.clone(),
-                            unvisited: unvisited.clone(),
-                            depth: depth.clone(),
-                            d: self.d,
-                            i: *lo,
-                            hi: *hi,
-                            pending: Default::default(),
-                        },
-                    );
+                let d = self.d;
+                for (c, &(lo, hi)) in parts.iter().enumerate() {
+                    let (shared, unvisited, depth) =
+                        (self.shared.clone(), unvisited.clone(), depth.clone());
+                    sys.push_loop(c, lo..hi, move |i, ops| {
+                        let u = unvisited[i] as usize;
+                        let g = &shared.g;
+                        ops.extend([
+                            CoreOp::load(shared.h_u.addr_of(i as u64), S_U),
+                            CoreOp::alu().with_dep(1),
+                            CoreOp::load(shared.h_off.addr_of(u as u64), S_H).with_dep(1),
+                            CoreOp::load(shared.h_off.addr_of((u + 1) as u64), S_H).with_dep(2),
+                        ]);
+                        for j in g.offsets[u]..g.offsets[u + 1] {
+                            let v = g.cols[j as usize] as u64;
+                            ops.extend([
+                                CoreOp::load(shared.h_col.addr_of(j as u64), S_COL),
+                                CoreOp::alu().with_dep(1),
+                                CoreOp::load(shared.h_depth.addr_of(v), S_DEPTH).with_dep(1),
+                                CoreOp::alu().with_dep(1), // compare
+                            ]);
+                            if depth[v as usize] == d {
+                                // Discovered: store the new depth, stop
+                                // scanning.
+                                ops.push_back(
+                                    CoreOp::store(shared.h_depth.addr_of(u as u64), S_DEPTH)
+                                        .with_dep(1),
+                                );
+                                break;
+                            }
+                        }
+                    });
                 }
             }
             Mode::Dx100 => {

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use dx100_common::{value, DType};
 use dx100_core::isa::{Instruction, TileId};
 use dx100_core::ArrayHandle;
-use dx100_cpu::{CoreOp, OpStream};
+use dx100_cpu::CoreOp;
 use dx100_prefetch::IndirectPattern;
 use dx100_sim::{System, SystemConfig};
 
@@ -92,62 +92,6 @@ impl ConjugateGradient {
     }
 }
 
-/// Baseline SpMV stream over a row range.
-struct SpmvStream {
-    m: Arc<SparseMatrix>,
-    h_col: ArrayHandle,
-    h_val: ArrayHandle,
-    h_x: ArrayHandle,
-    h_y: ArrayHandle,
-    row: usize,
-    row_hi: usize,
-    j: usize,
-    step: u8,
-}
-
-impl OpStream for SpmvStream {
-    fn next_op(&mut self) -> Option<CoreOp> {
-        loop {
-            if self.row >= self.row_hi {
-                return None;
-            }
-            let row_end = self.m.offsets[self.row + 1] as usize;
-            if self.j >= row_end {
-                // End of row: store y[r].
-                self.row += 1;
-                self.j =
-                    (self.m.offsets[self.row.min(self.row_hi)] as usize).min(self.m.cols.len());
-                if self.row <= self.row_hi {
-                    return Some(CoreOp::store(self.h_y.addr_of((self.row - 1) as u64), S_Y));
-                }
-                continue;
-            }
-            let op = match self.step {
-                0 => CoreOp::load(self.h_col.addr_of(self.j as u64), S_COL),
-                1 => CoreOp::alu().with_dep(1),
-                2 => {
-                    let c = self.m.cols[self.j] as u64;
-                    CoreOp::Load {
-                        addr: self.h_x.addr_of(c),
-                        stream: S_X,
-                        dep: [1, 0],
-                    }
-                }
-                3 => CoreOp::load(self.h_val.addr_of(self.j as u64), S_VAL),
-                4 => CoreOp::alu().with_dep(1).with_dep(3), // multiply
-                5 => CoreOp::alu().with_dep(1),             // accumulate
-                _ => unreachable!(),
-            };
-            self.step += 1;
-            if self.step == 6 {
-                self.step = 0;
-                self.j += 1;
-            }
-            return Some(op);
-        }
-    }
-}
-
 impl KernelRun for ConjugateGradient {
     fn name(&self) -> &'static str {
         "cg"
@@ -184,22 +128,25 @@ impl KernelRun for ConjugateGradient {
                 }
                 let parts = chunks(self.rows, cores);
                 let (m, h_col, h_val, h_x, h_y) = (d.m.clone(), d.h_col, d.h_val, d.h_x, d.h_y);
+                // One row: `acc += val[j] * x[col[j]]` over its nonzeros,
+                // then `y[r] = acc`.
                 phases.push(Phase::setup(move |sys| {
-                    for (c, (lo, hi)) in parts.iter().enumerate() {
-                        sys.push_stream(
-                            c,
-                            SpmvStream {
-                                m: m.clone(),
-                                h_col,
-                                h_val,
-                                h_x,
-                                h_y,
-                                row: *lo,
-                                row_hi: *hi,
-                                j: m.offsets[*lo] as usize,
-                                step: 0,
-                            },
-                        );
+                    for (c, &(lo, hi)) in parts.iter().enumerate() {
+                        let m = m.clone();
+                        sys.push_loop(c, lo..hi, move |r, ops| {
+                            let (start, end) = (m.offsets[r] as usize, m.offsets[r + 1] as usize);
+                            for j in start..end {
+                                ops.extend([
+                                    CoreOp::load(h_col.addr_of(j as u64), S_COL),
+                                    CoreOp::alu().with_dep(1),
+                                    CoreOp::load(h_x.addr_of(m.cols[j] as u64), S_X).with_dep(1),
+                                    CoreOp::load(h_val.addr_of(j as u64), S_VAL),
+                                    CoreOp::alu().with_dep(1).with_dep(3), // multiply
+                                    CoreOp::alu().with_dep(1),             // accumulate
+                                ]);
+                            }
+                            ops.push_back(CoreOp::store(h_y.addr_of(r as u64), S_Y));
+                        });
                     }
                 }));
             }

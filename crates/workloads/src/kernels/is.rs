@@ -15,7 +15,7 @@ use std::sync::Arc;
 use dx100_common::{AluOp, DType};
 use dx100_core::isa::Instruction;
 use dx100_core::ArrayHandle;
-use dx100_cpu::{CoreOp, OpStream};
+use dx100_cpu::CoreOp;
 use dx100_prefetch::IndirectPattern;
 use dx100_sim::{System, SystemConfig};
 
@@ -106,114 +106,6 @@ impl IntegerSort {
     }
 }
 
-/// Baseline phase-1 op stream: `hist[keys[i]] += 1` with atomics.
-struct HistStream {
-    keys: Arc<Vec<u32>>,
-    h_keys: ArrayHandle,
-    h_hist: ArrayHandle,
-    i: usize,
-    hi: usize,
-    step: u8,
-}
-
-impl OpStream for HistStream {
-    fn next_op(&mut self) -> Option<CoreOp> {
-        if self.i >= self.hi {
-            return None;
-        }
-        let op = match self.step {
-            0 => CoreOp::load(self.h_keys.addr_of(self.i as u64), S_KEYS),
-            1 => CoreOp::alu().with_dep(1), // address calculation
-            2 => {
-                let k = self.keys[self.i] as u64;
-                CoreOp::atomic(self.h_hist.addr_of(k), S_HIST).with_dep(1)
-            }
-            _ => unreachable!(),
-        };
-        self.step += 1;
-        if self.step == 3 {
-            self.step = 0;
-            self.i += 1;
-        }
-        Some(op)
-    }
-}
-
-/// Baseline phase-3 op stream: `rank[i] = hist[keys[i]]`.
-struct RankStream {
-    keys: Arc<Vec<u32>>,
-    h_keys: ArrayHandle,
-    h_hist: ArrayHandle,
-    h_rank: ArrayHandle,
-    i: usize,
-    hi: usize,
-    step: u8,
-}
-
-impl OpStream for RankStream {
-    fn next_op(&mut self) -> Option<CoreOp> {
-        if self.i >= self.hi {
-            return None;
-        }
-        let op = match self.step {
-            0 => CoreOp::load(self.h_keys.addr_of(self.i as u64), S_KEYS),
-            1 => CoreOp::alu().with_dep(1),
-            2 => {
-                let k = self.keys[self.i] as u64;
-                CoreOp::Load {
-                    addr: self.h_hist.addr_of(k),
-                    stream: S_HIST,
-                    dep: [1, 0],
-                }
-            }
-            3 => CoreOp::Store {
-                addr: self.h_rank.addr_of(self.i as u64),
-                stream: S_RANK,
-                dep: [1, 0],
-            },
-            _ => unreachable!(),
-        };
-        self.step += 1;
-        if self.step == 4 {
-            self.step = 0;
-            self.i += 1;
-        }
-        Some(op)
-    }
-}
-
-/// Prefix-sum op stream over the histogram (streaming; core 0).
-struct PrefixStream {
-    h_hist: ArrayHandle,
-    k: usize,
-    n: usize,
-    step: u8,
-}
-
-impl OpStream for PrefixStream {
-    fn next_op(&mut self) -> Option<CoreOp> {
-        if self.k >= self.n {
-            return None;
-        }
-        let op = match self.step {
-            0 => CoreOp::load(self.h_hist.addr_of(self.k as u64), S_HIST),
-            1 => CoreOp::alu().with_dep(1).with_dep(4), // acc += hist[k]
-            2 => CoreOp::Store {
-                addr: self.h_hist.addr_of(self.k as u64),
-                stream: S_HIST,
-                dep: [1, 0],
-            },
-            _ => unreachable!(),
-        };
-        self.step += 1;
-        if self.step == 3 {
-            self.step = 0;
-            self.k += 1;
-        }
-        Some(op)
-    }
-}
-
 impl KernelRun for IntegerSort {
     fn name(&self) -> &'static str {
         "is"
@@ -276,57 +168,53 @@ impl KernelRun for IntegerSort {
     }
 }
 
+/// Prefix sum over the histogram on core 0 (streaming, both modes):
+/// `acc += hist[k]; hist[k] = acc`.
+fn push_prefix(sys: &mut System, h_hist: ArrayHandle, key_space: usize) {
+    sys.push_loop(0, 0..key_space, move |k, ops| {
+        ops.extend([
+            CoreOp::load(h_hist.addr_of(k as u64), S_HIST),
+            CoreOp::alu().with_dep(1).with_dep(4), // acc += hist[k]
+            CoreOp::store(h_hist.addr_of(k as u64), S_HIST).with_dep(1),
+        ])
+    });
+}
+
 fn baseline_phases(d: &Data, keys: usize, key_space: usize, cores: usize) -> Vec<Phase> {
     let mut phases = vec![Phase::RoiBegin];
-    // Phase 1: atomic histogram across cores.
+    // Phase 1: atomic histogram across cores, `hist[keys[i]] += 1`.
     let parts = chunks(keys, cores);
     let (keys_rc, h_keys, h_hist, h_rank) = (d.keys.clone(), d.h_keys, d.h_hist, d.h_rank);
     phases.push(Phase::setup(move |sys| {
-        for (c, (lo, hi)) in parts.iter().enumerate() {
-            sys.push_stream(
-                c,
-                HistStream {
-                    keys: keys_rc.clone(),
-                    h_keys,
-                    h_hist,
-                    i: *lo,
-                    hi: *hi,
-                    step: 0,
-                },
-            );
+        for (c, &(lo, hi)) in parts.iter().enumerate() {
+            let keys = keys_rc.clone();
+            sys.push_loop(c, lo..hi, move |i, ops| {
+                ops.extend([
+                    CoreOp::load(h_keys.addr_of(i as u64), S_KEYS),
+                    CoreOp::alu().with_dep(1), // address calculation
+                    CoreOp::atomic(h_hist.addr_of(keys[i] as u64), S_HIST).with_dep(1),
+                ])
+            });
         }
     }));
     phases.push(Phase::WaitCoresIdle);
     // Phase 2: prefix sum on core 0.
-    phases.push(Phase::setup(move |sys| {
-        sys.push_stream(
-            0,
-            PrefixStream {
-                h_hist,
-                k: 0,
-                n: key_space,
-                step: 0,
-            },
-        );
-    }));
+    phases.push(Phase::setup(move |sys| push_prefix(sys, h_hist, key_space)));
     phases.push(Phase::WaitCoresIdle);
-    // Phase 3: rank gather.
+    // Phase 3: rank gather, `rank[i] = hist[keys[i]]`.
     let parts = chunks(keys, cores);
     let keys_rc = d.keys.clone();
     phases.push(Phase::setup(move |sys| {
-        for (c, (lo, hi)) in parts.iter().enumerate() {
-            sys.push_stream(
-                c,
-                RankStream {
-                    keys: keys_rc.clone(),
-                    h_keys,
-                    h_hist,
-                    h_rank,
-                    i: *lo,
-                    hi: *hi,
-                    step: 0,
-                },
-            );
+        for (c, &(lo, hi)) in parts.iter().enumerate() {
+            let keys = keys_rc.clone();
+            sys.push_loop(c, lo..hi, move |i, ops| {
+                ops.extend([
+                    CoreOp::load(h_keys.addr_of(i as u64), S_KEYS),
+                    CoreOp::alu().with_dep(1),
+                    CoreOp::load(h_hist.addr_of(keys[i] as u64), S_HIST).with_dep(1),
+                    CoreOp::store(h_rank.addr_of(i as u64), S_RANK).with_dep(1),
+                ])
+            });
         }
     }));
     phases.push(Phase::WaitCoresIdle);
@@ -371,15 +259,7 @@ fn dx100_phases(
             acc += image.read_elem(h_hist, k);
             image.write_elem(h_hist, k, acc);
         }
-        sys.push_stream(
-            0,
-            PrefixStream {
-                h_hist,
-                k: 0,
-                n: key_space,
-                step: 0,
-            },
-        );
+        push_prefix(sys, h_hist, key_space);
     }));
     phases.push(Phase::WaitCoresIdle);
 

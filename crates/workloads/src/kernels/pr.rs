@@ -11,7 +11,7 @@ use std::sync::Arc;
 use dx100_common::{value, AluOp, DType};
 use dx100_core::isa::Instruction;
 use dx100_core::ArrayHandle;
-use dx100_cpu::{CoreOp, OpStream};
+use dx100_cpu::CoreOp;
 use dx100_prefetch::IndirectPattern;
 use dx100_sim::{System, SystemConfig};
 
@@ -106,90 +106,6 @@ impl PageRank {
     }
 }
 
-/// Streaming contribution computation: `contrib[u] = rank[u] / deg[u]`
-/// (both modes run this on the cores).
-struct ContribStream {
-    h_rank: ArrayHandle,
-    h_deg: ArrayHandle,
-    h_contrib: ArrayHandle,
-    u: usize,
-    hi: usize,
-    step: u8,
-}
-
-impl OpStream for ContribStream {
-    fn next_op(&mut self) -> Option<CoreOp> {
-        if self.u >= self.hi {
-            return None;
-        }
-        let op = match self.step {
-            0 => CoreOp::load(self.h_rank.addr_of(self.u as u64), S_NODE),
-            1 => CoreOp::load(self.h_deg.addr_of(self.u as u64), S_NODE + 10),
-            2 => CoreOp::alu().with_dep(1).with_dep(2), // divide
-            3 => CoreOp::Store {
-                addr: self.h_contrib.addr_of(self.u as u64),
-                stream: S_CONTRIB,
-                dep: [1, 0],
-            },
-            _ => unreachable!(),
-        };
-        self.step += 1;
-        if self.step == 4 {
-            self.step = 0;
-            self.u += 1;
-        }
-        Some(op)
-    }
-}
-
-/// Baseline edge scatter: `next[col[j]] += contrib[src[j]]` with atomics.
-struct EdgeStream {
-    src: Arc<Vec<u32>>,
-    col: Arc<Vec<u32>>,
-    h_src: ArrayHandle,
-    h_col: ArrayHandle,
-    h_contrib: ArrayHandle,
-    h_next: ArrayHandle,
-    j: usize,
-    hi: usize,
-    step: u8,
-}
-
-impl OpStream for EdgeStream {
-    fn next_op(&mut self) -> Option<CoreOp> {
-        if self.j >= self.hi {
-            return None;
-        }
-        let op = match self.step {
-            0 => CoreOp::load(self.h_src.addr_of(self.j as u64), S_SRC),
-            1 => CoreOp::alu().with_dep(1),
-            2 => {
-                let u = self.src[self.j] as u64;
-                CoreOp::Load {
-                    addr: self.h_contrib.addr_of(u),
-                    stream: S_CONTRIB,
-                    dep: [1, 0],
-                }
-            }
-            3 => CoreOp::load(self.h_col.addr_of(self.j as u64), S_COL),
-            4 => CoreOp::alu().with_dep(1),
-            5 => {
-                let v = self.col[self.j] as u64;
-                CoreOp::atomic(self.h_next.addr_of(v), S_NEXT)
-                    .with_dep(1)
-                    .with_dep(3)
-            }
-            _ => unreachable!(),
-        };
-        self.step += 1;
-        if self.step == 6 {
-            self.step = 0;
-            self.j += 1;
-        }
-        Some(op)
-    }
-}
-
 impl KernelRun for PageRank {
     fn name(&self) -> &'static str {
         "pr"
@@ -204,8 +120,9 @@ impl KernelRun for PageRank {
         let edges = d.col.len();
 
         let mut phases = vec![Phase::RoiBegin];
-        // Phase A (both modes): compute contributions on the cores, and
-        // apply them functionally so the scatter reads real data.
+        // Phase A (both modes): compute contributions on the cores,
+        // `contrib[u] = rank[u] / deg[u]` (streaming), and apply them
+        // functionally so the scatter reads real data.
         {
             let parts = chunks(n, cores);
             let (h_rank, h_deg, h_contrib) = (d.h_rank, d.h_deg, d.h_contrib);
@@ -215,18 +132,15 @@ impl KernelRun for PageRank {
                 for (u, c) in contrib.iter().enumerate() {
                     image.write_elem(h_contrib, u as u64, value::from_f64(*c));
                 }
-                for (c, (lo, hi)) in parts.iter().enumerate() {
-                    sys.push_stream(
-                        c,
-                        ContribStream {
-                            h_rank,
-                            h_deg,
-                            h_contrib,
-                            u: *lo,
-                            hi: *hi,
-                            step: 0,
-                        },
-                    );
+                for (c, &(lo, hi)) in parts.iter().enumerate() {
+                    sys.push_loop(c, lo..hi, move |u, ops| {
+                        ops.extend([
+                            CoreOp::load(h_rank.addr_of(u as u64), S_NODE),
+                            CoreOp::load(h_deg.addr_of(u as u64), S_NODE + 10),
+                            CoreOp::alu().with_dep(1).with_dep(2), // divide
+                            CoreOp::store(h_contrib.addr_of(u as u64), S_CONTRIB).with_dep(1),
+                        ])
+                    });
                 }
             }));
             phases.push(Phase::WaitCoresIdle);
@@ -254,22 +168,23 @@ impl KernelRun for PageRank {
                 let parts = chunks(edges, cores);
                 let (src, col) = (d.src.clone(), d.col.clone());
                 let (h_src, h_col, h_contrib, h_next) = (d.h_src, d.h_col, d.h_contrib, d.h_next);
+                // `next[col[j]] += contrib[src[j]]` with atomics.
                 phases.push(Phase::setup(move |sys| {
-                    for (c, (lo, hi)) in parts.iter().enumerate() {
-                        sys.push_stream(
-                            c,
-                            EdgeStream {
-                                src: src.clone(),
-                                col: col.clone(),
-                                h_src,
-                                h_col,
-                                h_contrib,
-                                h_next,
-                                j: *lo,
-                                hi: *hi,
-                                step: 0,
-                            },
-                        );
+                    for (c, &(lo, hi)) in parts.iter().enumerate() {
+                        let (src, col) = (src.clone(), col.clone());
+                        sys.push_loop(c, lo..hi, move |j, ops| {
+                            let (u, v) = (src[j] as u64, col[j] as u64);
+                            ops.extend([
+                                CoreOp::load(h_src.addr_of(j as u64), S_SRC),
+                                CoreOp::alu().with_dep(1),
+                                CoreOp::load(h_contrib.addr_of(u), S_CONTRIB).with_dep(1),
+                                CoreOp::load(h_col.addr_of(j as u64), S_COL),
+                                CoreOp::alu().with_dep(1),
+                                CoreOp::atomic(h_next.addr_of(v), S_NEXT)
+                                    .with_dep(1)
+                                    .with_dep(3),
+                            ])
+                        });
                     }
                 }));
             }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use dx100_common::{AluOp, DType};
 use dx100_core::isa::Instruction;
 use dx100_core::ArrayHandle;
-use dx100_cpu::{CoreOp, OpStream};
+use dx100_cpu::CoreOp;
 use dx100_prefetch::IndirectPattern;
 use dx100_sim::{System, SystemConfig};
 
@@ -113,86 +113,6 @@ impl RadixJoinHistogram {
     }
 }
 
-/// Baseline histogram stream with the mask/shift address calculation.
-struct HistStream {
-    keys: Arc<Vec<u64>>,
-    h_key: ArrayHandle,
-    h_hist: ArrayHandle,
-    i: usize,
-    hi: usize,
-    step: u8,
-}
-
-impl OpStream for HistStream {
-    fn next_op(&mut self) -> Option<CoreOp> {
-        if self.i >= self.hi {
-            return None;
-        }
-        let op = match self.step {
-            0 => CoreOp::load(self.h_key.addr_of(self.i as u64), S_KEY),
-            1 => CoreOp::alu().with_dep(1), // mask
-            2 => CoreOp::alu().with_dep(1), // shift
-            3 => CoreOp::alu().with_dep(1), // address
-            4 => {
-                let b = RadixJoinHistogram::bucket_of(self.keys[self.i]);
-                CoreOp::atomic(self.h_hist.addr_of(b), S_HIST).with_dep(1)
-            }
-            _ => unreachable!(),
-        };
-        self.step += 1;
-        if self.step == 5 {
-            self.step = 0;
-            self.i += 1;
-        }
-        Some(op)
-    }
-}
-
-/// Baseline scatter stream: dest calc + out store + offset bump.
-struct PartitionStream {
-    keys: Arc<Vec<u64>>,
-    dest: Arc<Vec<u32>>,
-    h_key: ArrayHandle,
-    h_hist: ArrayHandle,
-    h_out: ArrayHandle,
-    i: usize,
-    hi: usize,
-    step: u8,
-}
-
-impl OpStream for PartitionStream {
-    fn next_op(&mut self) -> Option<CoreOp> {
-        if self.i >= self.hi {
-            return None;
-        }
-        let op = match self.step {
-            0 => CoreOp::load(self.h_key.addr_of(self.i as u64), S_KEY),
-            1 => CoreOp::alu().with_dep(1), // mask
-            2 => CoreOp::alu().with_dep(1), // shift
-            3 => {
-                // Atomic fetch-add on the bucket's running offset.
-                let b = RadixJoinHistogram::bucket_of(self.keys[self.i]);
-                CoreOp::atomic(self.h_hist.addr_of(b), S_HIST).with_dep(1)
-            }
-            4 => {
-                let dst = self.dest[self.i] as u64;
-                CoreOp::Store {
-                    addr: self.h_out.addr_of(dst),
-                    stream: S_OUT,
-                    dep: [1, 0],
-                }
-            }
-            _ => unreachable!(),
-        };
-        self.step += 1;
-        if self.step == 5 {
-            self.step = 0;
-            self.i += 1;
-        }
-        Some(op)
-    }
-}
-
 impl KernelRun for RadixJoinHistogram {
     fn name(&self) -> &'static str {
         "prh"
@@ -226,22 +146,23 @@ impl KernelRun for RadixJoinHistogram {
                         index_mask: ((1u64 << RADIX_BITS) - 1) << RADIX_SHIFT,
                     });
                 }
-                // Phase 1: histogram.
+                // Phase 1: histogram, with the mask/shift address
+                // calculation.
                 let parts = chunks(n, cores);
                 let (keys, h_key, h_hist) = (d.keys.clone(), d.h_key, d.h_hist);
                 phases.push(Phase::setup(move |sys| {
-                    for (c, (lo, hi)) in parts.iter().enumerate() {
-                        sys.push_stream(
-                            c,
-                            HistStream {
-                                keys: keys.clone(),
-                                h_key,
-                                h_hist,
-                                i: *lo,
-                                hi: *hi,
-                                step: 0,
-                            },
-                        );
+                    for (c, &(lo, hi)) in parts.iter().enumerate() {
+                        let keys = keys.clone();
+                        sys.push_loop(c, lo..hi, move |i, ops| {
+                            let b = RadixJoinHistogram::bucket_of(keys[i]);
+                            ops.extend([
+                                CoreOp::load(h_key.addr_of(i as u64), S_KEY),
+                                CoreOp::alu().with_dep(1), // mask
+                                CoreOp::alu().with_dep(1), // shift
+                                CoreOp::alu().with_dep(1), // address
+                                CoreOp::atomic(h_hist.addr_of(b), S_HIST).with_dep(1),
+                            ])
+                        });
                     }
                 }));
                 phases.push(Phase::WaitCoresIdle);
@@ -249,21 +170,21 @@ impl KernelRun for RadixJoinHistogram {
                 let parts = chunks(n, cores);
                 let (keys, dest) = (d.keys.clone(), Arc::new(d.dest.clone()));
                 let (h_key, h_hist, h_out) = (d.h_key, d.h_hist, d.h_out);
+                // Dest calc, an atomic fetch-add on the bucket's running
+                // offset, and the out store.
                 phases.push(Phase::setup(move |sys| {
-                    for (c, (lo, hi)) in parts.iter().enumerate() {
-                        sys.push_stream(
-                            c,
-                            PartitionStream {
-                                keys: keys.clone(),
-                                dest: dest.clone(),
-                                h_key,
-                                h_hist,
-                                h_out,
-                                i: *lo,
-                                hi: *hi,
-                                step: 0,
-                            },
-                        );
+                    for (c, &(lo, hi)) in parts.iter().enumerate() {
+                        let (keys, dest) = (keys.clone(), dest.clone());
+                        sys.push_loop(c, lo..hi, move |i, ops| {
+                            let b = RadixJoinHistogram::bucket_of(keys[i]);
+                            ops.extend([
+                                CoreOp::load(h_key.addr_of(i as u64), S_KEY),
+                                CoreOp::alu().with_dep(1), // mask
+                                CoreOp::alu().with_dep(1), // shift
+                                CoreOp::atomic(h_hist.addr_of(b), S_HIST).with_dep(1),
+                                CoreOp::store(h_out.addr_of(dest[i] as u64), S_OUT).with_dep(1),
+                            ])
+                        });
                     }
                 }));
             }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use dx100_common::{AluOp, DType};
 use dx100_core::isa::Instruction;
 use dx100_core::ArrayHandle;
-use dx100_cpu::{CoreOp, OpStream};
+use dx100_cpu::CoreOp;
 use dx100_prefetch::IndirectPattern;
 use dx100_sim::{System, SystemConfig};
 
@@ -150,82 +150,6 @@ impl RadixJoinChaining {
     }
 }
 
-/// Baseline probe stream: hash, dependent chain walk with early exit.
-struct ProbeStream {
-    probes: Arc<Vec<u32>>,
-    node_keys: Arc<Vec<u32>>,
-    next: Arc<Vec<u32>>,
-    head: Arc<Vec<u32>>,
-    h_probe: ArrayHandle,
-    h_head: ArrayHandle,
-    h_nkey: ArrayHandle,
-    h_next: ArrayHandle,
-    h_found: ArrayHandle,
-    mask: u32,
-    sentinel: u32,
-    i: usize,
-    hi: usize,
-    /// Remaining ops for the current probe (generated by replay).
-    pending: std::collections::VecDeque<CoreOp>,
-}
-
-impl ProbeStream {
-    fn refill(&mut self) {
-        let k = self.probes[self.i];
-        let h = (k & self.mask) as usize;
-        self.pending
-            .push_back(CoreOp::load(self.h_probe.addr_of(self.i as u64), S_PROBE));
-        self.pending.push_back(CoreOp::alu().with_dep(1)); // hash
-        self.pending.push_back(CoreOp::Load {
-            addr: self.h_head.addr_of(h as u64),
-            stream: S_HEAD,
-            dep: [1, 0],
-        });
-        let mut cur = self.head[h];
-        for _ in 0..ROUNDS {
-            if cur == self.sentinel {
-                break;
-            }
-            // Dependent loads: node key, compare, then the next pointer.
-            self.pending.push_back(CoreOp::Load {
-                addr: self.h_nkey.addr_of(cur as u64),
-                stream: S_NKEY,
-                dep: [1, 0],
-            });
-            self.pending.push_back(CoreOp::alu().with_dep(1)); // compare
-            if self.node_keys[cur as usize] == k {
-                break;
-            }
-            self.pending.push_back(CoreOp::Load {
-                addr: self.h_next.addr_of(cur as u64),
-                stream: S_NEXT,
-                dep: [3, 0],
-            });
-            cur = self.next[cur as usize];
-        }
-        self.pending.push_back(CoreOp::Store {
-            addr: self.h_found.addr_of(self.i as u64),
-            stream: S_FOUND,
-            dep: [1, 0],
-        });
-    }
-}
-
-impl OpStream for ProbeStream {
-    fn next_op(&mut self) -> Option<CoreOp> {
-        loop {
-            if let Some(op) = self.pending.pop_front() {
-                return Some(op);
-            }
-            if self.i >= self.hi {
-                return None;
-            }
-            self.refill();
-            self.i += 1;
-        }
-    }
-}
-
 impl KernelRun for RadixJoinChaining {
     fn name(&self) -> &'static str {
         "pro"
@@ -264,6 +188,8 @@ impl KernelRun for RadixJoinChaining {
                         index_mask: d.mask as u64,
                     });
                 }
+                // Hash, then a dependent chain walk with early exit
+                // (replayed from the functional state).
                 let parts = chunks(n, cores);
                 let data = (
                     d.probes.clone(),
@@ -271,29 +197,43 @@ impl KernelRun for RadixJoinChaining {
                     d.next.clone(),
                     d.head.clone(),
                 );
-                let handles = (d.h_probe, d.h_head, d.h_nkey, d.h_next, d.h_found);
+                let (h_probe, h_head, h_nkey, h_next, h_found) =
+                    (d.h_probe, d.h_head, d.h_nkey, d.h_next, d.h_found);
                 let (mask, sentinel) = (d.mask, d.sentinel);
                 phases.push(Phase::setup(move |sys| {
-                    for (c, (lo, hi)) in parts.iter().enumerate() {
-                        sys.push_stream(
-                            c,
-                            ProbeStream {
-                                probes: data.0.clone(),
-                                node_keys: data.1.clone(),
-                                next: data.2.clone(),
-                                head: data.3.clone(),
-                                h_probe: handles.0,
-                                h_head: handles.1,
-                                h_nkey: handles.2,
-                                h_next: handles.3,
-                                h_found: handles.4,
-                                mask,
-                                sentinel,
-                                i: *lo,
-                                hi: *hi,
-                                pending: Default::default(),
-                            },
-                        );
+                    for (c, &(lo, hi)) in parts.iter().enumerate() {
+                        let (probes, node_keys, next, head) = data.clone();
+                        sys.push_loop(c, lo..hi, move |i, ops| {
+                            let k = probes[i];
+                            let h = (k & mask) as usize;
+                            ops.extend([
+                                CoreOp::load(h_probe.addr_of(i as u64), S_PROBE),
+                                CoreOp::alu().with_dep(1), // hash
+                                CoreOp::load(h_head.addr_of(h as u64), S_HEAD).with_dep(1),
+                            ]);
+                            let mut cur = head[h];
+                            for _ in 0..ROUNDS {
+                                if cur == sentinel {
+                                    break;
+                                }
+                                // Dependent loads: node key, compare, then
+                                // the next pointer.
+                                ops.extend([
+                                    CoreOp::load(h_nkey.addr_of(cur as u64), S_NKEY).with_dep(1),
+                                    CoreOp::alu().with_dep(1), // compare
+                                ]);
+                                if node_keys[cur as usize] == k {
+                                    break;
+                                }
+                                ops.push_back(
+                                    CoreOp::load(h_next.addr_of(cur as u64), S_NEXT).with_dep(3),
+                                );
+                                cur = next[cur as usize];
+                            }
+                            ops.push_back(
+                                CoreOp::store(h_found.addr_of(i as u64), S_FOUND).with_dep(1),
+                            );
+                        });
                     }
                 }));
             }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use dx100_common::{value, AluOp, DType};
 use dx100_core::isa::Instruction;
 use dx100_core::ArrayHandle;
-use dx100_cpu::{CoreOp, OpStream};
+use dx100_cpu::CoreOp;
 use dx100_prefetch::IndirectPattern;
 use dx100_sim::{System, SystemConfig};
 
@@ -220,142 +220,6 @@ impl Ume {
     }
 }
 
-/// Baseline direct stream: `if mask[i] >= F { grad[map[i]] += val[i] }`.
-struct DirectStream {
-    d_map: Arc<Vec<u32>>,
-    d_mask: Arc<Vec<u32>>,
-    h_map: ArrayHandle,
-    h_mask: ArrayHandle,
-    h_val: ArrayHandle,
-    h_grad: ArrayHandle,
-    i: usize,
-    hi: usize,
-    step: u8,
-}
-
-impl OpStream for DirectStream {
-    fn next_op(&mut self) -> Option<CoreOp> {
-        loop {
-            if self.i >= self.hi {
-                return None;
-            }
-            let taken = self.d_mask[self.i] as u64 >= F_THRESHOLD;
-            let op = match self.step {
-                0 => CoreOp::load(self.h_mask.addr_of(self.i as u64), S_MASK),
-                1 => CoreOp::alu().with_dep(1), // compare + branch
-                2 if taken => CoreOp::load(self.h_map.addr_of(self.i as u64), S_MAP),
-                3 if taken => CoreOp::alu().with_dep(1),
-                4 if taken => CoreOp::load(self.h_val.addr_of(self.i as u64), S_VAL),
-                5 if taken => {
-                    let t = self.d_map[self.i] as u64;
-                    CoreOp::atomic(self.h_grad.addr_of(t), S_GRAD)
-                        .with_dep(1)
-                        .with_dep(3)
-                }
-                _ => {
-                    // Untaken iteration: only the condition work.
-                    self.step = 0;
-                    self.i += 1;
-                    continue;
-                }
-            };
-            self.step += 1;
-            if self.step == 6 {
-                self.step = 0;
-                self.i += 1;
-            }
-            return Some(op);
-        }
-    }
-}
-
-/// Baseline indirect stream over the flattened (outer, j) pairs:
-/// `if mask[j] >= F { out[j] = A[B[C[j]]] }` plus the per-outer range setup.
-struct IndirectStream {
-    d: Arc<Vec<(u32, u32)>>,
-    c_map: Arc<Vec<u32>>,
-    b_map: Arc<Vec<u32>>,
-    mask: Arc<Vec<u32>>,
-    hk: ArrayHandle,
-    hh: ArrayHandle,
-    hc: ArrayHandle,
-    hb: ArrayHandle,
-    hmask: ArrayHandle,
-    ha: ArrayHandle,
-    hout: ArrayHandle,
-    idx: usize,
-    hi: usize,
-    step: u8,
-    last_outer: u32,
-}
-
-impl OpStream for IndirectStream {
-    fn next_op(&mut self) -> Option<CoreOp> {
-        loop {
-            if self.idx >= self.hi {
-                return None;
-            }
-            let (outer, j) = self.d[self.idx];
-            let ju = j as usize;
-            let taken = self.mask[ju] as u64 >= F_THRESHOLD;
-            // New outer iteration: pay the range-setup loads
-            // (K[i], H[K[i]], H[K[i]+1]).
-            if self.step == 0 && outer != self.last_outer {
-                self.last_outer = outer;
-                self.step = 10;
-            }
-            let op = match self.step {
-                10 => CoreOp::load(self.hk.addr_of(outer as u64), S_K),
-                11 => CoreOp::alu().with_dep(1),
-                12 => CoreOp::Load {
-                    addr: self.hh.addr_of(self.d[self.idx].0 as u64 % self.hh.len()),
-                    stream: S_H,
-                    dep: [1, 0],
-                },
-                13 => {
-                    self.step = 0;
-                    continue;
-                }
-                0 => CoreOp::load(self.hmask.addr_of(ju as u64), S_MASK),
-                1 => CoreOp::alu().with_dep(1),
-                2 if taken => CoreOp::load(self.hc.addr_of(ju as u64), S_C),
-                3 if taken => {
-                    let c = self.c_map[ju] as u64;
-                    CoreOp::Load {
-                        addr: self.hb.addr_of(c),
-                        stream: S_B,
-                        dep: [1, 0],
-                    }
-                }
-                4 if taken => {
-                    let b = self.b_map[self.c_map[ju] as usize] as u64;
-                    CoreOp::Load {
-                        addr: self.ha.addr_of(b),
-                        stream: S_A,
-                        dep: [1, 0],
-                    }
-                }
-                5 if taken => CoreOp::Store {
-                    addr: self.hout.addr_of(ju as u64),
-                    stream: S_OUT,
-                    dep: [1, 0],
-                },
-                _ => {
-                    self.step = 0;
-                    self.idx += 1;
-                    continue;
-                }
-            };
-            self.step += 1;
-            if self.step == 6 {
-                self.step = 0;
-                self.idx += 1;
-            }
-            return Some(op);
-        }
-    }
-}
-
 impl KernelRun for Ume {
     fn name(&self) -> &'static str {
         self.name
@@ -394,22 +258,27 @@ impl Ume {
                 let parts = chunks(n, cores);
                 let (map, mask) = (d.map.clone(), d.mask.clone());
                 let (h_map, h_mask, h_val, h_grad) = (d.h_map, d.h_mask, d.h_val, d.h_grad);
+                // `if mask[i] >= F { grad[map[i]] += val[i] }`; an untaken
+                // iteration does only the condition work.
                 phases.push(Phase::setup(move |sys| {
-                    for (c, (lo, hi)) in parts.iter().enumerate() {
-                        sys.push_stream(
-                            c,
-                            DirectStream {
-                                d_map: map.clone(),
-                                d_mask: mask.clone(),
-                                h_map,
-                                h_mask,
-                                h_val,
-                                h_grad,
-                                i: *lo,
-                                hi: *hi,
-                                step: 0,
-                            },
-                        );
+                    for (c, &(lo, hi)) in parts.iter().enumerate() {
+                        let (map, mask) = (map.clone(), mask.clone());
+                        sys.push_loop(c, lo..hi, move |i, ops| {
+                            ops.extend([
+                                CoreOp::load(h_mask.addr_of(i as u64), S_MASK),
+                                CoreOp::alu().with_dep(1), // compare + branch
+                            ]);
+                            if mask[i] as u64 >= F_THRESHOLD {
+                                ops.extend([
+                                    CoreOp::load(h_map.addr_of(i as u64), S_MAP),
+                                    CoreOp::alu().with_dep(1),
+                                    CoreOp::load(h_val.addr_of(i as u64), S_VAL),
+                                    CoreOp::atomic(h_grad.addr_of(map[i] as u64), S_GRAD)
+                                        .with_dep(1)
+                                        .with_dep(3),
+                                ]);
+                            }
+                        });
                     }
                 }));
             }
@@ -546,28 +415,41 @@ impl Ume {
                     d.mask.clone(),
                 );
                 let handles = (d.hk, d.hh, d.hc, d.hb, d.hmask, d.ha, d.hout);
+                // Over the flattened (outer, j) pairs:
+                // `if mask[j] >= F { out[j] = A[B[C[j]]] }`, plus the range
+                // setup loads (K[i], H[K[i]]) at each new outer iteration.
                 phases.push(Phase::setup(move |sys| {
-                    for (c, (lo, hi)) in parts.iter().enumerate() {
-                        sys.push_stream(
-                            c,
-                            IndirectStream {
-                                d: data.0.clone(),
-                                c_map: data.1.clone(),
-                                b_map: data.2.clone(),
-                                mask: data.3.clone(),
-                                hk: handles.0,
-                                hh: handles.1,
-                                hc: handles.2,
-                                hb: handles.3,
-                                hmask: handles.4,
-                                ha: handles.5,
-                                hout: handles.6,
-                                idx: *lo,
-                                hi: *hi,
-                                step: 0,
-                                last_outer: u32::MAX,
-                            },
-                        );
+                    for (c, &(lo, hi)) in parts.iter().enumerate() {
+                        let (flat, c_map, b_map, mask) = data.clone();
+                        let (hk, hh, hc, hb, hmask, ha, hout) = handles;
+                        let mut last_outer = u32::MAX;
+                        sys.push_loop(c, lo..hi, move |idx, ops| {
+                            let (outer, j) = flat[idx];
+                            let ju = j as usize;
+                            if outer != last_outer {
+                                last_outer = outer;
+                                ops.extend([
+                                    CoreOp::load(hk.addr_of(outer as u64), S_K),
+                                    CoreOp::alu().with_dep(1),
+                                    CoreOp::load(hh.addr_of(outer as u64 % hh.len()), S_H)
+                                        .with_dep(1),
+                                ]);
+                            }
+                            ops.extend([
+                                CoreOp::load(hmask.addr_of(j as u64), S_MASK),
+                                CoreOp::alu().with_dep(1),
+                            ]);
+                            if mask[ju] as u64 >= F_THRESHOLD {
+                                let c = c_map[ju];
+                                ops.extend([
+                                    CoreOp::load(hc.addr_of(j as u64), S_C),
+                                    CoreOp::load(hb.addr_of(c as u64), S_B).with_dep(1),
+                                    CoreOp::load(ha.addr_of(b_map[c as usize] as u64), S_A)
+                                        .with_dep(1),
+                                    CoreOp::store(hout.addr_of(j as u64), S_OUT).with_dep(1),
+                                ]);
+                            }
+                        });
                     }
                 }));
             }

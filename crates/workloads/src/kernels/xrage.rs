@@ -7,7 +7,7 @@ use std::sync::Arc;
 use dx100_common::DType;
 use dx100_core::isa::Instruction;
 use dx100_core::ArrayHandle;
-use dx100_cpu::{CoreOp, OpStream};
+use dx100_cpu::CoreOp;
 use dx100_prefetch::IndirectPattern;
 use dx100_sim::{System, SystemConfig};
 
@@ -79,45 +79,6 @@ impl Xrage {
     }
 }
 
-/// Baseline scatter stream: `out[pat[i]] = val[i]`.
-struct ScatterStream {
-    pattern: Arc<Vec<u32>>,
-    h_pat: ArrayHandle,
-    h_val: ArrayHandle,
-    h_out: ArrayHandle,
-    i: usize,
-    hi: usize,
-    step: u8,
-}
-
-impl OpStream for ScatterStream {
-    fn next_op(&mut self) -> Option<CoreOp> {
-        if self.i >= self.hi {
-            return None;
-        }
-        let op = match self.step {
-            0 => CoreOp::load(self.h_pat.addr_of(self.i as u64), S_PAT),
-            1 => CoreOp::alu().with_dep(1),
-            2 => CoreOp::load(self.h_val.addr_of(self.i as u64), S_VAL),
-            3 => {
-                let p = self.pattern[self.i] as u64;
-                CoreOp::Store {
-                    addr: self.h_out.addr_of(p),
-                    stream: S_OUT,
-                    dep: [2, 1],
-                }
-            }
-            _ => unreachable!(),
-        };
-        self.step += 1;
-        if self.step == 4 {
-            self.step = 0;
-            self.i += 1;
-        }
-        Some(op)
-    }
-}
-
 impl KernelRun for Xrage {
     fn name(&self) -> &'static str {
         "xrage"
@@ -146,20 +107,20 @@ impl KernelRun for Xrage {
                 let (pattern, h_pat, h_val, h_out) = (d.pattern.clone(), d.h_pat, d.h_val, d.h_out);
                 vec![
                     Phase::RoiBegin,
+                    // `out[pat[i]] = val[i]`.
                     Phase::setup(move |sys| {
-                        for (c, (lo, hi)) in parts.iter().enumerate() {
-                            sys.push_stream(
-                                c,
-                                ScatterStream {
-                                    pattern: pattern.clone(),
-                                    h_pat,
-                                    h_val,
-                                    h_out,
-                                    i: *lo,
-                                    hi: *hi,
-                                    step: 0,
-                                },
-                            );
+                        for (c, &(lo, hi)) in parts.iter().enumerate() {
+                            let pattern = pattern.clone();
+                            sys.push_loop(c, lo..hi, move |i, ops| {
+                                ops.extend([
+                                    CoreOp::load(h_pat.addr_of(i as u64), S_PAT),
+                                    CoreOp::alu().with_dep(1),
+                                    CoreOp::load(h_val.addr_of(i as u64), S_VAL),
+                                    CoreOp::store(h_out.addr_of(pattern[i] as u64), S_OUT)
+                                        .with_dep(2)
+                                        .with_dep(1),
+                                ])
+                            });
                         }
                     }),
                     Phase::WaitCoresIdle,

@@ -2,11 +2,14 @@
 //!
 //! Once a run is warm, simulating more cycles must not allocate more: every
 //! per-event structure (ROB waiter lists, MSHR waiter lists, cache tags,
-//! link and DRAM queues) is reused in place. The test counts heap
-//! allocations made inside `System::run` for a canned program of `n` and of
-//! `2n` ops per core; the second run simulates about twice the cycles, so
-//! any per-op or per-cycle allocation shows up as a difference of thousands,
-//! while amortized queue growth adds only a handful.
+//! link and DRAM queues, the ring a core's loops generate into) is reused in
+//! place. The test counts heap allocations made inside `System::run` for a
+//! canned program of `n` and of `2n` ops per core, fed once as literal ops
+//! (`System::push_ops`) and once as a loop (`System::push_loop`); the
+//! second run simulates about twice the cycles, so any per-op or per-cycle
+//! allocation shows up as a difference of thousands, and one per batch of
+//! generated ops as a difference of a hundred, while amortized queue growth
+//! adds only a handful.
 //!
 //! It is the only test in this file because the counter belongs to the
 //! process-wide allocator; it counts only on the thread that sets the
@@ -14,12 +17,13 @@
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
+use std::collections::VecDeque;
 
 use dx100::common::DType;
 use dx100::cpu::CoreOp;
 use dx100::sim::driver::NullDriver;
 use dx100::sim::{System, SystemConfig};
-use dx100_core::MemoryImage;
+use dx100_core::{ArrayHandle, MemoryImage};
 
 thread_local! {
     /// Allocations counted on this thread while `COUNTING` is set.
@@ -64,41 +68,56 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const CORES: usize = 4;
 
-/// Per core, `n` ops in iterations of four: a load from a 4 MB array at a
-/// scattered index (most miss to DRAM), an ALU op on the loaded value, a
-/// store of the result to a streamed output array, and an ALU op that
-/// joins this iteration's result with the previous iteration's.
-fn canned_program(image: &mut MemoryImage, n: usize) -> Vec<Vec<CoreOp>> {
-    let a = image.alloc("A", DType::U32, 1 << 20);
-    let b = image.alloc("B", DType::U32, (CORES * n) as u64);
-    (0..CORES)
-        .map(|core| {
-            let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ core as u64;
-            let mut ops = Vec::with_capacity(n);
-            for j in 0..n / 4 {
-                x = x
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                let out = (core * n + j) as u64;
-                ops.push(CoreOp::load(a.addr_of((x >> 33) % (1 << 20)), 1));
-                ops.push(CoreOp::alu().with_dep(1));
-                ops.push(CoreOp::store(b.addr_of(out), 2).with_dep(1));
-                let join = CoreOp::alu().with_dep(2);
-                ops.push(if j == 0 { join } else { join.with_dep(6) });
-            }
-            ops
-        })
-        .collect()
+/// How a core receives its program.
+#[derive(Debug, Clone, Copy)]
+enum Feed {
+    Ops,
+    Loop,
 }
 
-/// Heap allocations made inside `System::run` for `n` ops per core, and
-/// the simulated cycle count.
-fn allocs_in_run(n: usize) -> (u64, u64) {
+/// The body of `core`'s canned loop of `n / 4` iterations, each four ops: a
+/// load from the 4 MB array `a` at a scattered index (most miss to DRAM),
+/// an ALU op on the loaded value, a store of the result to the streamed
+/// output array `b`, and an ALU op that joins this iteration's result with
+/// the previous iteration's. Iterations must run in order.
+fn canned_body(
+    a: ArrayHandle,
+    b: ArrayHandle,
+    core: usize,
+    n: usize,
+) -> impl FnMut(usize, &mut VecDeque<CoreOp>) + Send + 'static {
+    let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ core as u64;
+    move |j, ops| {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let join = CoreOp::alu().with_dep(2);
+        ops.extend([
+            CoreOp::load(a.addr_of((x >> 33) % (1 << 20)), 1),
+            CoreOp::alu().with_dep(1),
+            CoreOp::store(b.addr_of((core * n + j) as u64), 2).with_dep(1),
+            if j == 0 { join } else { join.with_dep(6) },
+        ]);
+    }
+}
+
+/// Heap allocations made inside `System::run` for `n` ops per core fed as
+/// `feed`, and the simulated cycle count.
+fn allocs_in_run(n: usize, feed: Feed) -> (u64, u64) {
     let mut image = MemoryImage::new();
-    let programs = canned_program(&mut image, n);
+    let a = image.alloc("A", DType::U32, 1 << 20);
+    let b = image.alloc("B", DType::U32, (CORES * n) as u64);
     let mut sys = System::new(SystemConfig::paper_baseline(), image);
-    for (core, ops) in programs.into_iter().enumerate() {
-        sys.push_ops(core, ops);
+    for core in 0..CORES {
+        let mut body = canned_body(a, b, core, n);
+        match feed {
+            Feed::Ops => {
+                let mut ops = VecDeque::with_capacity(n);
+                (0..n / 4).for_each(|j| body(j, &mut ops));
+                sys.push_ops(core, ops);
+            }
+            Feed::Loop => sys.push_loop(core, 0..n / 4, body),
+        }
     }
     ALLOCS.with(|c| c.set(0));
     COUNTING.with(|on| on.set(true));
@@ -110,16 +129,25 @@ fn allocs_in_run(n: usize) -> (u64, u64) {
 #[test]
 fn steady_state_run_does_not_allocate_per_op() {
     let n = 4096;
-    let (small, small_cycles) = allocs_in_run(n);
-    let (large, large_cycles) = allocs_in_run(2 * n);
-    assert!(
-        large_cycles > small_cycles * 3 / 2,
-        "the 2n run must simulate markedly more cycles: {small_cycles} vs {large_cycles}"
-    );
-    assert!(
-        large <= small + 64,
-        "System::run allocated {small} times for {n} ops per core and {large} \
-         times for {} ops per core; the per-cycle path allocates per op",
-        2 * n
+    let mut cycles = Vec::new();
+    for feed in [Feed::Ops, Feed::Loop] {
+        let (small, small_cycles) = allocs_in_run(n, feed);
+        let (large, large_cycles) = allocs_in_run(2 * n, feed);
+        assert!(
+            large_cycles > small_cycles * 3 / 2,
+            "{feed:?}: the 2n run must simulate markedly more cycles: \
+             {small_cycles} vs {large_cycles}"
+        );
+        assert!(
+            large <= small + 64,
+            "{feed:?}: System::run allocated {small} times for {n} ops per core and \
+             {large} times for {} ops per core; the per-cycle path allocates per op",
+            2 * n
+        );
+        cycles.push((small_cycles, large_cycles));
+    }
+    assert_eq!(
+        cycles[0], cycles[1],
+        "the same program must simulate the same cycles fed as ops or as a loop"
     );
 }

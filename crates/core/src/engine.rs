@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 
 use dx100_common::flags::FlagId;
 use dx100_common::hash::{HashMap, HashSet};
-use dx100_common::{Addr, Cycle, LineAddr, ReqId, SpanTracker, TraceHandle, CACHE_LINE_BYTES};
+use dx100_common::{Addr, Cycle, LineAddr, ReqId, SpanTracker, TraceHandle};
 use dx100_dram::{AddrMap, DramConfig, Organization};
 
 use crate::alu_unit::AluUnit;
@@ -186,11 +186,6 @@ impl Dx100Engine {
         self.regs.write(id, v);
     }
 
-    /// Reads a scalar register.
-    pub fn read_reg(&self, id: RegId) -> u64 {
-        self.regs.read(id)
-    }
-
     /// Writes a whole tile from the host side.
     pub fn write_tile(&mut self, id: TileId, values: &[u64]) {
         self.spd.write_tile(id, values);
@@ -327,11 +322,6 @@ impl Dx100Engine {
     /// Row Table occupancy: buffered column entries awaiting issue.
     pub fn queue_depth(&self) -> usize {
         self.indirect.buffered_columns()
-    }
-
-    /// TLB statistics `(hits, misses)`.
-    pub fn tlb_stats(&self) -> (u64, u64) {
-        (self.tlb.hits(), self.tlb.misses())
     }
 
     /// A runtime error that halted the engine, if any.
@@ -610,11 +600,6 @@ impl Dx100Engine {
             *invalidations += 1;
             false
         });
-    }
-
-    /// Elements per tile and line count per tile (diagnostics).
-    pub fn tile_lines(&self) -> u64 {
-        self.cfg.tile_elems as u64 * SPD_ELEM_BYTES / CACHE_LINE_BYTES
     }
 }
 

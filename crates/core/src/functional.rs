@@ -109,11 +109,6 @@ impl FunctionalDx100 {
         self.regs.write(id, v);
     }
 
-    /// Reads a scalar register.
-    pub fn read_reg(&self, id: RegId) -> u64 {
-        self.regs.read(id)
-    }
-
     /// Instructions executed so far.
     pub fn instructions_executed(&self) -> u64 {
         self.instructions_executed

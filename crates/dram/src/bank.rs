@@ -40,19 +40,22 @@ impl Bank {
         self.pre_ready_at
     }
 
-    /// Whether an ACT may issue at `now` (bank must be closed).
+    /// Whether an ACT may issue at `now`: the bank is closed and
+    /// [`Bank::act_ready_at`] has passed.
     pub fn can_act(&self, now: Cycle) -> bool {
-        self.open_row.is_none() && now >= self.act_ready_at
+        self.open_row.is_none() && self.act_ready_at() <= now
     }
 
-    /// Whether a RD/WR may issue at `now` to the given `row`.
+    /// Whether a RD/WR may issue at `now` to `row`: the row is open and
+    /// [`Bank::cas_ready_at`] has passed.
     pub fn can_cas(&self, row: u64, now: Cycle) -> bool {
-        self.open_row == Some(row) && now >= self.cas_ready_at
+        self.open_row == Some(row) && self.cas_ready_at() <= now
     }
 
-    /// Whether a PRE may issue at `now` (bank must be open).
+    /// Whether a PRE may issue at `now`: the bank is open and
+    /// [`Bank::pre_ready_at`] has passed.
     pub fn can_pre(&self, now: Cycle) -> bool {
-        self.open_row.is_some() && now >= self.pre_ready_at
+        self.open_row.is_some() && self.pre_ready_at() <= now
     }
 
     /// Issues ACT: opens `row` and arms tRCD / tRAS / tRC constraints.

@@ -105,7 +105,8 @@ impl Channel {
         ready
     }
 
-    /// Whether a CAS may issue at `now` to (`bank_idx`, `bank_group`, `row`).
+    /// Whether a CAS may issue at `now` to (`bank_idx`, `bank_group`, `row`):
+    /// `row` is open and [`Channel::cas_ready_tick`] has passed.
     pub fn can_cas(
         &self,
         bank_idx: usize,
@@ -114,8 +115,8 @@ impl Channel {
         is_write: bool,
         now: Cycle,
     ) -> bool {
-        self.banks[bank_idx].can_cas(row, now)
-            && now >= self.cas_channel_ready_at(bank_group, is_write)
+        self.banks[bank_idx].open_row() == Some(row)
+            && self.cas_ready_tick(bank_idx, bank_group, is_write) <= now
     }
 
     /// Whether channel-level constraints alone (tCCD, turnaround, data bus)
@@ -140,6 +141,7 @@ impl Channel {
     pub fn act_ready_tick(&self, bank_idx: usize, rank: usize, bank_group: usize) -> Cycle {
         let t = &self.config.timings;
         let mut ready = self.banks[bank_idx].act_ready_at();
+        // tRRD against the previous ACT in the same rank.
         if let Some((last, last_bg)) = self.last_act[rank] {
             let rrd = if last_bg == bank_group {
                 t.t_rrd_l
@@ -148,6 +150,7 @@ impl Channel {
             };
             ready = ready.max(last + rrd);
         }
+        // tFAW: at most 4 ACTs per rank per window.
         let window = &self.act_window[rank];
         if window.len() >= 4 {
             ready = ready.max(window[window.len() - 4] + t.t_faw);
@@ -190,32 +193,11 @@ impl Channel {
         data_end
     }
 
-    /// Whether an ACT may issue at `now` to (`bank_idx`, rank, bank group).
+    /// Whether an ACT may issue at `now` to (`bank_idx`, rank, bank group):
+    /// the bank is closed and [`Channel::act_ready_tick`] has passed.
     pub fn can_act(&self, bank_idx: usize, rank: usize, bank_group: usize, now: Cycle) -> bool {
-        if !self.banks[bank_idx].can_act(now) {
-            return false;
-        }
-        let t = &self.config.timings;
-        // tRRD against the previous ACT in the same rank.
-        if let Some((last, last_bg)) = self.last_act[rank] {
-            let rrd = if last_bg == bank_group {
-                t.t_rrd_l
-            } else {
-                t.t_rrd_s
-            };
-            if now < last + rrd {
-                return false;
-            }
-        }
-        // tFAW: at most 4 ACTs per rank per window.
-        let window = &self.act_window[rank];
-        if window.len() >= 4 {
-            let fourth_back = window[window.len() - 4];
-            if now < fourth_back + t.t_faw {
-                return false;
-            }
-        }
-        true
+        self.banks[bank_idx].open_row().is_none()
+            && self.act_ready_tick(bank_idx, rank, bank_group) <= now
     }
 
     /// Issues an ACT opening `row`.
@@ -242,9 +224,10 @@ impl Channel {
         self.activates += 1;
     }
 
-    /// Whether a PRE may issue at `now` to `bank_idx`.
+    /// Whether a PRE may issue at `now` to `bank_idx`: its row is open and
+    /// [`Channel::pre_ready_tick`] has passed.
     pub fn can_pre(&self, bank_idx: usize, now: Cycle) -> bool {
-        self.banks[bank_idx].can_pre(now)
+        self.banks[bank_idx].open_row().is_some() && self.pre_ready_tick(bank_idx) <= now
     }
 
     /// Issues a PRE closing the bank's open row.

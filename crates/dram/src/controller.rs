@@ -111,8 +111,6 @@ impl RequestBuffer {
 /// FR-FCFS controller and its channel.
 #[derive(Clone, Debug)]
 pub struct ChannelController {
-    #[allow(dead_code)]
-    channel_id: usize,
     config: DramConfig,
     channel: Channel,
     buffer: RequestBuffer,
@@ -130,11 +128,10 @@ pub struct ChannelController {
 }
 
 impl ChannelController {
-    /// Creates a controller for channel `channel_id`.
-    pub fn new(channel_id: usize, config: DramConfig) -> Self {
+    /// Creates a controller for one channel.
+    pub fn new(config: DramConfig) -> Self {
         let next_refresh = config.timings.t_refi;
         ChannelController {
-            channel_id,
             channel: Channel::new(config.clone()),
             config,
             buffer: RequestBuffer::default(),
@@ -634,7 +631,7 @@ mod tests {
     #[test]
     fn single_read_completes_with_cold_latency() {
         let cfg = DramConfig::ddr4_3200_2ch();
-        let mut ctrl = ChannelController::new(0, cfg.clone());
+        let mut ctrl = ChannelController::new(cfg.clone());
         enqueue_line(&mut ctrl, &cfg, 1, line(&cfg, 3, 5), false);
         let resps = run_until_drained(&mut ctrl, 1000);
         assert_eq!(resps.len(), 1);
@@ -646,7 +643,7 @@ mod tests {
     #[test]
     fn fr_fcfs_reorders_for_row_hits() {
         let cfg = DramConfig::ddr4_3200_2ch();
-        let mut ctrl = ChannelController::new(0, cfg.clone());
+        let mut ctrl = ChannelController::new(cfg.clone());
         // Row 1, then row 2, then row 1 again: FR-FCFS should serve both
         // row-1 requests before switching, giving 1 hit in 3 accesses.
         enqueue_line(&mut ctrl, &cfg, 1, line(&cfg, 1, 0), false);
@@ -663,7 +660,7 @@ mod tests {
     #[test]
     fn same_line_raw_never_reorders() {
         let cfg = DramConfig::ddr4_3200_2ch();
-        let mut ctrl = ChannelController::new(0, cfg.clone());
+        let mut ctrl = ChannelController::new(cfg.clone());
         let l = line(&cfg, 1, 0);
         enqueue_line(&mut ctrl, &cfg, 1, l, true); // write
         enqueue_line(&mut ctrl, &cfg, 2, l, false); // read of same line
@@ -681,7 +678,7 @@ mod tests {
     #[test]
     fn buffer_back_pressure() {
         let cfg = DramConfig::ddr4_3200_2ch();
-        let mut ctrl = ChannelController::new(0, cfg.clone());
+        let mut ctrl = ChannelController::new(cfg.clone());
         for i in 0..cfg.request_buffer_size as u64 {
             enqueue_line(&mut ctrl, &cfg, i, line(&cfg, i, 0), false);
         }
@@ -694,7 +691,7 @@ mod tests {
     fn starving_request_eventually_served() {
         let mut cfg = DramConfig::ddr4_3200_2ch();
         cfg.starvation_threshold = 200;
-        let mut ctrl = ChannelController::new(0, cfg.clone());
+        let mut ctrl = ChannelController::new(cfg.clone());
         // One old request to row 2 buried under a stream of row-1 hits.
         enqueue_line(&mut ctrl, &cfg, 100, line(&cfg, 1, 0), false);
         enqueue_line(&mut ctrl, &cfg, 200, line(&cfg, 2, 0), false);
@@ -725,7 +722,7 @@ mod tests {
         // A full row of consecutive columns across all 4 bank groups should
         // approach one burst per tCCD_S once rows are open.
         let cfg = DramConfig::ddr4_3200_2ch();
-        let mut ctrl = ChannelController::new(0, cfg.clone());
+        let mut ctrl = ChannelController::new(cfg.clone());
         let mut out = VecDeque::new();
         let mut now = 0;
         let mut sent = 0u64;

@@ -120,7 +120,7 @@ impl DramSystem {
     /// Builds the DRAM system for `config`.
     pub fn new(config: DramConfig) -> Self {
         let controllers = (0..config.organization.channels)
-            .map(|ch| ChannelController::new(ch, config.clone()))
+            .map(|_| ChannelController::new(config.clone()))
             .collect();
         DramSystem {
             sleep: vec![Sleep::default(); config.organization.channels],
@@ -196,11 +196,6 @@ impl DramSystem {
             .addr_map
             .decode(line, &self.config.organization)
             .channel
-    }
-
-    /// Full DRAM coordinates of `line`.
-    pub fn coord_of(&self, line: LineAddr) -> DramCoord {
-        self.config.addr_map.decode(line, &self.config.organization)
     }
 
     /// Attempts to enqueue a request into its channel's request buffer at
@@ -290,11 +285,6 @@ impl DramSystem {
             agg.merge(c.stats());
         }
         agg
-    }
-
-    /// Per-channel statistics.
-    pub fn channel_stats(&self) -> Vec<DramStats> {
-        self.controllers.iter().map(|c| c.stats().clone()).collect()
     }
 
     /// Turns on cycle attribution for every channel.

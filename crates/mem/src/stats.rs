@@ -75,13 +75,6 @@ pub struct HierarchyStats {
     pub llc: CacheStats,
 }
 
-impl HierarchyStats {
-    /// Total demand misses that left the hierarchy toward DRAM.
-    pub fn dram_bound_misses(&self) -> u64 {
-        self.llc.demand_misses
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

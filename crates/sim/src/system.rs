@@ -263,12 +263,6 @@ impl System {
         self.flags.get(f)
     }
 
-    /// Clears a flag for reuse.
-    pub fn clear_flag(&mut self, f: FlagId) {
-        self.wake();
-        self.flags.clear(f);
-    }
-
     /// Declares `[base, base + bytes)` as host-produced: a preceding phase
     /// of the application wrote it through the cores' caches, so the
     /// coherence directory's page-level H-bits are set and DX100 accesses
@@ -345,8 +339,8 @@ impl System {
 
     /// Writes a whole scratchpad tile from `core`. The *data* lands when the
     /// trailing MMIO beat completes; the time for producing the elements
-    /// themselves should be modeled with store ops pushed beforehand (see
-    /// `produce_tile_ops` in the workloads crate).
+    /// themselves should be modeled with store ops pushed beforehand (a
+    /// tile job's produce loop in the workloads crate).
     pub fn send_tile_write(&mut self, core: CoreId, tile: TileId, data: Vec<u64>) {
         let engine = self.core_engine[core];
         let latency = self.mmio_latency();
@@ -403,11 +397,6 @@ impl System {
         &self.engines[instance]
     }
 
-    /// Number of DX100 instances.
-    pub fn num_engines(&self) -> usize {
-        self.engines.len()
-    }
-
     /// The application memory image (functional data).
     pub fn image(&mut self) -> &mut MemoryImage {
         self.wake();
@@ -434,11 +423,6 @@ impl System {
     /// Memory-mapped address of a scratchpad element as seen by `core`.
     pub fn spd_elem_addr(&self, core: CoreId, tile: TileId, i: usize) -> Addr {
         self.engines[self.core_engine[core]].tile_elem_addr(tile, i)
-    }
-
-    /// Whether a core has drained its program.
-    pub fn core_idle(&self, core: CoreId) -> bool {
-        self.cores[core].is_done()
     }
 
     /// Whether every core has drained.

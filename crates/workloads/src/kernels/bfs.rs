@@ -22,8 +22,7 @@ use dx100_prefetch::IndirectPattern;
 use dx100_sim::{Driver, DriverStatus, System, SystemConfig};
 
 use crate::datasets::{uniform_graph, Csr};
-use crate::kernels::is::split_tiles;
-use crate::util::{checksum, chunks, core_regs, install_jobs, set8_core, tile_set8, TileJob};
+use crate::util::{checksum, install_jobs, Placement, TileSlot};
 use crate::{KernelRun, Mode, Scale, WorkloadResult};
 
 const S_U: u32 = 1;
@@ -88,8 +87,9 @@ struct BfsDriver {
     shared: Arc<Shared>,
     mode: Mode,
     tile: usize,
-    depth: Vec<u32>,
-    unvisited: Vec<u32>,
+    /// Shared with the loop bodies that replay a level from them.
+    depth: Arc<Vec<u32>>,
+    unvisited: Arc<Vec<u32>>,
     d: u32,
     state: u8, // 0 = start level, 1 = wait, 2 = rebuild, 3 = done
 }
@@ -114,75 +114,57 @@ impl BfsDriver {
                 // For each unvisited node, walk its neighbors until a
                 // level-`d` one is found (replayed from the functional
                 // state).
-                let parts = chunks(m, sys.num_cores());
-                let unvisited = Arc::new(self.unvisited.clone());
-                let depth = Arc::new(self.depth.clone());
+                let (shared, unvisited, depth) = (
+                    self.shared.clone(),
+                    self.unvisited.clone(),
+                    self.depth.clone(),
+                );
                 let d = self.d;
-                for (c, &(lo, hi)) in parts.iter().enumerate() {
-                    let (shared, unvisited, depth) =
-                        (self.shared.clone(), unvisited.clone(), depth.clone());
-                    sys.push_loop(c, lo..hi, move |i, ops| {
-                        let u = unvisited[i] as usize;
-                        let g = &shared.g;
+                Placement::of(sys).push_loops(sys, m, move |i, ops| {
+                    let u = unvisited[i] as usize;
+                    let g = &shared.g;
+                    ops.extend([
+                        CoreOp::load(shared.h_u.addr_of(i as u64), S_U),
+                        CoreOp::alu().with_dep(1),
+                        CoreOp::load(shared.h_off.addr_of(u as u64), S_H).with_dep(1),
+                        CoreOp::load(shared.h_off.addr_of((u + 1) as u64), S_H).with_dep(2),
+                    ]);
+                    for j in g.offsets[u]..g.offsets[u + 1] {
+                        let v = g.cols[j as usize] as u64;
                         ops.extend([
-                            CoreOp::load(shared.h_u.addr_of(i as u64), S_U),
+                            CoreOp::load(shared.h_col.addr_of(j as u64), S_COL),
                             CoreOp::alu().with_dep(1),
-                            CoreOp::load(shared.h_off.addr_of(u as u64), S_H).with_dep(1),
-                            CoreOp::load(shared.h_off.addr_of((u + 1) as u64), S_H).with_dep(2),
+                            CoreOp::load(shared.h_depth.addr_of(v), S_DEPTH).with_dep(1),
+                            CoreOp::alu().with_dep(1), // compare
                         ]);
-                        for j in g.offsets[u]..g.offsets[u + 1] {
-                            let v = g.cols[j as usize] as u64;
-                            ops.extend([
-                                CoreOp::load(shared.h_col.addr_of(j as u64), S_COL),
-                                CoreOp::alu().with_dep(1),
-                                CoreOp::load(shared.h_depth.addr_of(v), S_DEPTH).with_dep(1),
-                                CoreOp::alu().with_dep(1), // compare
-                            ]);
-                            if depth[v as usize] == d {
-                                // Discovered: store the new depth, stop
-                                // scanning.
-                                ops.push_back(
-                                    CoreOp::store(shared.h_depth.addr_of(u as u64), S_DEPTH)
-                                        .with_dep(1),
-                                );
-                                break;
-                            }
+                        if depth[v as usize] == d {
+                            // Discovered: store the new depth, stop
+                            // scanning.
+                            ops.push_back(
+                                CoreOp::store(shared.h_depth.addr_of(u as u64), S_DEPTH)
+                                    .with_dep(1),
+                            );
+                            break;
                         }
-                    });
-                }
+                    }
+                });
             }
             Mode::Dx100 => {
                 // Outer tiles sized for the fused range budget (degree ≤ 30).
-                let cores = sys.num_cores();
                 let outer_per_tile = (self.tile / 32).max(1);
-                let tiles = split_tiles(m, outer_per_tile);
                 let shared = &self.shared;
                 let (h_u, h_off, h_col, h_depth) =
                     (shared.h_u, shared.h_off, shared.h_col, shared.h_depth);
                 let (d, budget) = (self.d as u64, self.tile as u64);
-                let jobs: Vec<TileJob> = tiles
-                    .iter()
-                    .enumerate()
-                    .map(|(k, (lo, hi))| {
-                        let core = set8_core(k, cores);
-                        let g = tile_set8(k);
-                        let r = core_regs(core);
-                        TileJob {
-                            core,
-                            pre_ops: vec![],
-                            tile_writes: vec![],
-                            reg_writes: vec![
-                                (r[0], *lo as u64),
-                                (r[1], 1),
-                                (r[2], (hi - lo) as u64),
-                                (r[3], 1),
-                                (r[4], budget),
-                                (r[5], d),
-                                (r[6], d + 1),
-                            ],
-                            instrs: vec![
+                let jobs = Placement::of(sys)
+                    .tiles(m, outer_per_tile)
+                    .map(|s: TileSlot<8>| {
+                        let (g, r) = (s.tiles(), s.regs());
+                        s.job(
+                            &[1, budget, d, d + 1],
+                            vec![
                                 // Unvisited ids and their neighbor ranges.
-                                Instruction::sld(DType::U32, h_u.base(), g[0], r[0], r[1], r[2]),
+                                s.sld(DType::U32, h_u.base(), g[0]),
                                 Instruction::ild(DType::U32, h_off.base(), g[1], g[0]),
                                 Instruction::Alus {
                                     dtype: DType::U32,
@@ -243,11 +225,9 @@ impl BfsDriver {
                                     tc: Some(g[2]),
                                 },
                             ],
-                            post_ops: vec![],
-                        }
-                    })
-                    .collect();
-                install_jobs(sys, &jobs);
+                        )
+                    });
+                install_jobs(sys, jobs);
             }
         }
     }
@@ -258,8 +238,8 @@ impl BfsDriver {
         // baseline replayed them into its stream, so recompute functionally).
         let mut discovered = 0;
         let g = &self.shared.g;
-        let mut new_depth = self.depth.clone();
-        for &u in &self.unvisited {
+        let mut new_depth = Vec::clone(&self.depth);
+        for &u in self.unvisited.iter() {
             let u = u as usize;
             if g.neigh(u).iter().any(|&v| self.depth[v as usize] == self.d) {
                 new_depth[u] = self.d + 1;
@@ -269,7 +249,7 @@ impl BfsDriver {
         if self.mode == Mode::Dx100 {
             // The machine's depth array must agree with the reference step.
             let image = sys.image_ref();
-            for &u in &self.unvisited {
+            for &u in self.unvisited.iter() {
                 assert_eq!(
                     image.read_elem(self.shared.h_depth, u as u64) as u32,
                     new_depth[u as usize],
@@ -278,24 +258,28 @@ impl BfsDriver {
                 );
             }
         }
-        self.depth = new_depth;
+        self.depth = Arc::new(new_depth);
         // Rebuild scan: each core streams over its share of the old
         // unvisited list (load depth + compare + occasional append store).
-        let m = self.unvisited.len();
-        let parts = chunks(m, sys.num_cores());
-        for (c, (lo, hi)) in parts.iter().enumerate() {
-            let mut ops = Vec::with_capacity((hi - lo) * 3);
-            for i in *lo..*hi {
-                let u = self.unvisited[i] as u64;
-                ops.push(CoreOp::load(self.shared.h_depth.addr_of(u), S_REBUILD));
-                ops.push(CoreOp::alu().with_dep(1));
-                if self.depth[self.unvisited[i] as usize] == INF {
-                    ops.push(CoreOp::store(self.shared.h_u.addr_of(i as u64), S_U));
-                }
+        let (h_u, h_depth) = (self.shared.h_u, self.shared.h_depth);
+        let (unvisited, depth) = (self.unvisited.clone(), self.depth.clone());
+        Placement::of(sys).push_loops(sys, unvisited.len(), move |i, ops| {
+            let u = unvisited[i];
+            ops.extend([
+                CoreOp::load(h_depth.addr_of(u as u64), S_REBUILD),
+                CoreOp::alu().with_dep(1),
+            ]);
+            if depth[u as usize] == INF {
+                ops.push_back(CoreOp::store(h_u.addr_of(i as u64), S_U));
             }
-            sys.push_ops(c, ops);
-        }
-        self.unvisited.retain(|&u| self.depth[u as usize] == INF);
+        });
+        let still: Vec<u32> = self
+            .unvisited
+            .iter()
+            .copied()
+            .filter(|&u| self.depth[u as usize] == INF)
+            .collect();
+        self.unvisited = Arc::new(still);
         self.d += 1;
         discovered > 0 && !self.unvisited.is_empty()
     }
@@ -396,8 +380,8 @@ impl KernelRun for Bfs {
                 .as_ref()
                 .map(|d| d.tile_elems)
                 .unwrap_or(16 * 1024),
-            depth,
-            unvisited: (1..n as u32).collect(),
+            depth: Arc::new(depth),
+            unvisited: Arc::new((1..n as u32).collect()),
             d: 0,
             state: 0,
         };
@@ -406,7 +390,7 @@ impl KernelRun for Bfs {
 
         // Final depths must match the reference in every mode (the driver
         // asserted per-level agreement for DX100 already).
-        assert_eq!(driver.depth, ref_depth, "BFS depths diverged");
+        assert_eq!(*driver.depth, ref_depth, "BFS depths diverged");
         WorkloadResult {
             stats,
             checksum: expected,

@@ -11,17 +11,16 @@
 use std::sync::Arc;
 
 use dx100_common::{value, DType};
-use dx100_core::isa::{Instruction, TileId};
+use dx100_core::engine::SPD_ELEM_BYTES;
+use dx100_core::isa::Instruction;
 use dx100_core::ArrayHandle;
 use dx100_cpu::CoreOp;
 use dx100_prefetch::IndirectPattern;
 use dx100_sim::{System, SystemConfig};
 
 use crate::datasets::{sparse_matrix, SparseMatrix};
-use crate::kernels::is::split_tiles;
 use crate::util::{
-    checksum, chunks, core_regs, install_jobs, quantize_f64, tile_set4, Phase, PhasedDriver,
-    TileJob,
+    checksum, install_jobs, quantize_f64, Phase, PhasedDriver, Placement, TileJob, TileSlot,
 };
 use crate::{KernelRun, Mode, Scale, WorkloadResult};
 
@@ -108,12 +107,12 @@ impl KernelRun for ConjugateGradient {
             // baseline's gathers enjoy.
             sys.mark_host_resident(d.h_x.base(), d.h_x.size_bytes());
         }
-        let cores = sys.num_cores();
+        let place = Placement::of(&sys);
         let nnz = d.m.nnz();
 
         let mut phases = vec![Phase::RoiBegin];
-        // (core, tile, lo, hi) of the last DX100 tile, checked after the run.
-        let mut verify_tile: Option<(usize, TileId, usize, usize)> = None;
+        // The last DX100 tile, checked after the run.
+        let mut verify_tile: Option<TileSlot<4>> = None;
         match mode {
             Mode::Baseline | Mode::Dmp => {
                 if mode == Mode::Dmp {
@@ -126,80 +125,65 @@ impl KernelRun for ConjugateGradient {
                         DType::F64,
                     ));
                 }
-                let parts = chunks(self.rows, cores);
-                let (m, h_col, h_val, h_x, h_y) = (d.m.clone(), d.h_col, d.h_val, d.h_x, d.h_y);
+                let (rows, m) = (self.rows, d.m.clone());
+                let (h_col, h_val, h_x, h_y) = (d.h_col, d.h_val, d.h_x, d.h_y);
                 // One row: `acc += val[j] * x[col[j]]` over its nonzeros,
                 // then `y[r] = acc`.
                 phases.push(Phase::setup(move |sys| {
-                    for (c, &(lo, hi)) in parts.iter().enumerate() {
-                        let m = m.clone();
-                        sys.push_loop(c, lo..hi, move |r, ops| {
-                            let (start, end) = (m.offsets[r] as usize, m.offsets[r + 1] as usize);
-                            for j in start..end {
-                                ops.extend([
-                                    CoreOp::load(h_col.addr_of(j as u64), S_COL),
-                                    CoreOp::alu().with_dep(1),
-                                    CoreOp::load(h_x.addr_of(m.cols[j] as u64), S_X).with_dep(1),
-                                    CoreOp::load(h_val.addr_of(j as u64), S_VAL),
-                                    CoreOp::alu().with_dep(1).with_dep(3), // multiply
-                                    CoreOp::alu().with_dep(1),             // accumulate
-                                ]);
-                            }
-                            ops.push_back(CoreOp::store(h_y.addr_of(r as u64), S_Y));
-                        });
-                    }
+                    place.push_loops(sys, rows, move |r, ops| {
+                        let (start, end) = (m.offsets[r] as usize, m.offsets[r + 1] as usize);
+                        for j in start..end {
+                            ops.extend([
+                                CoreOp::load(h_col.addr_of(j as u64), S_COL),
+                                CoreOp::alu().with_dep(1),
+                                CoreOp::load(h_x.addr_of(m.cols[j] as u64), S_X).with_dep(1),
+                                CoreOp::load(h_val.addr_of(j as u64), S_VAL),
+                                CoreOp::alu().with_dep(1).with_dep(3), // multiply
+                                CoreOp::alu().with_dep(1),             // accumulate
+                            ]);
+                        }
+                        ops.push_back(CoreOp::store(h_y.addr_of(r as u64), S_Y));
+                    })
                 }));
             }
             Mode::Dx100 => {
                 let tile = cfg.dx100.as_ref().expect("dx100 config").tile_elems;
-                let tiles = split_tiles(nnz, tile);
                 let (h_col, h_val, h_x) = (d.h_col, d.h_val, d.h_x);
-                if let Some((k, (lo, hi))) = tiles.iter().enumerate().next_back() {
-                    verify_tile = Some((k % cores, tile_set4(k)[1], *lo, *hi));
-                }
+                verify_tile = place.tiles(nnz, tile).last();
                 phases.push(Phase::setup(move |sys| {
-                    let jobs: Vec<TileJob> = tiles
-                        .iter()
-                        .enumerate()
-                        .map(|(k, (lo, hi))| {
-                            let core = k % cores;
-                            let g = tile_set4(k);
-                            let r = core_regs(core);
-                            let n = hi - lo;
-                            // Consume: load streamed val[j] from memory,
-                            // load gathered x̂ from the scratchpad, multiply,
-                            // accumulate; store y at row boundaries (~1/16).
-                            let mut post = Vec::with_capacity(n * 4 + n / 16 + 1);
-                            for i in 0..n {
-                                post.push(CoreOp::load(h_val.addr_of((lo + i) as u64), S_VAL));
-                                post.push(CoreOp::load(sys.spd_elem_addr(core, g[1], i), S_SPD));
-                                post.push(CoreOp::alu().with_dep(1).with_dep(2));
-                                post.push(CoreOp::alu().with_dep(1));
-                                if i % 16 == 15 {
-                                    post.push(CoreOp::store(0x7000_0000 + (lo + i) as u64, S_Y));
-                                }
-                            }
-                            TileJob {
-                                core,
-                                pre_ops: vec![],
-                                tile_writes: vec![],
-                                reg_writes: vec![(r[0], *lo as u64), (r[1], 1), (r[2], n as u64)],
-                                instrs: vec![
-                                    Instruction::sld(
-                                        DType::U32,
-                                        h_col.base(),
-                                        g[0],
-                                        r[0],
-                                        r[1],
-                                        r[2],
-                                    ),
+                    let jobs: Vec<TileJob> = place
+                        .tiles(nnz, tile)
+                        .map(|s: TileSlot<4>| {
+                            let g = s.tiles();
+                            let (lo, x_hat) =
+                                (s.elems().start, sys.spd_elem_addr(s.core(), g[1], 0));
+                            s.job(
+                                &[],
+                                vec![
+                                    s.sld(DType::U32, h_col.base(), g[0]),
                                     Instruction::ild(DType::F64, h_x.base(), g[1], g[0]),
                                 ],
-                                post_ops: post,
-                            }
+                            )
+                            // Load streamed val[j] from memory, load
+                            // gathered x̂ from the scratchpad, multiply,
+                            // accumulate; store y at row boundaries (~1/16).
+                            .consume(move |i, ops| {
+                                ops.extend([
+                                    CoreOp::load(h_val.addr_of((lo + i) as u64), S_VAL),
+                                    CoreOp::load(x_hat + i as u64 * SPD_ELEM_BYTES, S_SPD),
+                                    CoreOp::alu().with_dep(1).with_dep(2),
+                                    CoreOp::alu().with_dep(1),
+                                ]);
+                                if i % 16 == 15 {
+                                    ops.push_back(CoreOp::store(
+                                        0x7000_0000 + (lo + i) as u64,
+                                        S_Y,
+                                    ));
+                                }
+                            })
                         })
                         .collect();
-                    install_jobs(sys, &jobs);
+                    install_jobs(sys, jobs);
                 }));
             }
         }
@@ -219,13 +203,14 @@ impl KernelRun for ConjugateGradient {
         if mode == Mode::Dx100 {
             // Verify the final gathered tile against x[col[j]], on the
             // instance that serves the core the tile ran on.
-            let (core, t, lo, hi) = verify_tile.expect("at least one tile");
+            let last = verify_tile.expect("at least one tile");
             let got = sys
-                .dx100_ref(sys.engine_of_core(core))
-                .tile(t)
+                .dx100_ref(sys.engine_of_core(last.core()))
+                .tile(last.tiles()[1])
                 .valid()
                 .to_vec();
-            assert_eq!(got.len(), hi - lo);
+            assert_eq!(got.len(), last.elems().len());
+            let lo = last.elems().start;
             for (i, lane) in got.iter().enumerate() {
                 let c = d.m.cols[lo + i] as usize;
                 assert_eq!(

@@ -20,9 +20,7 @@ use dx100_prefetch::IndirectPattern;
 use dx100_sim::{System, SystemConfig};
 
 use crate::datasets::rng;
-use crate::util::{
-    checksum, chunks, core_regs, install_jobs, tile_set4, Phase, PhasedDriver, TileJob,
-};
+use crate::util::{checksum, install_jobs, Phase, PhasedDriver, Placement, TileJob, TileSlot};
 use crate::{KernelRun, Mode, Scale, WorkloadResult};
 use rand::Rng;
 
@@ -121,7 +119,7 @@ impl KernelRun for IntegerSort {
             // H-bits and the engine's RMWs route via the LLC.
             sys.mark_host_resident(d.h_hist.base(), d.h_hist.size_bytes());
         }
-        let cores = sys.num_cores();
+        let place = Placement::of(&sys);
 
         let phases = match mode {
             Mode::Baseline | Mode::Dmp => {
@@ -135,9 +133,9 @@ impl KernelRun for IntegerSort {
                         DType::U32,
                     ));
                 }
-                baseline_phases(&d, self.keys, self.key_space, cores)
+                baseline_phases(&d, self.keys, self.key_space, place)
             }
-            Mode::Dx100 => dx100_phases(&d, self.keys, self.key_space, cores, cfg),
+            Mode::Dx100 => dx100_phases(&d, self.keys, self.key_space, place, cfg),
         };
         let stats = sys.run(&mut PhasedDriver::new(phases));
         let telemetry = sys.telemetry();
@@ -168,10 +166,10 @@ impl KernelRun for IntegerSort {
     }
 }
 
-/// Prefix sum over the histogram on core 0 (streaming, both modes):
+/// Prefix sum over the histogram on one core (streaming, both modes):
 /// `acc += hist[k]; hist[k] = acc`.
 fn push_prefix(sys: &mut System, h_hist: ArrayHandle, key_space: usize) {
-    sys.push_loop(0, 0..key_space, move |k, ops| {
+    Placement::new(1).push_loops(sys, key_space, move |k, ops| {
         ops.extend([
             CoreOp::load(h_hist.addr_of(k as u64), S_HIST),
             CoreOp::alu().with_dep(1).with_dep(4), // acc += hist[k]
@@ -180,42 +178,34 @@ fn push_prefix(sys: &mut System, h_hist: ArrayHandle, key_space: usize) {
     });
 }
 
-fn baseline_phases(d: &Data, keys: usize, key_space: usize, cores: usize) -> Vec<Phase> {
+fn baseline_phases(d: &Data, n: usize, key_space: usize, place: Placement) -> Vec<Phase> {
     let mut phases = vec![Phase::RoiBegin];
     // Phase 1: atomic histogram across cores, `hist[keys[i]] += 1`.
-    let parts = chunks(keys, cores);
-    let (keys_rc, h_keys, h_hist, h_rank) = (d.keys.clone(), d.h_keys, d.h_hist, d.h_rank);
+    let (keys, h_keys, h_hist, h_rank) = (d.keys.clone(), d.h_keys, d.h_hist, d.h_rank);
     phases.push(Phase::setup(move |sys| {
-        for (c, &(lo, hi)) in parts.iter().enumerate() {
-            let keys = keys_rc.clone();
-            sys.push_loop(c, lo..hi, move |i, ops| {
-                ops.extend([
-                    CoreOp::load(h_keys.addr_of(i as u64), S_KEYS),
-                    CoreOp::alu().with_dep(1), // address calculation
-                    CoreOp::atomic(h_hist.addr_of(keys[i] as u64), S_HIST).with_dep(1),
-                ])
-            });
-        }
+        place.push_loops(sys, n, move |i, ops| {
+            ops.extend([
+                CoreOp::load(h_keys.addr_of(i as u64), S_KEYS),
+                CoreOp::alu().with_dep(1), // address calculation
+                CoreOp::atomic(h_hist.addr_of(keys[i] as u64), S_HIST).with_dep(1),
+            ])
+        })
     }));
     phases.push(Phase::WaitCoresIdle);
-    // Phase 2: prefix sum on core 0.
+    // Phase 2: prefix sum on one core.
     phases.push(Phase::setup(move |sys| push_prefix(sys, h_hist, key_space)));
     phases.push(Phase::WaitCoresIdle);
     // Phase 3: rank gather, `rank[i] = hist[keys[i]]`.
-    let parts = chunks(keys, cores);
-    let keys_rc = d.keys.clone();
+    let keys = d.keys.clone();
     phases.push(Phase::setup(move |sys| {
-        for (c, &(lo, hi)) in parts.iter().enumerate() {
-            let keys = keys_rc.clone();
-            sys.push_loop(c, lo..hi, move |i, ops| {
-                ops.extend([
-                    CoreOp::load(h_keys.addr_of(i as u64), S_KEYS),
-                    CoreOp::alu().with_dep(1),
-                    CoreOp::load(h_hist.addr_of(keys[i] as u64), S_HIST).with_dep(1),
-                    CoreOp::store(h_rank.addr_of(i as u64), S_RANK).with_dep(1),
-                ])
-            });
-        }
+        place.push_loops(sys, n, move |i, ops| {
+            ops.extend([
+                CoreOp::load(h_keys.addr_of(i as u64), S_KEYS),
+                CoreOp::alu().with_dep(1),
+                CoreOp::load(h_hist.addr_of(keys[i] as u64), S_HIST).with_dep(1),
+                CoreOp::store(h_rank.addr_of(i as u64), S_RANK).with_dep(1),
+            ])
+        })
     }));
     phases.push(Phase::WaitCoresIdle);
     phases.push(Phase::RoiEnd);
@@ -224,9 +214,9 @@ fn baseline_phases(d: &Data, keys: usize, key_space: usize, cores: usize) -> Vec
 
 fn dx100_phases(
     d: &Data,
-    keys: usize,
+    n: usize,
     key_space: usize,
-    cores: usize,
+    place: Placement,
     cfg: &SystemConfig,
 ) -> Vec<Phase> {
     let tile = cfg
@@ -238,18 +228,13 @@ fn dx100_phases(
     let mut phases = vec![Phase::RoiBegin];
 
     // Phase 1: IRMW histogram, tile by tile, round-robin across cores.
-    let tiles1: Vec<(usize, usize)> = split_tiles(keys, tile);
     phases.push(Phase::setup(move |sys| {
-        let jobs: Vec<TileJob> = tiles1
-            .iter()
-            .enumerate()
-            .map(|(k, (lo, hi))| hist_tile(k % cores, k, *lo, *hi, h_keys, h_hist))
-            .collect();
-        install_jobs(sys, &jobs);
+        let jobs = place.tiles(n, tile).map(|s| hist_tile(&s, h_keys, h_hist));
+        install_jobs(sys, jobs);
     }));
     phases.push(Phase::WaitCoresIdle);
 
-    // Phase 2: prefix sum stays on core 0 (streaming); DX100 already wrote
+    // Phase 2: prefix sum stays on one core (streaming); DX100 already wrote
     // the histogram into memory, so we both time it and apply it.
     phases.push(Phase::setup(move |sys| {
         // Functional effect on the image.
@@ -264,14 +249,11 @@ fn dx100_phases(
     phases.push(Phase::WaitCoresIdle);
 
     // Phase 3: gather ranks and stream-store them (Gather-Full shape).
-    let tiles3: Vec<(usize, usize)> = split_tiles(keys, tile);
     phases.push(Phase::setup(move |sys| {
-        let jobs: Vec<TileJob> = tiles3
-            .iter()
-            .enumerate()
-            .map(|(k, (lo, hi))| rank_tile(k % cores, k, *lo, *hi, h_keys, h_hist, h_rank))
-            .collect();
-        install_jobs(sys, &jobs);
+        let jobs = place
+            .tiles(n, tile)
+            .map(|s| rank_tile(&s, h_keys, h_hist, h_rank));
+        install_jobs(sys, jobs);
     }));
     phases.push(Phase::WaitCoresIdle);
     phases.push(Phase::RoiEnd);
@@ -279,28 +261,12 @@ fn dx100_phases(
 }
 
 /// One DX100 histogram tile: `hist[keys[lo..hi]] += 1` via sld/alus/irmw.
-fn hist_tile(
-    core: usize,
-    k: usize,
-    lo: usize,
-    hi: usize,
-    h_keys: ArrayHandle,
-    h_hist: ArrayHandle,
-) -> TileJob {
-    let g = tile_set4(k);
-    let r = core_regs(core);
-    TileJob {
-        core,
-        pre_ops: vec![],
-        tile_writes: vec![],
-        reg_writes: vec![
-            (r[0], lo as u64),
-            (r[1], 1),
-            (r[2], (hi - lo) as u64),
-            (r[3], 0),
-        ],
-        instrs: vec![
-            Instruction::sld(DType::U32, h_keys.base(), g[0], r[0], r[1], r[2]),
+fn hist_tile(s: &TileSlot<4>, h_keys: ArrayHandle, h_hist: ArrayHandle) -> TileJob {
+    let (g, r) = (s.tiles(), s.regs());
+    s.job(
+        &[0],
+        vec![
+            s.sld(DType::U32, h_keys.base(), g[0]),
             // ones[i] = (keys[i] >= 0) — an all-ones value tile.
             Instruction::Alus {
                 dtype: DType::U32,
@@ -312,53 +278,25 @@ fn hist_tile(
             },
             Instruction::irmw(DType::U32, AluOp::Add, h_hist.base(), g[0], g[1]),
         ],
-        post_ops: vec![],
-    }
+    )
 }
 
 /// One DX100 rank tile: `rank[lo..hi] = hist[keys[lo..hi]]` via sld/ild/sst.
 fn rank_tile(
-    core: usize,
-    k: usize,
-    lo: usize,
-    hi: usize,
+    s: &TileSlot<4>,
     h_keys: ArrayHandle,
     h_hist: ArrayHandle,
     h_rank: ArrayHandle,
 ) -> TileJob {
-    let g = tile_set4(k);
-    let r = core_regs(core);
-    TileJob {
-        core,
-        pre_ops: vec![],
-        tile_writes: vec![],
-        reg_writes: vec![(r[0], lo as u64), (r[1], 1), (r[2], (hi - lo) as u64)],
-        instrs: vec![
-            Instruction::sld(DType::U32, h_keys.base(), g[0], r[0], r[1], r[2]),
+    let g = s.tiles();
+    s.job(
+        &[],
+        vec![
+            s.sld(DType::U32, h_keys.base(), g[0]),
             Instruction::ild(DType::U32, h_hist.base(), g[1], g[0]),
-            Instruction::Sst {
-                dtype: DType::U32,
-                base: h_rank.base(),
-                ts: g[1],
-                rs1: r[0],
-                rs2: r[1],
-                rs3: r[2],
-                tc: None,
-            },
+            s.sst(DType::U32, h_rank.base(), g[1]),
         ],
-        post_ops: vec![],
-    }
-}
-
-/// Splits `n` elements into tile-sized chunks.
-pub(crate) fn split_tiles(n: usize, tile: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut lo = 0;
-    while lo < n {
-        out.push((lo, (lo + tile).min(n)));
-        lo += tile;
-    }
-    out
+    )
 }
 
 #[cfg(test)]

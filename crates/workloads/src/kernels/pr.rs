@@ -16,10 +16,9 @@ use dx100_prefetch::IndirectPattern;
 use dx100_sim::{System, SystemConfig};
 
 use crate::datasets::uniform_graph;
-use crate::kernels::is::split_tiles;
 use crate::util::{
-    assert_f64_close, checksum, chunks, core_regs, install_jobs, quantize_f64, tile_set4, Phase,
-    PhasedDriver, TileJob,
+    assert_f64_close, checksum, install_jobs, quantize_f64, Phase, PhasedDriver, Placement,
+    TileJob, TileSlot,
 };
 use crate::{KernelRun, Mode, Scale, WorkloadResult};
 
@@ -115,7 +114,7 @@ impl KernelRun for PageRank {
         let (image, d) = self.build(seed);
         let expected = checksum(d.ref_next.iter().map(|&v| quantize_f64(v)));
         let mut sys = System::new(cfg.clone(), image);
-        let cores = sys.num_cores();
+        let place = Placement::of(&sys);
         let n = self.nodes;
         let edges = d.col.len();
 
@@ -124,7 +123,6 @@ impl KernelRun for PageRank {
         // `contrib[u] = rank[u] / deg[u]` (streaming), and apply them
         // functionally so the scatter reads real data.
         {
-            let parts = chunks(n, cores);
             let (h_rank, h_deg, h_contrib) = (d.h_rank, d.h_deg, d.h_contrib);
             let contrib = d.contrib.clone();
             phases.push(Phase::setup(move |sys| {
@@ -132,16 +130,14 @@ impl KernelRun for PageRank {
                 for (u, c) in contrib.iter().enumerate() {
                     image.write_elem(h_contrib, u as u64, value::from_f64(*c));
                 }
-                for (c, &(lo, hi)) in parts.iter().enumerate() {
-                    sys.push_loop(c, lo..hi, move |u, ops| {
-                        ops.extend([
-                            CoreOp::load(h_rank.addr_of(u as u64), S_NODE),
-                            CoreOp::load(h_deg.addr_of(u as u64), S_NODE + 10),
-                            CoreOp::alu().with_dep(1).with_dep(2), // divide
-                            CoreOp::store(h_contrib.addr_of(u as u64), S_CONTRIB).with_dep(1),
-                        ])
-                    });
-                }
+                place.push_loops(sys, n, move |u, ops| {
+                    ops.extend([
+                        CoreOp::load(h_rank.addr_of(u as u64), S_NODE),
+                        CoreOp::load(h_deg.addr_of(u as u64), S_NODE + 10),
+                        CoreOp::alu().with_dep(1).with_dep(2), // divide
+                        CoreOp::store(h_contrib.addr_of(u as u64), S_CONTRIB).with_dep(1),
+                    ])
+                });
             }));
             phases.push(Phase::WaitCoresIdle);
         }
@@ -165,42 +161,33 @@ impl KernelRun for PageRank {
                         DType::F64,
                     ));
                 }
-                let parts = chunks(edges, cores);
                 let (src, col) = (d.src.clone(), d.col.clone());
                 let (h_src, h_col, h_contrib, h_next) = (d.h_src, d.h_col, d.h_contrib, d.h_next);
                 // `next[col[j]] += contrib[src[j]]` with atomics.
                 phases.push(Phase::setup(move |sys| {
-                    for (c, &(lo, hi)) in parts.iter().enumerate() {
-                        let (src, col) = (src.clone(), col.clone());
-                        sys.push_loop(c, lo..hi, move |j, ops| {
-                            let (u, v) = (src[j] as u64, col[j] as u64);
-                            ops.extend([
-                                CoreOp::load(h_src.addr_of(j as u64), S_SRC),
-                                CoreOp::alu().with_dep(1),
-                                CoreOp::load(h_contrib.addr_of(u), S_CONTRIB).with_dep(1),
-                                CoreOp::load(h_col.addr_of(j as u64), S_COL),
-                                CoreOp::alu().with_dep(1),
-                                CoreOp::atomic(h_next.addr_of(v), S_NEXT)
-                                    .with_dep(1)
-                                    .with_dep(3),
-                            ])
-                        });
-                    }
+                    place.push_loops(sys, edges, move |j, ops| {
+                        let (u, v) = (src[j] as u64, col[j] as u64);
+                        ops.extend([
+                            CoreOp::load(h_src.addr_of(j as u64), S_SRC),
+                            CoreOp::alu().with_dep(1),
+                            CoreOp::load(h_contrib.addr_of(u), S_CONTRIB).with_dep(1),
+                            CoreOp::load(h_col.addr_of(j as u64), S_COL),
+                            CoreOp::alu().with_dep(1),
+                            CoreOp::atomic(h_next.addr_of(v), S_NEXT)
+                                .with_dep(1)
+                                .with_dep(3),
+                        ])
+                    })
                 }));
             }
             Mode::Dx100 => {
                 let tile = cfg.dx100.as_ref().expect("dx100 config").tile_elems;
-                let tiles = split_tiles(edges, tile);
                 let (h_src, h_col, h_contrib, h_next) = (d.h_src, d.h_col, d.h_contrib, d.h_next);
                 phases.push(Phase::setup(move |sys| {
-                    let jobs: Vec<TileJob> = tiles
-                        .iter()
-                        .enumerate()
-                        .map(|(k, (lo, hi))| {
-                            scatter_tile(k % cores, k, *lo, *hi, h_src, h_contrib, h_col, h_next)
-                        })
-                        .collect();
-                    install_jobs(sys, &jobs);
+                    let jobs = place
+                        .tiles(edges, tile)
+                        .map(|s| scatter_tile(&s, h_src, h_contrib, h_col, h_next));
+                    install_jobs(sys, jobs);
                 }));
             }
         }
@@ -225,34 +212,25 @@ impl KernelRun for PageRank {
 }
 
 /// One DX100 scatter tile: `next[col[lo..hi]] += contrib[src[lo..hi]]`.
-#[allow(clippy::too_many_arguments)]
 fn scatter_tile(
-    core: usize,
-    k: usize,
-    lo: usize,
-    hi: usize,
+    s: &TileSlot<4>,
     h_src: ArrayHandle,
     h_contrib: ArrayHandle,
     h_col: ArrayHandle,
     h_next: ArrayHandle,
 ) -> TileJob {
-    let g = tile_set4(k);
-    let r = core_regs(core);
-    TileJob {
-        core,
-        pre_ops: vec![],
-        tile_writes: vec![],
-        reg_writes: vec![(r[0], lo as u64), (r[1], 1), (r[2], (hi - lo) as u64)],
-        instrs: vec![
+    let g = s.tiles();
+    s.job(
+        &[],
+        vec![
             // Gather contributions via the source ids.
-            Instruction::sld(DType::U32, h_src.base(), g[0], r[0], r[1], r[2]),
+            s.sld(DType::U32, h_src.base(), g[0]),
             Instruction::ild(DType::F64, h_contrib.base(), g[1], g[0]),
             // Scatter-add into next ranks.
-            Instruction::sld(DType::U32, h_col.base(), g[2], r[0], r[1], r[2]),
+            s.sld(DType::U32, h_col.base(), g[2]),
             Instruction::irmw(DType::F64, AluOp::Add, h_next.base(), g[2], g[1]),
         ],
-        post_ops: vec![],
-    }
+    )
 }
 
 #[cfg(test)]

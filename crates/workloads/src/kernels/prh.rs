@@ -11,6 +11,7 @@
 use std::sync::Arc;
 
 use dx100_common::{AluOp, DType};
+use dx100_core::engine::SPD_ELEM_BYTES;
 use dx100_core::isa::Instruction;
 use dx100_core::ArrayHandle;
 use dx100_cpu::CoreOp;
@@ -18,11 +19,7 @@ use dx100_prefetch::IndirectPattern;
 use dx100_sim::{System, SystemConfig};
 
 use crate::datasets::join_tuples;
-use crate::kernels::is::split_tiles;
-use crate::util::{
-    checksum, chunks, core_regs, install_jobs, produce_tile_ops, tile_set4, Phase, PhasedDriver,
-    TileJob,
-};
+use crate::util::{checksum, install_jobs, Phase, PhasedDriver, Placement, TileJob, TileSlot};
 use crate::{KernelRun, Mode, Scale, WorkloadResult};
 
 const S_KEY: u32 = 1;
@@ -127,7 +124,7 @@ impl KernelRun for RadixJoinHistogram {
             // pages carry H-bits and the engine's RMWs route via the LLC.
             sys.mark_host_resident(d.h_hist.base(), d.h_hist.size_bytes());
         }
-        let cores = sys.num_cores();
+        let place = Placement::of(&sys);
         let n = self.tuples;
         let buckets = 1usize << RADIX_BITS;
 
@@ -148,125 +145,90 @@ impl KernelRun for RadixJoinHistogram {
                 }
                 // Phase 1: histogram, with the mask/shift address
                 // calculation.
-                let parts = chunks(n, cores);
                 let (keys, h_key, h_hist) = (d.keys.clone(), d.h_key, d.h_hist);
                 phases.push(Phase::setup(move |sys| {
-                    for (c, &(lo, hi)) in parts.iter().enumerate() {
-                        let keys = keys.clone();
-                        sys.push_loop(c, lo..hi, move |i, ops| {
-                            let b = RadixJoinHistogram::bucket_of(keys[i]);
-                            ops.extend([
-                                CoreOp::load(h_key.addr_of(i as u64), S_KEY),
-                                CoreOp::alu().with_dep(1), // mask
-                                CoreOp::alu().with_dep(1), // shift
-                                CoreOp::alu().with_dep(1), // address
-                                CoreOp::atomic(h_hist.addr_of(b), S_HIST).with_dep(1),
-                            ])
-                        });
-                    }
+                    place.push_loops(sys, n, move |i, ops| {
+                        let b = RadixJoinHistogram::bucket_of(keys[i]);
+                        ops.extend([
+                            CoreOp::load(h_key.addr_of(i as u64), S_KEY),
+                            CoreOp::alu().with_dep(1), // mask
+                            CoreOp::alu().with_dep(1), // shift
+                            CoreOp::alu().with_dep(1), // address
+                            CoreOp::atomic(h_hist.addr_of(b), S_HIST).with_dep(1),
+                        ])
+                    })
                 }));
                 phases.push(Phase::WaitCoresIdle);
                 // Phase 2+3: prefix (folded into scatter cost) + partition.
-                let parts = chunks(n, cores);
                 let (keys, dest) = (d.keys.clone(), Arc::new(d.dest.clone()));
                 let (h_key, h_hist, h_out) = (d.h_key, d.h_hist, d.h_out);
                 // Dest calc, an atomic fetch-add on the bucket's running
                 // offset, and the out store.
                 phases.push(Phase::setup(move |sys| {
-                    for (c, &(lo, hi)) in parts.iter().enumerate() {
-                        let (keys, dest) = (keys.clone(), dest.clone());
-                        sys.push_loop(c, lo..hi, move |i, ops| {
-                            let b = RadixJoinHistogram::bucket_of(keys[i]);
-                            ops.extend([
-                                CoreOp::load(h_key.addr_of(i as u64), S_KEY),
-                                CoreOp::alu().with_dep(1), // mask
-                                CoreOp::alu().with_dep(1), // shift
-                                CoreOp::atomic(h_hist.addr_of(b), S_HIST).with_dep(1),
-                                CoreOp::store(h_out.addr_of(dest[i] as u64), S_OUT).with_dep(1),
-                            ])
-                        });
-                    }
+                    place.push_loops(sys, n, move |i, ops| {
+                        let b = RadixJoinHistogram::bucket_of(keys[i]);
+                        ops.extend([
+                            CoreOp::load(h_key.addr_of(i as u64), S_KEY),
+                            CoreOp::alu().with_dep(1), // mask
+                            CoreOp::alu().with_dep(1), // shift
+                            CoreOp::atomic(h_hist.addr_of(b), S_HIST).with_dep(1),
+                            CoreOp::store(h_out.addr_of(dest[i] as u64), S_OUT).with_dep(1),
+                        ])
+                    })
                 }));
             }
             Mode::Dx100 => {
                 let tile = cfg.dx100.as_ref().expect("dx100 config").tile_elems;
                 // Phase 1: IRMW histogram with the mask/shift on DX100's ALU.
-                let tiles1 = split_tiles(n, tile);
                 let (h_key, h_hist) = (d.h_key, d.h_hist);
                 let mask = ((1u64 << RADIX_BITS) - 1) << RADIX_SHIFT;
                 phases.push(Phase::setup(move |sys| {
-                    let jobs: Vec<TileJob> = tiles1
-                        .iter()
-                        .enumerate()
-                        .map(|(k, (lo, hi))| {
-                            let core = k % cores;
-                            let g = tile_set4(k);
-                            let r = core_regs(core);
-                            TileJob {
-                                core,
-                                pre_ops: vec![],
-                                tile_writes: vec![],
-                                reg_writes: vec![
-                                    (r[0], *lo as u64),
-                                    (r[1], 1),
-                                    (r[2], (hi - lo) as u64),
-                                    (r[3], mask),
-                                    (r[4], RADIX_SHIFT as u64),
-                                    (r[5], 0),
-                                ],
-                                instrs: vec![
-                                    Instruction::Sld {
-                                        dtype: DType::U64,
-                                        base: h_key.base(),
-                                        td: g[0],
-                                        rs1: r[0],
-                                        rs2: r[1],
-                                        rs3: r[2],
-                                        tc: None,
-                                    },
-                                    Instruction::Alus {
-                                        dtype: DType::U64,
-                                        op: AluOp::And,
-                                        td: g[1],
-                                        ts: g[0],
-                                        rs: r[3],
-                                        tc: None,
-                                    },
-                                    Instruction::Alus {
-                                        dtype: DType::U64,
-                                        op: AluOp::Shr,
-                                        td: g[2],
-                                        ts: g[1],
-                                        rs: r[4],
-                                        tc: None,
-                                    },
-                                    // ones tile for the +1 updates
-                                    Instruction::Alus {
-                                        dtype: DType::U32,
-                                        op: AluOp::Ge,
-                                        td: g[3],
-                                        ts: g[2],
-                                        rs: r[5],
-                                        tc: None,
-                                    },
-                                    Instruction::irmw(
-                                        DType::U32,
-                                        AluOp::Add,
-                                        h_hist.base(),
-                                        g[2],
-                                        g[3],
-                                    ),
-                                ],
-                                post_ops: vec![],
-                            }
-                        })
-                        .collect();
-                    install_jobs(sys, &jobs);
+                    let jobs = place.tiles(n, tile).map(|s: TileSlot<4>| {
+                        let (g, r) = (s.tiles(), s.regs());
+                        s.job(
+                            &[mask, RADIX_SHIFT as u64, 0],
+                            vec![
+                                s.sld(DType::U64, h_key.base(), g[0]),
+                                Instruction::Alus {
+                                    dtype: DType::U64,
+                                    op: AluOp::And,
+                                    td: g[1],
+                                    ts: g[0],
+                                    rs: r[3],
+                                    tc: None,
+                                },
+                                Instruction::Alus {
+                                    dtype: DType::U64,
+                                    op: AluOp::Shr,
+                                    td: g[2],
+                                    ts: g[1],
+                                    rs: r[4],
+                                    tc: None,
+                                },
+                                // ones tile for the +1 updates
+                                Instruction::Alus {
+                                    dtype: DType::U32,
+                                    op: AluOp::Ge,
+                                    td: g[3],
+                                    ts: g[2],
+                                    rs: r[5],
+                                    tc: None,
+                                },
+                                Instruction::irmw(
+                                    DType::U32,
+                                    AluOp::Add,
+                                    h_hist.base(),
+                                    g[2],
+                                    g[3],
+                                ),
+                            ],
+                        )
+                    });
+                    install_jobs(sys, jobs);
                 }));
                 phases.push(Phase::WaitCoresIdle);
                 // Phase 3: cores compute destination indices into a host
                 // tile; DX100 scatters the tuples.
-                let tiles3 = split_tiles(n, tile);
                 let (h_key, h_out) = (d.h_key, d.h_out);
                 let dest = d.dest.clone();
                 let h_dest = d.h_dest;
@@ -276,39 +238,17 @@ impl KernelRun for RadixJoinHistogram {
                     for (i, &v) in dest.iter().enumerate() {
                         sys.image().write_elem(h_dest, i as u64, v as u64);
                     }
-                    let jobs: Vec<TileJob> = tiles3
-                        .iter()
-                        .enumerate()
-                        .map(|(k, (lo, hi))| {
-                            let core = k % cores;
-                            let g = tile_set4(k);
-                            let r = core_regs(core);
-                            let count = hi - lo;
-                            // Host-produced destination tile: each element is
-                            // key-load + 3 ALU (mask/shift/offset) + SPD store,
-                            // then the data lands via a timed tile write.
+                    let jobs: Vec<TileJob> = place
+                        .tiles(n, tile)
+                        .map(|s: TileSlot<4>| {
+                            let g = s.tiles();
+                            let spd = sys.spd_elem_addr(s.core(), g[3], 0);
                             let lanes: Vec<u64> =
-                                dest[*lo..*hi].iter().map(|&v| v as u64).collect();
-                            let pre = produce_tile_ops(sys, core, g[3], count, 3, S_DEST);
-                            TileJob {
-                                core,
-                                pre_ops: pre,
-                                tile_writes: vec![(g[3], lanes)],
-                                reg_writes: vec![
-                                    (r[0], *lo as u64),
-                                    (r[1], 1),
-                                    (r[2], count as u64),
-                                ],
-                                instrs: vec![
-                                    Instruction::Sld {
-                                        dtype: DType::U64,
-                                        base: h_key.base(),
-                                        td: g[0],
-                                        rs1: r[0],
-                                        rs2: r[1],
-                                        rs3: r[2],
-                                        tc: None,
-                                    },
+                                dest[s.elems()].iter().map(|&v| v as u64).collect();
+                            s.job(
+                                &[],
+                                vec![
+                                    s.sld(DType::U64, h_key.base(), g[0]),
                                     Instruction::Ist {
                                         dtype: DType::U64,
                                         base: h_out.base(),
@@ -317,11 +257,22 @@ impl KernelRun for RadixJoinHistogram {
                                         tc: None,
                                     },
                                 ],
-                                post_ops: vec![],
-                            }
+                            )
+                            // Host-produced destination tile: each element
+                            // is 3 ALU (mask/shift/offset) + an SPD store,
+                            // then the data lands via a timed tile write.
+                            .produce(move |i, ops| {
+                                ops.extend([
+                                    CoreOp::alu(),
+                                    CoreOp::alu(),
+                                    CoreOp::alu(),
+                                    CoreOp::store(spd + i as u64 * SPD_ELEM_BYTES, S_DEST),
+                                ])
+                            })
+                            .write_tile(g[3], lanes)
                         })
                         .collect();
-                    install_jobs(sys, &jobs);
+                    install_jobs(sys, jobs);
                 }));
             }
         }

@@ -19,10 +19,7 @@ use dx100_prefetch::IndirectPattern;
 use dx100_sim::{System, SystemConfig};
 
 use crate::datasets::rng;
-use crate::kernels::is::split_tiles;
-use crate::util::{
-    checksum, chunks, core_regs, install_jobs, set8_core, tile_set8, Phase, PhasedDriver, TileJob,
-};
+use crate::util::{checksum, install_jobs, Phase, PhasedDriver, Placement, TileSlot};
 use crate::{KernelRun, Mode, Scale, WorkloadResult};
 use rand::Rng;
 
@@ -168,7 +165,7 @@ impl KernelRun for RadixJoinChaining {
                 sys.mark_host_resident(h.base(), h.size_bytes());
             }
         }
-        let cores = sys.num_cores();
+        let place = Placement::of(&sys);
         let n = self.tuples;
 
         let mut phases = vec![Phase::RoiBegin];
@@ -190,8 +187,7 @@ impl KernelRun for RadixJoinChaining {
                 }
                 // Hash, then a dependent chain walk with early exit
                 // (replayed from the functional state).
-                let parts = chunks(n, cores);
-                let data = (
+                let (probes, node_keys, next, head) = (
                     d.probes.clone(),
                     d.node_keys.clone(),
                     d.next.clone(),
@@ -201,160 +197,130 @@ impl KernelRun for RadixJoinChaining {
                     (d.h_probe, d.h_head, d.h_nkey, d.h_next, d.h_found);
                 let (mask, sentinel) = (d.mask, d.sentinel);
                 phases.push(Phase::setup(move |sys| {
-                    for (c, &(lo, hi)) in parts.iter().enumerate() {
-                        let (probes, node_keys, next, head) = data.clone();
-                        sys.push_loop(c, lo..hi, move |i, ops| {
-                            let k = probes[i];
-                            let h = (k & mask) as usize;
+                    place.push_loops(sys, n, move |i, ops| {
+                        let k = probes[i];
+                        let h = (k & mask) as usize;
+                        ops.extend([
+                            CoreOp::load(h_probe.addr_of(i as u64), S_PROBE),
+                            CoreOp::alu().with_dep(1), // hash
+                            CoreOp::load(h_head.addr_of(h as u64), S_HEAD).with_dep(1),
+                        ]);
+                        let mut cur = head[h];
+                        for _ in 0..ROUNDS {
+                            if cur == sentinel {
+                                break;
+                            }
+                            // Dependent loads: node key, compare, then
+                            // the next pointer.
                             ops.extend([
-                                CoreOp::load(h_probe.addr_of(i as u64), S_PROBE),
-                                CoreOp::alu().with_dep(1), // hash
-                                CoreOp::load(h_head.addr_of(h as u64), S_HEAD).with_dep(1),
+                                CoreOp::load(h_nkey.addr_of(cur as u64), S_NKEY).with_dep(1),
+                                CoreOp::alu().with_dep(1), // compare
                             ]);
-                            let mut cur = head[h];
-                            for _ in 0..ROUNDS {
-                                if cur == sentinel {
-                                    break;
-                                }
-                                // Dependent loads: node key, compare, then
-                                // the next pointer.
-                                ops.extend([
-                                    CoreOp::load(h_nkey.addr_of(cur as u64), S_NKEY).with_dep(1),
-                                    CoreOp::alu().with_dep(1), // compare
-                                ]);
-                                if node_keys[cur as usize] == k {
-                                    break;
-                                }
-                                ops.push_back(
-                                    CoreOp::load(h_next.addr_of(cur as u64), S_NEXT).with_dep(3),
-                                );
-                                cur = next[cur as usize];
+                            if node_keys[cur as usize] == k {
+                                break;
                             }
                             ops.push_back(
-                                CoreOp::store(h_found.addr_of(i as u64), S_FOUND).with_dep(1),
+                                CoreOp::load(h_next.addr_of(cur as u64), S_NEXT).with_dep(3),
                             );
-                        });
-                    }
+                            cur = next[cur as usize];
+                        }
+                        ops.push_back(
+                            CoreOp::store(h_found.addr_of(i as u64), S_FOUND).with_dep(1),
+                        );
+                    })
                 }));
             }
             Mode::Dx100 => {
                 let tile = cfg.dx100.as_ref().expect("dx100 config").tile_elems;
-                let tiles = split_tiles(n, tile);
                 let (h_probe, h_head, h_nkey, h_next, h_found, h_iota) =
                     (d.h_probe, d.h_head, d.h_nkey, d.h_next, d.h_found, d.h_iota);
                 let (mask, sentinel) = (d.mask as u64, d.sentinel as u64);
                 phases.push(Phase::setup(move |sys| {
-                    let jobs: Vec<TileJob> = tiles
-                        .iter()
-                        .enumerate()
-                        .map(|(kji, (lo, hi))| {
-                            let core = set8_core(kji, cores);
-                            let g = tile_set8(kji);
-                            let r = core_regs(core);
-                            // g0 probes, g1 iota, cur: g2↔g3, active: g4↔g5,
-                            // scratch: g6 (node keys / lt), g7 (eq).
-                            let mut instrs = vec![
-                                Instruction::sld(
-                                    DType::U32,
-                                    h_probe.base(),
-                                    g[0],
-                                    r[0],
-                                    r[1],
-                                    r[2],
-                                ),
-                                Instruction::sld(DType::U32, h_iota.base(), g[1], r[0], r[1], r[2]),
-                                // bucket = probe & mask
-                                Instruction::Alus {
+                    let jobs = place.tiles(n, tile).map(|s: TileSlot<8>| {
+                        let (g, r) = (s.tiles(), s.regs());
+                        // g0 probes, g1 iota, cur: g2↔g3, active: g4↔g5,
+                        // scratch: g6 (node keys / lt), g7 (eq).
+                        let mut instrs = vec![
+                            s.sld(DType::U32, h_probe.base(), g[0]),
+                            s.sld(DType::U32, h_iota.base(), g[1]),
+                            // bucket = probe & mask
+                            Instruction::Alus {
+                                dtype: DType::U32,
+                                op: AluOp::And,
+                                td: g[6],
+                                ts: g[0],
+                                rs: r[3],
+                                tc: None,
+                            },
+                            // cur = head[bucket]
+                            Instruction::ild(DType::U32, h_head.base(), g[2], g[6]),
+                            // active = cur < sentinel
+                            Instruction::Alus {
+                                dtype: DType::U32,
+                                op: AluOp::Lt,
+                                td: g[4],
+                                ts: g[2],
+                                rs: r[4],
+                                tc: None,
+                            },
+                        ];
+                        for round in 0..ROUNDS {
+                            let (cur, curn) = if round % 2 == 0 {
+                                (g[2], g[3])
+                            } else {
+                                (g[3], g[2])
+                            };
+                            let (act, actn) = if round % 2 == 0 {
+                                (g[4], g[5])
+                            } else {
+                                (g[5], g[4])
+                            };
+                            instrs.extend([
+                                // node keys for active lanes (0 elsewhere)
+                                Instruction::ild(DType::U32, h_nkey.base(), g[6], cur)
+                                    .with_condition(act),
+                                // eq = active & (node key == probe key)
+                                Instruction::Aluv {
                                     dtype: DType::U32,
-                                    op: AluOp::And,
-                                    td: g[6],
-                                    ts: g[0],
-                                    rs: r[3],
-                                    tc: None,
+                                    op: AluOp::Eq,
+                                    td: g[7],
+                                    ts1: g[6],
+                                    ts2: g[0],
+                                    tc: Some(act),
                                 },
-                                // cur = head[bucket]
-                                Instruction::ild(DType::U32, h_head.base(), g[2], g[6]),
-                                // active = cur < sentinel
+                                // record matches: found[iota] = 1 where eq
+                                Instruction::Ist {
+                                    dtype: DType::U32,
+                                    base: h_found.base(),
+                                    ts1: g[1],
+                                    ts2: g[7],
+                                    tc: Some(g[7]),
+                                },
+                                // advance the chain
+                                Instruction::ild(DType::U32, h_next.base(), curn, cur)
+                                    .with_condition(act),
+                                // still-in-chain test, folded with the mask
                                 Instruction::Alus {
                                     dtype: DType::U32,
                                     op: AluOp::Lt,
-                                    td: g[4],
-                                    ts: g[2],
+                                    td: g[6],
+                                    ts: curn,
                                     rs: r[4],
                                     tc: None,
                                 },
-                            ];
-                            for round in 0..ROUNDS {
-                                let (cur, curn) = if round % 2 == 0 {
-                                    (g[2], g[3])
-                                } else {
-                                    (g[3], g[2])
-                                };
-                                let (act, actn) = if round % 2 == 0 {
-                                    (g[4], g[5])
-                                } else {
-                                    (g[5], g[4])
-                                };
-                                instrs.extend([
-                                    // node keys for active lanes (0 elsewhere)
-                                    Instruction::ild(DType::U32, h_nkey.base(), g[6], cur)
-                                        .with_condition(act),
-                                    // eq = active & (node key == probe key)
-                                    Instruction::Aluv {
-                                        dtype: DType::U32,
-                                        op: AluOp::Eq,
-                                        td: g[7],
-                                        ts1: g[6],
-                                        ts2: g[0],
-                                        tc: Some(act),
-                                    },
-                                    // record matches: found[iota] = 1 where eq
-                                    Instruction::Ist {
-                                        dtype: DType::U32,
-                                        base: h_found.base(),
-                                        ts1: g[1],
-                                        ts2: g[7],
-                                        tc: Some(g[7]),
-                                    },
-                                    // advance the chain
-                                    Instruction::ild(DType::U32, h_next.base(), curn, cur)
-                                        .with_condition(act),
-                                    // still-in-chain test, folded with the mask
-                                    Instruction::Alus {
-                                        dtype: DType::U32,
-                                        op: AluOp::Lt,
-                                        td: g[6],
-                                        ts: curn,
-                                        rs: r[4],
-                                        tc: None,
-                                    },
-                                    Instruction::Aluv {
-                                        dtype: DType::U32,
-                                        op: AluOp::And,
-                                        td: actn,
-                                        ts1: g[4 + round % 2],
-                                        ts2: g[6],
-                                        tc: None,
-                                    },
-                                ]);
-                            }
-                            TileJob {
-                                core,
-                                pre_ops: vec![],
-                                tile_writes: vec![],
-                                reg_writes: vec![
-                                    (r[0], *lo as u64),
-                                    (r[1], 1),
-                                    (r[2], (hi - lo) as u64),
-                                    (r[3], mask),
-                                    (r[4], sentinel),
-                                ],
-                                instrs,
-                                post_ops: vec![],
-                            }
-                        })
-                        .collect();
-                    install_jobs(sys, &jobs);
+                                Instruction::Aluv {
+                                    dtype: DType::U32,
+                                    op: AluOp::And,
+                                    td: actn,
+                                    ts1: g[4 + round % 2],
+                                    ts2: g[6],
+                                    tc: None,
+                                },
+                            ]);
+                        }
+                        s.job(&[mask, sentinel], instrs)
+                    });
+                    install_jobs(sys, jobs);
                 }));
             }
         }

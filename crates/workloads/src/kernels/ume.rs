@@ -19,10 +19,9 @@ use dx100_prefetch::IndirectPattern;
 use dx100_sim::{System, SystemConfig};
 
 use crate::datasets::{rng, ume_index_map};
-use crate::kernels::is::split_tiles;
 use crate::util::{
-    assert_f64_close, checksum, chunks, core_regs, install_jobs, quantize_f64, set8_core,
-    tile_set4, tile_set8, Phase, PhasedDriver, TileJob,
+    assert_f64_close, checksum, install_jobs, quantize_f64, Phase, PhasedDriver, Placement,
+    TileSlot,
 };
 use crate::{KernelRun, Mode, Scale, WorkloadResult};
 use rand::Rng;
@@ -86,8 +85,6 @@ struct DirectData {
 
 struct IndirectData {
     k_list: Arc<Vec<u32>>,
-    #[allow(dead_code)]
-    h_off: Arc<Vec<u32>>,
     c_map: Arc<Vec<u32>>,
     b_map: Arc<Vec<u32>>,
     mask: Arc<Vec<u32>>,
@@ -202,7 +199,6 @@ impl Ume {
             image,
             IndirectData {
                 k_list: Arc::new(k_list),
-                h_off: Arc::new(h_off),
                 c_map: Arc::new(c_map),
                 b_map: Arc::new(b_map),
                 mask: Arc::new(mask),
@@ -239,7 +235,7 @@ impl Ume {
         let (image, d) = self.build_direct(seed);
         let expected = checksum(d.ref_grad.iter().map(|&v| quantize_f64(v)));
         let mut sys = System::new(cfg.clone(), image);
-        let cores = sys.num_cores();
+        let place = Placement::of(&sys);
         let n = self.n;
 
         let mut phases = vec![Phase::RoiBegin];
@@ -255,104 +251,62 @@ impl Ume {
                         DType::F64,
                     ));
                 }
-                let parts = chunks(n, cores);
                 let (map, mask) = (d.map.clone(), d.mask.clone());
                 let (h_map, h_mask, h_val, h_grad) = (d.h_map, d.h_mask, d.h_val, d.h_grad);
                 // `if mask[i] >= F { grad[map[i]] += val[i] }`; an untaken
                 // iteration does only the condition work.
                 phases.push(Phase::setup(move |sys| {
-                    for (c, &(lo, hi)) in parts.iter().enumerate() {
-                        let (map, mask) = (map.clone(), mask.clone());
-                        sys.push_loop(c, lo..hi, move |i, ops| {
+                    place.push_loops(sys, n, move |i, ops| {
+                        ops.extend([
+                            CoreOp::load(h_mask.addr_of(i as u64), S_MASK),
+                            CoreOp::alu().with_dep(1), // compare + branch
+                        ]);
+                        if mask[i] as u64 >= F_THRESHOLD {
                             ops.extend([
-                                CoreOp::load(h_mask.addr_of(i as u64), S_MASK),
-                                CoreOp::alu().with_dep(1), // compare + branch
+                                CoreOp::load(h_map.addr_of(i as u64), S_MAP),
+                                CoreOp::alu().with_dep(1),
+                                CoreOp::load(h_val.addr_of(i as u64), S_VAL),
+                                CoreOp::atomic(h_grad.addr_of(map[i] as u64), S_GRAD)
+                                    .with_dep(1)
+                                    .with_dep(3),
                             ]);
-                            if mask[i] as u64 >= F_THRESHOLD {
-                                ops.extend([
-                                    CoreOp::load(h_map.addr_of(i as u64), S_MAP),
-                                    CoreOp::alu().with_dep(1),
-                                    CoreOp::load(h_val.addr_of(i as u64), S_VAL),
-                                    CoreOp::atomic(h_grad.addr_of(map[i] as u64), S_GRAD)
-                                        .with_dep(1)
-                                        .with_dep(3),
-                                ]);
-                            }
-                        });
-                    }
+                        }
+                    })
                 }));
             }
             Mode::Dx100 => {
                 let tile = cfg.dx100.as_ref().expect("dx100 config").tile_elems;
-                let tiles = split_tiles(n, tile);
                 let (h_map, h_mask, h_val, h_grad) = (d.h_map, d.h_mask, d.h_val, d.h_grad);
                 phases.push(Phase::setup(move |sys| {
-                    let jobs: Vec<TileJob> = tiles
-                        .iter()
-                        .enumerate()
-                        .map(|(k, (lo, hi))| {
-                            let core = k % cores;
-                            let g = tile_set4(k);
-                            let r = core_regs(core);
-                            TileJob {
-                                core,
-                                pre_ops: vec![],
-                                tile_writes: vec![],
-                                reg_writes: vec![
-                                    (r[0], *lo as u64),
-                                    (r[1], 1),
-                                    (r[2], (hi - lo) as u64),
-                                    (r[3], F_THRESHOLD),
-                                ],
-                                instrs: vec![
-                                    Instruction::sld(
-                                        DType::U32,
-                                        h_mask.base(),
-                                        g[0],
-                                        r[0],
-                                        r[1],
-                                        r[2],
-                                    ),
-                                    // cond = mask >= F
-                                    Instruction::Alus {
-                                        dtype: DType::U32,
-                                        op: AluOp::Ge,
-                                        td: g[1],
-                                        ts: g[0],
-                                        rs: r[3],
-                                        tc: None,
-                                    },
-                                    Instruction::sld(
-                                        DType::U32,
-                                        h_map.base(),
-                                        g[2],
-                                        r[0],
-                                        r[1],
-                                        r[2],
-                                    ),
-                                    Instruction::Sld {
-                                        dtype: DType::F64,
-                                        base: h_val.base(),
-                                        td: g[3],
-                                        rs1: r[0],
-                                        rs2: r[1],
-                                        rs3: r[2],
-                                        tc: None,
-                                    },
-                                    Instruction::irmw(
-                                        DType::F64,
-                                        AluOp::Add,
-                                        h_grad.base(),
-                                        g[2],
-                                        g[3],
-                                    )
-                                    .with_condition(g[1]),
-                                ],
-                                post_ops: vec![],
-                            }
-                        })
-                        .collect();
-                    install_jobs(sys, &jobs);
+                    let jobs = place.tiles(n, tile).map(|s: TileSlot<4>| {
+                        let (g, r) = (s.tiles(), s.regs());
+                        s.job(
+                            &[F_THRESHOLD],
+                            vec![
+                                s.sld(DType::U32, h_mask.base(), g[0]),
+                                // cond = mask >= F
+                                Instruction::Alus {
+                                    dtype: DType::U32,
+                                    op: AluOp::Ge,
+                                    td: g[1],
+                                    ts: g[0],
+                                    rs: r[3],
+                                    tc: None,
+                                },
+                                s.sld(DType::U32, h_map.base(), g[2]),
+                                s.sld(DType::F64, h_val.base(), g[3]),
+                                Instruction::irmw(
+                                    DType::F64,
+                                    AluOp::Add,
+                                    h_grad.base(),
+                                    g[2],
+                                    g[3],
+                                )
+                                .with_condition(g[1]),
+                            ],
+                        )
+                    });
+                    install_jobs(sys, jobs);
                 }));
             }
         }
@@ -390,7 +344,7 @@ impl Ume {
                 sys.mark_host_resident(h.base(), h.size_bytes());
             }
         }
-        let cores = sys.num_cores();
+        let place = Placement::of(&sys);
         let n_outer = d.k_list.len();
         let flat_len = d.flat.len();
 
@@ -407,50 +361,45 @@ impl Ume {
                         DType::U32,
                     ));
                 }
-                let parts = chunks(flat_len, cores);
-                let data = (
+                let (flat, c_map, b_map, mask) = (
                     d.flat.clone(),
                     d.c_map.clone(),
                     d.b_map.clone(),
                     d.mask.clone(),
                 );
-                let handles = (d.hk, d.hh, d.hc, d.hb, d.hmask, d.ha, d.hout);
+                let (hk, hh, hc, hb, hmask, ha, hout) =
+                    (d.hk, d.hh, d.hc, d.hb, d.hmask, d.ha, d.hout);
                 // Over the flattened (outer, j) pairs:
                 // `if mask[j] >= F { out[j] = A[B[C[j]]] }`, plus the range
-                // setup loads (K[i], H[K[i]]) at each new outer iteration.
+                // setup loads (K[i], H[K[i]]) at each new outer iteration
+                // (each core starts its share with one).
                 phases.push(Phase::setup(move |sys| {
-                    for (c, &(lo, hi)) in parts.iter().enumerate() {
-                        let (flat, c_map, b_map, mask) = data.clone();
-                        let (hk, hh, hc, hb, hmask, ha, hout) = handles;
-                        let mut last_outer = u32::MAX;
-                        sys.push_loop(c, lo..hi, move |idx, ops| {
-                            let (outer, j) = flat[idx];
-                            let ju = j as usize;
-                            if outer != last_outer {
-                                last_outer = outer;
-                                ops.extend([
-                                    CoreOp::load(hk.addr_of(outer as u64), S_K),
-                                    CoreOp::alu().with_dep(1),
-                                    CoreOp::load(hh.addr_of(outer as u64 % hh.len()), S_H)
-                                        .with_dep(1),
-                                ]);
-                            }
+                    let mut last_outer = u32::MAX;
+                    place.push_loops(sys, flat_len, move |idx, ops| {
+                        let (outer, j) = flat[idx];
+                        let ju = j as usize;
+                        if outer != last_outer {
+                            last_outer = outer;
                             ops.extend([
-                                CoreOp::load(hmask.addr_of(j as u64), S_MASK),
+                                CoreOp::load(hk.addr_of(outer as u64), S_K),
                                 CoreOp::alu().with_dep(1),
+                                CoreOp::load(hh.addr_of(outer as u64 % hh.len()), S_H).with_dep(1),
                             ]);
-                            if mask[ju] as u64 >= F_THRESHOLD {
-                                let c = c_map[ju];
-                                ops.extend([
-                                    CoreOp::load(hc.addr_of(j as u64), S_C),
-                                    CoreOp::load(hb.addr_of(c as u64), S_B).with_dep(1),
-                                    CoreOp::load(ha.addr_of(b_map[c as usize] as u64), S_A)
-                                        .with_dep(1),
-                                    CoreOp::store(hout.addr_of(j as u64), S_OUT).with_dep(1),
-                                ]);
-                            }
-                        });
-                    }
+                        }
+                        ops.extend([
+                            CoreOp::load(hmask.addr_of(j as u64), S_MASK),
+                            CoreOp::alu().with_dep(1),
+                        ]);
+                        if mask[ju] as u64 >= F_THRESHOLD {
+                            let c = c_map[ju];
+                            ops.extend([
+                                CoreOp::load(hc.addr_of(j as u64), S_C),
+                                CoreOp::load(hb.addr_of(c as u64), S_B).with_dep(1),
+                                CoreOp::load(ha.addr_of(b_map[c as usize] as u64), S_A).with_dep(1),
+                                CoreOp::store(hout.addr_of(j as u64), S_OUT).with_dep(1),
+                            ]);
+                        }
+                    })
                 }));
             }
             Mode::Dx100 => {
@@ -458,80 +407,62 @@ impl Ume {
                 // ≤ 6 elements).
                 let tile = cfg.dx100.as_ref().expect("dx100 config").tile_elems;
                 let outer_per_tile = (tile / 8).max(1);
-                let tiles = split_tiles(n_outer, outer_per_tile);
                 let (hk, hh, hc, hb, hmask, ha, hout) =
                     (d.hk, d.hh, d.hc, d.hb, d.hmask, d.ha, d.hout);
                 let budget = tile as u64;
                 phases.push(Phase::setup(move |sys| {
-                    let jobs: Vec<TileJob> = tiles
-                        .iter()
-                        .enumerate()
-                        .map(|(k, (lo, hi))| {
-                            let core = set8_core(k, cores);
-                            let g = tile_set8(k);
-                            let r = core_regs(core);
-                            TileJob {
-                                core,
-                                pre_ops: vec![],
-                                tile_writes: vec![],
-                                reg_writes: vec![
-                                    (r[0], *lo as u64),
-                                    (r[1], 1),
-                                    (r[2], (hi - lo) as u64),
-                                    (r[3], 1),
-                                    (r[4], budget),
-                                    (r[5], F_THRESHOLD),
-                                ],
-                                instrs: vec![
-                                    // K tile and its range bounds.
-                                    Instruction::sld(DType::U32, hk.base(), g[0], r[0], r[1], r[2]),
-                                    Instruction::ild(DType::U32, hh.base(), g[1], g[0]), // lo = H[K]
-                                    Instruction::Alus {
-                                        dtype: DType::U32,
-                                        op: AluOp::Add,
-                                        td: g[2],
-                                        ts: g[0],
-                                        rs: r[3],
-                                        tc: None,
-                                    },
-                                    Instruction::ild(DType::U32, hh.base(), g[3], g[2]), // hi = H[K+1]
-                                    // Fuse ranges → (outer, j).
-                                    Instruction::Rng {
-                                        td1: g[4],
-                                        td2: g[5],
-                                        ts1: g[1],
-                                        ts2: g[3],
-                                        rs1: r[4],
-                                        tc: None,
-                                    },
-                                    // cond = mask[j] >= F.
-                                    Instruction::ild(DType::U32, hmask.base(), g[6], g[5]),
-                                    Instruction::Alus {
-                                        dtype: DType::U32,
-                                        op: AluOp::Ge,
-                                        td: g[7],
-                                        ts: g[6],
-                                        rs: r[5],
-                                        tc: None,
-                                    },
-                                    // Two-level gather A[B[C[j]]] (reuse g[1]/g[2]
-                                    // once their consumers are done — the
-                                    // scoreboard serializes as needed).
-                                    Instruction::ild(DType::U32, hc.base(), g[1], g[5])
-                                        .with_condition(g[7]),
-                                    Instruction::ild(DType::U32, hb.base(), g[2], g[1])
-                                        .with_condition(g[7]),
-                                    Instruction::ild(DType::F64, ha.base(), g[3], g[2])
-                                        .with_condition(g[7]),
-                                    // Scatter to out[j].
-                                    Instruction::ist(DType::F64, hout.base(), g[5], g[3])
-                                        .with_condition(g[7]),
-                                ],
-                                post_ops: vec![],
-                            }
-                        })
-                        .collect();
-                    install_jobs(sys, &jobs);
+                    let jobs = place.tiles(n_outer, outer_per_tile).map(|s: TileSlot<8>| {
+                        let (g, r) = (s.tiles(), s.regs());
+                        s.job(
+                            &[1, budget, F_THRESHOLD],
+                            vec![
+                                // K tile and its range bounds.
+                                s.sld(DType::U32, hk.base(), g[0]),
+                                Instruction::ild(DType::U32, hh.base(), g[1], g[0]), // lo = H[K]
+                                Instruction::Alus {
+                                    dtype: DType::U32,
+                                    op: AluOp::Add,
+                                    td: g[2],
+                                    ts: g[0],
+                                    rs: r[3],
+                                    tc: None,
+                                },
+                                Instruction::ild(DType::U32, hh.base(), g[3], g[2]), // hi = H[K+1]
+                                // Fuse ranges → (outer, j).
+                                Instruction::Rng {
+                                    td1: g[4],
+                                    td2: g[5],
+                                    ts1: g[1],
+                                    ts2: g[3],
+                                    rs1: r[4],
+                                    tc: None,
+                                },
+                                // cond = mask[j] >= F.
+                                Instruction::ild(DType::U32, hmask.base(), g[6], g[5]),
+                                Instruction::Alus {
+                                    dtype: DType::U32,
+                                    op: AluOp::Ge,
+                                    td: g[7],
+                                    ts: g[6],
+                                    rs: r[5],
+                                    tc: None,
+                                },
+                                // Two-level gather A[B[C[j]]] (reuse g[1]/g[2]
+                                // once their consumers are done — the
+                                // scoreboard serializes as needed).
+                                Instruction::ild(DType::U32, hc.base(), g[1], g[5])
+                                    .with_condition(g[7]),
+                                Instruction::ild(DType::U32, hb.base(), g[2], g[1])
+                                    .with_condition(g[7]),
+                                Instruction::ild(DType::F64, ha.base(), g[3], g[2])
+                                    .with_condition(g[7]),
+                                // Scatter to out[j].
+                                Instruction::ist(DType::F64, hout.base(), g[5], g[3])
+                                    .with_condition(g[7]),
+                            ],
+                        )
+                    });
+                    install_jobs(sys, jobs);
                 }));
             }
         }

@@ -12,10 +12,7 @@ use dx100_prefetch::IndirectPattern;
 use dx100_sim::{System, SystemConfig};
 
 use crate::datasets::xrage_pattern;
-use crate::kernels::is::split_tiles;
-use crate::util::{
-    checksum, chunks, core_regs, install_jobs, tile_set4, Phase, PhasedDriver, TileJob,
-};
+use crate::util::{checksum, install_jobs, Phase, PhasedDriver, Placement, TileSlot};
 use crate::{KernelRun, Mode, Scale, WorkloadResult};
 
 const S_PAT: u32 = 1;
@@ -88,7 +85,7 @@ impl KernelRun for Xrage {
         let (image, d) = self.build(seed);
         let expected = checksum(d.ref_out.iter().map(|&v| v as u64));
         let mut sys = System::new(cfg.clone(), image);
-        let cores = sys.num_cores();
+        let place = Placement::of(&sys);
         let n = self.n;
 
         let phases = match mode {
@@ -103,25 +100,21 @@ impl KernelRun for Xrage {
                         DType::U32,
                     ));
                 }
-                let parts = chunks(n, cores);
                 let (pattern, h_pat, h_val, h_out) = (d.pattern.clone(), d.h_pat, d.h_val, d.h_out);
                 vec![
                     Phase::RoiBegin,
                     // `out[pat[i]] = val[i]`.
                     Phase::setup(move |sys| {
-                        for (c, &(lo, hi)) in parts.iter().enumerate() {
-                            let pattern = pattern.clone();
-                            sys.push_loop(c, lo..hi, move |i, ops| {
-                                ops.extend([
-                                    CoreOp::load(h_pat.addr_of(i as u64), S_PAT),
-                                    CoreOp::alu().with_dep(1),
-                                    CoreOp::load(h_val.addr_of(i as u64), S_VAL),
-                                    CoreOp::store(h_out.addr_of(pattern[i] as u64), S_OUT)
-                                        .with_dep(2)
-                                        .with_dep(1),
-                                ])
-                            });
-                        }
+                        place.push_loops(sys, n, move |i, ops| {
+                            ops.extend([
+                                CoreOp::load(h_pat.addr_of(i as u64), S_PAT),
+                                CoreOp::alu().with_dep(1),
+                                CoreOp::load(h_val.addr_of(i as u64), S_VAL),
+                                CoreOp::store(h_out.addr_of(pattern[i] as u64), S_OUT)
+                                    .with_dep(2)
+                                    .with_dep(1),
+                            ])
+                        })
                     }),
                     Phase::WaitCoresIdle,
                     Phase::RoiEnd,
@@ -129,51 +122,22 @@ impl KernelRun for Xrage {
             }
             Mode::Dx100 => {
                 let tile = cfg.dx100.as_ref().expect("dx100 config").tile_elems;
-                let tiles = split_tiles(n, tile);
                 let (h_pat, h_val, h_out) = (d.h_pat, d.h_val, d.h_out);
                 vec![
                     Phase::RoiBegin,
                     Phase::setup(move |sys| {
-                        let jobs: Vec<TileJob> = tiles
-                            .iter()
-                            .enumerate()
-                            .map(|(k, (lo, hi))| {
-                                let core = k % cores;
-                                let g = tile_set4(k);
-                                let r = core_regs(core);
-                                TileJob {
-                                    core,
-                                    pre_ops: vec![],
-                                    tile_writes: vec![],
-                                    reg_writes: vec![
-                                        (r[0], *lo as u64),
-                                        (r[1], 1),
-                                        (r[2], (hi - lo) as u64),
-                                    ],
-                                    instrs: vec![
-                                        Instruction::sld(
-                                            DType::U32,
-                                            h_pat.base(),
-                                            g[0],
-                                            r[0],
-                                            r[1],
-                                            r[2],
-                                        ),
-                                        Instruction::sld(
-                                            DType::U32,
-                                            h_val.base(),
-                                            g[1],
-                                            r[0],
-                                            r[1],
-                                            r[2],
-                                        ),
-                                        Instruction::ist(DType::U32, h_out.base(), g[0], g[1]),
-                                    ],
-                                    post_ops: vec![],
-                                }
-                            })
-                            .collect();
-                        install_jobs(sys, &jobs);
+                        let jobs = place.tiles(n, tile).map(|s: TileSlot<4>| {
+                            let g = s.tiles();
+                            s.job(
+                                &[],
+                                vec![
+                                    s.sld(DType::U32, h_pat.base(), g[0]),
+                                    s.sld(DType::U32, h_val.base(), g[1]),
+                                    Instruction::ist(DType::U32, h_out.base(), g[0], g[1]),
+                                ],
+                            )
+                        });
+                        install_jobs(sys, jobs);
                     }),
                     Phase::WaitCoresIdle,
                     Phase::RoiEnd,

@@ -1,6 +1,6 @@
 //! The paper's evaluation workloads: 12 irregular kernels from five suites
 //! (Table 1) plus the five microbenchmarks of Figure 8, each with a
-//! baseline (multicore op-stream) implementation and a DX100-offloaded
+//! baseline (multicore loop-body) implementation and a DX100-offloaded
 //! implementation, sharing one dataset per seed.
 //!
 //! Every kernel verifies its DX100-simulated output against a plain-Rust

@@ -3,15 +3,16 @@
 //! isolated is instruction offload — plus atomic elimination for RMW and
 //! the write-hazard escape for Scatter.
 
+use std::collections::VecDeque;
+
 use dx100_common::{AluOp, DType};
+use dx100_core::engine::SPD_ELEM_BYTES;
 use dx100_core::isa::Instruction;
 use dx100_core::{ArrayHandle, MemoryImage};
 use dx100_cpu::CoreOp;
 use dx100_sim::{RunStats, System, SystemConfig};
 
-use crate::util::{
-    consume_tile_ops, core_regs, install_jobs, tile_set4, Phase, PhasedDriver, TileJob,
-};
+use crate::util::{install_jobs, Phase, PhasedDriver, Placement, TileJob, TileSlot};
 
 /// Elements per array — small enough to live in the private caches (with
 /// streaming indices the stride prefetchers keep L1 hot), large enough to
@@ -71,6 +72,7 @@ impl MicroKind {
     }
 }
 
+#[derive(Clone, Copy)]
 struct Arrays {
     a: ArrayHandle,
     b: ArrayHandle,
@@ -90,181 +92,147 @@ fn build() -> (MemoryImage, Arrays) {
     (image, Arrays { a, b, c })
 }
 
-/// Warm-up ops: touch every line of every array from each core.
-fn warm_ops(ar: &Arrays) -> Vec<CoreOp> {
-    let mut ops = Vec::new();
-    for i in (0..N).step_by(16) {
-        ops.push(CoreOp::load(ar.a.addr_of(i as u64), S_A));
-        ops.push(CoreOp::load(ar.b.addr_of(i as u64), S_B));
-        ops.push(CoreOp::load(ar.c.addr_of(i as u64), S_C));
-    }
-    ops
+/// Warm-up: touch line `l` of every array.
+fn warm_line(ar: Arrays, l: usize, ops: &mut VecDeque<CoreOp>) {
+    let i = (l * 16) as u64;
+    ops.extend([
+        CoreOp::load(ar.a.addr_of(i), S_A),
+        CoreOp::load(ar.b.addr_of(i), S_B),
+        CoreOp::load(ar.c.addr_of(i), S_C),
+    ]);
 }
 
-/// One baseline pass of the kernel for a core's index range.
-fn baseline_pass(kind: MicroKind, ar: &Arrays, lo: usize, hi: usize) -> Vec<CoreOp> {
-    let mut ops = Vec::new();
-    for i in lo..hi {
-        let i64v = i as u64;
-        // Loop-overhead µops (induction update, bound check, branch) —
-        // the paper's x86 baseline spends ~13 dynamic instructions per
-        // gather iteration.
-        ops.push(CoreOp::alu());
-        ops.push(CoreOp::alu());
-        match kind {
-            MicroKind::GatherSpd | MicroKind::GatherFull => {
-                ops.push(CoreOp::load(ar.b.addr_of(i64v), S_B));
-                ops.push(CoreOp::alu().with_dep(1));
-                ops.push(CoreOp::Load {
+/// One baseline iteration of the kernel on element `i`.
+fn baseline_elem(kind: MicroKind, ar: Arrays, i: usize, ops: &mut VecDeque<CoreOp>) {
+    let i64v = i as u64;
+    // Loop-overhead µops (induction update, bound check, branch) — the
+    // paper's x86 baseline spends ~13 dynamic instructions per gather
+    // iteration.
+    ops.extend([CoreOp::alu(), CoreOp::alu()]);
+    match kind {
+        MicroKind::GatherSpd | MicroKind::GatherFull => {
+            ops.extend([
+                CoreOp::load(ar.b.addr_of(i64v), S_B),
+                CoreOp::alu().with_dep(1),
+                CoreOp::Load {
                     addr: ar.a.addr_of(i64v), // B[i] = i
                     stream: S_A,
                     dep: [1, 0],
-                });
-                ops.push(CoreOp::alu().with_dep(1)); // consume
-                if kind == MicroKind::GatherFull {
-                    ops.push(CoreOp::Store {
-                        addr: ar.c.addr_of(i64v),
-                        stream: S_C,
-                        dep: [2, 0],
-                    });
-                }
-            }
-            MicroKind::RmwAtomic => {
-                ops.push(CoreOp::load(ar.b.addr_of(i64v), S_B));
-                ops.push(CoreOp::alu().with_dep(1));
-                ops.push(CoreOp::load(ar.c.addr_of(i64v), S_C));
-                ops.push(
-                    CoreOp::atomic(ar.a.addr_of(i64v), S_A)
-                        .with_dep(1)
-                        .with_dep(3),
-                );
-            }
-            MicroKind::RmwNoAtom => {
-                ops.push(CoreOp::load(ar.b.addr_of(i64v), S_B));
-                ops.push(CoreOp::alu().with_dep(1));
-                ops.push(CoreOp::Load {
-                    addr: ar.a.addr_of(i64v),
-                    stream: S_A,
-                    dep: [1, 0],
-                });
-                ops.push(CoreOp::load(ar.c.addr_of(i64v), S_C));
-                ops.push(CoreOp::alu().with_dep(1).with_dep(2)); // add
-                ops.push(CoreOp::Store {
-                    addr: ar.a.addr_of(i64v),
-                    stream: S_A,
-                    dep: [1, 0],
-                });
-            }
-            MicroKind::Scatter => {
-                ops.push(CoreOp::load(ar.b.addr_of(i64v), S_B));
-                ops.push(CoreOp::alu().with_dep(1));
-                ops.push(CoreOp::load(ar.c.addr_of(i64v), S_C));
-                ops.push(CoreOp::Store {
-                    addr: ar.a.addr_of(i64v),
-                    stream: S_A,
-                    dep: [1, 2],
+                },
+                CoreOp::alu().with_dep(1), // consume
+            ]);
+            if kind == MicroKind::GatherFull {
+                ops.push_back(CoreOp::Store {
+                    addr: ar.c.addr_of(i64v),
+                    stream: S_C,
+                    dep: [2, 0],
                 });
             }
         }
+        MicroKind::RmwAtomic => ops.extend([
+            CoreOp::load(ar.b.addr_of(i64v), S_B),
+            CoreOp::alu().with_dep(1),
+            CoreOp::load(ar.c.addr_of(i64v), S_C),
+            CoreOp::atomic(ar.a.addr_of(i64v), S_A)
+                .with_dep(1)
+                .with_dep(3),
+        ]),
+        MicroKind::RmwNoAtom => ops.extend([
+            CoreOp::load(ar.b.addr_of(i64v), S_B),
+            CoreOp::alu().with_dep(1),
+            CoreOp::Load {
+                addr: ar.a.addr_of(i64v),
+                stream: S_A,
+                dep: [1, 0],
+            },
+            CoreOp::load(ar.c.addr_of(i64v), S_C),
+            CoreOp::alu().with_dep(1).with_dep(2), // add
+            CoreOp::Store {
+                addr: ar.a.addr_of(i64v),
+                stream: S_A,
+                dep: [1, 0],
+            },
+        ]),
+        MicroKind::Scatter => ops.extend([
+            CoreOp::load(ar.b.addr_of(i64v), S_B),
+            CoreOp::alu().with_dep(1),
+            CoreOp::load(ar.c.addr_of(i64v), S_C),
+            CoreOp::Store {
+                addr: ar.a.addr_of(i64v),
+                stream: S_A,
+                dep: [1, 2],
+            },
+        ]),
     }
-    ops
+}
+
+/// The DX100 instructions of one tile of `kind` over the slice in `r[0..3]`.
+fn dx100_instrs(kind: MicroKind, ar: Arrays, s: &TileSlot<4>) -> Vec<Instruction> {
+    let g = s.tiles();
+    let (a, b, c) = (ar.a.base(), ar.b.base(), ar.c.base());
+    match kind {
+        MicroKind::GatherSpd => vec![
+            s.sld(DType::U32, b, g[0]),
+            Instruction::ild(DType::U32, a, g[1], g[0]),
+        ],
+        MicroKind::GatherFull => vec![
+            s.sld(DType::U32, b, g[0]),
+            Instruction::ild(DType::U32, a, g[1], g[0]),
+            s.sst(DType::U32, c, g[1]),
+        ],
+        MicroKind::RmwAtomic | MicroKind::RmwNoAtom => vec![
+            s.sld(DType::U32, b, g[0]),
+            s.sld(DType::U32, c, g[1]),
+            Instruction::irmw(DType::U32, AluOp::Add, a, g[0], g[1]),
+        ],
+        MicroKind::Scatter => vec![
+            s.sld(DType::U32, b, g[0]),
+            s.sld(DType::U32, c, g[1]),
+            Instruction::ist(DType::U32, a, g[0], g[1]),
+        ],
+    }
 }
 
 /// Runs one all-hit experiment; `dx100` selects the machine.
 pub fn run_allhit(kind: MicroKind, dx100: bool, cfg: &SystemConfig, _seed: u64) -> RunStats {
     let (image, ar) = build();
     let mut sys = System::new(cfg.clone(), image);
-    let cores = kind.cores_used(!dx100).min(sys.num_cores());
+    let place = Placement::new(kind.cores_used(!dx100).min(sys.num_cores()));
 
-    let mut phases = Vec::new();
-    // Warm pass (not measured).
-    {
-        let w: Vec<Vec<CoreOp>> = (0..cores).map(|_| warm_ops(&ar)).collect();
-        phases.push(Phase::setup(move |sys| {
-            for (c, ops) in w.into_iter().enumerate() {
-                sys.push_ops(c, ops);
-            }
-        }));
-        phases.push(Phase::WaitCoresIdle);
-    }
-    phases.push(Phase::RoiBegin);
+    // Warm pass (not measured): each core touches every line of every array.
+    let mut phases = vec![
+        Phase::setup(move |sys| place.push_each(sys, N / 16, move |l, ops| warm_line(ar, l, ops))),
+        Phase::WaitCoresIdle,
+        Phase::RoiBegin,
+    ];
     if !dx100 {
-        let per = N / cores;
-        let mut per_core: Vec<Vec<CoreOp>> = vec![Vec::new(); cores];
-        for _ in 0..PASSES {
-            for (c, ops) in per_core.iter_mut().enumerate() {
-                ops.extend(baseline_pass(kind, &ar, c * per, (c + 1) * per));
-            }
-        }
         phases.push(Phase::setup(move |sys| {
-            for (c, ops) in per_core.into_iter().enumerate() {
-                sys.push_ops(c, ops);
+            for _ in 0..PASSES {
+                place.push_loops(sys, N, move |i, ops| baseline_elem(kind, ar, i, ops));
             }
         }));
     } else {
-        let (a, b, c_arr) = (ar.a, ar.b, ar.c);
+        // Each pass gives every core one tile: its block of the arrays.
         phases.push(Phase::setup(move |sys| {
-            let mut jobs = Vec::new();
-            for pass in 0..PASSES {
-                for (slot, core) in (0..cores).enumerate() {
-                    let k = pass * cores + slot;
-                    let per = N / cores;
-                    let (lo, n) = (core * per, per);
-                    let g = tile_set4(k);
-                    let r = core_regs(core);
-                    let reg_writes = vec![(r[0], lo as u64), (r[1], 1), (r[2], n as u64)];
-                    let (instrs, post) = match kind {
-                        MicroKind::GatherSpd => (
-                            vec![
-                                Instruction::sld(DType::U32, b.base(), g[0], r[0], r[1], r[2]),
-                                Instruction::ild(DType::U32, a.base(), g[1], g[0]),
-                            ],
-                            consume_tile_ops(sys, core, g[1], n, 1, S_SPD),
-                        ),
-                        MicroKind::GatherFull => (
-                            vec![
-                                Instruction::sld(DType::U32, b.base(), g[0], r[0], r[1], r[2]),
-                                Instruction::ild(DType::U32, a.base(), g[1], g[0]),
-                                Instruction::Sst {
-                                    dtype: DType::U32,
-                                    base: c_arr.base(),
-                                    ts: g[1],
-                                    rs1: r[0],
-                                    rs2: r[1],
-                                    rs3: r[2],
-                                    tc: None,
-                                },
-                            ],
-                            vec![],
-                        ),
-                        MicroKind::RmwAtomic | MicroKind::RmwNoAtom => (
-                            vec![
-                                Instruction::sld(DType::U32, b.base(), g[0], r[0], r[1], r[2]),
-                                Instruction::sld(DType::U32, c_arr.base(), g[1], r[0], r[1], r[2]),
-                                Instruction::irmw(DType::U32, AluOp::Add, a.base(), g[0], g[1]),
-                            ],
-                            vec![],
-                        ),
-                        MicroKind::Scatter => (
-                            vec![
-                                Instruction::sld(DType::U32, b.base(), g[0], r[0], r[1], r[2]),
-                                Instruction::sld(DType::U32, c_arr.base(), g[1], r[0], r[1], r[2]),
-                                Instruction::ist(DType::U32, a.base(), g[0], g[1]),
-                            ],
-                            vec![],
-                        ),
-                    };
-                    jobs.push(TileJob {
-                        core,
-                        pre_ops: vec![],
-                        tile_writes: vec![],
-                        reg_writes,
-                        instrs,
-                        post_ops: post,
-                    });
-                }
-            }
-            install_jobs(sys, &jobs);
+            let blocks = (0..PASSES).flat_map(|_| place.blocks(N).map(|(_, elems)| elems));
+            let jobs: Vec<TileJob> = place
+                .slots(blocks)
+                .map(|s| {
+                    let job = s.job(&[], dx100_instrs(kind, ar, &s));
+                    if kind != MicroKind::GatherSpd {
+                        return job;
+                    }
+                    // The cores consume the gathered tile from the SPD.
+                    let spd = sys.spd_elem_addr(s.core(), s.tiles()[1], 0);
+                    job.consume(move |i, ops| {
+                        ops.extend([
+                            CoreOp::load(spd + i as u64 * SPD_ELEM_BYTES, S_SPD),
+                            CoreOp::alu().with_dep(1),
+                        ])
+                    })
+                })
+                .collect();
+            install_jobs(sys, jobs);
         }));
     }
     phases.push(Phase::WaitCoresIdle);

@@ -8,6 +8,8 @@
 //! paper's "16 rows in all banks, bank groups, and channels". Caches start
 //! cold and every line is touched once, so all indirect accesses miss.
 
+use std::sync::Arc;
+
 use dx100_common::{DType, LineAddr};
 use dx100_core::isa::Instruction;
 use dx100_core::MemoryImage;
@@ -15,7 +17,7 @@ use dx100_cpu::CoreOp;
 use dx100_dram::DramConfig;
 use dx100_sim::{RunStats, System, SystemConfig};
 
-use crate::util::{core_regs, install_jobs, tile_set4, Phase, PhasedDriver, TileJob};
+use crate::util::{install_jobs, Phase, PhasedDriver, Placement, TileSlot};
 
 const S_B: u32 = 1;
 const S_A: u32 = 2;
@@ -191,75 +193,50 @@ pub fn run_allmiss(scenario: Scenario, dx100: bool, cfg: &SystemConfig) -> RunSt
     assert_eq!(indices.len(), ACCESSES);
     image.fill_u32(b, &indices);
     let mut sys = System::new(cfg.clone(), image);
-    let cores = sys.num_cores().min(4);
 
     let mut phases = vec![Phase::RoiBegin];
     if !dx100 {
-        let per = ACCESSES / cores;
         // Strided partitioning: core c takes accesses c, c+cores, ... so the
         // four cores collectively preserve the constructed global order (a
         // blocked split would interleave distant regions and destroy the
         // scenario's row-locality knob).
-        let streams: Vec<Vec<CoreOp>> = (0..cores)
-            .map(|core| {
-                let mut ops = Vec::with_capacity(per * 4);
-                for i in (core..ACCESSES).step_by(cores) {
-                    ops.push(CoreOp::load(b.addr_of(i as u64), S_B));
-                    ops.push(CoreOp::alu().with_dep(1));
-                    ops.push(CoreOp::Load {
+        let place = Placement::new(sys.num_cores().min(4));
+        let indices = Arc::new(indices);
+        phases.push(Phase::setup(move |sys| {
+            place.push_interleaved(sys, ACCESSES, move |i, ops| {
+                ops.extend([
+                    CoreOp::load(b.addr_of(i as u64), S_B),
+                    CoreOp::alu().with_dep(1),
+                    CoreOp::Load {
                         addr: a.addr_of(indices[i] as u64),
                         stream: S_A,
                         dep: [1, 0],
-                    });
-                    ops.push(CoreOp::Store {
+                    },
+                    CoreOp::Store {
                         addr: c.addr_of(i as u64),
                         stream: S_C,
                         dep: [1, 0],
-                    });
-                }
-                ops
+                    },
+                ])
             })
-            .collect();
-        phases.push(Phase::setup(move |sys| {
-            for (core, ops) in streams.into_iter().enumerate() {
-                sys.push_ops(core, ops);
-            }
         }));
     } else {
         let tile = cfg.dx100.as_ref().expect("dx100 config").tile_elems;
         phases.push(Phase::setup(move |sys| {
-            let cores = sys.num_cores();
-            let tiles = crate::kernels::is::split_tiles(ACCESSES, tile);
-            let jobs: Vec<TileJob> = tiles
-                .iter()
-                .enumerate()
-                .map(|(k, (lo, hi))| {
-                    let core = k % cores;
-                    let g = tile_set4(k);
-                    let r = core_regs(core);
-                    TileJob {
-                        core,
-                        pre_ops: vec![],
-                        tile_writes: vec![],
-                        reg_writes: vec![(r[0], *lo as u64), (r[1], 1), (r[2], (hi - lo) as u64)],
-                        instrs: vec![
-                            Instruction::sld(DType::U32, b.base(), g[0], r[0], r[1], r[2]),
+            let jobs = Placement::of(sys)
+                .tiles(ACCESSES, tile)
+                .map(|s: TileSlot<4>| {
+                    let g = s.tiles();
+                    s.job(
+                        &[],
+                        vec![
+                            s.sld(DType::U32, b.base(), g[0]),
                             Instruction::ild(DType::U32, a.base(), g[1], g[0]),
-                            Instruction::Sst {
-                                dtype: DType::U32,
-                                base: c.base(),
-                                ts: g[1],
-                                rs1: r[0],
-                                rs2: r[1],
-                                rs3: r[2],
-                                tc: None,
-                            },
+                            s.sst(DType::U32, c.base(), g[1]),
                         ],
-                        post_ops: vec![],
-                    }
-                })
-                .collect();
-            install_jobs(sys, &jobs);
+                    )
+                });
+            install_jobs(sys, jobs);
         }));
     }
     phases.push(Phase::WaitCoresIdle);

@@ -21,7 +21,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dx100_common::DType;
 use dx100_core::MemoryImage;
 use dx100_cpu::CoreOp;
-use dx100_sim::driver::NullDriver;
 use dx100_sim::{System, SystemConfig};
 use dx100_workloads::micro::allhit::{run_allhit, MicroKind};
 
@@ -51,7 +50,7 @@ fn run_chase(skip: bool, profile: bool, loads: u64) -> u64 {
     cfg.obs.profile = profile;
     let mut sys = System::new(cfg, image);
     sys.push_ops(0, ops);
-    sys.run(&mut NullDriver).cycles
+    sys.finish().cycles
 }
 
 fn bench_idle_heavy(c: &mut Criterion) {

@@ -1,6 +1,6 @@
 //! The shared job specification: one (kernel × machine × scale × mode
 //! flags) description that `dx100 job` and the `dx100-serve` daemon both
-//! resolve into *the same* `SystemConfig` and driver — the guarantee that
+//! resolve into *the same* `SystemConfig` and program — the guarantee that
 //! a served result is byte-identical to the local run of the same job.
 //!
 //! A [`JobSpec`] holds exactly the knobs that determine the report bytes:

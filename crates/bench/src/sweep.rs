@@ -5,7 +5,7 @@
 //! `execute` runs them across `--threads` workers of the shared
 //! order-preserving pool ([`run_parallel`]) and hands the results back in
 //! job order, so everything printed from them is byte-identical at any
-//! thread count. Each job builds its entire driver state (dataset walk,
+//! thread count. Each job builds its entire program state (dataset walk,
 //! `System`, observability sinks) on its worker thread and is timed with
 //! its own [`Instant`] span. The row figures also emit a
 //! `<generator>_sim_walltime.json` from those spans.

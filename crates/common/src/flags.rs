@@ -3,7 +3,7 @@
 //! * [`FlagBoard`] — boolean completion flags for core ↔ accelerator and
 //!   core ↔ core synchronization. In the paper, cores poll a scratchpad
 //!   tile's *ready bit* until DX100 sets it (the `wait` API, Section 4.1).
-//!   The flag board is the simulator's equivalent: workload drivers
+//!   The flag board is the simulator's equivalent: workload programs
 //!   allocate a flag per synchronization point, cores block on it with a
 //!   `WaitFlag` op, and DX100 (or another core) sets it when the producing
 //!   instruction retires.
@@ -68,24 +68,6 @@ impl FlagBoard {
     pub fn set_count(&self) -> u64 {
         self.sets
     }
-
-    /// Clears a flag (tile reuse across loop iterations).
-    ///
-    /// # Panics
-    /// Panics if `id` was not allocated on this board.
-    pub fn clear(&mut self, id: FlagId) {
-        self.flags[id.0] = false;
-    }
-
-    /// Number of allocated flags.
-    pub fn len(&self) -> usize {
-        self.flags.len()
-    }
-
-    /// Whether no flags have been allocated.
-    pub fn is_empty(&self) -> bool {
-        self.flags.is_empty()
-    }
 }
 
 /// Options of everything that hosts the simulation service (`dx100
@@ -132,16 +114,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn alloc_set_clear_round_trip() {
+    fn alloc_set_get_round_trip() {
         let mut b = FlagBoard::new();
-        assert!(b.is_empty());
         let a = b.alloc();
         let c = b.alloc();
-        assert_eq!(b.len(), 2);
+        assert_ne!(a, c);
         b.set(c);
         assert!(!b.get(a));
         assert!(b.get(c));
-        b.clear(c);
-        assert!(!b.get(c));
     }
 }

@@ -14,7 +14,7 @@ use dx100_common::flags::FlagId;
 use crate::isa::{Instruction, TileList};
 
 /// An instruction with its scalar register operands resolved at reception
-/// time (the register file is read when the instruction arrives, so drivers
+/// time (the register file is read when the instruction arrives, so programs
 /// may reuse registers for later instructions).
 #[derive(Debug, Clone)]
 pub struct DispatchedInstr {

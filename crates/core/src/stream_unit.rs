@@ -177,7 +177,7 @@ impl StreamUnit {
         let count = job.count();
         if !job.sized {
             if let Some(td) = td {
-                // A count beyond capacity is a driver bug; surface loudly.
+                // A count beyond capacity is a program bug; surface loudly.
                 assert!(count <= spd.capacity(), "SLD count exceeds tile capacity");
                 spd.set_len(td, count);
             }

@@ -1,5 +1,5 @@
-//! A core's op channel: the driver appends literal micro-ops or whole
-//! loops; the core drains them in order.
+//! A core's op channel: the workload's program appends literal micro-ops
+//! or whole loops; the core drains them in order.
 //!
 //! A loop is a range of elements and a body that appends one element's
 //! micro-ops to a ring. When a loop reaches the front of the channel, the
@@ -125,7 +125,7 @@ mod tests {
         assert_eq!(ch.next_op(), Some(CoreOp::load(128, 1)));
         assert_eq!(ch.next_op(), Some(CoreOp::store(128, 2)));
         assert_eq!(ch.next_op(), None);
-        // Refill after exhaustion works (driver appends later).
+        // Refill after exhaustion works (the program appends later).
         ch.push_ops([CoreOp::alu()]);
         assert_eq!(ch.next_op(), Some(CoreOp::alu()));
     }

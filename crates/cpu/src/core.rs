@@ -220,8 +220,8 @@ impl Core {
         self.id
     }
 
-    /// The core's op channel, for the driver side to append ops and loops
-    /// to. The core polls it again on its next tick, even if it had found
+    /// The core's op channel, for the workload's program to append ops and
+    /// loops to. The core polls it again on its next tick, even if it had found
     /// it empty before.
     pub fn channel_mut(&mut self) -> &mut ChannelQueue {
         self.stream_done = false;

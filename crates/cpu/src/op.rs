@@ -63,7 +63,7 @@ pub enum CoreOp {
         /// Whether to charge spin-loop instructions while waiting.
         spin: bool,
     },
-    /// Set a flag (releases waiters on other cores / the driver).
+    /// Set a flag (releases waiters on other cores / a program's barrier).
     SetFlag {
         /// Flag to set.
         flag: FlagId,

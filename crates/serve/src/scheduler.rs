@@ -11,12 +11,16 @@
 //!    the same config (the common thundering-herd shape under repeated
 //!    traffic).
 //! 3. **Scheduled** — a worker runs [`JobSpec::run`], the report is
-//!    written to the cache, and every waiter wakes.
+//!    written to the cache, and every waiter wakes. A run that panics
+//!    (a spec that validates but cannot be built, such as an absurd
+//!    scale) ends the job `failed` with the panic message; the worker
+//!    lives on.
 //!
 //! [`Scheduler::shutdown`] drains: queued and in-flight jobs finish (and
 //! land in the cache) before it returns.
 
 use std::collections::{BTreeMap, HashMap};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 
 use dx100_bench::JobSpec;
@@ -202,7 +206,10 @@ impl Scheduler {
                     rec.status = JobStatus::Running;
                 }
             }
-            let outcome = spec.run();
+            // No lock is held while the spec runs, so a panic poisons
+            // nothing; it only has to reach the job record.
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| spec.run()))
+                .unwrap_or_else(|payload| Err(format!("job panicked: {}", panic_text(&*payload))));
             let mut st = inner.state.lock().unwrap();
             match outcome {
                 Ok(report) => {
@@ -268,6 +275,16 @@ impl Scheduler {
     pub fn shutdown(self) {
         self.pool.shutdown();
     }
+}
+
+/// The message a panic was raised with (`panic!` payloads are a `&str` or
+/// a `String`).
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("unknown panic")
 }
 
 fn view_of(id: u64, rec: &JobRecord) -> JobView {

@@ -6,7 +6,8 @@
 //! 2. Two concurrent distinct jobs → reports byte-identical to serial
 //!    CLI-path runs of the same specs ([`JobSpec::run`]).
 //! 3. Async submission (`"wait": false`) + status polling.
-//! 4. Protocol errors answer with the right statuses and JSON bodies.
+//! 4. Protocol errors answer with the right statuses and JSON bodies, and
+//!    a job whose run panics answers `failed` without wedging the daemon.
 //! 5. The cache outlives the daemon: a restart on the same cache dir
 //!    serves the old reports as hits.
 
@@ -180,7 +181,7 @@ fn async_submission_polls_to_done() {
 #[test]
 fn protocol_errors_answer_with_json_and_right_statuses() {
     let (addr, handle, _cache) = start("errors", 1);
-    let cases: [(&str, &str, Option<&str>, u16); 8] = [
+    let cases: [(&str, &str, Option<&str>, u16); 9] = [
         ("POST", "/v1/jobs", Some("not json"), 400),
         (
             "POST",
@@ -205,6 +206,13 @@ fn protocol_errors_answer_with_json_and_right_statuses() {
         ("GET", "/v1/nothing", None, 404),
         ("DELETE", "/v1/jobs", Some("{}"), 405),
         ("GET", "/v1/jobs/not-a-number", None, 400),
+        // Valid, but the run panics: the job fails instead of wedging.
+        (
+            "POST",
+            "/v1/jobs",
+            Some("{\"kernel\":\"is\",\"machine\":\"baseline\",\"scale\":1e300}"),
+            500,
+        ),
     ];
     for (method, path, body, want) in cases {
         let resp = request(&addr, method, path, body).unwrap();
@@ -214,7 +222,14 @@ fn protocol_errors_answer_with_json_and_right_statuses() {
             env.get("error").is_some(),
             "{method} {path} body lacks error"
         );
+        if want == 500 {
+            assert_eq!(field(&env, "status"), &Json::Str("failed".into()));
+        }
     }
+    // The panicking job freed the daemon's one worker.
+    let body = tiny_body("is", "baseline");
+    let resp = request(&addr, "POST", "/v1/jobs", Some(&body)).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
 
     // Kernels endpoint sanity: every advertised kernel/machine is usable.
     let resp = request(&addr, "GET", "/v1/kernels", None).unwrap();

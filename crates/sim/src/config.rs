@@ -51,7 +51,7 @@ pub struct SystemConfig {
     pub cpu_cycles_per_dram_tick: u64,
     /// Region-coherence acquisition latency between DX100 instances.
     pub region_acquire_latency: u64,
-    /// Hard simulation cap (guards against driver deadlocks).
+    /// Hard simulation cap (guards against deadlocked programs).
     pub max_cycles: u64,
     /// Activity gating: each core, cache, DRAM channel and DX100 engine
     /// sleeps while it has no work instead of ticking every cycle, and a

@@ -1,38 +1,10 @@
-//! The driver abstraction: the "software" of a workload.
-//!
-//! A driver is a state machine polled once per simulated cycle. It stands in
-//! for the program running on the cores: it installs micro-op streams
-//! (timing), sends DX100 instructions through timed MMIO stores, blocks
-//! cores on ready flags, reads tiles/memory functionally, and decides what
-//! happens next. Control flow that in real life lives in C code (tile
-//! loops, BFS frontier iterations, phase barriers) lives in `poll`.
+//! The argument of [`System::run`](crate::System::run), kept while callers
+//! outside the workspace still pass it. A workload's software is a
+//! straight-line program over [`System`](crate::System): it pushes work,
+//! waits at barriers with [`System::run_until`](crate::System::run_until)
+//! and ends with [`System::finish`](crate::System::finish).
 
-use crate::system::System;
-
-/// Result of one driver poll.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriverStatus {
-    /// More work remains (or the driver is waiting on the machine).
-    Running,
-    /// The workload has issued everything; the run ends when the machine
-    /// drains.
-    Done,
-}
-
-/// A workload's software side. See the module docs.
-pub trait Driver {
-    /// Called every cycle. Must be cheap when waiting (check a flag or core
-    /// idleness and return).
-    fn poll(&mut self, sys: &mut System) -> DriverStatus;
-}
-
-/// A driver that immediately finishes — useful to drain pre-loaded op
-/// streams (pure baseline runs with no phase logic).
+/// The only argument [`System::run`](crate::System::run) takes; it carries
+/// nothing.
 #[derive(Debug, Default)]
 pub struct NullDriver;
-
-impl Driver for NullDriver {
-    fn poll(&mut self, _sys: &mut System) -> DriverStatus {
-        DriverStatus::Done
-    }
-}

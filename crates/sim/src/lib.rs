@@ -4,10 +4,11 @@
 //! A [`System`] owns the cores (`dx100-cpu`), the cache hierarchy
 //! (`dx100-mem`), the DRAM back-end (`dx100-dram`), zero or more DX100
 //! instances (`dx100-core`), and optionally the DMP prefetcher
-//! (`dx100-prefetch`). Workloads interact with it through the [`Driver`]
-//! trait — a state machine standing in for the software running on the
-//! cores: it installs micro-op streams, sends DX100 instructions (as timed
-//! MMIO stores), waits on scratchpad ready flags, and reads results.
+//! (`dx100-prefetch`). A workload's software is a straight-line program
+//! over it, as on the paper's cores: it pushes loop bodies onto cores,
+//! sends DX100 instructions (as timed MMIO stores), waits at barriers with
+//! [`System::run_until`] (every core idle, or a scratchpad ready flag),
+//! reads results, and ends with [`System::finish`].
 //!
 //! Clocking: CPU components tick at 3.2 GHz; the DRAM back-end ticks every
 //! other CPU cycle (DDR4-3200, tCK = 625 ps).
@@ -40,7 +41,6 @@ pub mod stats;
 pub mod system;
 
 pub use config::{ObservabilityConfig, SystemConfig};
-pub use driver::{Driver, DriverStatus};
 pub use epoch::{EpochSample, EpochSampler};
 pub use profile::{RunTelemetry, SystemProfile, PROFILE_VERSION};
 pub use stats::RunStats;

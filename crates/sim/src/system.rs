@@ -15,7 +15,7 @@ use dx100_mem::{Access, DramBound, MemoryHierarchy, Requester};
 use dx100_prefetch::Dmp;
 
 use crate::config::{SystemConfig, DEFAULT_TRACE_CAPACITY};
-use crate::driver::{Driver, DriverStatus};
+use crate::driver::NullDriver;
 use crate::epoch::EpochSampler;
 use crate::profile::{RunTelemetry, SystemProfile};
 use crate::region::{RegionCoherence, RegionGrant};
@@ -32,7 +32,7 @@ enum DramOrigin {
     Dx100 { engine: usize, id: ReqId },
 }
 
-/// Deferred driver-side effects executed when a core's MMIO store lands.
+/// Deferred program-side effects executed when a core's MMIO store lands.
 #[derive(Debug, Clone)]
 enum MmioAction {
     PushInstr {
@@ -124,7 +124,7 @@ pub struct System {
     /// Sleep state of each DX100 engine.
     engine_sleep: Vec<Sleep>,
     /// Cycles before this one pass with every unit asleep: `step` only
-    /// advances the clock. Cleared by every driver-facing mutation (see
+    /// advances the clock. Cleared by every program-facing mutation (see
     /// [`System::wake`]).
     all_asleep_until: Cycle,
     /// Telemetry: cycles on which no unit ticked. Deliberately not part of
@@ -235,18 +235,8 @@ impl System {
     }
 
     // ------------------------------------------------------------------
-    // Driver-facing API (the "software" view of the machine)
+    // Program-facing API (the "software" view of the machine)
     // ------------------------------------------------------------------
-
-    /// Current cycle.
-    pub fn now(&self) -> Cycle {
-        self.clock
-    }
-
-    /// The system configuration.
-    pub fn config(&self) -> &SystemConfig {
-        &self.cfg
-    }
 
     /// Number of cores.
     pub fn num_cores(&self) -> usize {
@@ -457,29 +447,51 @@ impl System {
     // The cycle loop
     // ------------------------------------------------------------------
 
-    /// Runs `driver` until it reports done and the machine drains.
+    /// Steps the machine until `pred` holds, checking it before each step,
+    /// so it does not step when `pred` already holds. This is a program's
+    /// barrier: `run_until(System::cores_idle)` ends a phase, and
+    /// `run_until(|sys| sys.flag(f))` waits for one tile.
     ///
     /// # Panics
-    /// Panics if the simulation exceeds the configured `max_cycles`
-    /// (deadlocked driver) or a DX100 engine halts on a runtime error.
-    pub fn run(&mut self, driver: &mut dyn Driver) -> RunStats {
-        let mut done = false;
-        loop {
-            if !done && driver.poll(self) == DriverStatus::Done {
-                done = true;
-            }
+    /// As [`System::finish`].
+    pub fn run_until(&mut self, mut pred: impl FnMut(&System) -> bool) {
+        while !pred(self) {
             self.step();
-            if done && self.is_drained() {
+            self.assert_below_max_cycles();
+        }
+    }
+
+    /// Steps at least once and until the machine drains, then returns the
+    /// run's statistics: the [`System::roi_end`] snapshot if there is one,
+    /// else everything since the last [`System::roi_begin`], with trace and
+    /// epoch samples attached.
+    ///
+    /// # Panics
+    /// Panics if the simulation reaches the configured `max_cycles` (a
+    /// deadlocked program) or a DX100 engine halts on a runtime error.
+    pub fn finish(&mut self) -> RunStats {
+        loop {
+            self.step();
+            if self.is_drained() {
                 break;
             }
-            assert!(
-                self.clock < self.cfg.max_cycles,
-                "simulation exceeded {} cycles — driver deadlock?\n{}",
-                self.cfg.max_cycles,
-                self.debug_snapshot()
-            );
+            self.assert_below_max_cycles();
         }
         self.finalize_observability()
+    }
+
+    /// Alias of [`System::finish`] for callers that pass a [`NullDriver`].
+    pub fn run(&mut self, _: &mut NullDriver) -> RunStats {
+        self.finish()
+    }
+
+    fn assert_below_max_cycles(&self) {
+        assert!(
+            self.clock < self.cfg.max_cycles,
+            "simulation exceeded {} cycles — deadlocked program?\n{}",
+            self.cfg.max_cycles,
+            self.debug_snapshot()
+        );
     }
 
     /// Closes open trace spans, records the final (partial) epoch, and
@@ -653,7 +665,7 @@ impl System {
     }
 
     /// Wakes every unit, crediting slept spans up to the current cycle
-    /// from the state before the driver's mutation: driver-facing methods
+    /// from the state before the program's mutation: program-facing methods
     /// that can change machine state call this *before* mutating, so the
     /// change is seen on the very next cycle.
     fn wake(&mut self) {
@@ -748,10 +760,10 @@ impl System {
     /// `next_event` once and sleeps until then, or until an input reaches
     /// it, and its slept span is credited with its batch rule when it
     /// wakes. A cycle on which every unit sleeps costs a compare and an
-    /// increment. The driver is still polled once per cycle, so even
-    /// stateful poll sequencing sees the same clock values as an ungated
-    /// run.
-    pub fn step(&mut self) {
+    /// increment. A barrier ([`System::run_until`]) still checks its
+    /// predicate before every cycle, so a program sees the same clock
+    /// values as on an ungated run.
+    fn step(&mut self) {
         if self.clock < self.all_asleep_until {
             self.skipped_cycles += 1;
             self.clock += 1;
@@ -1103,7 +1115,7 @@ impl System {
     }
 
     /// One-line machine-state summary for deadlock diagnosis.
-    pub fn debug_snapshot(&self) -> String {
+    fn debug_snapshot(&self) -> String {
         let cores: Vec<String> = self
             .cores
             .iter()

@@ -2,14 +2,12 @@
 //! loop, DMP-assisted baseline, and DX100-offloaded — on the full machine
 //! (cores + caches + DRAM + accelerator).
 
-use dx100_common::flags::FlagId;
 use dx100_common::DType;
 use dx100_core::isa::{Instruction, RegId, TileId};
 use dx100_core::{ArrayHandle, MemoryImage};
 use dx100_cpu::CoreOp;
 use dx100_prefetch::IndirectPattern;
-use dx100_sim::driver::NullDriver;
-use dx100_sim::{Driver, DriverStatus, System, SystemConfig};
+use dx100_sim::{RunStats, System, SystemConfig};
 
 const T0: TileId = TileId::new(0);
 const T1: TileId = TileId::new(1);
@@ -66,46 +64,24 @@ fn baseline_ops(s: &Setup, core: usize, cores: usize) -> Vec<CoreOp> {
     ops
 }
 
-struct GatherDriver {
-    state: u8,
-    flag: Option<FlagId>,
-    a: ArrayHandle,
-    b: ArrayHandle,
-    n: u64,
-}
-
-impl Driver for GatherDriver {
-    fn poll(&mut self, sys: &mut System) -> DriverStatus {
-        match self.state {
-            0 => {
-                sys.roi_begin();
-                let f = sys.alloc_flag();
-                sys.send_reg_write(0, R0, 0);
-                sys.send_reg_write(0, R1, 1);
-                sys.send_reg_write(0, R2, self.n);
-                sys.send_instruction(
-                    0,
-                    Instruction::sld(DType::U32, self.b.base(), T0, R0, R1, R2),
-                    None,
-                );
-                let ild = Instruction::ild(DType::U32, self.a.base(), T1, T0);
-                sys.send_instruction(0, ild, Some(f));
-                sys.push_wait(0, f, false);
-                self.flag = Some(f);
-                self.state = 1;
-                DriverStatus::Running
-            }
-            1 => {
-                if sys.flag(self.flag.unwrap()) {
-                    self.state = 2;
-                    DriverStatus::Done
-                } else {
-                    DriverStatus::Running
-                }
-            }
-            _ => DriverStatus::Done,
-        }
-    }
+/// The DX100 gather program on core 0: stream `B` into a tile, gather
+/// `A[B[i]]` into another, and wait on the gather's ready flag.
+fn dx100_gather(sys: &mut System, a: ArrayHandle, b: ArrayHandle, n: u64) -> RunStats {
+    sys.roi_begin();
+    let f = sys.alloc_flag();
+    sys.send_reg_write(0, R0, 0);
+    sys.send_reg_write(0, R1, 1);
+    sys.send_reg_write(0, R2, n);
+    sys.send_instruction(
+        0,
+        Instruction::sld(DType::U32, b.base(), T0, R0, R1, R2),
+        None,
+    );
+    let ild = Instruction::ild(DType::U32, a.base(), T1, T0);
+    sys.send_instruction(0, ild, Some(f));
+    sys.push_wait(0, f, false);
+    sys.run_until(|sys| sys.flag(f));
+    sys.finish()
 }
 
 #[test]
@@ -113,14 +89,7 @@ fn dx100_gather_produces_correct_data() {
     let s = make_setup(2048, 256 * 1024);
     let expect = expected_gather(&s);
     let mut sys = System::new(SystemConfig::paper_dx100(), s.image);
-    let mut driver = GatherDriver {
-        state: 0,
-        flag: None,
-        a: s.a,
-        b: s.b,
-        n: s.n,
-    };
-    let stats = sys.run(&mut driver);
+    let stats = dx100_gather(&mut sys, s.a, s.b, s.n);
     assert_eq!(sys.dx100_ref(0).tile(T1).valid(), &expect[..]);
     assert!(stats.cycles > 0);
     let dx = stats.dx100.unwrap();
@@ -143,7 +112,7 @@ fn baseline_gather_runs_to_completion() {
         sys.push_ops(c, ops);
     }
     sys.roi_begin();
-    let stats = sys.run(&mut NullDriver);
+    let stats = sys.finish();
     // 2048 iterations × 4 µops.
     assert_eq!(stats.instructions, 2048 * 4);
     assert!(stats.cycles > 0);
@@ -178,18 +147,11 @@ fn dx100_beats_baseline_on_allmiss_gather() {
         base_sys.push_ops(c as usize, ops);
     }
     base_sys.roi_begin();
-    let base = base_sys.run(&mut NullDriver);
+    let base = base_sys.finish();
 
     let s2 = make_setup(n, a_len);
     let mut dx_sys = System::new(SystemConfig::paper_dx100(), s2.image);
-    let mut driver = GatherDriver {
-        state: 0,
-        flag: None,
-        a: s2.a,
-        b: s2.b,
-        n,
-    };
-    let dx = dx_sys.run(&mut driver);
+    let dx = dx100_gather(&mut dx_sys, s2.a, s2.b, n);
 
     let speedup = dx.speedup_over(&base);
     assert!(
@@ -243,7 +205,7 @@ fn dmp_prefetcher_reduces_baseline_cycles() {
             sys.push_ops(c, ops);
         }
         sys.roi_begin();
-        sys.run(&mut NullDriver)
+        sys.finish()
     };
 
     let base = run(SystemConfig::paper_baseline());

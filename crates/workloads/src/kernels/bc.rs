@@ -18,7 +18,7 @@ use dx100_sim::{System, SystemConfig};
 
 use crate::datasets::uniform_graph;
 use crate::kernels::bfs::INF;
-use crate::util::{checksum, install_jobs, Phase, PhasedDriver, Placement, TileSlot};
+use crate::util::{checksum, install_jobs, Placement, TileSlot};
 use crate::{KernelRun, Mode, Scale, WorkloadResult};
 
 const S_K: u32 = 1;
@@ -119,125 +119,123 @@ impl KernelRun for BetweennessCentrality {
             ));
         }
 
-        // One phase pair per level (levels are known after setup).
-        let mut phases = vec![Phase::RoiBegin];
         let tile = cfg
             .dx100
             .as_ref()
             .map(|d| d.tile_elems)
             .unwrap_or(16 * 1024);
         let depth = Arc::new(depth);
+        sys.roi_begin();
+        // One pass per level (levels are known after setup).
         for (d, frontier) in levels.into_iter().enumerate() {
             let (frontier, g, depth, d) = (Arc::new(frontier), g.clone(), depth.clone(), d as u32);
-            phases.push(Phase::setup(move |sys| {
-                // Publish this level's frontier.
-                {
-                    let image = sys.image();
-                    for (i, &u) in frontier.iter().enumerate() {
-                        image.write_elem(h_k, i as u64, u as u64);
-                    }
-                }
-                let m = frontier.len();
-                match mode {
-                    Mode::Baseline | Mode::Dmp => {
-                        // Frontier edges with conditional atomic adds.
-                        Placement::of(sys).push_loops(sys, m, move |i, ops| {
-                            let u = frontier[i] as usize;
+            // Publish this level's frontier.
+            let image = sys.image();
+            for (i, &u) in frontier.iter().enumerate() {
+                image.write_elem(h_k, i as u64, u as u64);
+            }
+            let m = frontier.len();
+            match mode {
+                Mode::Baseline | Mode::Dmp => {
+                    // Frontier edges with conditional atomic adds.
+                    Placement::of(&sys).push_loops(&mut sys, m, move |i, ops| {
+                        let u = frontier[i] as usize;
+                        ops.extend([
+                            CoreOp::load(h_k.addr_of(i as u64), S_K),
+                            CoreOp::alu().with_dep(1),
+                            CoreOp::load(h_off.addr_of(u as u64), S_H).with_dep(1),
+                            CoreOp::load(h_off.addr_of((u + 1) as u64), S_H).with_dep(2),
+                            // sigma[u] load (reused across the row).
+                            CoreOp::load(h_sigma.addr_of(u as u64), S_SIGMA).with_dep(3),
+                        ]);
+                        for j in g.offsets[u]..g.offsets[u + 1] {
+                            let v = g.cols[j as usize] as u64;
                             ops.extend([
-                                CoreOp::load(h_k.addr_of(i as u64), S_K),
+                                CoreOp::load(h_col.addr_of(j as u64), S_COL),
                                 CoreOp::alu().with_dep(1),
-                                CoreOp::load(h_off.addr_of(u as u64), S_H).with_dep(1),
-                                CoreOp::load(h_off.addr_of((u + 1) as u64), S_H).with_dep(2),
-                                // sigma[u] load (reused across the row).
-                                CoreOp::load(h_sigma.addr_of(u as u64), S_SIGMA).with_dep(3),
+                                CoreOp::load(h_depth.addr_of(v), S_DEPTH).with_dep(1),
+                                CoreOp::alu().with_dep(1), // compare
                             ]);
-                            for j in g.offsets[u]..g.offsets[u + 1] {
-                                let v = g.cols[j as usize] as u64;
-                                ops.extend([
-                                    CoreOp::load(h_col.addr_of(j as u64), S_COL),
-                                    CoreOp::alu().with_dep(1),
-                                    CoreOp::load(h_depth.addr_of(v), S_DEPTH).with_dep(1),
-                                    CoreOp::alu().with_dep(1), // compare
-                                ]);
-                                if depth[v as usize] == d + 1 {
-                                    ops.push_back(
-                                        CoreOp::atomic(h_sigma.addr_of(v), S_SIGMA).with_dep(1),
-                                    );
-                                }
+                            if depth[v as usize] == d + 1 {
+                                ops.push_back(
+                                    CoreOp::atomic(h_sigma.addr_of(v), S_SIGMA).with_dep(1),
+                                );
                             }
-                        });
-                    }
-                    Mode::Dx100 => {
-                        let outer_per_tile = (tile / 32).max(1);
-                        let place = Placement::of(sys);
-                        let jobs = place.tiles(m, outer_per_tile).map(|s: TileSlot<8>| {
-                            let (gt, r) = (s.tiles(), s.regs());
-                            s.job(
-                                &[1, tile as u64, d as u64 + 1],
-                                vec![
-                                    s.sld(DType::U32, h_k.base(), gt[0]),
-                                    Instruction::ild(DType::U32, h_off.base(), gt[1], gt[0]),
-                                    Instruction::Alus {
-                                        dtype: DType::U32,
-                                        op: AluOp::Add,
-                                        td: gt[2],
-                                        ts: gt[0],
-                                        rs: r[3],
-                                        tc: None,
-                                    },
-                                    Instruction::ild(DType::U32, h_off.base(), gt[3], gt[2]),
-                                    Instruction::Rng {
-                                        td1: gt[4],
-                                        td2: gt[5],
-                                        ts1: gt[1],
-                                        ts2: gt[3],
-                                        rs1: r[4],
-                                        tc: None,
-                                    },
-                                    // v = col[j]; its depth; the d+1 check.
-                                    Instruction::ild(DType::U32, h_col.base(), gt[6], gt[5]),
-                                    Instruction::ild(DType::U32, h_depth.base(), gt[7], gt[6]),
-                                    Instruction::Alus {
-                                        dtype: DType::U32,
-                                        op: AluOp::Eq,
-                                        td: gt[2],
-                                        ts: gt[7],
-                                        rs: r[5],
-                                        tc: None,
-                                    },
-                                    // Rebase the tile-relative outer index
-                                    // by `lo`, then u = K[outer].
-                                    Instruction::Alus {
-                                        dtype: DType::U32,
-                                        op: AluOp::Add,
-                                        td: gt[1],
-                                        ts: gt[4],
-                                        rs: r[0],
-                                        tc: None,
-                                    },
-                                    Instruction::ild(DType::U32, h_k.base(), gt[7], gt[1]),
-                                    Instruction::ild(DType::U64, h_sigma.base(), gt[3], gt[7])
-                                        .with_condition(gt[2]),
-                                    // sigma[v] += sigma[u] where depth matches.
-                                    Instruction::irmw(
-                                        DType::U64,
-                                        AluOp::Add,
-                                        h_sigma.base(),
-                                        gt[6],
-                                        gt[3],
-                                    )
-                                    .with_condition(gt[2]),
-                                ],
-                            )
-                        });
-                        install_jobs(sys, jobs);
-                    }
+                        }
+                    });
                 }
-            }));
-            phases.push(Phase::WaitCoresIdle);
+                Mode::Dx100 => {
+                    let outer_per_tile = (tile / 32).max(1);
+                    let jobs =
+                        Placement::of(&sys)
+                            .tiles(m, outer_per_tile)
+                            .map(|s: TileSlot<8>| {
+                                let (gt, r) = (s.tiles(), s.regs());
+                                s.job(
+                                    &[1, tile as u64, d as u64 + 1],
+                                    vec![
+                                        s.sld(DType::U32, h_k.base(), gt[0]),
+                                        Instruction::ild(DType::U32, h_off.base(), gt[1], gt[0]),
+                                        Instruction::Alus {
+                                            dtype: DType::U32,
+                                            op: AluOp::Add,
+                                            td: gt[2],
+                                            ts: gt[0],
+                                            rs: r[3],
+                                            tc: None,
+                                        },
+                                        Instruction::ild(DType::U32, h_off.base(), gt[3], gt[2]),
+                                        Instruction::Rng {
+                                            td1: gt[4],
+                                            td2: gt[5],
+                                            ts1: gt[1],
+                                            ts2: gt[3],
+                                            rs1: r[4],
+                                            tc: None,
+                                        },
+                                        // v = col[j]; its depth; the d+1 check.
+                                        Instruction::ild(DType::U32, h_col.base(), gt[6], gt[5]),
+                                        Instruction::ild(DType::U32, h_depth.base(), gt[7], gt[6]),
+                                        Instruction::Alus {
+                                            dtype: DType::U32,
+                                            op: AluOp::Eq,
+                                            td: gt[2],
+                                            ts: gt[7],
+                                            rs: r[5],
+                                            tc: None,
+                                        },
+                                        // Rebase the tile-relative outer index by
+                                        // `lo`, then u = K[outer].
+                                        Instruction::Alus {
+                                            dtype: DType::U32,
+                                            op: AluOp::Add,
+                                            td: gt[1],
+                                            ts: gt[4],
+                                            rs: r[0],
+                                            tc: None,
+                                        },
+                                        Instruction::ild(DType::U32, h_k.base(), gt[7], gt[1]),
+                                        Instruction::ild(DType::U64, h_sigma.base(), gt[3], gt[7])
+                                            .with_condition(gt[2]),
+                                        // sigma[v] += sigma[u] where depth matches.
+                                        Instruction::irmw(
+                                            DType::U64,
+                                            AluOp::Add,
+                                            h_sigma.base(),
+                                            gt[6],
+                                            gt[3],
+                                        )
+                                        .with_condition(gt[2]),
+                                    ],
+                                )
+                            });
+                    install_jobs(&mut sys, jobs);
+                }
+            }
+            sys.run_until(System::cores_idle);
         }
-        phases.push(Phase::RoiEnd);
-        let stats = sys.run(&mut PhasedDriver::new(phases));
+        sys.roi_end();
+        let stats = sys.finish();
         let telemetry = sys.telemetry();
 
         if mode == Mode::Dx100 {

@@ -7,9 +7,10 @@
 //! paper's `K`; the neighbor scan is the indirect range loop; the depth
 //! check is the condition; the discovery write is the conditional store.
 //!
-//! The level loop is data-dependent, so this kernel uses a custom driver
-//! rather than a static phase list — the same structure as the paper's
-//! OpenMP level loop (whose spin-wait synchronization is charged to the
+//! The level loop is data-dependent, so its program is a plain `loop`:
+//! install a level, wait for every core to drain, apply it, and stop when
+//! a level discovers nothing — the same structure as the paper's OpenMP
+//! level loop (whose spin-wait synchronization is charged to the
 //! instruction count, Section 6.2).
 
 use std::sync::Arc;
@@ -19,7 +20,7 @@ use dx100_core::isa::Instruction;
 use dx100_core::ArrayHandle;
 use dx100_cpu::CoreOp;
 use dx100_prefetch::IndirectPattern;
-use dx100_sim::{Driver, DriverStatus, System, SystemConfig};
+use dx100_sim::{System, SystemConfig};
 
 use crate::datasets::{uniform_graph, Csr};
 use crate::util::{checksum, install_jobs, Placement, TileSlot};
@@ -82,8 +83,8 @@ struct Shared {
     h_depth: ArrayHandle,
 }
 
-/// The level-loop driver, shared by baseline and DX100 modes.
-struct BfsDriver {
+/// The level loop's state, shared by baseline and DX100 modes.
+struct Levels {
     shared: Arc<Shared>,
     mode: Mode,
     tile: usize,
@@ -91,12 +92,11 @@ struct BfsDriver {
     depth: Arc<Vec<u32>>,
     unvisited: Arc<Vec<u32>>,
     d: u32,
-    state: u8, // 0 = start level, 1 = wait, 2 = rebuild, 3 = done
 }
 
-impl BfsDriver {
+impl Levels {
     /// Installs one level's work.
-    fn start_level(&mut self, sys: &mut System) {
+    fn start(&mut self, sys: &mut System) {
         // Publish the unvisited list and current depths to the image.
         let (h_u, h_depth) = (self.shared.h_u, self.shared.h_depth);
         {
@@ -232,8 +232,9 @@ impl BfsDriver {
         }
     }
 
-    /// Applies the level functionally and queues the rebuild-scan timing.
-    fn finish_level(&mut self, sys: &mut System) -> bool {
+    /// Applies the level functionally and queues the rebuild-scan timing;
+    /// whether another level follows.
+    fn finish(&mut self, sys: &mut System) -> bool {
         // Read discoveries back from the image (DX100 wrote them; the
         // baseline replayed them into its stream, so recompute functionally).
         let mut discovered = 0;
@@ -282,38 +283,6 @@ impl BfsDriver {
         self.unvisited = Arc::new(still);
         self.d += 1;
         discovered > 0 && !self.unvisited.is_empty()
-    }
-}
-
-impl Driver for BfsDriver {
-    fn poll(&mut self, sys: &mut System) -> DriverStatus {
-        loop {
-            match self.state {
-                0 => {
-                    if self.d == 0 {
-                        sys.roi_begin();
-                    }
-                    self.start_level(sys);
-                    self.state = 1;
-                    return DriverStatus::Running;
-                }
-                1 => {
-                    if !sys.cores_idle() {
-                        return DriverStatus::Running;
-                    }
-                    self.state = 2;
-                }
-                2 => {
-                    let more = self.finish_level(sys);
-                    self.state = if more { 0 } else { 3 };
-                    if self.state == 3 {
-                        sys.roi_end();
-                        return DriverStatus::Done;
-                    }
-                }
-                _ => return DriverStatus::Done,
-            }
-        }
     }
 }
 
@@ -372,7 +341,7 @@ impl KernelRun for Bfs {
         });
         let mut depth = vec![INF; n];
         depth[0] = 0;
-        let mut driver = BfsDriver {
+        let mut levels = Levels {
             shared,
             mode,
             tile: cfg
@@ -383,14 +352,22 @@ impl KernelRun for Bfs {
             depth: Arc::new(depth),
             unvisited: Arc::new((1..n as u32).collect()),
             d: 0,
-            state: 0,
         };
-        let stats = sys.run(&mut driver);
+        sys.roi_begin();
+        loop {
+            levels.start(&mut sys);
+            sys.run_until(System::cores_idle);
+            if !levels.finish(&mut sys) {
+                break;
+            }
+        }
+        sys.roi_end();
+        let stats = sys.finish();
         let telemetry = sys.telemetry();
 
-        // Final depths must match the reference in every mode (the driver
-        // asserted per-level agreement for DX100 already).
-        assert_eq!(*driver.depth, ref_depth, "BFS depths diverged");
+        // Final depths must match the reference in every mode (each DX100
+        // level was checked against the reference step already).
+        assert_eq!(*levels.depth, ref_depth, "BFS depths diverged");
         WorkloadResult {
             stats,
             checksum: expected,

@@ -19,9 +19,7 @@ use dx100_prefetch::IndirectPattern;
 use dx100_sim::{System, SystemConfig};
 
 use crate::datasets::{sparse_matrix, SparseMatrix};
-use crate::util::{
-    checksum, install_jobs, quantize_f64, Phase, PhasedDriver, Placement, TileJob, TileSlot,
-};
+use crate::util::{checksum, install_jobs, quantize_f64, Placement, TileJob, TileSlot};
 use crate::{KernelRun, Mode, Scale, WorkloadResult};
 
 const S_COL: u32 = 1;
@@ -110,94 +108,84 @@ impl KernelRun for ConjugateGradient {
         let place = Placement::of(&sys);
         let nnz = d.m.nnz();
 
-        let mut phases = vec![Phase::RoiBegin];
+        if mode == Mode::Dmp {
+            let dmp = sys.dmp_mut().expect("DMP mode requires a DMP config");
+            dmp.add_pattern(IndirectPattern::simple(
+                d.h_col.base(),
+                nnz as u64,
+                DType::U32,
+                d.h_x.base(),
+                DType::F64,
+            ));
+        }
+
+        sys.roi_begin();
         // The last DX100 tile, checked after the run.
         let mut verify_tile: Option<TileSlot<4>> = None;
         match mode {
             Mode::Baseline | Mode::Dmp => {
-                if mode == Mode::Dmp {
-                    let dmp = sys.dmp_mut().expect("DMP mode requires a DMP config");
-                    dmp.add_pattern(IndirectPattern::simple(
-                        d.h_col.base(),
-                        nnz as u64,
-                        DType::U32,
-                        d.h_x.base(),
-                        DType::F64,
-                    ));
-                }
-                let (rows, m) = (self.rows, d.m.clone());
+                let m = d.m.clone();
                 let (h_col, h_val, h_x, h_y) = (d.h_col, d.h_val, d.h_x, d.h_y);
                 // One row: `acc += val[j] * x[col[j]]` over its nonzeros,
                 // then `y[r] = acc`.
-                phases.push(Phase::setup(move |sys| {
-                    place.push_loops(sys, rows, move |r, ops| {
-                        let (start, end) = (m.offsets[r] as usize, m.offsets[r + 1] as usize);
-                        for j in start..end {
-                            ops.extend([
-                                CoreOp::load(h_col.addr_of(j as u64), S_COL),
-                                CoreOp::alu().with_dep(1),
-                                CoreOp::load(h_x.addr_of(m.cols[j] as u64), S_X).with_dep(1),
-                                CoreOp::load(h_val.addr_of(j as u64), S_VAL),
-                                CoreOp::alu().with_dep(1).with_dep(3), // multiply
-                                CoreOp::alu().with_dep(1),             // accumulate
-                            ]);
-                        }
-                        ops.push_back(CoreOp::store(h_y.addr_of(r as u64), S_Y));
-                    })
-                }));
+                place.push_loops(&mut sys, self.rows, move |r, ops| {
+                    let (start, end) = (m.offsets[r] as usize, m.offsets[r + 1] as usize);
+                    for j in start..end {
+                        ops.extend([
+                            CoreOp::load(h_col.addr_of(j as u64), S_COL),
+                            CoreOp::alu().with_dep(1),
+                            CoreOp::load(h_x.addr_of(m.cols[j] as u64), S_X).with_dep(1),
+                            CoreOp::load(h_val.addr_of(j as u64), S_VAL),
+                            CoreOp::alu().with_dep(1).with_dep(3), // multiply
+                            CoreOp::alu().with_dep(1),             // accumulate
+                        ]);
+                    }
+                    ops.push_back(CoreOp::store(h_y.addr_of(r as u64), S_Y));
+                });
             }
             Mode::Dx100 => {
                 let tile = cfg.dx100.as_ref().expect("dx100 config").tile_elems;
                 let (h_col, h_val, h_x) = (d.h_col, d.h_val, d.h_x);
                 verify_tile = place.tiles(nnz, tile).last();
-                phases.push(Phase::setup(move |sys| {
-                    let jobs: Vec<TileJob> = place
-                        .tiles(nnz, tile)
-                        .map(|s: TileSlot<4>| {
-                            let g = s.tiles();
-                            let (lo, x_hat) =
-                                (s.elems().start, sys.spd_elem_addr(s.core(), g[1], 0));
-                            s.job(
-                                &[],
-                                vec![
-                                    s.sld(DType::U32, h_col.base(), g[0]),
-                                    Instruction::ild(DType::F64, h_x.base(), g[1], g[0]),
-                                ],
-                            )
-                            // Load streamed val[j] from memory, load
-                            // gathered x̂ from the scratchpad, multiply,
-                            // accumulate; store y at row boundaries (~1/16).
-                            .consume(move |i, ops| {
-                                ops.extend([
-                                    CoreOp::load(h_val.addr_of((lo + i) as u64), S_VAL),
-                                    CoreOp::load(x_hat + i as u64 * SPD_ELEM_BYTES, S_SPD),
-                                    CoreOp::alu().with_dep(1).with_dep(2),
-                                    CoreOp::alu().with_dep(1),
-                                ]);
-                                if i % 16 == 15 {
-                                    ops.push_back(CoreOp::store(
-                                        0x7000_0000 + (lo + i) as u64,
-                                        S_Y,
-                                    ));
-                                }
-                            })
+                let jobs: Vec<TileJob> = place
+                    .tiles(nnz, tile)
+                    .map(|s: TileSlot<4>| {
+                        let g = s.tiles();
+                        let (lo, x_hat) = (s.elems().start, sys.spd_elem_addr(s.core(), g[1], 0));
+                        s.job(
+                            &[],
+                            vec![
+                                s.sld(DType::U32, h_col.base(), g[0]),
+                                Instruction::ild(DType::F64, h_x.base(), g[1], g[0]),
+                            ],
+                        )
+                        // Load streamed val[j] from memory, load gathered x̂
+                        // from the scratchpad, multiply, accumulate; store y
+                        // at row boundaries (~1/16).
+                        .consume(move |i, ops| {
+                            ops.extend([
+                                CoreOp::load(h_val.addr_of((lo + i) as u64), S_VAL),
+                                CoreOp::load(x_hat + i as u64 * SPD_ELEM_BYTES, S_SPD),
+                                CoreOp::alu().with_dep(1).with_dep(2),
+                                CoreOp::alu().with_dep(1),
+                            ]);
+                            if i % 16 == 15 {
+                                ops.push_back(CoreOp::store(0x7000_0000 + (lo + i) as u64, S_Y));
+                            }
                         })
-                        .collect();
-                    install_jobs(sys, jobs);
-                }));
+                    })
+                    .collect();
+                install_jobs(&mut sys, jobs);
             }
         }
-        phases.push(Phase::WaitCoresIdle);
+        sys.run_until(System::cores_idle);
         // Functional y (the cores computed it arithmetically; commit it).
-        let (h_y, ref_y) = (d.h_y, d.ref_y.clone());
-        phases.push(Phase::setup(move |sys| {
-            let image = sys.image();
-            for (r, v) in ref_y.iter().enumerate() {
-                image.write_elem(h_y, r as u64, value::from_f64(*v));
-            }
-        }));
-        phases.push(Phase::RoiEnd);
-        let stats = sys.run(&mut PhasedDriver::new(phases));
+        let image = sys.image();
+        for (r, v) in d.ref_y.iter().enumerate() {
+            image.write_elem(d.h_y, r as u64, value::from_f64(*v));
+        }
+        sys.roi_end();
+        let stats = sys.finish();
         let telemetry = sys.telemetry();
 
         if mode == Mode::Dx100 {

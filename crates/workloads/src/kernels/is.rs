@@ -20,7 +20,7 @@ use dx100_prefetch::IndirectPattern;
 use dx100_sim::{System, SystemConfig};
 
 use crate::datasets::rng;
-use crate::util::{checksum, install_jobs, Phase, PhasedDriver, Placement, TileJob, TileSlot};
+use crate::util::{checksum, install_jobs, Placement, TileJob, TileSlot};
 use crate::{KernelRun, Mode, Scale, WorkloadResult};
 use rand::Rng;
 
@@ -119,25 +119,25 @@ impl KernelRun for IntegerSort {
             // H-bits and the engine's RMWs route via the LLC.
             sys.mark_host_resident(d.h_hist.base(), d.h_hist.size_bytes());
         }
+        if mode == Mode::Dmp {
+            let dmp = sys.dmp_mut().expect("DMP mode requires a DMP config");
+            dmp.add_pattern(IndirectPattern::simple(
+                d.h_keys.base(),
+                self.keys as u64,
+                DType::U32,
+                d.h_hist.base(),
+                DType::U32,
+            ));
+        }
         let place = Placement::of(&sys);
 
-        let phases = match mode {
-            Mode::Baseline | Mode::Dmp => {
-                if mode == Mode::Dmp {
-                    let dmp = sys.dmp_mut().expect("DMP mode requires a DMP config");
-                    dmp.add_pattern(IndirectPattern::simple(
-                        d.h_keys.base(),
-                        self.keys as u64,
-                        DType::U32,
-                        d.h_hist.base(),
-                        DType::U32,
-                    ));
-                }
-                baseline_phases(&d, self.keys, self.key_space, place)
-            }
-            Mode::Dx100 => dx100_phases(&d, self.keys, self.key_space, place, cfg),
-        };
-        let stats = sys.run(&mut PhasedDriver::new(phases));
+        sys.roi_begin();
+        match mode {
+            Mode::Baseline | Mode::Dmp => baseline(&mut sys, &d, self.keys, self.key_space, place),
+            Mode::Dx100 => dx100(&mut sys, &d, self.keys, self.key_space, place, cfg),
+        }
+        sys.roi_end();
+        let stats = sys.finish();
         let telemetry = sys.telemetry();
 
         if mode == Mode::Dx100 {
@@ -178,86 +178,70 @@ fn push_prefix(sys: &mut System, h_hist: ArrayHandle, key_space: usize) {
     });
 }
 
-fn baseline_phases(d: &Data, n: usize, key_space: usize, place: Placement) -> Vec<Phase> {
-    let mut phases = vec![Phase::RoiBegin];
+fn baseline(sys: &mut System, d: &Data, n: usize, key_space: usize, place: Placement) {
     // Phase 1: atomic histogram across cores, `hist[keys[i]] += 1`.
     let (keys, h_keys, h_hist, h_rank) = (d.keys.clone(), d.h_keys, d.h_hist, d.h_rank);
-    phases.push(Phase::setup(move |sys| {
-        place.push_loops(sys, n, move |i, ops| {
-            ops.extend([
-                CoreOp::load(h_keys.addr_of(i as u64), S_KEYS),
-                CoreOp::alu().with_dep(1), // address calculation
-                CoreOp::atomic(h_hist.addr_of(keys[i] as u64), S_HIST).with_dep(1),
-            ])
-        })
-    }));
-    phases.push(Phase::WaitCoresIdle);
+    place.push_loops(sys, n, move |i, ops| {
+        ops.extend([
+            CoreOp::load(h_keys.addr_of(i as u64), S_KEYS),
+            CoreOp::alu().with_dep(1), // address calculation
+            CoreOp::atomic(h_hist.addr_of(keys[i] as u64), S_HIST).with_dep(1),
+        ])
+    });
+    sys.run_until(System::cores_idle);
     // Phase 2: prefix sum on one core.
-    phases.push(Phase::setup(move |sys| push_prefix(sys, h_hist, key_space)));
-    phases.push(Phase::WaitCoresIdle);
+    push_prefix(sys, h_hist, key_space);
+    sys.run_until(System::cores_idle);
     // Phase 3: rank gather, `rank[i] = hist[keys[i]]`.
     let keys = d.keys.clone();
-    phases.push(Phase::setup(move |sys| {
-        place.push_loops(sys, n, move |i, ops| {
-            ops.extend([
-                CoreOp::load(h_keys.addr_of(i as u64), S_KEYS),
-                CoreOp::alu().with_dep(1),
-                CoreOp::load(h_hist.addr_of(keys[i] as u64), S_HIST).with_dep(1),
-                CoreOp::store(h_rank.addr_of(i as u64), S_RANK).with_dep(1),
-            ])
-        })
-    }));
-    phases.push(Phase::WaitCoresIdle);
-    phases.push(Phase::RoiEnd);
-    phases
+    place.push_loops(sys, n, move |i, ops| {
+        ops.extend([
+            CoreOp::load(h_keys.addr_of(i as u64), S_KEYS),
+            CoreOp::alu().with_dep(1),
+            CoreOp::load(h_hist.addr_of(keys[i] as u64), S_HIST).with_dep(1),
+            CoreOp::store(h_rank.addr_of(i as u64), S_RANK).with_dep(1),
+        ])
+    });
+    sys.run_until(System::cores_idle);
 }
 
-fn dx100_phases(
+fn dx100(
+    sys: &mut System,
     d: &Data,
     n: usize,
     key_space: usize,
     place: Placement,
     cfg: &SystemConfig,
-) -> Vec<Phase> {
+) {
     let tile = cfg
         .dx100
         .as_ref()
         .expect("DX100 mode requires config")
         .tile_elems;
     let (h_keys, h_hist, h_rank) = (d.h_keys, d.h_hist, d.h_rank);
-    let mut phases = vec![Phase::RoiBegin];
 
     // Phase 1: IRMW histogram, tile by tile, round-robin across cores.
-    phases.push(Phase::setup(move |sys| {
-        let jobs = place.tiles(n, tile).map(|s| hist_tile(&s, h_keys, h_hist));
-        install_jobs(sys, jobs);
-    }));
-    phases.push(Phase::WaitCoresIdle);
+    let jobs = place.tiles(n, tile).map(|s| hist_tile(&s, h_keys, h_hist));
+    install_jobs(sys, jobs);
+    sys.run_until(System::cores_idle);
 
     // Phase 2: prefix sum stays on one core (streaming); DX100 already wrote
     // the histogram into memory, so we both time it and apply it.
-    phases.push(Phase::setup(move |sys| {
-        // Functional effect on the image.
-        let image = sys.image();
-        let mut acc = 0u64;
-        for k in 0..key_space as u64 {
-            acc += image.read_elem(h_hist, k);
-            image.write_elem(h_hist, k, acc);
-        }
-        push_prefix(sys, h_hist, key_space);
-    }));
-    phases.push(Phase::WaitCoresIdle);
+    let image = sys.image();
+    let mut acc = 0u64;
+    for k in 0..key_space as u64 {
+        acc += image.read_elem(h_hist, k);
+        image.write_elem(h_hist, k, acc);
+    }
+    push_prefix(sys, h_hist, key_space);
+    sys.run_until(System::cores_idle);
 
     // Phase 3: gather ranks and stream-store them (Gather-Full shape).
-    phases.push(Phase::setup(move |sys| {
-        let jobs = place
-            .tiles(n, tile)
-            .map(|s| rank_tile(&s, h_keys, h_hist, h_rank));
-        install_jobs(sys, jobs);
-    }));
-    phases.push(Phase::WaitCoresIdle);
-    phases.push(Phase::RoiEnd);
-    phases
+    let jobs = place
+        .tiles(n, tile)
+        .map(|s| rank_tile(&s, h_keys, h_hist, h_rank));
+    install_jobs(sys, jobs);
+    sys.run_until(System::cores_idle);
 }
 
 /// One DX100 histogram tile: `hist[keys[lo..hi]] += 1` via sld/alus/irmw.

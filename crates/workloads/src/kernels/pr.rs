@@ -17,8 +17,7 @@ use dx100_sim::{System, SystemConfig};
 
 use crate::datasets::uniform_graph;
 use crate::util::{
-    assert_f64_close, checksum, install_jobs, quantize_f64, Phase, PhasedDriver, Placement,
-    TileJob, TileSlot,
+    assert_f64_close, checksum, install_jobs, quantize_f64, Placement, TileJob, TileSlot,
 };
 use crate::{KernelRun, Mode, Scale, WorkloadResult};
 
@@ -118,82 +117,73 @@ impl KernelRun for PageRank {
         let n = self.nodes;
         let edges = d.col.len();
 
-        let mut phases = vec![Phase::RoiBegin];
+        if mode == Mode::Dmp {
+            let dmp = sys.dmp_mut().expect("DMP mode requires a DMP config");
+            dmp.add_pattern(IndirectPattern::simple(
+                d.h_col.base(),
+                edges as u64,
+                DType::U32,
+                d.h_next.base(),
+                DType::F64,
+            ));
+            dmp.add_pattern(IndirectPattern::simple(
+                d.h_src.base(),
+                edges as u64,
+                DType::U32,
+                d.h_contrib.base(),
+                DType::F64,
+            ));
+        }
+
+        sys.roi_begin();
         // Phase A (both modes): compute contributions on the cores,
         // `contrib[u] = rank[u] / deg[u]` (streaming), and apply them
         // functionally so the scatter reads real data.
-        {
-            let (h_rank, h_deg, h_contrib) = (d.h_rank, d.h_deg, d.h_contrib);
-            let contrib = d.contrib.clone();
-            phases.push(Phase::setup(move |sys| {
-                let image = sys.image();
-                for (u, c) in contrib.iter().enumerate() {
-                    image.write_elem(h_contrib, u as u64, value::from_f64(*c));
-                }
-                place.push_loops(sys, n, move |u, ops| {
-                    ops.extend([
-                        CoreOp::load(h_rank.addr_of(u as u64), S_NODE),
-                        CoreOp::load(h_deg.addr_of(u as u64), S_NODE + 10),
-                        CoreOp::alu().with_dep(1).with_dep(2), // divide
-                        CoreOp::store(h_contrib.addr_of(u as u64), S_CONTRIB).with_dep(1),
-                    ])
-                });
-            }));
-            phases.push(Phase::WaitCoresIdle);
+        let (h_rank, h_deg, h_contrib) = (d.h_rank, d.h_deg, d.h_contrib);
+        let image = sys.image();
+        for (u, c) in d.contrib.iter().enumerate() {
+            image.write_elem(h_contrib, u as u64, value::from_f64(*c));
         }
+        place.push_loops(&mut sys, n, move |u, ops| {
+            ops.extend([
+                CoreOp::load(h_rank.addr_of(u as u64), S_NODE),
+                CoreOp::load(h_deg.addr_of(u as u64), S_NODE + 10),
+                CoreOp::alu().with_dep(1).with_dep(2), // divide
+                CoreOp::store(h_contrib.addr_of(u as u64), S_CONTRIB).with_dep(1),
+            ])
+        });
+        sys.run_until(System::cores_idle);
         // Phase B: edge scatter.
+        let (h_src, h_col, h_next) = (d.h_src, d.h_col, d.h_next);
         match mode {
             Mode::Baseline | Mode::Dmp => {
-                if mode == Mode::Dmp {
-                    let dmp = sys.dmp_mut().expect("DMP mode requires a DMP config");
-                    dmp.add_pattern(IndirectPattern::simple(
-                        d.h_col.base(),
-                        edges as u64,
-                        DType::U32,
-                        d.h_next.base(),
-                        DType::F64,
-                    ));
-                    dmp.add_pattern(IndirectPattern::simple(
-                        d.h_src.base(),
-                        edges as u64,
-                        DType::U32,
-                        d.h_contrib.base(),
-                        DType::F64,
-                    ));
-                }
                 let (src, col) = (d.src.clone(), d.col.clone());
-                let (h_src, h_col, h_contrib, h_next) = (d.h_src, d.h_col, d.h_contrib, d.h_next);
                 // `next[col[j]] += contrib[src[j]]` with atomics.
-                phases.push(Phase::setup(move |sys| {
-                    place.push_loops(sys, edges, move |j, ops| {
-                        let (u, v) = (src[j] as u64, col[j] as u64);
-                        ops.extend([
-                            CoreOp::load(h_src.addr_of(j as u64), S_SRC),
-                            CoreOp::alu().with_dep(1),
-                            CoreOp::load(h_contrib.addr_of(u), S_CONTRIB).with_dep(1),
-                            CoreOp::load(h_col.addr_of(j as u64), S_COL),
-                            CoreOp::alu().with_dep(1),
-                            CoreOp::atomic(h_next.addr_of(v), S_NEXT)
-                                .with_dep(1)
-                                .with_dep(3),
-                        ])
-                    })
-                }));
+                place.push_loops(&mut sys, edges, move |j, ops| {
+                    let (u, v) = (src[j] as u64, col[j] as u64);
+                    ops.extend([
+                        CoreOp::load(h_src.addr_of(j as u64), S_SRC),
+                        CoreOp::alu().with_dep(1),
+                        CoreOp::load(h_contrib.addr_of(u), S_CONTRIB).with_dep(1),
+                        CoreOp::load(h_col.addr_of(j as u64), S_COL),
+                        CoreOp::alu().with_dep(1),
+                        CoreOp::atomic(h_next.addr_of(v), S_NEXT)
+                            .with_dep(1)
+                            .with_dep(3),
+                    ])
+                });
             }
             Mode::Dx100 => {
                 let tile = cfg.dx100.as_ref().expect("dx100 config").tile_elems;
-                let (h_src, h_col, h_contrib, h_next) = (d.h_src, d.h_col, d.h_contrib, d.h_next);
-                phases.push(Phase::setup(move |sys| {
-                    let jobs = place
-                        .tiles(edges, tile)
-                        .map(|s| scatter_tile(&s, h_src, h_contrib, h_col, h_next));
-                    install_jobs(sys, jobs);
-                }));
+                let jobs = place
+                    .tiles(edges, tile)
+                    .map(|s| scatter_tile(&s, h_src, h_contrib, h_col, h_next));
+                install_jobs(&mut sys, jobs);
             }
         }
-        phases.push(Phase::WaitCoresIdle);
-        phases.push(Phase::RoiEnd);
-        let stats = sys.run(&mut PhasedDriver::new(phases));
+        sys.run_until(System::cores_idle);
+        sys.roi_end();
+        let stats = sys.finish();
         let telemetry = sys.telemetry();
 
         if mode == Mode::Dx100 {

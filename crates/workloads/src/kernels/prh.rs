@@ -19,7 +19,7 @@ use dx100_prefetch::IndirectPattern;
 use dx100_sim::{System, SystemConfig};
 
 use crate::datasets::join_tuples;
-use crate::util::{checksum, install_jobs, Phase, PhasedDriver, Placement, TileJob, TileSlot};
+use crate::util::{checksum, install_jobs, Placement, TileJob, TileSlot};
 use crate::{KernelRun, Mode, Scale, WorkloadResult};
 
 const S_KEY: u32 = 1;
@@ -126,159 +126,139 @@ impl KernelRun for RadixJoinHistogram {
         }
         let place = Placement::of(&sys);
         let n = self.tuples;
-        let buckets = 1usize << RADIX_BITS;
+        if mode == Mode::Dmp {
+            let dmp = sys.dmp_mut().expect("DMP mode requires a DMP config");
+            dmp.add_pattern(IndirectPattern {
+                index_base: d.h_key.base(),
+                index_len: n as u64,
+                index_dtype: DType::U64,
+                target_base: d.h_hist.base(),
+                target_dtype: DType::U32,
+                index_shift: RADIX_SHIFT,
+                index_mask: ((1u64 << RADIX_BITS) - 1) << RADIX_SHIFT,
+            });
+        }
 
-        let mut phases = vec![Phase::RoiBegin];
+        sys.roi_begin();
+        let (h_key, h_hist, h_out) = (d.h_key, d.h_hist, d.h_out);
         match mode {
             Mode::Baseline | Mode::Dmp => {
-                if mode == Mode::Dmp {
-                    let dmp = sys.dmp_mut().expect("DMP mode requires a DMP config");
-                    dmp.add_pattern(IndirectPattern {
-                        index_base: d.h_key.base(),
-                        index_len: n as u64,
-                        index_dtype: DType::U64,
-                        target_base: d.h_hist.base(),
-                        target_dtype: DType::U32,
-                        index_shift: RADIX_SHIFT,
-                        index_mask: ((1u64 << RADIX_BITS) - 1) << RADIX_SHIFT,
-                    });
-                }
                 // Phase 1: histogram, with the mask/shift address
                 // calculation.
-                let (keys, h_key, h_hist) = (d.keys.clone(), d.h_key, d.h_hist);
-                phases.push(Phase::setup(move |sys| {
-                    place.push_loops(sys, n, move |i, ops| {
-                        let b = RadixJoinHistogram::bucket_of(keys[i]);
-                        ops.extend([
-                            CoreOp::load(h_key.addr_of(i as u64), S_KEY),
-                            CoreOp::alu().with_dep(1), // mask
-                            CoreOp::alu().with_dep(1), // shift
-                            CoreOp::alu().with_dep(1), // address
-                            CoreOp::atomic(h_hist.addr_of(b), S_HIST).with_dep(1),
-                        ])
-                    })
-                }));
-                phases.push(Phase::WaitCoresIdle);
-                // Phase 2+3: prefix (folded into scatter cost) + partition.
-                let (keys, dest) = (d.keys.clone(), Arc::new(d.dest.clone()));
-                let (h_key, h_hist, h_out) = (d.h_key, d.h_hist, d.h_out);
-                // Dest calc, an atomic fetch-add on the bucket's running
+                let keys = d.keys.clone();
+                place.push_loops(&mut sys, n, move |i, ops| {
+                    let b = RadixJoinHistogram::bucket_of(keys[i]);
+                    ops.extend([
+                        CoreOp::load(h_key.addr_of(i as u64), S_KEY),
+                        CoreOp::alu().with_dep(1), // mask
+                        CoreOp::alu().with_dep(1), // shift
+                        CoreOp::alu().with_dep(1), // address
+                        CoreOp::atomic(h_hist.addr_of(b), S_HIST).with_dep(1),
+                    ])
+                });
+                sys.run_until(System::cores_idle);
+                // Phase 2+3: prefix (folded into scatter cost) + partition:
+                // dest calc, an atomic fetch-add on the bucket's running
                 // offset, and the out store.
-                phases.push(Phase::setup(move |sys| {
-                    place.push_loops(sys, n, move |i, ops| {
-                        let b = RadixJoinHistogram::bucket_of(keys[i]);
-                        ops.extend([
-                            CoreOp::load(h_key.addr_of(i as u64), S_KEY),
-                            CoreOp::alu().with_dep(1), // mask
-                            CoreOp::alu().with_dep(1), // shift
-                            CoreOp::atomic(h_hist.addr_of(b), S_HIST).with_dep(1),
-                            CoreOp::store(h_out.addr_of(dest[i] as u64), S_OUT).with_dep(1),
-                        ])
-                    })
-                }));
+                let (keys, dest) = (d.keys.clone(), Arc::new(d.dest.clone()));
+                place.push_loops(&mut sys, n, move |i, ops| {
+                    let b = RadixJoinHistogram::bucket_of(keys[i]);
+                    ops.extend([
+                        CoreOp::load(h_key.addr_of(i as u64), S_KEY),
+                        CoreOp::alu().with_dep(1), // mask
+                        CoreOp::alu().with_dep(1), // shift
+                        CoreOp::atomic(h_hist.addr_of(b), S_HIST).with_dep(1),
+                        CoreOp::store(h_out.addr_of(dest[i] as u64), S_OUT).with_dep(1),
+                    ])
+                });
             }
             Mode::Dx100 => {
                 let tile = cfg.dx100.as_ref().expect("dx100 config").tile_elems;
                 // Phase 1: IRMW histogram with the mask/shift on DX100's ALU.
-                let (h_key, h_hist) = (d.h_key, d.h_hist);
                 let mask = ((1u64 << RADIX_BITS) - 1) << RADIX_SHIFT;
-                phases.push(Phase::setup(move |sys| {
-                    let jobs = place.tiles(n, tile).map(|s: TileSlot<4>| {
-                        let (g, r) = (s.tiles(), s.regs());
+                let jobs = place.tiles(n, tile).map(|s: TileSlot<4>| {
+                    let (g, r) = (s.tiles(), s.regs());
+                    s.job(
+                        &[mask, RADIX_SHIFT as u64, 0],
+                        vec![
+                            s.sld(DType::U64, h_key.base(), g[0]),
+                            Instruction::Alus {
+                                dtype: DType::U64,
+                                op: AluOp::And,
+                                td: g[1],
+                                ts: g[0],
+                                rs: r[3],
+                                tc: None,
+                            },
+                            Instruction::Alus {
+                                dtype: DType::U64,
+                                op: AluOp::Shr,
+                                td: g[2],
+                                ts: g[1],
+                                rs: r[4],
+                                tc: None,
+                            },
+                            // ones tile for the +1 updates
+                            Instruction::Alus {
+                                dtype: DType::U32,
+                                op: AluOp::Ge,
+                                td: g[3],
+                                ts: g[2],
+                                rs: r[5],
+                                tc: None,
+                            },
+                            Instruction::irmw(DType::U32, AluOp::Add, h_hist.base(), g[2], g[3]),
+                        ],
+                    )
+                });
+                install_jobs(&mut sys, jobs);
+                sys.run_until(System::cores_idle);
+                // Phase 3: cores compute destination indices into a host
+                // tile; DX100 scatters the tuples. The dest array is also
+                // written to the image for reference symmetry.
+                let image = sys.image();
+                for (i, &v) in d.dest.iter().enumerate() {
+                    image.write_elem(d.h_dest, i as u64, v as u64);
+                }
+                let jobs: Vec<TileJob> = place
+                    .tiles(n, tile)
+                    .map(|s: TileSlot<4>| {
+                        let g = s.tiles();
+                        let spd = sys.spd_elem_addr(s.core(), g[3], 0);
+                        let lanes: Vec<u64> = d.dest[s.elems()].iter().map(|&v| v as u64).collect();
                         s.job(
-                            &[mask, RADIX_SHIFT as u64, 0],
+                            &[],
                             vec![
                                 s.sld(DType::U64, h_key.base(), g[0]),
-                                Instruction::Alus {
+                                Instruction::Ist {
                                     dtype: DType::U64,
-                                    op: AluOp::And,
-                                    td: g[1],
-                                    ts: g[0],
-                                    rs: r[3],
+                                    base: h_out.base(),
+                                    ts1: g[3],
+                                    ts2: g[0],
                                     tc: None,
                                 },
-                                Instruction::Alus {
-                                    dtype: DType::U64,
-                                    op: AluOp::Shr,
-                                    td: g[2],
-                                    ts: g[1],
-                                    rs: r[4],
-                                    tc: None,
-                                },
-                                // ones tile for the +1 updates
-                                Instruction::Alus {
-                                    dtype: DType::U32,
-                                    op: AluOp::Ge,
-                                    td: g[3],
-                                    ts: g[2],
-                                    rs: r[5],
-                                    tc: None,
-                                },
-                                Instruction::irmw(
-                                    DType::U32,
-                                    AluOp::Add,
-                                    h_hist.base(),
-                                    g[2],
-                                    g[3],
-                                ),
                             ],
                         )
-                    });
-                    install_jobs(sys, jobs);
-                }));
-                phases.push(Phase::WaitCoresIdle);
-                // Phase 3: cores compute destination indices into a host
-                // tile; DX100 scatters the tuples.
-                let (h_key, h_out) = (d.h_key, d.h_out);
-                let dest = d.dest.clone();
-                let h_dest = d.h_dest;
-                phases.push(Phase::setup(move |sys| {
-                    // Functional: dest array contents (also written to the
-                    // image for reference symmetry).
-                    for (i, &v) in dest.iter().enumerate() {
-                        sys.image().write_elem(h_dest, i as u64, v as u64);
-                    }
-                    let jobs: Vec<TileJob> = place
-                        .tiles(n, tile)
-                        .map(|s: TileSlot<4>| {
-                            let g = s.tiles();
-                            let spd = sys.spd_elem_addr(s.core(), g[3], 0);
-                            let lanes: Vec<u64> =
-                                dest[s.elems()].iter().map(|&v| v as u64).collect();
-                            s.job(
-                                &[],
-                                vec![
-                                    s.sld(DType::U64, h_key.base(), g[0]),
-                                    Instruction::Ist {
-                                        dtype: DType::U64,
-                                        base: h_out.base(),
-                                        ts1: g[3],
-                                        ts2: g[0],
-                                        tc: None,
-                                    },
-                                ],
-                            )
-                            // Host-produced destination tile: each element
-                            // is 3 ALU (mask/shift/offset) + an SPD store,
-                            // then the data lands via a timed tile write.
-                            .produce(move |i, ops| {
-                                ops.extend([
-                                    CoreOp::alu(),
-                                    CoreOp::alu(),
-                                    CoreOp::alu(),
-                                    CoreOp::store(spd + i as u64 * SPD_ELEM_BYTES, S_DEST),
-                                ])
-                            })
-                            .write_tile(g[3], lanes)
+                        // Host-produced destination tile: each element is 3
+                        // ALU (mask/shift/offset) + an SPD store, then the
+                        // data lands via a timed tile write.
+                        .produce(move |i, ops| {
+                            ops.extend([
+                                CoreOp::alu(),
+                                CoreOp::alu(),
+                                CoreOp::alu(),
+                                CoreOp::store(spd + i as u64 * SPD_ELEM_BYTES, S_DEST),
+                            ])
                         })
-                        .collect();
-                    install_jobs(sys, jobs);
-                }));
+                        .write_tile(g[3], lanes)
+                    })
+                    .collect();
+                install_jobs(&mut sys, jobs);
             }
         }
-        phases.push(Phase::WaitCoresIdle);
-        phases.push(Phase::RoiEnd);
-        let stats = sys.run(&mut PhasedDriver::new(phases));
+        sys.run_until(System::cores_idle);
+        sys.roi_end();
+        let stats = sys.finish();
         let telemetry = sys.telemetry();
 
         if mode == Mode::Dx100 {
@@ -295,7 +275,6 @@ impl KernelRun for RadixJoinHistogram {
                 assert_eq!(image.read_elem(d.h_out, i as u64), *want, "out[{i}]");
             }
         }
-        let _ = buckets;
         WorkloadResult {
             stats,
             checksum: expected,

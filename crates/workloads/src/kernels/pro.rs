@@ -19,7 +19,7 @@ use dx100_prefetch::IndirectPattern;
 use dx100_sim::{System, SystemConfig};
 
 use crate::datasets::rng;
-use crate::util::{checksum, install_jobs, Phase, PhasedDriver, Placement, TileSlot};
+use crate::util::{checksum, install_jobs, Placement, TileSlot};
 use crate::{KernelRun, Mode, Scale, WorkloadResult};
 use rand::Rng;
 
@@ -168,23 +168,24 @@ impl KernelRun for RadixJoinChaining {
         let place = Placement::of(&sys);
         let n = self.tuples;
 
-        let mut phases = vec![Phase::RoiBegin];
+        if mode == Mode::Dmp {
+            let dmp = sys.dmp_mut().expect("DMP mode requires a DMP config");
+            // DMP can cover the first hop (head[hash(probe)]); the
+            // chain hops are data-dependent beyond its reach.
+            dmp.add_pattern(IndirectPattern {
+                index_base: d.h_probe.base(),
+                index_len: n as u64,
+                index_dtype: DType::U32,
+                target_base: d.h_head.base(),
+                target_dtype: DType::U32,
+                index_shift: 0,
+                index_mask: d.mask as u64,
+            });
+        }
+
+        sys.roi_begin();
         match mode {
             Mode::Baseline | Mode::Dmp => {
-                if mode == Mode::Dmp {
-                    let dmp = sys.dmp_mut().expect("DMP mode requires a DMP config");
-                    // DMP can cover the first hop (head[hash(probe)]); the
-                    // chain hops are data-dependent beyond its reach.
-                    dmp.add_pattern(IndirectPattern {
-                        index_base: d.h_probe.base(),
-                        index_len: n as u64,
-                        index_dtype: DType::U32,
-                        target_base: d.h_head.base(),
-                        target_dtype: DType::U32,
-                        index_shift: 0,
-                        index_mask: d.mask as u64,
-                    });
-                }
                 // Hash, then a dependent chain walk with early exit
                 // (replayed from the functional state).
                 let (probes, node_keys, next, head) = (
@@ -196,137 +197,129 @@ impl KernelRun for RadixJoinChaining {
                 let (h_probe, h_head, h_nkey, h_next, h_found) =
                     (d.h_probe, d.h_head, d.h_nkey, d.h_next, d.h_found);
                 let (mask, sentinel) = (d.mask, d.sentinel);
-                phases.push(Phase::setup(move |sys| {
-                    place.push_loops(sys, n, move |i, ops| {
-                        let k = probes[i];
-                        let h = (k & mask) as usize;
-                        ops.extend([
-                            CoreOp::load(h_probe.addr_of(i as u64), S_PROBE),
-                            CoreOp::alu().with_dep(1), // hash
-                            CoreOp::load(h_head.addr_of(h as u64), S_HEAD).with_dep(1),
-                        ]);
-                        let mut cur = head[h];
-                        for _ in 0..ROUNDS {
-                            if cur == sentinel {
-                                break;
-                            }
-                            // Dependent loads: node key, compare, then
-                            // the next pointer.
-                            ops.extend([
-                                CoreOp::load(h_nkey.addr_of(cur as u64), S_NKEY).with_dep(1),
-                                CoreOp::alu().with_dep(1), // compare
-                            ]);
-                            if node_keys[cur as usize] == k {
-                                break;
-                            }
-                            ops.push_back(
-                                CoreOp::load(h_next.addr_of(cur as u64), S_NEXT).with_dep(3),
-                            );
-                            cur = next[cur as usize];
+                place.push_loops(&mut sys, n, move |i, ops| {
+                    let k = probes[i];
+                    let h = (k & mask) as usize;
+                    ops.extend([
+                        CoreOp::load(h_probe.addr_of(i as u64), S_PROBE),
+                        CoreOp::alu().with_dep(1), // hash
+                        CoreOp::load(h_head.addr_of(h as u64), S_HEAD).with_dep(1),
+                    ]);
+                    let mut cur = head[h];
+                    for _ in 0..ROUNDS {
+                        if cur == sentinel {
+                            break;
                         }
-                        ops.push_back(
-                            CoreOp::store(h_found.addr_of(i as u64), S_FOUND).with_dep(1),
-                        );
-                    })
-                }));
+                        // Dependent loads: node key, compare, then
+                        // the next pointer.
+                        ops.extend([
+                            CoreOp::load(h_nkey.addr_of(cur as u64), S_NKEY).with_dep(1),
+                            CoreOp::alu().with_dep(1), // compare
+                        ]);
+                        if node_keys[cur as usize] == k {
+                            break;
+                        }
+                        ops.push_back(CoreOp::load(h_next.addr_of(cur as u64), S_NEXT).with_dep(3));
+                        cur = next[cur as usize];
+                    }
+                    ops.push_back(CoreOp::store(h_found.addr_of(i as u64), S_FOUND).with_dep(1));
+                });
             }
             Mode::Dx100 => {
                 let tile = cfg.dx100.as_ref().expect("dx100 config").tile_elems;
                 let (h_probe, h_head, h_nkey, h_next, h_found, h_iota) =
                     (d.h_probe, d.h_head, d.h_nkey, d.h_next, d.h_found, d.h_iota);
                 let (mask, sentinel) = (d.mask as u64, d.sentinel as u64);
-                phases.push(Phase::setup(move |sys| {
-                    let jobs = place.tiles(n, tile).map(|s: TileSlot<8>| {
-                        let (g, r) = (s.tiles(), s.regs());
-                        // g0 probes, g1 iota, cur: g2↔g3, active: g4↔g5,
-                        // scratch: g6 (node keys / lt), g7 (eq).
-                        let mut instrs = vec![
-                            s.sld(DType::U32, h_probe.base(), g[0]),
-                            s.sld(DType::U32, h_iota.base(), g[1]),
-                            // bucket = probe & mask
-                            Instruction::Alus {
+                let jobs = place.tiles(n, tile).map(|s: TileSlot<8>| {
+                    let (g, r) = (s.tiles(), s.regs());
+                    // g0 probes, g1 iota, cur: g2↔g3, active: g4↔g5,
+                    // scratch: g6 (node keys / lt), g7 (eq).
+                    let mut instrs = vec![
+                        s.sld(DType::U32, h_probe.base(), g[0]),
+                        s.sld(DType::U32, h_iota.base(), g[1]),
+                        // bucket = probe & mask
+                        Instruction::Alus {
+                            dtype: DType::U32,
+                            op: AluOp::And,
+                            td: g[6],
+                            ts: g[0],
+                            rs: r[3],
+                            tc: None,
+                        },
+                        // cur = head[bucket]
+                        Instruction::ild(DType::U32, h_head.base(), g[2], g[6]),
+                        // active = cur < sentinel
+                        Instruction::Alus {
+                            dtype: DType::U32,
+                            op: AluOp::Lt,
+                            td: g[4],
+                            ts: g[2],
+                            rs: r[4],
+                            tc: None,
+                        },
+                    ];
+                    for round in 0..ROUNDS {
+                        let (cur, curn) = if round % 2 == 0 {
+                            (g[2], g[3])
+                        } else {
+                            (g[3], g[2])
+                        };
+                        let (act, actn) = if round % 2 == 0 {
+                            (g[4], g[5])
+                        } else {
+                            (g[5], g[4])
+                        };
+                        instrs.extend([
+                            // node keys for active lanes (0 elsewhere)
+                            Instruction::ild(DType::U32, h_nkey.base(), g[6], cur)
+                                .with_condition(act),
+                            // eq = active & (node key == probe key)
+                            Instruction::Aluv {
                                 dtype: DType::U32,
-                                op: AluOp::And,
-                                td: g[6],
-                                ts: g[0],
-                                rs: r[3],
-                                tc: None,
+                                op: AluOp::Eq,
+                                td: g[7],
+                                ts1: g[6],
+                                ts2: g[0],
+                                tc: Some(act),
                             },
-                            // cur = head[bucket]
-                            Instruction::ild(DType::U32, h_head.base(), g[2], g[6]),
-                            // active = cur < sentinel
+                            // record matches: found[iota] = 1 where eq
+                            Instruction::Ist {
+                                dtype: DType::U32,
+                                base: h_found.base(),
+                                ts1: g[1],
+                                ts2: g[7],
+                                tc: Some(g[7]),
+                            },
+                            // advance the chain
+                            Instruction::ild(DType::U32, h_next.base(), curn, cur)
+                                .with_condition(act),
+                            // still-in-chain test, folded with the mask
                             Instruction::Alus {
                                 dtype: DType::U32,
                                 op: AluOp::Lt,
-                                td: g[4],
-                                ts: g[2],
+                                td: g[6],
+                                ts: curn,
                                 rs: r[4],
                                 tc: None,
                             },
-                        ];
-                        for round in 0..ROUNDS {
-                            let (cur, curn) = if round % 2 == 0 {
-                                (g[2], g[3])
-                            } else {
-                                (g[3], g[2])
-                            };
-                            let (act, actn) = if round % 2 == 0 {
-                                (g[4], g[5])
-                            } else {
-                                (g[5], g[4])
-                            };
-                            instrs.extend([
-                                // node keys for active lanes (0 elsewhere)
-                                Instruction::ild(DType::U32, h_nkey.base(), g[6], cur)
-                                    .with_condition(act),
-                                // eq = active & (node key == probe key)
-                                Instruction::Aluv {
-                                    dtype: DType::U32,
-                                    op: AluOp::Eq,
-                                    td: g[7],
-                                    ts1: g[6],
-                                    ts2: g[0],
-                                    tc: Some(act),
-                                },
-                                // record matches: found[iota] = 1 where eq
-                                Instruction::Ist {
-                                    dtype: DType::U32,
-                                    base: h_found.base(),
-                                    ts1: g[1],
-                                    ts2: g[7],
-                                    tc: Some(g[7]),
-                                },
-                                // advance the chain
-                                Instruction::ild(DType::U32, h_next.base(), curn, cur)
-                                    .with_condition(act),
-                                // still-in-chain test, folded with the mask
-                                Instruction::Alus {
-                                    dtype: DType::U32,
-                                    op: AluOp::Lt,
-                                    td: g[6],
-                                    ts: curn,
-                                    rs: r[4],
-                                    tc: None,
-                                },
-                                Instruction::Aluv {
-                                    dtype: DType::U32,
-                                    op: AluOp::And,
-                                    td: actn,
-                                    ts1: g[4 + round % 2],
-                                    ts2: g[6],
-                                    tc: None,
-                                },
-                            ]);
-                        }
-                        s.job(&[mask, sentinel], instrs)
-                    });
-                    install_jobs(sys, jobs);
-                }));
+                            Instruction::Aluv {
+                                dtype: DType::U32,
+                                op: AluOp::And,
+                                td: actn,
+                                ts1: g[4 + round % 2],
+                                ts2: g[6],
+                                tc: None,
+                            },
+                        ]);
+                    }
+                    s.job(&[mask, sentinel], instrs)
+                });
+                install_jobs(&mut sys, jobs);
             }
         }
-        phases.push(Phase::WaitCoresIdle);
-        phases.push(Phase::RoiEnd);
-        let stats = sys.run(&mut PhasedDriver::new(phases));
+        sys.run_until(System::cores_idle);
+        sys.roi_end();
+        let stats = sys.finish();
         let telemetry = sys.telemetry();
 
         if mode == Mode::Dx100 {

@@ -19,10 +19,7 @@ use dx100_prefetch::IndirectPattern;
 use dx100_sim::{System, SystemConfig};
 
 use crate::datasets::{rng, ume_index_map};
-use crate::util::{
-    assert_f64_close, checksum, install_jobs, quantize_f64, Phase, PhasedDriver, Placement,
-    TileSlot,
-};
+use crate::util::{assert_f64_close, checksum, install_jobs, quantize_f64, Placement, TileSlot};
 use crate::{KernelRun, Mode, Scale, WorkloadResult};
 use rand::Rng;
 
@@ -238,81 +235,72 @@ impl Ume {
         let place = Placement::of(&sys);
         let n = self.n;
 
-        let mut phases = vec![Phase::RoiBegin];
+        if mode == Mode::Dmp {
+            let dmp = sys.dmp_mut().expect("DMP mode requires a DMP config");
+            dmp.add_pattern(IndirectPattern::simple(
+                d.h_map.base(),
+                n as u64,
+                DType::U32,
+                d.h_grad.base(),
+                DType::F64,
+            ));
+        }
+
+        sys.roi_begin();
         match mode {
             Mode::Baseline | Mode::Dmp => {
-                if mode == Mode::Dmp {
-                    let dmp = sys.dmp_mut().expect("DMP mode requires a DMP config");
-                    dmp.add_pattern(IndirectPattern::simple(
-                        d.h_map.base(),
-                        n as u64,
-                        DType::U32,
-                        d.h_grad.base(),
-                        DType::F64,
-                    ));
-                }
                 let (map, mask) = (d.map.clone(), d.mask.clone());
                 let (h_map, h_mask, h_val, h_grad) = (d.h_map, d.h_mask, d.h_val, d.h_grad);
                 // `if mask[i] >= F { grad[map[i]] += val[i] }`; an untaken
                 // iteration does only the condition work.
-                phases.push(Phase::setup(move |sys| {
-                    place.push_loops(sys, n, move |i, ops| {
+                place.push_loops(&mut sys, n, move |i, ops| {
+                    ops.extend([
+                        CoreOp::load(h_mask.addr_of(i as u64), S_MASK),
+                        CoreOp::alu().with_dep(1), // compare + branch
+                    ]);
+                    if mask[i] as u64 >= F_THRESHOLD {
                         ops.extend([
-                            CoreOp::load(h_mask.addr_of(i as u64), S_MASK),
-                            CoreOp::alu().with_dep(1), // compare + branch
+                            CoreOp::load(h_map.addr_of(i as u64), S_MAP),
+                            CoreOp::alu().with_dep(1),
+                            CoreOp::load(h_val.addr_of(i as u64), S_VAL),
+                            CoreOp::atomic(h_grad.addr_of(map[i] as u64), S_GRAD)
+                                .with_dep(1)
+                                .with_dep(3),
                         ]);
-                        if mask[i] as u64 >= F_THRESHOLD {
-                            ops.extend([
-                                CoreOp::load(h_map.addr_of(i as u64), S_MAP),
-                                CoreOp::alu().with_dep(1),
-                                CoreOp::load(h_val.addr_of(i as u64), S_VAL),
-                                CoreOp::atomic(h_grad.addr_of(map[i] as u64), S_GRAD)
-                                    .with_dep(1)
-                                    .with_dep(3),
-                            ]);
-                        }
-                    })
-                }));
+                    }
+                });
             }
             Mode::Dx100 => {
                 let tile = cfg.dx100.as_ref().expect("dx100 config").tile_elems;
                 let (h_map, h_mask, h_val, h_grad) = (d.h_map, d.h_mask, d.h_val, d.h_grad);
-                phases.push(Phase::setup(move |sys| {
-                    let jobs = place.tiles(n, tile).map(|s: TileSlot<4>| {
-                        let (g, r) = (s.tiles(), s.regs());
-                        s.job(
-                            &[F_THRESHOLD],
-                            vec![
-                                s.sld(DType::U32, h_mask.base(), g[0]),
-                                // cond = mask >= F
-                                Instruction::Alus {
-                                    dtype: DType::U32,
-                                    op: AluOp::Ge,
-                                    td: g[1],
-                                    ts: g[0],
-                                    rs: r[3],
-                                    tc: None,
-                                },
-                                s.sld(DType::U32, h_map.base(), g[2]),
-                                s.sld(DType::F64, h_val.base(), g[3]),
-                                Instruction::irmw(
-                                    DType::F64,
-                                    AluOp::Add,
-                                    h_grad.base(),
-                                    g[2],
-                                    g[3],
-                                )
+                let jobs = place.tiles(n, tile).map(|s: TileSlot<4>| {
+                    let (g, r) = (s.tiles(), s.regs());
+                    s.job(
+                        &[F_THRESHOLD],
+                        vec![
+                            s.sld(DType::U32, h_mask.base(), g[0]),
+                            // cond = mask >= F
+                            Instruction::Alus {
+                                dtype: DType::U32,
+                                op: AluOp::Ge,
+                                td: g[1],
+                                ts: g[0],
+                                rs: r[3],
+                                tc: None,
+                            },
+                            s.sld(DType::U32, h_map.base(), g[2]),
+                            s.sld(DType::F64, h_val.base(), g[3]),
+                            Instruction::irmw(DType::F64, AluOp::Add, h_grad.base(), g[2], g[3])
                                 .with_condition(g[1]),
-                            ],
-                        )
-                    });
-                    install_jobs(sys, jobs);
-                }));
+                        ],
+                    )
+                });
+                install_jobs(&mut sys, jobs);
             }
         }
-        phases.push(Phase::WaitCoresIdle);
-        phases.push(Phase::RoiEnd);
-        let stats = sys.run(&mut PhasedDriver::new(phases));
+        sys.run_until(System::cores_idle);
+        sys.roi_end();
+        let stats = sys.finish();
         let telemetry = sys.telemetry();
 
         if mode == Mode::Dx100 {
@@ -348,19 +336,20 @@ impl Ume {
         let n_outer = d.k_list.len();
         let flat_len = d.flat.len();
 
-        let mut phases = vec![Phase::RoiBegin];
+        if mode == Mode::Dmp {
+            let dmp = sys.dmp_mut().expect("DMP mode requires a DMP config");
+            dmp.add_pattern(IndirectPattern::simple(
+                d.hc.base(),
+                d.c_map.len() as u64,
+                DType::U32,
+                d.hb.base(),
+                DType::U32,
+            ));
+        }
+
+        sys.roi_begin();
         match mode {
             Mode::Baseline | Mode::Dmp => {
-                if mode == Mode::Dmp {
-                    let dmp = sys.dmp_mut().expect("DMP mode requires a DMP config");
-                    dmp.add_pattern(IndirectPattern::simple(
-                        d.hc.base(),
-                        d.c_map.len() as u64,
-                        DType::U32,
-                        d.hb.base(),
-                        DType::U32,
-                    ));
-                }
                 let (flat, c_map, b_map, mask) = (
                     d.flat.clone(),
                     d.c_map.clone(),
@@ -373,34 +362,32 @@ impl Ume {
                 // `if mask[j] >= F { out[j] = A[B[C[j]]] }`, plus the range
                 // setup loads (K[i], H[K[i]]) at each new outer iteration
                 // (each core starts its share with one).
-                phases.push(Phase::setup(move |sys| {
-                    let mut last_outer = u32::MAX;
-                    place.push_loops(sys, flat_len, move |idx, ops| {
-                        let (outer, j) = flat[idx];
-                        let ju = j as usize;
-                        if outer != last_outer {
-                            last_outer = outer;
-                            ops.extend([
-                                CoreOp::load(hk.addr_of(outer as u64), S_K),
-                                CoreOp::alu().with_dep(1),
-                                CoreOp::load(hh.addr_of(outer as u64 % hh.len()), S_H).with_dep(1),
-                            ]);
-                        }
+                let mut last_outer = u32::MAX;
+                place.push_loops(&mut sys, flat_len, move |idx, ops| {
+                    let (outer, j) = flat[idx];
+                    let ju = j as usize;
+                    if outer != last_outer {
+                        last_outer = outer;
                         ops.extend([
-                            CoreOp::load(hmask.addr_of(j as u64), S_MASK),
+                            CoreOp::load(hk.addr_of(outer as u64), S_K),
                             CoreOp::alu().with_dep(1),
+                            CoreOp::load(hh.addr_of(outer as u64 % hh.len()), S_H).with_dep(1),
                         ]);
-                        if mask[ju] as u64 >= F_THRESHOLD {
-                            let c = c_map[ju];
-                            ops.extend([
-                                CoreOp::load(hc.addr_of(j as u64), S_C),
-                                CoreOp::load(hb.addr_of(c as u64), S_B).with_dep(1),
-                                CoreOp::load(ha.addr_of(b_map[c as usize] as u64), S_A).with_dep(1),
-                                CoreOp::store(hout.addr_of(j as u64), S_OUT).with_dep(1),
-                            ]);
-                        }
-                    })
-                }));
+                    }
+                    ops.extend([
+                        CoreOp::load(hmask.addr_of(j as u64), S_MASK),
+                        CoreOp::alu().with_dep(1),
+                    ]);
+                    if mask[ju] as u64 >= F_THRESHOLD {
+                        let c = c_map[ju];
+                        ops.extend([
+                            CoreOp::load(hc.addr_of(j as u64), S_C),
+                            CoreOp::load(hb.addr_of(c as u64), S_B).with_dep(1),
+                            CoreOp::load(ha.addr_of(b_map[c as usize] as u64), S_A).with_dep(1),
+                            CoreOp::store(hout.addr_of(j as u64), S_OUT).with_dep(1),
+                        ]);
+                    }
+                });
             }
             Mode::Dx100 => {
                 // Outer tiles sized so fused ranges fit one tile (ranges are
@@ -410,65 +397,63 @@ impl Ume {
                 let (hk, hh, hc, hb, hmask, ha, hout) =
                     (d.hk, d.hh, d.hc, d.hb, d.hmask, d.ha, d.hout);
                 let budget = tile as u64;
-                phases.push(Phase::setup(move |sys| {
-                    let jobs = place.tiles(n_outer, outer_per_tile).map(|s: TileSlot<8>| {
-                        let (g, r) = (s.tiles(), s.regs());
-                        s.job(
-                            &[1, budget, F_THRESHOLD],
-                            vec![
-                                // K tile and its range bounds.
-                                s.sld(DType::U32, hk.base(), g[0]),
-                                Instruction::ild(DType::U32, hh.base(), g[1], g[0]), // lo = H[K]
-                                Instruction::Alus {
-                                    dtype: DType::U32,
-                                    op: AluOp::Add,
-                                    td: g[2],
-                                    ts: g[0],
-                                    rs: r[3],
-                                    tc: None,
-                                },
-                                Instruction::ild(DType::U32, hh.base(), g[3], g[2]), // hi = H[K+1]
-                                // Fuse ranges → (outer, j).
-                                Instruction::Rng {
-                                    td1: g[4],
-                                    td2: g[5],
-                                    ts1: g[1],
-                                    ts2: g[3],
-                                    rs1: r[4],
-                                    tc: None,
-                                },
-                                // cond = mask[j] >= F.
-                                Instruction::ild(DType::U32, hmask.base(), g[6], g[5]),
-                                Instruction::Alus {
-                                    dtype: DType::U32,
-                                    op: AluOp::Ge,
-                                    td: g[7],
-                                    ts: g[6],
-                                    rs: r[5],
-                                    tc: None,
-                                },
-                                // Two-level gather A[B[C[j]]] (reuse g[1]/g[2]
-                                // once their consumers are done — the
-                                // scoreboard serializes as needed).
-                                Instruction::ild(DType::U32, hc.base(), g[1], g[5])
-                                    .with_condition(g[7]),
-                                Instruction::ild(DType::U32, hb.base(), g[2], g[1])
-                                    .with_condition(g[7]),
-                                Instruction::ild(DType::F64, ha.base(), g[3], g[2])
-                                    .with_condition(g[7]),
-                                // Scatter to out[j].
-                                Instruction::ist(DType::F64, hout.base(), g[5], g[3])
-                                    .with_condition(g[7]),
-                            ],
-                        )
-                    });
-                    install_jobs(sys, jobs);
-                }));
+                let jobs = place.tiles(n_outer, outer_per_tile).map(|s: TileSlot<8>| {
+                    let (g, r) = (s.tiles(), s.regs());
+                    s.job(
+                        &[1, budget, F_THRESHOLD],
+                        vec![
+                            // K tile and its range bounds.
+                            s.sld(DType::U32, hk.base(), g[0]),
+                            Instruction::ild(DType::U32, hh.base(), g[1], g[0]), // lo = H[K]
+                            Instruction::Alus {
+                                dtype: DType::U32,
+                                op: AluOp::Add,
+                                td: g[2],
+                                ts: g[0],
+                                rs: r[3],
+                                tc: None,
+                            },
+                            Instruction::ild(DType::U32, hh.base(), g[3], g[2]), // hi = H[K+1]
+                            // Fuse ranges → (outer, j).
+                            Instruction::Rng {
+                                td1: g[4],
+                                td2: g[5],
+                                ts1: g[1],
+                                ts2: g[3],
+                                rs1: r[4],
+                                tc: None,
+                            },
+                            // cond = mask[j] >= F.
+                            Instruction::ild(DType::U32, hmask.base(), g[6], g[5]),
+                            Instruction::Alus {
+                                dtype: DType::U32,
+                                op: AluOp::Ge,
+                                td: g[7],
+                                ts: g[6],
+                                rs: r[5],
+                                tc: None,
+                            },
+                            // Two-level gather A[B[C[j]]] (reuse g[1]/g[2]
+                            // once their consumers are done — the
+                            // scoreboard serializes as needed).
+                            Instruction::ild(DType::U32, hc.base(), g[1], g[5])
+                                .with_condition(g[7]),
+                            Instruction::ild(DType::U32, hb.base(), g[2], g[1])
+                                .with_condition(g[7]),
+                            Instruction::ild(DType::F64, ha.base(), g[3], g[2])
+                                .with_condition(g[7]),
+                            // Scatter to out[j].
+                            Instruction::ist(DType::F64, hout.base(), g[5], g[3])
+                                .with_condition(g[7]),
+                        ],
+                    )
+                });
+                install_jobs(&mut sys, jobs);
             }
         }
-        phases.push(Phase::WaitCoresIdle);
-        phases.push(Phase::RoiEnd);
-        let stats = sys.run(&mut PhasedDriver::new(phases));
+        sys.run_until(System::cores_idle);
+        sys.roi_end();
+        let stats = sys.finish();
         let telemetry = sys.telemetry();
 
         if mode == Mode::Dx100 {

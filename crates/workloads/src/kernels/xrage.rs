@@ -12,7 +12,7 @@ use dx100_prefetch::IndirectPattern;
 use dx100_sim::{System, SystemConfig};
 
 use crate::datasets::xrage_pattern;
-use crate::util::{checksum, install_jobs, Phase, PhasedDriver, Placement, TileSlot};
+use crate::util::{checksum, install_jobs, Placement, TileSlot};
 use crate::{KernelRun, Mode, Scale, WorkloadResult};
 
 const S_PAT: u32 = 1;
@@ -88,63 +88,53 @@ impl KernelRun for Xrage {
         let place = Placement::of(&sys);
         let n = self.n;
 
-        let phases = match mode {
+        if mode == Mode::Dmp {
+            let dmp = sys.dmp_mut().expect("DMP mode requires a DMP config");
+            dmp.add_pattern(IndirectPattern::simple(
+                d.h_pat.base(),
+                n as u64,
+                DType::U32,
+                d.h_out.base(),
+                DType::U32,
+            ));
+        }
+
+        sys.roi_begin();
+        let (h_pat, h_val, h_out) = (d.h_pat, d.h_val, d.h_out);
+        match mode {
             Mode::Baseline | Mode::Dmp => {
-                if mode == Mode::Dmp {
-                    let dmp = sys.dmp_mut().expect("DMP mode requires a DMP config");
-                    dmp.add_pattern(IndirectPattern::simple(
-                        d.h_pat.base(),
-                        n as u64,
-                        DType::U32,
-                        d.h_out.base(),
-                        DType::U32,
-                    ));
-                }
-                let (pattern, h_pat, h_val, h_out) = (d.pattern.clone(), d.h_pat, d.h_val, d.h_out);
-                vec![
-                    Phase::RoiBegin,
-                    // `out[pat[i]] = val[i]`.
-                    Phase::setup(move |sys| {
-                        place.push_loops(sys, n, move |i, ops| {
-                            ops.extend([
-                                CoreOp::load(h_pat.addr_of(i as u64), S_PAT),
-                                CoreOp::alu().with_dep(1),
-                                CoreOp::load(h_val.addr_of(i as u64), S_VAL),
-                                CoreOp::store(h_out.addr_of(pattern[i] as u64), S_OUT)
-                                    .with_dep(2)
-                                    .with_dep(1),
-                            ])
-                        })
-                    }),
-                    Phase::WaitCoresIdle,
-                    Phase::RoiEnd,
-                ]
+                // `out[pat[i]] = val[i]`.
+                let pattern = d.pattern.clone();
+                place.push_loops(&mut sys, n, move |i, ops| {
+                    ops.extend([
+                        CoreOp::load(h_pat.addr_of(i as u64), S_PAT),
+                        CoreOp::alu().with_dep(1),
+                        CoreOp::load(h_val.addr_of(i as u64), S_VAL),
+                        CoreOp::store(h_out.addr_of(pattern[i] as u64), S_OUT)
+                            .with_dep(2)
+                            .with_dep(1),
+                    ])
+                });
             }
             Mode::Dx100 => {
                 let tile = cfg.dx100.as_ref().expect("dx100 config").tile_elems;
-                let (h_pat, h_val, h_out) = (d.h_pat, d.h_val, d.h_out);
-                vec![
-                    Phase::RoiBegin,
-                    Phase::setup(move |sys| {
-                        let jobs = place.tiles(n, tile).map(|s: TileSlot<4>| {
-                            let g = s.tiles();
-                            s.job(
-                                &[],
-                                vec![
-                                    s.sld(DType::U32, h_pat.base(), g[0]),
-                                    s.sld(DType::U32, h_val.base(), g[1]),
-                                    Instruction::ist(DType::U32, h_out.base(), g[0], g[1]),
-                                ],
-                            )
-                        });
-                        install_jobs(sys, jobs);
-                    }),
-                    Phase::WaitCoresIdle,
-                    Phase::RoiEnd,
-                ]
+                let jobs = place.tiles(n, tile).map(|s: TileSlot<4>| {
+                    let g = s.tiles();
+                    s.job(
+                        &[],
+                        vec![
+                            s.sld(DType::U32, h_pat.base(), g[0]),
+                            s.sld(DType::U32, h_val.base(), g[1]),
+                            Instruction::ist(DType::U32, h_out.base(), g[0], g[1]),
+                        ],
+                    )
+                });
+                install_jobs(&mut sys, jobs);
             }
-        };
-        let stats = sys.run(&mut PhasedDriver::new(phases));
+        }
+        sys.run_until(System::cores_idle);
+        sys.roi_end();
+        let stats = sys.finish();
         let telemetry = sys.telemetry();
 
         if mode == Mode::Dx100 {

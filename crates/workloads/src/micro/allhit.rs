@@ -12,7 +12,7 @@ use dx100_core::{ArrayHandle, MemoryImage};
 use dx100_cpu::CoreOp;
 use dx100_sim::{RunStats, System, SystemConfig};
 
-use crate::util::{install_jobs, Phase, PhasedDriver, Placement, TileJob, TileSlot};
+use crate::util::{install_jobs, Placement, TileJob, TileSlot};
 
 /// Elements per array — small enough to live in the private caches (with
 /// streaming indices the stride prefetchers keep L1 hot), large enough to
@@ -200,44 +200,38 @@ pub fn run_allhit(kind: MicroKind, dx100: bool, cfg: &SystemConfig, _seed: u64) 
     let place = Placement::new(kind.cores_used(!dx100).min(sys.num_cores()));
 
     // Warm pass (not measured): each core touches every line of every array.
-    let mut phases = vec![
-        Phase::setup(move |sys| place.push_each(sys, N / 16, move |l, ops| warm_line(ar, l, ops))),
-        Phase::WaitCoresIdle,
-        Phase::RoiBegin,
-    ];
+    place.push_each(&mut sys, N / 16, move |l, ops| warm_line(ar, l, ops));
+    sys.run_until(System::cores_idle);
+    sys.roi_begin();
     if !dx100 {
-        phases.push(Phase::setup(move |sys| {
-            for _ in 0..PASSES {
-                place.push_loops(sys, N, move |i, ops| baseline_elem(kind, ar, i, ops));
-            }
-        }));
+        for _ in 0..PASSES {
+            place.push_loops(&mut sys, N, move |i, ops| baseline_elem(kind, ar, i, ops));
+        }
     } else {
         // Each pass gives every core one tile: its block of the arrays.
-        phases.push(Phase::setup(move |sys| {
-            let blocks = (0..PASSES).flat_map(|_| place.blocks(N).map(|(_, elems)| elems));
-            let jobs: Vec<TileJob> = place
-                .slots(blocks)
-                .map(|s| {
-                    let job = s.job(&[], dx100_instrs(kind, ar, &s));
-                    if kind != MicroKind::GatherSpd {
-                        return job;
-                    }
-                    // The cores consume the gathered tile from the SPD.
-                    let spd = sys.spd_elem_addr(s.core(), s.tiles()[1], 0);
-                    job.consume(move |i, ops| {
-                        ops.extend([
-                            CoreOp::load(spd + i as u64 * SPD_ELEM_BYTES, S_SPD),
-                            CoreOp::alu().with_dep(1),
-                        ])
-                    })
+        let blocks = (0..PASSES).flat_map(|_| place.blocks(N).map(|(_, elems)| elems));
+        let jobs: Vec<TileJob> = place
+            .slots(blocks)
+            .map(|s| {
+                let job = s.job(&[], dx100_instrs(kind, ar, &s));
+                if kind != MicroKind::GatherSpd {
+                    return job;
+                }
+                // The cores consume the gathered tile from the SPD.
+                let spd = sys.spd_elem_addr(s.core(), s.tiles()[1], 0);
+                job.consume(move |i, ops| {
+                    ops.extend([
+                        CoreOp::load(spd + i as u64 * SPD_ELEM_BYTES, S_SPD),
+                        CoreOp::alu().with_dep(1),
+                    ])
                 })
-                .collect();
-            install_jobs(sys, jobs);
-        }));
+            })
+            .collect();
+        install_jobs(&mut sys, jobs);
     }
-    phases.push(Phase::WaitCoresIdle);
-    phases.push(Phase::RoiEnd);
-    sys.run(&mut PhasedDriver::new(phases))
+    sys.run_until(System::cores_idle);
+    sys.roi_end();
+    sys.finish()
 }
 
 /// Figure 8a rows: `(label, dx100_speedup_over_named_baseline)`.

@@ -17,7 +17,7 @@ use dx100_cpu::CoreOp;
 use dx100_dram::DramConfig;
 use dx100_sim::{RunStats, System, SystemConfig};
 
-use crate::util::{install_jobs, Phase, PhasedDriver, Placement, TileSlot};
+use crate::util::{install_jobs, Placement, TileSlot};
 
 const S_B: u32 = 1;
 const S_A: u32 = 2;
@@ -194,7 +194,7 @@ pub fn run_allmiss(scenario: Scenario, dx100: bool, cfg: &SystemConfig) -> RunSt
     image.fill_u32(b, &indices);
     let mut sys = System::new(cfg.clone(), image);
 
-    let mut phases = vec![Phase::RoiBegin];
+    sys.roi_begin();
     if !dx100 {
         // Strided partitioning: core c takes accesses c, c+cores, ... so the
         // four cores collectively preserve the constructed global order (a
@@ -202,46 +202,42 @@ pub fn run_allmiss(scenario: Scenario, dx100: bool, cfg: &SystemConfig) -> RunSt
         // scenario's row-locality knob).
         let place = Placement::new(sys.num_cores().min(4));
         let indices = Arc::new(indices);
-        phases.push(Phase::setup(move |sys| {
-            place.push_interleaved(sys, ACCESSES, move |i, ops| {
-                ops.extend([
-                    CoreOp::load(b.addr_of(i as u64), S_B),
-                    CoreOp::alu().with_dep(1),
-                    CoreOp::Load {
-                        addr: a.addr_of(indices[i] as u64),
-                        stream: S_A,
-                        dep: [1, 0],
-                    },
-                    CoreOp::Store {
-                        addr: c.addr_of(i as u64),
-                        stream: S_C,
-                        dep: [1, 0],
-                    },
-                ])
-            })
-        }));
+        place.push_interleaved(&mut sys, ACCESSES, move |i, ops| {
+            ops.extend([
+                CoreOp::load(b.addr_of(i as u64), S_B),
+                CoreOp::alu().with_dep(1),
+                CoreOp::Load {
+                    addr: a.addr_of(indices[i] as u64),
+                    stream: S_A,
+                    dep: [1, 0],
+                },
+                CoreOp::Store {
+                    addr: c.addr_of(i as u64),
+                    stream: S_C,
+                    dep: [1, 0],
+                },
+            ])
+        });
     } else {
         let tile = cfg.dx100.as_ref().expect("dx100 config").tile_elems;
-        phases.push(Phase::setup(move |sys| {
-            let jobs = Placement::of(sys)
-                .tiles(ACCESSES, tile)
-                .map(|s: TileSlot<4>| {
-                    let g = s.tiles();
-                    s.job(
-                        &[],
-                        vec![
-                            s.sld(DType::U32, b.base(), g[0]),
-                            Instruction::ild(DType::U32, a.base(), g[1], g[0]),
-                            s.sst(DType::U32, c.base(), g[1]),
-                        ],
-                    )
-                });
-            install_jobs(sys, jobs);
-        }));
+        let jobs = Placement::of(&sys)
+            .tiles(ACCESSES, tile)
+            .map(|s: TileSlot<4>| {
+                let g = s.tiles();
+                s.job(
+                    &[],
+                    vec![
+                        s.sld(DType::U32, b.base(), g[0]),
+                        Instruction::ild(DType::U32, a.base(), g[1], g[0]),
+                        s.sst(DType::U32, c.base(), g[1]),
+                    ],
+                )
+            });
+        install_jobs(&mut sys, jobs);
     }
-    phases.push(Phase::WaitCoresIdle);
-    phases.push(Phase::RoiEnd);
-    sys.run(&mut PhasedDriver::new(phases))
+    sys.run_until(System::cores_idle);
+    sys.roi_end();
+    sys.finish()
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
-//! Shared workload machinery: phased drivers, tile-job pipelining and
-//! verification helpers. Where work runs — which core takes which
-//! elements, and which core, tiles and registers a tile job uses — is
-//! decided in [`placement`] alone.
+//! Shared workload machinery: tile-job pipelining and verification
+//! helpers. Where work runs — which core takes which elements, and which
+//! core, tiles and registers a tile job uses — is decided in [`placement`]
+//! alone. A workload's program is straight-line code over [`System`]: push
+//! loops or [`install_jobs`], wait with `run_until(System::cores_idle)`,
+//! repeat, and end with [`System::finish`].
 
 pub mod placement;
 
@@ -11,90 +13,9 @@ use dx100_common::flags::FlagId;
 use dx100_common::CoreId;
 use dx100_core::isa::{Instruction, RegId, TileId};
 use dx100_cpu::CoreOp;
-use dx100_sim::{Driver, DriverStatus, System};
+use dx100_sim::System;
 
 pub use placement::{Placement, TileSlot};
-
-/// A one-shot setup action.
-pub type SetupFn = Box<dyn FnOnce(&mut System)>;
-
-/// One step of a [`PhasedDriver`].
-pub enum Phase {
-    /// Run a one-shot action (push loops, send instructions, ...).
-    Setup(Option<SetupFn>),
-    /// Wait until every core has drained its program.
-    WaitCoresIdle,
-    /// Begin the measured region of interest.
-    RoiBegin,
-    /// End the measured region of interest.
-    RoiEnd,
-    /// Poll a closure until it reports completion.
-    Poll(Box<dyn FnMut(&mut System) -> bool>),
-}
-
-impl Phase {
-    /// Convenience constructor for [`Phase::Setup`].
-    pub fn setup(f: impl FnOnce(&mut System) + 'static) -> Phase {
-        Phase::Setup(Some(Box::new(f)))
-    }
-
-    /// Convenience constructor for [`Phase::Poll`].
-    pub fn poll(f: impl FnMut(&mut System) -> bool + 'static) -> Phase {
-        Phase::Poll(Box::new(f))
-    }
-}
-
-/// A driver that walks a fixed list of phases. This is the shape of every
-/// workload's "software": setup, kick off work, wait, measure, repeat.
-pub struct PhasedDriver {
-    phases: Vec<Phase>,
-    idx: usize,
-}
-
-impl PhasedDriver {
-    /// Creates a driver over `phases`.
-    pub fn new(phases: Vec<Phase>) -> Self {
-        PhasedDriver { phases, idx: 0 }
-    }
-}
-
-impl Driver for PhasedDriver {
-    fn poll(&mut self, sys: &mut System) -> DriverStatus {
-        while self.idx < self.phases.len() {
-            match &mut self.phases[self.idx] {
-                Phase::Setup(f) => {
-                    if let Some(f) = f.take() {
-                        f(sys);
-                    }
-                    self.idx += 1;
-                }
-                Phase::WaitCoresIdle => {
-                    if sys.cores_idle() {
-                        self.idx += 1;
-                    } else {
-                        return DriverStatus::Running;
-                    }
-                }
-                Phase::RoiBegin => {
-                    sys.roi_begin();
-                    self.idx += 1;
-                }
-                Phase::RoiEnd => {
-                    sys.roi_end();
-                    self.idx += 1;
-                }
-                Phase::Poll(f) => {
-                    if f(sys) {
-                        self.idx += 1;
-                    } else {
-                        return DriverStatus::Running;
-                    }
-                }
-            }
-        }
-        DriverStatus::Done
-    }
-}
 
 /// A per-element loop body: `body(i, ops)` appends element `i`'s micro-ops
 /// to `ops` (see [`System::push_loop`]).

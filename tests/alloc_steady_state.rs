@@ -3,8 +3,8 @@
 //! Once a run is warm, simulating more cycles must not allocate more: every
 //! per-event structure (ROB waiter lists, MSHR waiter lists, cache tags,
 //! link and DRAM queues, the ring a core's loops generate into) is reused in
-//! place. The test counts heap allocations made inside `System::run` for a
-//! canned program of `n` and of `2n` ops per core, fed once as literal ops
+//! place. The test counts heap allocations made inside `System::finish` for
+//! a canned program of `n` and of `2n` ops per core, fed once as literal ops
 //! (`System::push_ops`) and once as a loop (`System::push_loop`); the
 //! second run simulates about twice the cycles, so any per-op or per-cycle
 //! allocation shows up as a difference of thousands, and one per batch of
@@ -21,7 +21,6 @@ use std::collections::VecDeque;
 
 use dx100::common::DType;
 use dx100::cpu::CoreOp;
-use dx100::sim::driver::NullDriver;
 use dx100::sim::{System, SystemConfig};
 use dx100_core::{ArrayHandle, MemoryImage};
 
@@ -101,7 +100,7 @@ fn canned_body(
     }
 }
 
-/// Heap allocations made inside `System::run` for `n` ops per core fed as
+/// Heap allocations made inside `System::finish` for `n` ops per core fed as
 /// `feed`, and the simulated cycle count.
 fn allocs_in_run(n: usize, feed: Feed) -> (u64, u64) {
     let mut image = MemoryImage::new();
@@ -121,7 +120,7 @@ fn allocs_in_run(n: usize, feed: Feed) -> (u64, u64) {
     }
     ALLOCS.with(|c| c.set(0));
     COUNTING.with(|on| on.set(true));
-    let stats = sys.run(&mut NullDriver);
+    let stats = sys.finish();
     COUNTING.with(|on| on.set(false));
     (ALLOCS.with(|c| c.get()), stats.cycles)
 }
@@ -140,7 +139,7 @@ fn steady_state_run_does_not_allocate_per_op() {
         );
         assert!(
             large <= small + 64,
-            "{feed:?}: System::run allocated {small} times for {n} ops per core and \
+            "{feed:?}: System::finish allocated {small} times for {n} ops per core and \
              {large} times for {} ops per core; the per-cycle path allocates per op",
             2 * n
         );

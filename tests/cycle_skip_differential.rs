@@ -16,8 +16,8 @@ use dx100::common::{DType, DelayQueue, LineAddr};
 use dx100::core::isa::{Instruction, TileId};
 use dx100::cpu::CoreOp;
 use dx100::dram::{DramConfig, DramSystem, MemRequest};
-use dx100::sim::driver::NullDriver;
-use dx100::sim::{Driver, DriverStatus, System, SystemConfig};
+use dx100::sim::{System, SystemConfig};
+use dx100::workloads::micro::allhit::{run_allhit, MicroKind};
 use dx100::workloads::{all_kernels, Mode, Scale};
 use dx100_core::MemoryImage;
 use proptest::prelude::*;
@@ -82,6 +82,22 @@ const GOLDEN: &[(&str, &str, u64, u64)] = &[
 const GOLDEN_TWO_INSTANCE: &[(&str, u64, u64)] = &[
     ("is", 0x14a1aeaa43b49145, 0x851c243e12ab36e9),
     ("gzz", 0xd64b75cfce3b6325, 0xfd198b271a63150b),
+];
+
+/// Pinned Figure 8a all-hit micros, skip on, recorded like [`GOLDEN`]:
+/// (micro, machine, FNV-1a 64 of the stats' Debug form). The two RMW
+/// micros share one DX100 program, hence one digest.
+const GOLDEN_MICRO: &[(&str, &str, u64)] = &[
+    ("gather-spd", "baseline", 0xcbcbd0fd3db8e27c),
+    ("gather-spd", "dx100", 0xc94b43d72f0c2bc1),
+    ("gather-full", "baseline", 0x2652b2c11433976a),
+    ("gather-full", "dx100", 0x5d728973714c2800),
+    ("rmw-atomic", "baseline", 0xcd98a5c601b76bb2),
+    ("rmw-atomic", "dx100", 0x87dad8fb5e511121),
+    ("rmw-noatom", "baseline", 0xecae09cfc817f3e1),
+    ("rmw-noatom", "dx100", 0x87dad8fb5e511121),
+    ("scatter", "baseline", 0x2466ff4167dec9d3),
+    ("scatter", "dx100", 0x043d99d07e4c04f7),
 ];
 
 /// Asserts one skip-on run against its [`GOLDEN`] entry.
@@ -183,6 +199,28 @@ fn skip_on_off_bit_identical_two_instances() {
             want_digest,
             "simulated stats moved from the golden digest: {label}"
         );
+    }
+}
+
+/// The Figure 8a micros have programs of their own (a warm pass before
+/// the region of interest, one block per core as a tile); no kernel run
+/// covers them.
+#[test]
+fn allhit_micros_match_goldens() {
+    for kind in MicroKind::ALL {
+        for mode in [Mode::Baseline, Mode::Dx100] {
+            let stats = run_allhit(kind, mode == Mode::Dx100, &cfg_for(mode, true), SEED);
+            let label = format!("{} [{}]", kind.label(), mode.label());
+            let &(_, _, want_digest) = GOLDEN_MICRO
+                .iter()
+                .find(|g| g.0 == kind.label() && g.1 == mode.label())
+                .unwrap_or_else(|| panic!("no golden entry for {label}"));
+            assert_eq!(
+                fnv1a_64(format!("{stats:?}").as_bytes()),
+                want_digest,
+                "simulated stats moved from the golden digest: {label}"
+            );
+        }
     }
 }
 
@@ -293,7 +331,7 @@ fn skip_engages_on_idle_heavy_run() {
         cfg.cycle_skip = skip;
         let mut sys = System::new(cfg, image);
         sys.push_ops(0, ops);
-        let stats = sys.run(&mut NullDriver);
+        let stats = sys.finish();
         (stats.cycles, sys.skip_stats())
     };
     let (cycles_on, (skipped, skip_events)) = run(true);
@@ -321,19 +359,6 @@ fn skip_engages_on_idle_heavy_run() {
 // ungated one.
 // ---------------------------------------------------------------------------
 
-/// Waits for every core to drain.
-struct DrainDriver;
-
-impl Driver for DrainDriver {
-    fn poll(&mut self, sys: &mut System) -> DriverStatus {
-        if sys.cores_idle() {
-            DriverStatus::Done
-        } else {
-            DriverStatus::Running
-        }
-    }
-}
-
 /// A 16 MB array of `u32`: large enough that lines 64 KB apart miss every
 /// cache and land in distinct DRAM rows.
 fn big_image() -> (MemoryImage, dx100::core::ArrayHandle) {
@@ -357,7 +382,8 @@ fn assert_gating_invisible(mut cfg: SystemConfig, program: impl Fn(&mut System))
         let (image, _) = big_image();
         let mut sys = System::new(cfg, image);
         program(&mut sys);
-        format!("{:?}", sys.run(&mut DrainDriver))
+        sys.run_until(System::cores_idle);
+        format!("{:?}", sys.finish())
     };
     assert_eq!(
         run(true),

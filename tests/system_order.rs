@@ -8,24 +8,15 @@
 //! * `mark_host_resident` must steer the engine's accesses through the
 //!   LLC (page-granular H-bits), and unmarked data must keep the
 //!   direct-DRAM path.
+//! * A program's barrier (`run_until`) checks before it steps, and the old
+//!   `run(&mut NullDriver)` entry point is `finish()` under another name.
 
 use dx100::common::DType;
 use dx100::core::isa::{Instruction, RegId, TileId};
 use dx100::core::MemoryImage;
-use dx100::sim::{Driver, DriverStatus, System, SystemConfig};
-
-/// A driver that just waits for every core to drain.
-struct DrainDriver;
-
-impl Driver for DrainDriver {
-    fn poll(&mut self, sys: &mut System) -> DriverStatus {
-        if sys.cores_idle() {
-            DriverStatus::Done
-        } else {
-            DriverStatus::Running
-        }
-    }
-}
+use dx100::cpu::CoreOp;
+use dx100::sim::driver::NullDriver;
+use dx100::sim::{System, SystemConfig};
 
 fn image_with_arrays(n: u64) -> (MemoryImage, Vec<dx100::core::ArrayHandle>) {
     let mut image = MemoryImage::new();
@@ -92,7 +83,8 @@ fn queued_instruction_ignores_younger_reg_write() {
     sys.send_reg_write(0, r0, 99);
     sys.push_wait(0, f, false);
 
-    sys.run(&mut DrainDriver);
+    sys.run_until(System::cores_idle);
+    sys.finish();
 
     // SLD must have streamed A[5..13] (start 5), not A[99..107].
     let tile = sys.dx100_ref(0).tile(t_sld);
@@ -126,7 +118,8 @@ fn host_resident_pages_route_via_llc() {
             Some(f),
         );
         sys.push_wait(0, f, false);
-        sys.run(&mut DrainDriver);
+        sys.run_until(System::cores_idle);
+        sys.finish();
         sys.roi_end();
         let stats = sys.collect_stats();
         let llc_dx = stats.hierarchy.llc.dx100_accesses;
@@ -167,7 +160,8 @@ fn marked_pages_capture_reuse_across_instructions() {
         flag = Some(f);
     }
     sys.push_wait(0, flag.unwrap(), false);
-    sys.run(&mut DrainDriver);
+    sys.run_until(System::cores_idle);
+    sys.finish();
     sys.roi_end();
     let stats = sys.collect_stats();
     let llc = &stats.hierarchy.llc;
@@ -177,5 +171,41 @@ fn marked_pages_capture_reuse_across_instructions() {
          (hits {} of {})",
         llc.dx100_hits,
         llc.dx100_accesses
+    );
+}
+
+/// `run(&mut NullDriver)` must give the same statistics, trace and epochs
+/// as `finish()`; `run_until` must not step while its predicate holds.
+#[test]
+fn run_is_finish_and_a_met_barrier_does_not_step() {
+    let build = || {
+        let (image, hs) = image_with_arrays(4096);
+        let mut cfg = SystemConfig::paper_baseline();
+        cfg.obs.trace = true;
+        cfg.obs.epoch_cycles = Some(500);
+        let mut sys = System::new(cfg, image);
+        let loads = (0..64).map(|i| CoreOp::load(hs[0].addr_of(i * 61 % 4096), 1));
+        sys.push_ops(0, loads);
+        sys
+    };
+    let via_run = format!("{:?}", build().run(&mut NullDriver));
+    assert_eq!(via_run, format!("{:?}", build().finish()));
+
+    let mut sys = build();
+    let mut checks = 0;
+    sys.run_until(|_| {
+        checks += 1;
+        true
+    });
+    assert_eq!(checks, 1, "a met predicate is checked once");
+    assert_eq!(sys.collect_stats().cycles, 0, "a met barrier stepped");
+    sys.run_until(System::cores_idle);
+    let drained_at = sys.collect_stats().cycles;
+    assert!(drained_at > 0);
+    sys.run_until(System::cores_idle);
+    assert_eq!(
+        sys.collect_stats().cycles,
+        drained_at,
+        "a met barrier stepped"
     );
 }

@@ -190,14 +190,6 @@ impl DramSystem {
         &self.config
     }
 
-    /// Channel index that `line` maps to.
-    pub fn channel_of(&self, line: LineAddr) -> usize {
-        self.config
-            .addr_map
-            .decode(line, &self.config.organization)
-            .channel
-    }
-
     /// Attempts to enqueue a request into its channel's request buffer at
     /// DRAM tick `now`. Returns `false` (and drops nothing — the caller keeps
     /// ownership semantics by value) if the buffer is full; the caller must
@@ -220,12 +212,6 @@ impl DramSystem {
             ctrl.credit_idle_ticks(from, to - from);
         }
         ctrl.try_enqueue(req, coord, now)
-    }
-
-    /// Free request-buffer slots in the channel that `line` maps to.
-    pub fn free_slots(&self, line: LineAddr) -> usize {
-        let ch = self.channel_of(line);
-        self.controllers[ch].free_slots()
     }
 
     /// Advances every channel by one DRAM tick. With gating on, a sleeping

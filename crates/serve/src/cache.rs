@@ -66,12 +66,15 @@ impl ResultCache {
         Ok(self.dir.join(format!("{key}.json")))
     }
 
-    /// Looks `key` up: the O(1) hit path. Touches the entry's mtime so
-    /// LRU eviction sees the use.
-    pub fn get(&self, key: &str) -> Option<String> {
+    /// Looks `key` up: the O(1) hit path. An entry whose body does not
+    /// contain `needle`, the text that identifies the request (a job
+    /// report's `spec` block), belongs to another request under a
+    /// colliding key and is a miss. Touches a hit's mtime so LRU eviction
+    /// sees the use.
+    pub fn get(&self, key: &str, needle: &str) -> Option<String> {
         let path = self.path_for(key).ok()?;
         match fs::read_to_string(&path) {
-            Ok(body) => {
+            Ok(body) if body.contains(needle) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 // Best-effort touch; a failed touch only ages the entry.
                 if let Ok(f) = File::options().write(true).open(&path) {
@@ -79,7 +82,7 @@ impl ResultCache {
                 }
                 Some(body)
             }
-            Err(_) => {
+            _ => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
@@ -172,13 +175,15 @@ mod tests {
     fn miss_then_hit_round_trip() {
         let cache = ResultCache::open(tmpdir("roundtrip"), 1 << 20).unwrap();
         let key = hex16(0xabc);
-        assert_eq!(cache.get(&key), None);
+        assert_eq!(cache.get(&key, ""), None);
         cache.put(&key, "{\"report\":1}\n").unwrap();
-        assert_eq!(cache.get(&key).as_deref(), Some("{\"report\":1}\n"));
-        assert_eq!(cache.counters(), (1, 1));
+        assert_eq!(cache.get(&key, "1").as_deref(), Some("{\"report\":1}\n"));
+        // Another request's body under the same key is a miss.
+        assert_eq!(cache.get(&key, "2"), None);
+        assert_eq!(cache.counters(), (1, 2));
         // Byte-identity across a second open (a daemon restart).
         let reopened = ResultCache::open(cache.dir(), 1 << 20).unwrap();
-        assert_eq!(reopened.get(&key).as_deref(), Some("{\"report\":1}\n"));
+        assert_eq!(reopened.get(&key, "").as_deref(), Some("{\"report\":1}\n"));
     }
 
     #[test]
@@ -192,7 +197,7 @@ mod tests {
             "zzzzzzzzzzzzzzzz",
         ] {
             assert!(cache.put(bad, "x").is_err(), "{bad}");
-            assert_eq!(cache.get(bad), None, "{bad}");
+            assert_eq!(cache.get(bad, ""), None, "{bad}");
         }
     }
 
@@ -207,12 +212,12 @@ mod tests {
         cache.put(&k2, &body).unwrap();
         std::thread::sleep(std::time::Duration::from_millis(20));
         // Touch k1 so k2 becomes the LRU entry.
-        assert!(cache.get(&k1).is_some());
+        assert!(cache.get(&k1, "").is_some());
         std::thread::sleep(std::time::Duration::from_millis(20));
         cache.put(&k3, &body).unwrap();
-        assert!(cache.get(&k1).is_some(), "recently used entry survived");
-        assert!(cache.get(&k3).is_some(), "newest entry survived");
-        assert_eq!(cache.get(&k2), None, "LRU entry was evicted");
+        assert!(cache.get(&k1, "").is_some(), "recently used entry survived");
+        assert!(cache.get(&k3, "").is_some(), "newest entry survived");
+        assert_eq!(cache.get(&k2, ""), None, "LRU entry was evicted");
         let (count, bytes) = cache.usage().unwrap();
         assert_eq!(count, 2);
         assert!(bytes <= 100);
@@ -223,6 +228,6 @@ mod tests {
         let cache = ResultCache::open(tmpdir("bigentry"), 10).unwrap();
         let key = hex16(9);
         cache.put(&key, &"y".repeat(64)).unwrap();
-        assert!(cache.get(&key).is_some());
+        assert!(cache.get(&key, "").is_some());
     }
 }

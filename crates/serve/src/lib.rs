@@ -16,7 +16,7 @@
 //! - [`cache`] — the content-addressed result store (atomic writes,
 //!   size-capped LRU eviction by mtime).
 //! - [`scheduler`] — specs → jobs: cache lookup, in-flight coalescing,
-//!   worker-pool execution, graceful drain.
+//!   worker-pool execution, a bounded job table, graceful drain.
 //! - [`server`] — routing and the accept loop.
 //!
 //! Start one with `dx100 serve`, which fills a
@@ -30,5 +30,5 @@ pub mod scheduler;
 pub mod server;
 
 pub use cache::ResultCache;
-pub use scheduler::{JobStatus, JobView, Scheduler, Submitted};
+pub use scheduler::{JobStatus, JobView, NoJob, Scheduler, FINISHED_KEPT};
 pub use server::{Server, ServerHandle, SERVE_VERSION};

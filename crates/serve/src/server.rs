@@ -5,7 +5,7 @@
 //! | `GET /v1/health` | liveness + job/cache counters |
 //! | `GET /v1/kernels` | the runnable kernel and machine names |
 //! | `POST /v1/jobs` | submit a job spec; `"wait": false` for async |
-//! | `GET /v1/jobs/<id>` | poll a submitted job |
+//! | `GET /v1/jobs/<id>` | poll a submitted job (404 once expired) |
 //! | `POST /v1/shutdown` | graceful drain + exit |
 //!
 //! A job response envelope is `{serve_version, job_id, cache_key, cached,
@@ -25,7 +25,7 @@ use dx100_workloads::Mode;
 
 use crate::cache::ResultCache;
 use crate::http::{read_request, write_json, HttpError, Request};
-use crate::scheduler::{JobStatus, JobView, Scheduler};
+use crate::scheduler::{JobStatus, JobView, NoJob, Scheduler, FINISHED_KEPT};
 
 /// Version of the serving protocol (envelopes and routes).
 pub const SERVE_VERSION: u64 = 1;
@@ -248,15 +248,7 @@ fn submit_job(scheduler: &Scheduler, draining: &AtomicBool, body: &str) -> Respo
         Ok(s) => s,
         Err(e) => return error_response(HttpError::new(400, e)),
     };
-    let submitted = scheduler.submit(spec);
-    if wait {
-        match scheduler.wait(submitted.view.id) {
-            Some(view) => job_response(&view),
-            None => error_response(HttpError::new(500, "job vanished while waiting")),
-        }
-    } else {
-        job_response(&submitted.view)
-    }
+    job_response(&scheduler.submit(spec, wait))
 }
 
 fn poll_job(scheduler: &Scheduler, id_text: &str) -> ResponseParts {
@@ -265,8 +257,15 @@ fn poll_job(scheduler: &Scheduler, id_text: &str) -> ResponseParts {
         Err(_) => return error_response(HttpError::new(400, format!("bad job id `{id_text}`"))),
     };
     match scheduler.get(id) {
-        Some(view) => job_response(&view),
-        None => error_response(HttpError::new(404, format!("no job {id}"))),
+        Ok(view) => job_response(&view),
+        Err(NoJob::Unknown) => error_response(HttpError::new(404, format!("no job {id}"))),
+        Err(NoJob::Expired) => error_response(HttpError::new(
+            404,
+            format!(
+                "job {id} expired: only the newest {FINISHED_KEPT} finished jobs are kept; \
+                 resubmit its spec"
+            ),
+        )),
     }
 }
 

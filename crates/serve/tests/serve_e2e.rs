@@ -10,6 +10,9 @@
 //!    a job whose run panics answers `failed` without wedging the daemon.
 //! 5. The cache outlives the daemon: a restart on the same cache dir
 //!    serves the old reports as hits.
+//! 6. A stored report is served only for its own spec.
+//! 7. Only the newest finished jobs stay pollable; an older id answers 404
+//!    saying it expired.
 
 use std::path::PathBuf;
 
@@ -17,7 +20,7 @@ use dx100_bench::JobSpec;
 use dx100_common::flags::ServeOpts;
 use dx100_common::json::Json;
 use dx100_serve::http::request;
-use dx100_serve::{Server, ServerHandle, SERVE_VERSION};
+use dx100_serve::{Server, ServerHandle, FINISHED_KEPT, SERVE_VERSION};
 use dx100_workloads::Mode;
 
 /// Scale small enough that a job simulates in well under a second.
@@ -49,6 +52,13 @@ fn stop(addr: &str, handle: ServerHandle) {
     let resp = request(addr, "POST", "/v1/shutdown", None).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body);
     handle.join();
+}
+
+fn tiny_spec(kernel: &str, machine: Mode) -> JobSpec {
+    JobSpec {
+        scale: TINY,
+        ..JobSpec::new(kernel, machine)
+    }
 }
 
 fn tiny_body(kernel: &str, machine: &str) -> String {
@@ -112,10 +122,8 @@ fn concurrent_distinct_jobs_match_serial_cli_runs() {
     let (addr, handle, _cache) = start("concurrent", 2);
 
     // Serial reference runs through the exact CLI path (JobSpec::run).
-    let mut spec_is = JobSpec::new("is", Mode::Baseline);
-    spec_is.scale = TINY;
-    let mut spec_pr = JobSpec::new("pr", Mode::Dx100);
-    spec_pr.scale = TINY;
+    let spec_is = tiny_spec("is", Mode::Baseline);
+    let spec_pr = tiny_spec("pr", Mode::Dx100);
     let want_is = spec_is.run().unwrap().to_string();
     let want_pr = spec_pr.run().unwrap().to_string();
 
@@ -270,6 +278,53 @@ fn cache_survives_a_daemon_restart() {
     stop(&addr, handle);
 }
 
+/// A report of spec A stored under spec B's key, as an FNV-64 collision
+/// would leave it, is a miss for B: B is simulated and overwrites it.
+#[test]
+fn a_stored_report_of_another_spec_is_a_miss() {
+    let (addr, handle, cache_dir) = start("collide", 1);
+    let (body_a, body_b) = (tiny_body("is", "baseline"), tiny_body("pr", "baseline"));
+    let first = request(&addr, "POST", "/v1/jobs", Some(&body_a)).unwrap();
+    assert_eq!(first.status, 200, "{}", first.body);
+    let entry = |spec: JobSpec| cache_dir.join(format!("{}.json", spec.cache_key()));
+    let spec_b = tiny_spec("pr", Mode::Baseline);
+    std::fs::copy(
+        entry(tiny_spec("is", Mode::Baseline)),
+        entry(spec_b.clone()),
+    )
+    .unwrap();
+
+    for cached in [false, true] {
+        let resp = request(&addr, "POST", "/v1/jobs", Some(&body_b)).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let (env, report) = envelope(&resp.body);
+        assert_eq!(field(&env, "cached"), &Json::Bool(cached));
+        let report = Json::parse(&report).unwrap();
+        assert_eq!(field(&report, "spec"), &spec_b.to_json());
+    }
+    stop(&addr, handle);
+}
+
+#[test]
+fn polling_an_expired_job_answers_404() {
+    let (addr, handle, _cache) = start("expire", 1);
+    let body = tiny_body("is", "baseline");
+    let mut ids = Vec::new();
+    for _ in 0..=FINISHED_KEPT {
+        let resp = request(&addr, "POST", "/v1/jobs", Some(&body)).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let (env, _) = envelope(&resp.body);
+        ids.push(field(&env, "job_id").clone());
+    }
+    let path = |id: &Json| format!("/v1/jobs/{id}");
+    let oldest = request(&addr, "GET", &path(&ids[0]), None).unwrap();
+    assert_eq!(oldest.status, 404, "{}", oldest.body);
+    assert!(oldest.body.contains("expired"), "{}", oldest.body);
+    let newest = request(&addr, "GET", &path(&ids[FINISHED_KEPT]), None).unwrap();
+    assert_eq!(newest.status, 200, "{}", newest.body);
+    stop(&addr, handle);
+}
+
 #[test]
 fn shutdown_drains_inflight_jobs_into_the_cache() {
     let (addr, handle, cache_dir) = start("drain", 1);
@@ -284,11 +339,10 @@ fn shutdown_drains_inflight_jobs_into_the_cache() {
     }
     stop(&addr, handle);
 
-    let mut spec_a = JobSpec::new("bc", Mode::Baseline);
-    spec_a.scale = TINY;
-    let mut spec_b = JobSpec::new("bc", Mode::Dx100);
-    spec_b.scale = TINY;
-    for spec in [spec_a, spec_b] {
+    for spec in [
+        tiny_spec("bc", Mode::Baseline),
+        tiny_spec("bc", Mode::Dx100),
+    ] {
         let path = cache_dir.join(format!("{}.json", spec.cache_key()));
         assert!(path.exists(), "{} not drained to cache", path.display());
     }

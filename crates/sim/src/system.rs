@@ -32,46 +32,22 @@ enum DramOrigin {
     Dx100 { engine: usize, id: ReqId },
 }
 
-/// Deferred program-side effects executed when a core's MMIO store lands.
-#[derive(Debug, Clone)]
-enum MmioAction {
-    PushInstr {
-        engine: usize,
-        instr: Instruction,
-        flag: Option<FlagId>,
-    },
-    WriteReg {
-        engine: usize,
-        reg: RegId,
-        value: u64,
-    },
-    WriteTile {
-        engine: usize,
-        tile: TileId,
-        data: Vec<u64>,
-    },
-}
-
 /// Mask separating a DX100 instance's LLC-request ids.
 const ENGINE_ID_SHIFT: u32 = 56;
 
 /// Page granularity of the directory's H-bits (4 KiB).
 const PAGE_SHIFT: u32 = 12;
 
-/// One MMIO event waiting in a per-engine delivery queue. Everything a
+/// What a core's MMIO stores carry to its DX100 instance. Everything a
 /// core sends to an engine — register writes, tile writes, instructions —
-/// must apply in device order: an instruction stalled on region
+/// applies in the order it landed: an instruction stalled on region
 /// acquisition snapshots its scalar registers at delivery, so a younger
 /// register write overtaking it would corrupt the snapshot.
 #[derive(Debug, Clone)]
-enum PendingMmio {
+enum Mmio {
     Instr {
         instr: Instruction,
         flag: Option<FlagId>,
-        /// Earliest delivery time (region-acquisition latency).
-        ready_at: Cycle,
-        /// The region grant was already counted; do not re-request.
-        acquired: bool,
     },
     Reg {
         reg: RegId,
@@ -95,7 +71,9 @@ pub struct System {
     dmp: Option<Dmp>,
     flags: FlagBoard,
     image: MemoryImage,
-    actions: Vec<Option<MmioAction>>,
+    /// Sent MMIO messages with their instance, indexed by the signal of
+    /// the store that lands them; taken when it does.
+    mmio_sent: Vec<Option<(usize, Mmio)>>,
     dram_pending: HashMap<ReqId, DramOrigin>,
     next_dram_id: ReqId,
     dram_retry: VecDeque<(MemRequest, DramOrigin)>,
@@ -105,10 +83,16 @@ pub struct System {
     /// directory's page-level H-bits): DX100 accesses to these route via
     /// the LLC, where misses allocate, capturing any reuse.
     host_pages: HashSet<u64>,
-    /// Per-engine in-order MMIO delivery queues (multi-instance only):
-    /// region acquisition may delay the head, but never reorders.
-    instr_delivery: Vec<VecDeque<PendingMmio>>,
-    /// (engine, handle) → region base, for release on retire.
+    /// Per-engine in-order MMIO queues: every landed message waits here
+    /// until the older ones have applied. On a multi-instance machine
+    /// region acquisition may delay the head, but never reorders; with
+    /// one instance a queue drains in the cycle its messages land.
+    mmio_queues: Vec<VecDeque<Mmio>>,
+    /// Per engine: while its queue head waits out a region acquisition,
+    /// the cycle it completes (multi-instance only).
+    acquired_at: Vec<Option<Cycle>>,
+    /// (engine, handle) → region base, for release on retire
+    /// (multi-instance only).
     region_pins: HashMap<(usize, u64), Addr>,
     roi_start: Cycle,
     roi_snapshot: Option<RunStats>,
@@ -164,7 +148,8 @@ impl System {
         let per = cfg.cores.div_ceil(instances);
         let core_engine = (0..cfg.cores).map(|c| c / per).collect();
         let dmp = cfg.dmp.map(|d| Dmp::new(d, cfg.cores));
-        let instr_delivery = (0..engines.len()).map(|_| VecDeque::new()).collect();
+        let mmio_queues = (0..engines.len()).map(|_| VecDeque::new()).collect();
+        let acquired_at = vec![None; engines.len()];
         let trace_root = cfg
             .obs
             .trace
@@ -207,14 +192,15 @@ impl System {
             dmp,
             flags: FlagBoard::new(),
             image,
-            actions: Vec::new(),
+            mmio_sent: Vec::new(),
             dram_pending: HashMap::default(),
             next_dram_id: 0,
             dram_retry: VecDeque::new(),
             spd_fills: DelayQueue::new(),
             region: RegionCoherence::new(),
             host_pages: HashSet::default(),
-            instr_delivery,
+            mmio_queues,
+            acquired_at,
             region_pins: HashMap::default(),
             roi_start: 0,
             roi_snapshot: None,
@@ -301,30 +287,7 @@ impl System {
     /// stores; the instruction enters the accelerator when the last beat
     /// lands. `flag` is set when the instruction retires.
     pub fn send_instruction(&mut self, core: CoreId, instr: Instruction, flag: Option<FlagId>) {
-        let engine = self.core_engine[core];
-        let latency = self.mmio_latency();
-        let action = self.register_action(MmioAction::PushInstr {
-            engine,
-            instr,
-            flag,
-        });
-        self.push_ops(
-            core,
-            [
-                CoreOp::Mmio {
-                    latency,
-                    signal: None,
-                },
-                CoreOp::Mmio {
-                    latency,
-                    signal: None,
-                },
-                CoreOp::Mmio {
-                    latency,
-                    signal: Some(action),
-                },
-            ],
-        );
+        self.send_mmio(core, 3, Mmio::Instr { instr, flag });
     }
 
     /// Writes a whole scratchpad tile from `core`. The *data* lands when the
@@ -332,43 +295,30 @@ impl System {
     /// themselves should be modeled with store ops pushed beforehand (a
     /// tile job's produce loop in the workloads crate).
     pub fn send_tile_write(&mut self, core: CoreId, tile: TileId, data: Vec<u64>) {
-        let engine = self.core_engine[core];
-        let latency = self.mmio_latency();
-        let action = self.register_action(MmioAction::WriteTile { engine, tile, data });
-        self.push_ops(
-            core,
-            [CoreOp::Mmio {
-                latency,
-                signal: Some(action),
-            }],
-        );
+        self.send_mmio(core, 1, Mmio::Tile { tile, data });
     }
 
     /// Writes a DX100 scalar register from `core` (one timed MMIO store).
     pub fn send_reg_write(&mut self, core: CoreId, reg: RegId, value: u64) {
-        let engine = self.core_engine[core];
-        let latency = self.mmio_latency();
-        let action = self.register_action(MmioAction::WriteReg { engine, reg, value });
-        self.push_ops(
-            core,
-            [CoreOp::Mmio {
-                latency,
-                signal: Some(action),
-            }],
-        );
+        self.send_mmio(core, 1, Mmio::Reg { reg, value });
     }
 
-    fn mmio_latency(&self) -> u16 {
-        self.cfg
+    /// Pushes `beats` timed MMIO stores onto `core`; `msg` joins its
+    /// instance's queue when the last one lands.
+    fn send_mmio(&mut self, core: CoreId, beats: usize, msg: Mmio) {
+        let latency = self
+            .cfg
             .dx100
             .as_ref()
-            .map(|d| d.mmio_latency as u16)
-            .unwrap_or(40)
-    }
-
-    fn register_action(&mut self, a: MmioAction) -> u32 {
-        self.actions.push(Some(a));
-        (self.actions.len() - 1) as u32
+            .expect("MMIO store on a machine without DX100")
+            .mmio_latency as u16;
+        let signal = self.mmio_sent.len() as u32;
+        self.mmio_sent.push(Some((self.core_engine[core], msg)));
+        let ops = (1..=beats).map(|beat| CoreOp::Mmio {
+            latency,
+            signal: (beat == beats).then_some(signal),
+        });
+        self.push_ops(core, ops);
     }
 
     /// DX100 instance serving `core`.
@@ -540,7 +490,7 @@ impl System {
             && self.engines.iter().all(|e| e.is_idle())
             && self.dram_retry.is_empty()
             && self.spd_fills.is_empty()
-            && self.instr_delivery.iter().all(|q| q.is_empty())
+            && self.mmio_queues.iter().all(|q| q.is_empty())
     }
 
     /// Accumulated `(skipped_cycles, skip_events)` cycle-skip telemetry.
@@ -732,16 +682,13 @@ impl System {
         if !self.dram_retry.is_empty() || self.dmp.as_ref().is_some_and(|d| d.has_pending()) {
             return None;
         }
-        // In-order MMIO delivery: only a not-yet-ready instruction head is
-        // inert (a ready head may acquire regions; a register or tile write
-        // applies at once).
-        for q in &self.instr_delivery {
-            match q.front() {
-                None => {}
-                Some(PendingMmio::Instr { ready_at, .. }) if *ready_at > now => {
-                    until = until.min(*ready_at);
-                }
-                Some(_) => return None,
+        // In-order MMIO delivery: only a head still acquiring its region is
+        // inert (any other head may apply or request a region at once).
+        for (q, acquired_at) in self.mmio_queues.iter().zip(&self.acquired_at) {
+            match acquired_at {
+                Some(t) if *t > now => until = until.min(*t),
+                _ if !q.is_empty() => return None,
+                _ => {}
             }
         }
         if let Some(t) = self.spd_fills.next_ready_at() {
@@ -806,21 +753,19 @@ impl System {
         }
         self.issue_scratch = issues;
 
-        // --- Execute landed MMIO actions. ---
+        // --- Landed MMIO messages queue on their engine and apply in order. ---
         for c in 0..self.cores.len() {
             if !self.cores[c].has_mmio_signals() {
                 continue;
             }
             for signal in self.cores[c].drain_mmio_signals() {
-                let action = self.actions[signal as usize]
+                let (engine, msg) = self.mmio_sent[signal as usize]
                     .take()
-                    .expect("MMIO action executed twice");
-                self.apply_action(action);
+                    .expect("MMIO message landed twice");
+                self.mmio_queues[engine].push_back(msg);
             }
         }
-
-        // --- In-order instruction delivery with region coherence. ---
-        self.deliver_instructions(now);
+        self.deliver_mmio(now);
 
         // --- DMP prefetch injection. ---
         if let Some(dmp) = &mut self.dmp {
@@ -976,101 +921,54 @@ impl System {
         }
     }
 
-    fn apply_action(&mut self, action: MmioAction) {
-        let multi = self.engines.len() > 1;
-        match action {
-            MmioAction::WriteReg { engine, reg, value } => {
-                if multi {
-                    self.instr_delivery[engine].push_back(PendingMmio::Reg { reg, value });
-                } else {
-                    self.wake_engine(engine, self.clock);
-                    self.engines[engine].write_reg(reg, value);
-                }
-            }
-            MmioAction::WriteTile { engine, tile, data } => {
-                if multi {
-                    self.instr_delivery[engine].push_back(PendingMmio::Tile { tile, data });
-                } else {
-                    self.wake_engine(engine, self.clock);
-                    self.engines[engine].write_tile(tile, &data);
-                }
-            }
-            MmioAction::PushInstr {
-                engine,
-                instr,
-                flag,
-            } => {
-                if multi {
-                    let now = self.clock;
-                    self.instr_delivery[engine].push_back(PendingMmio::Instr {
-                        instr,
-                        flag,
-                        ready_at: now,
-                        acquired: false,
-                    });
-                } else {
-                    self.push_to_engine(engine, instr, flag);
-                }
-            }
-        }
-    }
-
-    /// Delivers queued MMIO events to each engine, strictly in order:
-    /// region acquisition may stall or delay a queue's head but never lets
-    /// a younger event overtake it. Runs before the engines' slots, so a
+    /// Applies each engine's landed MMIO messages strictly in order. On a
+    /// multi-instance machine an indirect instruction first acquires its
+    /// region, which may stall or delay the queue's head but never lets a
+    /// younger message overtake it. Runs before the engines' slots, so a
     /// delivery wakes its engine into this very cycle.
-    fn deliver_instructions(&mut self, now: Cycle) {
-        for e in 0..self.instr_delivery.len() {
-            while let Some(head) = self.instr_delivery[e].front_mut() {
-                if let PendingMmio::Instr {
-                    instr,
-                    ready_at,
-                    acquired,
-                    ..
-                } = head
-                {
-                    if now < *ready_at {
+    fn deliver_mmio(&mut self, now: Cycle) {
+        let multi = self.engines.len() > 1;
+        for e in 0..self.mmio_queues.len() {
+            while let Some(head) = self.mmio_queues[e].front() {
+                let region = match head {
+                    Mmio::Instr { instr, .. } if multi => region_base(instr),
+                    _ => None,
+                };
+                if let Some((base, write)) = region {
+                    let held = match self.acquired_at[e] {
+                        Some(t) => now >= t,
+                        None => match self.region.request(e, base, write) {
+                            RegionGrant::Immediate => true,
+                            RegionGrant::AfterAcquire => {
+                                self.acquired_at[e] = Some(now + self.cfg.region_acquire_latency);
+                                false
+                            }
+                            RegionGrant::Defer => false,
+                        },
+                    };
+                    if !held {
                         break;
                     }
-                    if !*acquired {
-                        match region_base(instr) {
-                            None => {}
-                            Some((base, write)) => match self.region.request(e, base, write) {
-                                RegionGrant::Immediate => {}
-                                RegionGrant::AfterAcquire => {
-                                    *acquired = true;
-                                    *ready_at = now + self.cfg.region_acquire_latency;
-                                    break;
-                                }
-                                RegionGrant::Defer => break,
-                            },
+                    self.acquired_at[e] = None;
+                }
+                let msg = self.mmio_queues[e].pop_front().expect("probed head");
+                self.wake_engine(e, now);
+                match msg {
+                    Mmio::Instr { instr, flag } => {
+                        let handle = self.engines[e]
+                            .push_instruction(instr, flag)
+                            .unwrap_or_else(|err| {
+                                panic!("illegal instruction reached DX100: {err}")
+                            });
+                        if let Some((base, _)) = region {
+                            self.region_pins.entry((e, handle)).or_insert(base);
                         }
                     }
-                }
-                let pending = self.instr_delivery[e].pop_front().unwrap();
-                self.wake_engine(e, now);
-                match pending {
-                    PendingMmio::Instr { instr, flag, .. } => {
-                        self.push_to_engine(e, instr, flag);
-                    }
-                    PendingMmio::Reg { reg, value } => self.engines[e].write_reg(reg, value),
-                    PendingMmio::Tile { tile, data } => self.engines[e].write_tile(tile, &data),
+                    Mmio::Reg { reg, value } => self.engines[e].write_reg(reg, value),
+                    Mmio::Tile { tile, data } => self.engines[e].write_tile(tile, &data),
                 }
             }
         }
-    }
-
-    fn push_to_engine(&mut self, engine: usize, instr: Instruction, flag: Option<FlagId>) -> u64 {
-        self.wake_engine(engine, self.clock);
-        let handle = self.engines[engine]
-            .push_instruction(instr, flag)
-            .unwrap_or_else(|e| panic!("illegal instruction reached DX100: {e}"));
-        if self.engines.len() > 1 {
-            if let Some((base, _)) = region_base(&instr) {
-                self.region_pins.entry((engine, handle)).or_insert(base);
-            }
-        }
-        handle
     }
 
     fn route_to_dram(&mut self, bound: &mut Vec<DramBound>) {
@@ -1085,8 +983,8 @@ impl System {
                         .cfg
                         .dx100
                         .as_ref()
-                        .map(|c| c.spd_read_latency)
-                        .unwrap_or(20);
+                        .expect("a scratchpad address implies a DX100 config")
+                        .spd_read_latency;
                     // Routing runs after the engines' slots.
                     self.wake_engine(e_idx, now + 1);
                     self.engines[e_idx].note_spd_cached(d.line);

@@ -1,7 +1,8 @@
 //! System-glue ordering and routing regressions:
 //!
-//! * Multi-instance MMIO delivery must keep register writes behind older
-//!   instructions — a younger `WriteReg` overtaking an instruction stalled
+//! * MMIO delivery must keep register writes behind older instructions on
+//!   every machine: each instance applies its cores' stores in the order
+//!   they land. A younger register write overtaking an instruction stalled
 //!   on region acquisition corrupts its scalar-operand snapshot (this
 //!   exact scenario lost BFS depth updates on the 8-core / 2-instance
 //!   Figure 14 machine).
@@ -34,64 +35,66 @@ fn image_with_arrays(n: u64) -> (MemoryImage, Vec<dx100::core::ArrayHandle>) {
 
 /// The register snapshot of a queued instruction must come from program
 /// order, not arrival-time races: a younger register write sent while
-/// older instructions stall on region acquisition must not be visible.
+/// older instructions are still queued must not be visible. One instance
+/// applies each store in the cycle it lands; on two, the gathers' region
+/// acquisitions stall the queue while the clobber lands behind them.
 #[test]
 fn queued_instruction_ignores_younger_reg_write() {
-    let (image, hs) = image_with_arrays(256);
-    let (a, b, c) = (hs[0], hs[1], hs[2]);
-    // Two instances put every engine-bound MMIO through the in-order
-    // delivery queue with region-coherence gating.
-    let cfg = SystemConfig::scaled(8, 2);
-    let mut sys = System::new(cfg, image);
+    let machines = [
+        ("one instance", SystemConfig::paper_dx100()),
+        ("two instances", SystemConfig::scaled(8, 2)),
+    ];
+    for (machine, cfg) in machines {
+        let (image, hs) = image_with_arrays(256);
+        let (a, b, c) = (hs[0], hs[1], hs[2]);
+        let mut sys = System::new(cfg, image);
 
-    let t_idx = TileId::new(0);
-    let t_dst = TileId::new(1);
-    let t_sld = TileId::new(2);
-    let (r0, r1, r2) = (RegId::new(0), RegId::new(1), RegId::new(2));
+        let t_idx = TileId::new(0);
+        let t_dst = TileId::new(1);
+        let t_sld = TileId::new(2);
+        let (r0, r1, r2) = (RegId::new(0), RegId::new(1), RegId::new(2));
 
-    // A small index tile, installed directly (functional setup).
-    sys.dx100(0).write_tile(t_idx, &[0, 1, 2, 3]);
+        // A small index tile, installed directly (functional setup).
+        sys.dx100(0).write_tile(t_idx, &[0, 1, 2, 3]);
 
-    let f = sys.alloc_flag();
-    sys.send_reg_write(0, r0, 5); // start = 5
-    sys.send_reg_write(0, r1, 1); // stride = 1
-    sys.send_reg_write(0, r2, 8); // count = 8
-                                  // Three gathers to distinct regions: each first touch stalls the
-                                  // delivery head for the region-acquisition latency, so the SLD below
-                                  // sits queued long after the clobbering register write lands.
-    sys.send_instruction(
-        0,
-        Instruction::ild(DType::U32, a.base(), t_dst, t_idx),
-        None,
-    );
-    sys.send_instruction(
-        0,
-        Instruction::ild(DType::U32, b.base(), t_dst, t_idx),
-        None,
-    );
-    sys.send_instruction(
-        0,
-        Instruction::ild(DType::U32, c.base(), t_dst, t_idx),
-        None,
-    );
-    sys.send_instruction(
-        0,
-        Instruction::sld(DType::U32, a.base(), t_sld, r0, r1, r2),
-        Some(f),
-    );
-    // The clobber: one MMIO beat, lands long before the SLD is delivered.
-    sys.send_reg_write(0, r0, 99);
-    sys.push_wait(0, f, false);
+        let f = sys.alloc_flag();
+        sys.send_reg_write(0, r0, 5); // start = 5
+        sys.send_reg_write(0, r1, 1); // stride = 1
+        sys.send_reg_write(0, r2, 8); // count = 8
 
-    sys.run_until(System::cores_idle);
-    sys.finish();
+        // Three gathers to distinct regions: on two instances each first
+        // touch stalls the delivery head for the region-acquisition
+        // latency, so the SLD below sits queued long after the clobbering
+        // register write lands.
+        for array in [a, b, c] {
+            sys.send_instruction(
+                0,
+                Instruction::ild(DType::U32, array.base(), t_dst, t_idx),
+                None,
+            );
+        }
+        sys.send_instruction(
+            0,
+            Instruction::sld(DType::U32, a.base(), t_sld, r0, r1, r2),
+            Some(f),
+        );
+        // The clobber: one MMIO beat, sent after the SLD.
+        sys.send_reg_write(0, r0, 99);
+        sys.push_wait(0, f, false);
 
-    // SLD must have streamed A[5..13] (start 5), not A[99..107].
-    let tile = sys.dx100_ref(0).tile(t_sld);
-    assert_eq!(tile.len(), Some(8));
-    let got: Vec<u64> = (0..8).map(|i| tile.valid()[i]).collect();
-    let want: Vec<u64> = (5..13).map(|i| 1000 + i * 10).collect();
-    assert_eq!(got, want, "SLD snapshotted the younger register value");
+        sys.run_until(System::cores_idle);
+        sys.finish();
+
+        // SLD must have streamed A[5..13] (start 5), not A[99..107].
+        let tile = sys.dx100_ref(0).tile(t_sld);
+        assert_eq!(tile.len(), Some(8), "{machine}");
+        let got: Vec<u64> = (0..8).map(|i| tile.valid()[i]).collect();
+        let want: Vec<u64> = (5..13).map(|i| 1000 + i * 10).collect();
+        assert_eq!(
+            got, want,
+            "{machine}: SLD snapshotted the younger register value"
+        );
+    }
 }
 
 /// H-bit routing: marked pages send the engine to the LLC; unmarked pages

@@ -5,7 +5,7 @@
 use std::collections::VecDeque;
 
 use dx100_common::flags::FlagId;
-use dx100_common::hash::{HashMap, HashSet};
+use dx100_common::hash::HashSet;
 use dx100_common::{Addr, Cycle, LineAddr, ReqId, SpanTracker, TraceHandle};
 use dx100_dram::{AddrMap, DramConfig, Organization};
 
@@ -43,11 +43,72 @@ pub enum UnitTag {
     IndirectWrite,
 }
 
+/// Values keyed by request id, for ids handed out in increasing order: a
+/// window over ids `base..base + slots.len()`, so insertion and removal
+/// index a ring instead of probing a hash map. Ids in the window that hold
+/// no value (another unit's, or completed ones behind a live one) are
+/// `None`; the window drops them from its front as the oldest live id
+/// completes, and its ring only grows. Its length is the id span of the
+/// live requests, not their count, so it suits small values.
+#[derive(Clone, Debug)]
+pub(crate) struct IdWindow<T> {
+    base: ReqId,
+    slots: VecDeque<Option<T>>,
+    live: usize,
+}
+
+impl<T> Default for IdWindow<T> {
+    fn default() -> Self {
+        IdWindow {
+            base: 0,
+            slots: VecDeque::new(),
+            live: 0,
+        }
+    }
+}
+
+impl<T> IdWindow<T> {
+    /// Inserts `v` under `id`, which must be newer than every id inserted
+    /// since the window last emptied.
+    pub(crate) fn insert(&mut self, id: ReqId, v: T) {
+        if self.slots.is_empty() {
+            self.base = id;
+        }
+        let idx = (id - self.base) as usize;
+        assert!(idx >= self.slots.len(), "request ids must increase");
+        self.slots.resize_with(idx, || None);
+        self.slots.push_back(Some(v));
+        self.live += 1;
+    }
+
+    /// Removes and returns the value under `id`, if any.
+    pub(crate) fn remove(&mut self, id: ReqId) -> Option<T> {
+        let idx = id.checked_sub(self.base)? as usize;
+        let v = self.slots.get_mut(idx)?.take()?;
+        self.live -= 1;
+        while self.slots.front().is_some_and(Option::is_none) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(v)
+    }
+
+    /// Ids holding a value.
+    pub(crate) fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Whether no id holds a value.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+}
+
 /// Request-id allocator + response router shared by the units.
 #[derive(Clone, Debug, Default)]
 pub struct IdAlloc {
     next: ReqId,
-    routes: HashMap<ReqId, UnitTag>,
+    routes: IdWindow<UnitTag>,
 }
 
 impl IdAlloc {
@@ -61,12 +122,12 @@ impl IdAlloc {
 
     /// Cancels an id whose request was refused (buffer full).
     pub fn cancel(&mut self, id: ReqId) {
-        self.routes.remove(&id);
+        self.routes.remove(id);
     }
 
     /// Resolves and removes the route for a completed id.
     pub fn take_route(&mut self, id: ReqId) -> Option<UnitTag> {
-        self.routes.remove(&id)
+        self.routes.remove(id)
     }
 
     /// Outstanding routed requests.
@@ -90,6 +151,8 @@ pub struct Dx100Engine {
     ids: IdAlloc,
     resp_inbox: VecDeque<ReqId>,
     retired: Vec<(u64, Option<FlagId>)>,
+    /// Handles retiring within one tick (a buffer reused across ticks).
+    retiring: Vec<u64>,
     /// Scratchpad lines the cores have cached (coherency agent V bits).
     spd_cached: HashSet<LineAddr>,
     stats: Dx100Stats,
@@ -132,6 +195,7 @@ impl Dx100Engine {
             ids: IdAlloc::default(),
             resp_inbox: VecDeque::new(),
             retired: Vec::new(),
+            retiring: Vec::new(),
             spd_cached: HashSet::default(),
             stats: Dx100Stats::default(),
             next_handle: 0,
@@ -277,8 +341,8 @@ impl Dx100Engine {
     }
 
     /// Instructions that retired since the last drain: `(handle, flag)`.
-    pub fn drain_retired(&mut self) -> Vec<(u64, Option<FlagId>)> {
-        std::mem::take(&mut self.retired)
+    pub fn drain_retired(&mut self) -> std::vec::Drain<'_, (u64, Option<FlagId>)> {
+        self.retired.drain(..)
     }
 
     /// Whether every queue and unit is empty.
@@ -433,14 +497,14 @@ impl Dx100Engine {
         if self.profile.is_some() {
             self.classify_tick(now);
         }
-        let mut retired: Vec<u64> = Vec::new();
+        let mut retiring = std::mem::take(&mut self.retiring);
 
         // 1. Route completed memory requests.
         while let Some(id) = self.resp_inbox.pop_front() {
             match self.ids.take_route(id) {
                 Some(UnitTag::Stream) => {
                     if let Some(h) = self.stream.on_response(id, &mut self.spd, mem) {
-                        retired.push(h);
+                        retiring.push(h);
                     }
                 }
                 Some(UnitTag::IndirectRead) | Some(UnitTag::IndirectWrite) => {
@@ -482,19 +546,17 @@ impl Dx100Engine {
             &mut self.ids,
             &mut self.stats,
         ) {
-            retired.push(h);
+            retiring.push(h);
         }
         self.indirect
             .fill_step(now, &mut self.spd, ports, &mut self.tlb, &mut self.stats);
         self.indirect
             .request_step(now, ports, &mut self.ids, &mut self.stats, 4);
-        retired.extend(
-            self.indirect
-                .response_step(&mut self.spd, mem, &mut self.stats),
-        );
-        retired.extend(self.indirect.poll_retired());
+        self.indirect
+            .response_step(&mut self.spd, mem, &mut retiring);
+        self.indirect.poll_retired(&mut retiring);
         match self.alu.step(&mut self.spd) {
-            Ok(Some(h)) => retired.push(h),
+            Ok(Some(h)) => retiring.push(h),
             Ok(None) => {}
             Err(e) => {
                 self.halted = Some(e);
@@ -502,7 +564,7 @@ impl Dx100Engine {
             }
         }
         match self.range.step(&mut self.spd) {
-            Ok(Some(h)) => retired.push(h),
+            Ok(Some(h)) => retiring.push(h),
             Ok(None) => {}
             Err(e) => {
                 self.halted = Some(e);
@@ -511,8 +573,8 @@ impl Dx100Engine {
         }
 
         // 4. Retire.
-        worked |= !retired.is_empty();
-        for h in retired {
+        worked |= !retiring.is_empty();
+        for h in retiring.drain(..) {
             let (dests, flag) = self.controller.retire(h);
             for d in dests {
                 self.spd.set_ready(d);
@@ -520,6 +582,7 @@ impl Dx100Engine {
             self.retired.push((h, flag));
             self.stats.instructions_retired += 1;
         }
+        self.retiring = retiring;
 
         // 5. Tile-phase activity: fill/issue from counter deltas, drain
         //    from outstanding indirect responses. Feeds both the trace
@@ -643,6 +706,26 @@ mod tests {
             }
         }
         panic!("engine did not drain in {max_cycles} cycles");
+    }
+
+    #[test]
+    fn id_window_indexes_by_id_and_drops_completed_ids() {
+        let mut w = IdWindow::default();
+        w.insert(10, 'a');
+        w.insert(13, 'b'); // 11 and 12 belong to another unit
+        w.insert(14, 'c');
+        assert_eq!((w.len(), w.remove(12)), (3, None));
+        assert_eq!(w.remove(13), Some('b'));
+        assert_eq!(w.remove(13), None, "removed once");
+        assert_eq!(w.remove(10), Some('a'));
+        // The front is now the oldest live id; older ids are out of range.
+        assert_eq!((w.base, w.slots.len()), (14, 1));
+        assert_eq!(w.remove(9), None);
+        assert_eq!(w.remove(14), Some('c'));
+        assert!(w.is_empty() && w.slots.is_empty());
+        // An empty window restarts at the next id, however far ahead.
+        w.insert(1_000, 'd');
+        assert_eq!((w.base, w.slots.len()), (1_000, 1));
     }
 
     /// End-to-end gather: SLD indices, ILD values; compare with functional.

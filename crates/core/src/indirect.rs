@@ -6,10 +6,13 @@
 //!   bank). A slice holds up to 64 row entries; each row entry holds up to 8
 //!   column (cache-line) entries. Filling a tile populates the table; the
 //!   request generator then drains each row's columns consecutively, so the
-//!   DRAM controller sees long runs of same-row accesses.
+//!   DRAM controller sees long runs of same-row accesses. As in hardware,
+//!   lookups are associative: a row index finds a slice's entries for a
+//!   row, and a line index finds the column a word coalesces into.
 //! * **Word Table** — per column entry, the list of tile elements (words)
-//!   that live in that line, in insertion (= iteration) order. One line
-//!   request serves all of them: coalescing.
+//!   that live in that line, in insertion (= iteration) order, linked
+//!   through one arena of entries. One line request serves all of them:
+//!   coalescing.
 //! * **Request generator** — walks slices in channel-fastest order so
 //!   consecutive requests alternate DRAM channels and bank groups.
 //!
@@ -27,7 +30,7 @@ use dx100_dram::{AddrMap, Organization};
 
 use crate::config::Dx100Config;
 use crate::controller::DispatchedInstr;
-use crate::engine::{IdAlloc, UnitTag};
+use crate::engine::{IdAlloc, IdWindow, UnitTag};
 use crate::isa::{Instruction, TileId};
 use crate::memimg::MemoryImage;
 use crate::ports::MemPorts;
@@ -43,55 +46,136 @@ enum IndKind {
     Rmw { op: AluOp, ts2: TileId },
 }
 
-/// One word in the Word Table: tile iteration number and its byte address.
+/// Index into one of the unit's arenas (columns, row entries, words).
+type Idx = u32;
+
+/// The end of a list, or no entry.
+const NIL: Idx = Idx::MAX;
+
+/// One Word Table entry: a tile iteration number and its byte address,
+/// linked to the next word of the same column.
 #[derive(Debug, Clone, Copy)]
 struct Word {
-    i: usize,
+    i: u32,
     addr: Addr,
+    next: Idx,
 }
 
 /// A column entry: one cache line plus its linked word list.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct ColEntry {
-    /// Unique id, assigned in creation order.
-    id: u64,
     job: u64,
     line: LineAddr,
     /// H bit: line was valid in the cache hierarchy at fill time.
     h: bool,
     sent: bool,
     sendable: bool,
-    words: Vec<Word>,
+    /// The slice and the row-entry slot that hold this column.
+    slice: Idx,
+    entry: Idx,
+    /// First and last word of its Word Table list, and the list's length.
+    first: Idx,
+    last: Idx,
+    words: u32,
 }
 
-/// A row entry: one DRAM row within a slice.
-#[derive(Clone, Debug)]
+impl ColEntry {
+    /// A request-stage candidate: sendable and not yet sent.
+    fn ready(&self) -> bool {
+        self.sendable && !self.sent
+    }
+}
+
+/// A row entry: one DRAM row within a slice. Its columns, in insertion
+/// order, are the first `len` of its `cols_per_row_entry` slots in
+/// [`Slice::col_slots`].
+#[derive(Clone, Copy, Debug)]
 struct RowEntry {
     row: u64,
-    cols: Vec<ColEntry>,
+    len: usize,
+    /// How many of its columns are [`ColEntry::ready`].
+    ready: usize,
+    /// The next entry of the same row in this slice, in allocation order.
+    next_same_row: Idx,
 }
 
-/// One Row Table slice (one DRAM bank).
-#[derive(Clone, Debug, Default)]
+/// One Row Table slice (one DRAM bank), allocated at its full
+/// `rows_per_slice` × `cols_per_row_entry` capacity.
+#[derive(Clone, Debug)]
 struct Slice {
-    rows: Vec<RowEntry>,
+    /// Row-entry slots; a freed slot is reused through `free`.
+    entries: Vec<RowEntry>,
+    free: Vec<Idx>,
+    /// Column slots, `width` per row-entry slot.
+    col_slots: Vec<Idx>,
+    width: usize,
+    /// The live slots in allocation order: the order rows are picked in.
+    order: Vec<Idx>,
     /// The row currently being drained, so its columns issue consecutively.
     active_row: Option<u64>,
-    /// Columns that are sendable and not yet sent: the request stage's
-    /// candidates. Updated with every `sendable`/`sent` change, so the
-    /// request stage skips a slice with none without walking its rows.
+    /// Ready columns in the slice: the request stage skips a slice with
+    /// none without looking at its rows.
     ready: usize,
+    /// Columns in the slice.
+    cols: usize,
+    /// The job that last created a column here, and how many of the
+    /// slice's columns it owns: the capacity-pressure test is whether the
+    /// filling job owns all of them.
+    filler: u64,
+    filler_cols: usize,
 }
 
 impl Slice {
-    /// Recounts [`Slice::ready`] from the rows (debug checks only).
-    fn count_ready(&self) -> usize {
-        self.rows
-            .iter()
-            .flat_map(|r| r.cols.iter())
-            .filter(|c| c.sendable && !c.sent)
-            .count()
+    fn new(rows: usize, cols_per_row: usize) -> Self {
+        Slice {
+            entries: Vec::with_capacity(rows),
+            free: Vec::with_capacity(rows),
+            col_slots: vec![NIL; rows * cols_per_row],
+            width: cols_per_row,
+            order: Vec::with_capacity(rows),
+            active_row: None,
+            ready: 0,
+            cols: 0,
+            filler: 0,
+            filler_cols: 0,
+        }
     }
+
+    /// The columns of row-entry slot `e`, in insertion order.
+    fn cols_of(&self, e: Idx) -> &[Idx] {
+        let start = e as usize * self.width;
+        &self.col_slots[start..start + self.entries[e as usize].len]
+    }
+
+    /// Recounts [`Slice::ready`] from the columns (debug checks only).
+    fn count_ready(&self, cols: &[ColEntry]) -> usize {
+        self.order
+            .iter()
+            .map(|&e| {
+                let ready = self
+                    .cols_of(e)
+                    .iter()
+                    .filter(|&&c| cols[c as usize].ready())
+                    .count();
+                debug_assert_eq!(ready, self.entries[e as usize].ready, "row entry drifted");
+                ready
+            })
+            .sum()
+    }
+}
+
+/// A line with columns in the Row Table.
+#[derive(Clone, Copy, Debug)]
+struct LineEntry {
+    /// The job whose columns hold the line: a second job touching it stalls
+    /// until they complete, preserving cross-instruction program order on
+    /// same-address accesses.
+    owner: u64,
+    /// Columns for the line.
+    cols: u32,
+    /// Its newest column, the only one that can still be unsent and so
+    /// take coalesced words (`NIL` once that column completes).
+    newest: Idx,
 }
 
 #[derive(Clone, Debug)]
@@ -135,28 +219,33 @@ pub struct IndirectUnit {
     /// Slice visit order for interleaving (channel fastest, then bank group).
     slice_order: Vec<usize>,
     rr: usize,
-    /// Insertion-order issue queue used when reordering is disabled:
-    /// (slice, line) pairs identifying columns.
-    fifo: VecDeque<(usize, LineAddr, u64)>,
-    next_col_id: u64,
-    /// Read requests in flight: id → (slice index, column id).
-    outstanding: HashMap<ReqId, (usize, u64)>,
+    /// The row-entry CAM: `(row, slice)` as [`IndirectUnit::row_key`] → the
+    /// slice's first entry for that row; later ones follow
+    /// [`RowEntry::next_same_row`].
+    row_heads: HashMap<u64, Idx>,
+    /// Lines with columns in the Row Table.
+    lines: HashMap<LineAddr, LineEntry>,
+    /// Column arena and its free slots.
+    cols: Vec<ColEntry>,
+    free_cols: Vec<Idx>,
+    /// Word Table arena, and the head of its free list (linked through
+    /// [`Word::next`]). Both arenas only grow, so the Row Table's
+    /// `rows_per_slice` × `cols_per_row_entry` stays the only modeled limit.
+    words: Vec<Word>,
+    free_words: Idx,
+    /// Columns of the filling job not yet sendable, in creation order.
+    unsendable: Vec<Idx>,
+    /// Insertion-order issue queue used when reordering is disabled.
+    fifo: VecDeque<Idx>,
+    /// Read requests in flight: id → column.
+    outstanding: IdWindow<Idx>,
     /// Write requests in flight: id → job handle.
-    outstanding_writes: HashMap<ReqId, u64>,
+    outstanding_writes: IdWindow<u64>,
     /// Write-backs waiting for request-buffer space: (line, h, job).
     pending_writes: VecDeque<(LineAddr, bool, u64)>,
     /// Line responses waiting for the Word Modifier.
     resp_queue: VecDeque<ReqId>,
     fill_stall_until: Cycle,
-    /// Lines with open (unprocessed) column entries, and the owning job:
-    /// a second job touching the same line stalls until the first job's
-    /// column completes, preserving cross-instruction program order on
-    /// same-address accesses.
-    line_owners: HashMap<LineAddr, (u64, usize)>,
-    /// Running count of column entries across all slices, so the per-cycle
-    /// queue-depth probes ([`IndirectUnit::buffered_columns`]) are O(1)
-    /// instead of walking the whole Row Table.
-    buffered_cols: usize,
 }
 
 impl IndirectUnit {
@@ -178,22 +267,28 @@ impl IndirectUnit {
             }
         }
         IndirectUnit {
+            slices: (0..num_slices)
+                .map(|_| Slice::new(cfg.rows_per_slice, cfg.cols_per_row_entry))
+                .collect(),
             cfg,
             org,
             map,
             jobs: VecDeque::new(),
-            slices: (0..num_slices).map(|_| Slice::default()).collect(),
             slice_order,
             rr: 0,
+            row_heads: HashMap::default(),
+            lines: HashMap::default(),
+            cols: Vec::new(),
+            free_cols: Vec::new(),
+            words: Vec::new(),
+            free_words: NIL,
+            unsendable: Vec::new(),
             fifo: VecDeque::new(),
-            next_col_id: 0,
-            outstanding: HashMap::default(),
-            outstanding_writes: HashMap::default(),
+            outstanding: IdWindow::default(),
+            outstanding_writes: IdWindow::default(),
             pending_writes: VecDeque::new(),
             resp_queue: VecDeque::new(),
             fill_stall_until: 0,
-            line_owners: HashMap::default(),
-            buffered_cols: 0,
         }
     }
 
@@ -324,14 +419,12 @@ impl IndirectUnit {
             return true; // in-flight cap: pure structural stall
         }
         if !self.cfg.reorder {
-            // Insertion order: quiescent only while the head column exists
-            // and is not yet sendable (a sent or stale head would be popped).
-            return match self.fifo.front() {
-                None => true,
-                Some(&(slice_idx, _, col_id)) => self
-                    .col_by_id(slice_idx, col_id)
-                    .is_some_and(|c| !c.sent && !c.sendable),
-            };
+            // Insertion order: quiescent while the queue is empty or its head
+            // is not yet sendable (a sendable head would be issued).
+            return self
+                .fifo
+                .front()
+                .is_none_or(|&c| !self.cols[c as usize].sendable);
         }
         // Reorder mode: `pick_in_slice` clears a stale active row (a
         // mutation), so quiescence needs every slice settled with nothing
@@ -345,7 +438,9 @@ impl IndirectUnit {
     /// Checks every slice's [`Slice::ready`] against a recount.
     fn debug_check_ready_counts(&self) {
         debug_assert!(
-            self.slices.iter().all(|s| s.ready == s.count_ready()),
+            self.slices
+                .iter()
+                .all(|s| s.ready == s.count_ready(&self.cols)),
             "sendable-column count drifted from the Row Table"
         );
     }
@@ -360,43 +455,33 @@ impl IndirectUnit {
     /// DX100 queue-depth signal epoch samplers report). O(1): probed every
     /// cycle by the profiler.
     pub fn buffered_columns(&self) -> usize {
+        let live = self.cols.len() - self.free_cols.len();
         debug_assert_eq!(
-            self.buffered_cols,
-            self.slices
-                .iter()
-                .map(|s| s.rows.iter().map(|r| r.cols.len()).sum::<usize>())
-                .sum::<usize>(),
+            live,
+            self.slices.iter().map(|s| s.cols).sum::<usize>(),
             "buffered-column count drifted from the Row Table"
         );
-        self.buffered_cols
+        live
+    }
+
+    /// The live columns, slice by slice in row-entry order.
+    fn live_cols(&self) -> impl Iterator<Item = &ColEntry> {
+        self.slices.iter().flat_map(move |s| {
+            s.order
+                .iter()
+                .flat_map(move |&e| s.cols_of(e).iter().map(move |&c| &self.cols[c as usize]))
+        })
     }
 
     /// Diagnostic summary of internal occupancy.
     pub fn debug_state(&self) -> String {
-        let cols: usize = self
-            .slices
-            .iter()
-            .map(|s| s.rows.iter().map(|r| r.cols.len()).sum::<usize>())
-            .sum();
-        let unsent: usize = self
-            .slices
-            .iter()
-            .flat_map(|s| s.rows.iter())
-            .flat_map(|r| r.cols.iter())
-            .filter(|c| !c.sent)
-            .count();
-        let sendable: usize = self
-            .slices
-            .iter()
-            .flat_map(|s| s.rows.iter())
-            .flat_map(|r| r.cols.iter())
-            .filter(|c| c.sendable && !c.sent)
-            .count();
+        let unsent = self.live_cols().filter(|c| !c.sent).count();
+        let sendable = self.live_cols().filter(|c| c.ready()).count();
         format!(
             "jobs={} cols={} unsent={} sendable={} fifo={} outstanding={} owrites={} pwrites={} resps={} owners={}",
-            self.jobs.len(), cols, unsent, sendable, self.fifo.len(),
+            self.jobs.len(), self.buffered_columns(), unsent, sendable, self.fifo.len(),
             self.outstanding.len(), self.outstanding_writes.len(),
-            self.pending_writes.len(), self.resp_queue.len(), self.line_owners.len()
+            self.pending_writes.len(), self.resp_queue.len(), self.lines.len()
         )
     }
 
@@ -477,16 +562,7 @@ impl IndirectUnit {
             let coord = self.map.decode(line, &self.org);
             let slice_idx =
                 coord.channel * self.org.banks_per_channel() + coord.bank_index(&self.org);
-            let handle = self.jobs[job_idx].d.handle;
-            if !self.insert_word(
-                slice_idx,
-                coord.row,
-                line,
-                Word { i, addr },
-                handle,
-                ports,
-                stats,
-            ) {
+            if !self.insert_word(slice_idx, coord.row, line, (i, addr), job_idx, ports, stats) {
                 // Slice at capacity (or the line is pinned by an earlier
                 // instruction). If any *other* job's columns still occupy
                 // the slice, they are already sendable and draining — just
@@ -494,12 +570,14 @@ impl IndirectUnit {
                 // reordered issue. Only when the slice is full of the
                 // current tile's own columns do we start draining it early
                 // (the paper's capacity-pressure rule).
-                let own_pressure = self.slices[slice_idx]
-                    .rows
-                    .iter()
-                    .flat_map(|r| r.cols.iter())
-                    .all(|c| c.job == handle);
-                if own_pressure {
+                let handle = self.jobs[job_idx].d.handle;
+                let slice = &self.slices[slice_idx];
+                let own = if slice.filler == handle {
+                    slice.filler_cols
+                } else {
+                    0
+                };
+                if slice.cols == own {
                     // "...or the Row Table reaches capacity": the capacity
                     // trigger drains the *whole table*, so the request
                     // generator sees an even, fully interleavable supply
@@ -513,42 +591,34 @@ impl IndirectUnit {
         }
     }
 
-    /// Inserts one word; returns false when the slice is full or the line
-    /// is pinned by an earlier instruction's outstanding column.
+    /// Inserts one word of job `jobs[job_idx]`; returns false when the
+    /// slice is full or the line is pinned by an earlier instruction's
+    /// outstanding column.
     #[allow(clippy::too_many_arguments)]
     fn insert_word(
         &mut self,
         slice_idx: usize,
         row: u64,
         line: LineAddr,
-        word: Word,
-        job: u64,
+        (i, addr): (usize, Addr),
+        job_idx: usize,
         ports: &mut dyn MemPorts,
         stats: &mut Dx100Stats,
     ) -> bool {
+        let job = self.jobs[job_idx].d.handle;
         // Cross-instruction same-line ordering: wait for the earlier job's
-        // column to complete before touching the line.
-        if let Some(&(owner, _)) = self.line_owners.get(&line) {
-            if owner != job {
-                return false;
-            }
-        }
-        let cols_cap = self.cfg.cols_per_row_entry;
-        let rows_cap = self.cfg.rows_per_slice;
-        let slice = &mut self.slices[slice_idx];
-        if self.cfg.coalesce {
-            // Find a valid, unsent column for the same line and job.
-            for r in slice.rows.iter_mut().filter(|r| r.row == row) {
-                if let Some(col) = r
-                    .cols
-                    .iter_mut()
-                    .find(|c| !c.sent && c.line == line && c.job == job)
-                {
-                    col.words.push(word);
-                    stats.words_coalesced += 1;
-                    return true;
-                }
-            }
+        // columns to complete before touching the line.
+        let newest = match self.lines.get(&line) {
+            Some(l) if l.owner != job => return false,
+            Some(l) => l.newest,
+            None => NIL,
+        };
+        // Coalesce into the line's unsent column (the job's, as it owns the
+        // line).
+        if self.cfg.coalesce && newest != NIL && !self.cols[newest as usize].sent {
+            self.push_word(newest, i, addr);
+            stats.words_coalesced += 1;
+            return true;
         }
         // Need a new column entry: find a row entry with space.
         let h = if self.cfg.direct_dram {
@@ -562,61 +632,186 @@ impl IndirectUnit {
         } else {
             true // LLC-injection mode: everything goes through the cache
         };
-        let col_id = self.next_col_id;
-        self.next_col_id += 1;
+        let entry = match self.entry_with_space(slice_idx, row) {
+            Some(e) => e,
+            None if self.slices[slice_idx].order.len() >= self.cfg.rows_per_slice => {
+                return false;
+            }
+            None => self.new_entry(slice_idx, row),
+        };
+        let sendable = !self.cfg.reorder;
         let col = ColEntry {
-            id: col_id,
             job,
             line,
             h,
             sent: false,
-            sendable: !self.cfg.reorder,
-            words: vec![word],
+            sendable,
+            slice: slice_idx as Idx,
+            entry,
+            first: NIL,
+            last: NIL,
+            words: 0,
         };
-        let sendable = col.sendable;
-        if let Some(r) = slice
-            .rows
-            .iter_mut()
-            .find(|r| r.row == row && r.cols.len() < cols_cap)
-        {
-            r.cols.push(col);
-        } else {
-            if slice.rows.len() >= rows_cap {
-                self.next_col_id -= 1; // roll back the unused id
-                return false;
+        let col = match self.free_cols.pop() {
+            Some(c) => {
+                self.cols[c as usize] = col;
+                c
             }
-            slice.rows.push(RowEntry {
-                row,
-                cols: vec![col],
-            });
-        }
+            None => {
+                self.cols.push(col);
+                (self.cols.len() - 1) as Idx
+            }
+        };
+        self.push_word(col, i, addr);
+        let slice = &mut self.slices[slice_idx];
+        let e = &mut slice.entries[entry as usize];
+        slice.col_slots[entry as usize * slice.width + e.len] = col;
+        e.len += 1;
+        e.ready += sendable as usize;
         slice.ready += sendable as usize;
-        self.buffered_cols += 1;
-        if !self.cfg.reorder {
-            self.fifo.push_back((slice_idx, line, col_id));
+        slice.cols += 1;
+        if slice.filler != job {
+            slice.filler = job;
+            slice.filler_cols = 0;
         }
-        let owner = self.line_owners.entry(line).or_insert((job, 0));
-        owner.1 += 1;
-        let job_entry = self
-            .jobs
-            .iter_mut()
-            .find(|j| j.d.handle == job)
-            .expect("job for inserted word");
-        job_entry.open_cols += 1;
+        slice.filler_cols += 1;
+        if sendable {
+            self.fifo.push_back(col); // insertion order: reordering is off
+        } else {
+            self.unsendable.push(col);
+        }
+        let l = self.lines.entry(line).or_insert(LineEntry {
+            owner: job,
+            cols: 0,
+            newest: NIL,
+        });
+        l.cols += 1;
+        l.newest = col;
+        self.jobs[job_idx].open_cols += 1;
         true
     }
 
-    /// Marks every column of `job` sendable (tile fill complete).
-    fn mark_job_sendable(&mut self, job: u64) {
-        for slice in &mut self.slices {
-            for row in &mut slice.rows {
-                for col in &mut row.cols {
-                    if col.job == job {
-                        slice.ready += (!col.sendable && !col.sent) as usize;
-                        col.sendable = true;
-                    }
-                }
+    /// Appends a word to column `col`'s Word Table list.
+    fn push_word(&mut self, col: Idx, i: usize, addr: Addr) {
+        let word = Word {
+            i: i as u32,
+            addr,
+            next: NIL,
+        };
+        let w = if self.free_words == NIL {
+            self.words.push(word);
+            (self.words.len() - 1) as Idx
+        } else {
+            let w = self.free_words;
+            self.free_words = self.words[w as usize].next;
+            self.words[w as usize] = word;
+            w
+        };
+        let c = &mut self.cols[col as usize];
+        if c.last == NIL {
+            c.first = w;
+        } else {
+            self.words[c.last as usize].next = w;
+        }
+        c.last = w;
+        c.words += 1;
+    }
+
+    /// The CAM key of `row` in slice `slice_idx`.
+    fn row_key(&self, slice_idx: usize, row: u64) -> u64 {
+        row * self.slices.len() as u64 + slice_idx as u64
+    }
+
+    /// The first entry for `row`, in allocation order, that has room for
+    /// another column.
+    fn entry_with_space(&self, slice_idx: usize, row: u64) -> Option<Idx> {
+        let slice = &self.slices[slice_idx];
+        let mut e = *self.row_heads.get(&self.row_key(slice_idx, row))?;
+        while e != NIL {
+            let entry = &slice.entries[e as usize];
+            if entry.len < slice.width {
+                return Some(e);
             }
+            e = entry.next_same_row;
+        }
+        None
+    }
+
+    /// Allocates a row entry for `row` at the end of the slice's order.
+    fn new_entry(&mut self, slice_idx: usize, row: u64) -> Idx {
+        let key = self.row_key(slice_idx, row);
+        let slice = &mut self.slices[slice_idx];
+        let entry = RowEntry {
+            row,
+            len: 0,
+            ready: 0,
+            next_same_row: NIL,
+        };
+        let e = match slice.free.pop() {
+            Some(e) => {
+                slice.entries[e as usize] = entry;
+                e
+            }
+            None => {
+                slice.entries.push(entry);
+                (slice.entries.len() - 1) as Idx
+            }
+        };
+        slice.order.push(e);
+        match self.row_heads.entry(key) {
+            std::collections::hash_map::Entry::Vacant(v) => {
+                v.insert(e);
+            }
+            std::collections::hash_map::Entry::Occupied(o) => {
+                let mut last = *o.get();
+                while slice.entries[last as usize].next_same_row != NIL {
+                    last = slice.entries[last as usize].next_same_row;
+                }
+                slice.entries[last as usize].next_same_row = e;
+            }
+        }
+        e
+    }
+
+    /// Frees an emptied row entry, keeping the order of the others.
+    fn free_entry(&mut self, slice_idx: usize, e: Idx) {
+        let key = self.row_key(slice_idx, self.slices[slice_idx].entries[e as usize].row);
+        let slice = &mut self.slices[slice_idx];
+        let pos = slice
+            .order
+            .iter()
+            .position(|&x| x == e)
+            .expect("live row entry");
+        slice.order.remove(pos);
+        slice.free.push(e);
+        let next = slice.entries[e as usize].next_same_row;
+        let head = self.row_heads.get_mut(&key).expect("indexed row");
+        if *head == e {
+            if next == NIL {
+                self.row_heads.remove(&key);
+            } else {
+                *head = next;
+            }
+            return;
+        }
+        let mut prev = *head;
+        while slice.entries[prev as usize].next_same_row != e {
+            prev = slice.entries[prev as usize].next_same_row;
+        }
+        slice.entries[prev as usize].next_same_row = next;
+    }
+
+    /// Marks every column of `job` sendable (tile fill complete). Only the
+    /// filling job has unsendable columns: an earlier job's were all marked
+    /// when it finished filling.
+    fn mark_job_sendable(&mut self, job: u64) {
+        for c in self.unsendable.drain(..) {
+            let col = &mut self.cols[c as usize];
+            debug_assert!(col.job == job && !col.sendable && !col.sent);
+            col.sendable = true;
+            let slice = &mut self.slices[col.slice as usize];
+            slice.ready += 1;
+            slice.entries[col.entry as usize].ready += 1;
         }
     }
 
@@ -657,13 +852,11 @@ impl IndirectUnit {
             return;
         }
         while budget > 0 {
-            let Some((slice_idx, col_id)) = self.pick_column() else {
+            let Some(c) = self.pick_column() else {
                 break;
             };
-            let (line, h) = {
-                let col = self.col_by_id(slice_idx, col_id).expect("picked column");
-                (col.line, col.h)
-            };
+            let col = &self.cols[c as usize];
+            let (line, h) = (col.line, col.h);
             let id = ids.alloc(UnitTag::IndirectRead);
             let accepted = if h {
                 ports.llc_request(id, line, false, now);
@@ -677,7 +870,7 @@ impl IndirectUnit {
                 if !self.cfg.reorder {
                     // Insertion-order mode popped the candidate; put it
                     // back and retry next cycle (order must hold).
-                    self.fifo.push_front((slice_idx, line, col_id));
+                    self.fifo.push_front(c);
                     return;
                 }
                 // Rewind the rotation so this column retries next cycle in
@@ -685,12 +878,13 @@ impl IndirectUnit {
                 self.rr = (self.rr + self.slice_order.len() - 1) % self.slice_order.len();
                 return;
             }
-            self.col_by_id_mut(slice_idx, col_id)
-                .expect("picked column")
-                .sent = true;
-            // Picked columns are sendable and unsent.
-            self.slices[slice_idx].ready -= 1;
-            self.outstanding.insert(id, (slice_idx, col_id));
+            // Picked columns are ready: sendable and unsent.
+            let col = &mut self.cols[c as usize];
+            col.sent = true;
+            let slice = &mut self.slices[col.slice as usize];
+            slice.ready -= 1;
+            slice.entries[col.entry as usize].ready -= 1;
+            self.outstanding.insert(id, c);
             stats.indirect_line_reads += 1;
             budget -= 1;
             if self.outstanding.len() >= self.cfg.indirect_max_inflight {
@@ -700,35 +894,25 @@ impl IndirectUnit {
     }
 
     /// Chooses the next column to issue, honoring the reorder/interleave
-    /// configuration. Returns (slice index, column id).
-    fn pick_column(&mut self) -> Option<(usize, u64)> {
+    /// configuration.
+    fn pick_column(&mut self) -> Option<Idx> {
         if !self.cfg.reorder {
-            // Strict insertion order.
-            while let Some(&(slice_idx, line, col_id)) = self.fifo.front() {
-                let _ = line;
-                if self
-                    .col_by_id(slice_idx, col_id)
-                    .is_some_and(|c| !c.sent && c.sendable)
-                {
-                    self.fifo.pop_front();
-                    return Some((slice_idx, col_id));
-                }
-                if self.col_by_id(slice_idx, col_id).is_none()
-                    || self.col_by_id(slice_idx, col_id).is_some_and(|c| c.sent)
-                {
-                    self.fifo.pop_front();
-                    continue;
-                }
+            // Strict insertion order. The queue holds only unsent columns:
+            // one leaves it when picked and returns to its head if refused.
+            let &c = self.fifo.front()?;
+            debug_assert!(!self.cols[c as usize].sent);
+            if !self.cols[c as usize].sendable {
                 return None; // head not sendable yet
             }
-            return None;
+            self.fifo.pop_front();
+            return Some(c);
         }
         self.debug_check_ready_counts();
         let num = self.slice_order.len();
         for step in 0..num {
             let pos = (self.rr + step) % num;
             let slice_idx = self.slice_order[pos];
-            if let Some(col_id) = self.pick_in_slice(slice_idx) {
+            if let Some(c) = self.pick_in_slice(slice_idx) {
                 if self.cfg.interleave {
                     // Advance past this slice so the next request goes to a
                     // different channel / bank group.
@@ -737,68 +921,72 @@ impl IndirectUnit {
                     // Stay on this slice until it drains completely.
                     self.rr = pos;
                 }
-                return Some((slice_idx, col_id));
+                return Some(c);
             }
         }
         None
     }
 
-    /// Finds the next sendable column in a slice, staying on the active row
+    /// Finds the next ready column in a slice, staying on the active row
     /// until it is fully issued (row-buffer locality).
-    fn pick_in_slice(&mut self, slice_idx: usize) -> Option<u64> {
+    fn pick_in_slice(&mut self, slice_idx: usize) -> Option<Idx> {
         let slice = &mut self.slices[slice_idx];
         if slice.ready == 0 {
-            // The walk below would find nothing and only drop the active row.
             slice.active_row = None;
             return None;
         }
         if let Some(active) = slice.active_row {
-            if let Some(id) = find_unsent(slice, active) {
-                return Some(id);
+            let mut e = self
+                .row_heads
+                .get(&self.row_key(slice_idx, active))
+                .copied()
+                .unwrap_or(NIL);
+            let slice = &self.slices[slice_idx];
+            while e != NIL {
+                let entry = &slice.entries[e as usize];
+                if entry.ready > 0 {
+                    return Some(self.first_ready(slice, e));
+                }
+                e = entry.next_same_row;
             }
-            slice.active_row = None;
+            self.slices[slice_idx].active_row = None;
         }
-        // Pick the first row with any sendable, unsent column.
-        let row_val = slice.rows.iter().find_map(|r| {
-            r.cols
-                .iter()
-                .any(|c| c.sendable && !c.sent)
-                .then_some(r.row)
-        })?;
-        slice.active_row = Some(row_val);
-        find_unsent(slice, row_val)
-    }
-
-    fn col_by_id(&self, slice_idx: usize, col_id: u64) -> Option<&ColEntry> {
-        self.slices[slice_idx]
-            .rows
+        // The first row entry with a ready column becomes the active row.
+        let slice = &self.slices[slice_idx];
+        let e = *slice
+            .order
             .iter()
-            .flat_map(|r| r.cols.iter())
-            .find(|c| col_matches(c, col_id))
+            .find(|&&e| slice.entries[e as usize].ready > 0)
+            .expect("a ready column sits in a row entry");
+        let (row, c) = (slice.entries[e as usize].row, self.first_ready(slice, e));
+        self.slices[slice_idx].active_row = Some(row);
+        Some(c)
     }
 
-    fn col_by_id_mut(&mut self, slice_idx: usize, col_id: u64) -> Option<&mut ColEntry> {
-        self.slices[slice_idx]
-            .rows
-            .iter_mut()
-            .flat_map(|r| r.cols.iter_mut())
-            .find(|c| col_matches(c, col_id))
+    /// The first ready column of row entry `e`, which has one.
+    fn first_ready(&self, slice: &Slice, e: Idx) -> Idx {
+        *slice
+            .cols_of(e)
+            .iter()
+            .find(|&&c| self.cols[c as usize].ready())
+            .expect("row entry counts a ready column")
     }
 
     /// Response stage (Word Modifier): walk the word list, produce/merge,
-    /// and schedule write-backs.
+    /// and schedule write-backs. Appends the handles of jobs that retired to
+    /// `retired`.
     pub fn response_step(
         &mut self,
         spd: &mut Scratchpad,
         mem: &mut MemoryImage,
-        stats: &mut Dx100Stats,
-    ) -> Vec<u64> {
-        let mut retired = Vec::new();
+        retired: &mut Vec<u64>,
+    ) {
+        let first_retired = retired.len();
         for _ in 0..self.cfg.responses_per_cycle {
             let Some(id) = self.resp_queue.pop_front() else {
                 break;
             };
-            if let Some(job_handle) = self.outstanding_writes.remove(&id) {
+            if let Some(job_handle) = self.outstanding_writes.remove(id) {
                 if let Some(job) = self.jobs.iter_mut().find(|j| j.d.handle == job_handle) {
                     job.writes_outstanding -= 1;
                     if job.done() {
@@ -807,37 +995,41 @@ impl IndirectUnit {
                 }
                 continue;
             }
-            let Some((slice_idx, col_id)) = self.outstanding.remove(&id) else {
+            let Some(c) = self.outstanding.remove(id) else {
                 debug_assert!(false, "unknown indirect response {id}");
                 continue;
             };
-            let col = self
-                .remove_col(slice_idx, col_id)
-                .expect("column for response");
+            let col = self.remove_col(c);
             let job = self
                 .jobs
                 .iter_mut()
                 .find(|j| j.d.handle == col.job)
                 .expect("job for column");
+            let words = &self.words;
+            let col_words =
+                std::iter::successors((col.first != NIL).then(|| words[col.first as usize]), |w| {
+                    (w.next != NIL).then(|| words[w.next as usize])
+                })
+                .map(|w| (w.i as usize, w.addr));
             match job.kind {
                 IndKind::Load { td } => {
-                    for w in &col.words {
-                        spd.produce(td, w.i, mem.read(job.dtype, w.addr));
+                    for (i, addr) in col_words {
+                        spd.produce(td, i, mem.read(job.dtype, addr));
                     }
-                    job.pending_elems -= col.words.len();
+                    job.pending_elems -= col.words as usize;
                     job.open_cols -= 1;
                 }
                 IndKind::Store { ts2 } => {
-                    for w in &col.words {
+                    for (i, addr) in col_words {
                         // Duplicate indices: only ever move forward in
                         // iteration order so last-writer-wins is preserved
                         // even if two columns for one line complete out of
                         // order.
-                        let apply = job.last_applied.get(&w.addr).is_none_or(|&last| w.i > last);
+                        let apply = job.last_applied.get(&addr).is_none_or(|&last| i > last);
                         if apply {
-                            let v = value::truncate(job.dtype, spd.tile(ts2).get(w.i));
-                            mem.write(job.dtype, w.addr, v);
-                            job.last_applied.insert(w.addr, w.i);
+                            let v = value::truncate(job.dtype, spd.tile(ts2).get(i));
+                            mem.write(job.dtype, addr, v);
+                            job.last_applied.insert(addr, i);
                         }
                     }
                     job.open_cols -= 1;
@@ -845,10 +1037,10 @@ impl IndirectUnit {
                     self.pending_writes.push_back((col.line, col.h, col.job));
                 }
                 IndKind::Rmw { op, ts2 } => {
-                    for w in &col.words {
-                        let old = mem.read(job.dtype, w.addr);
-                        let new = value::alu(op, job.dtype, old, spd.tile(ts2).get(w.i));
-                        mem.write(job.dtype, w.addr, new);
+                    for (i, addr) in col_words {
+                        let old = mem.read(job.dtype, addr);
+                        let new = value::alu(op, job.dtype, old, spd.tile(ts2).get(i));
+                        mem.write(job.dtype, addr, new);
                     }
                     job.open_cols -= 1;
                     job.writes_outstanding += 1;
@@ -858,21 +1050,23 @@ impl IndirectUnit {
             if job.done() {
                 retired.push(job.d.handle);
             }
-            let _ = stats;
+            // Return the column and its word list to the arenas.
+            self.words[col.last as usize].next = self.free_words;
+            self.free_words = col.first;
+            self.free_cols.push(c);
         }
         // Drop retired jobs from the queue.
-        for h in &retired {
+        for h in &retired[first_retired..] {
             if let Some(pos) = self.jobs.iter().position(|j| j.d.handle == *h) {
                 self.jobs.remove(pos);
             }
         }
-        retired
     }
 
-    /// Checks whether a load job with no remaining work can retire even
-    /// without a final response (e.g. fully condition-gated tiles).
-    pub fn poll_retired(&mut self) -> Vec<u64> {
-        let mut retired = Vec::new();
+    /// Retires head load jobs with no remaining work even without a final
+    /// response (e.g. fully condition-gated tiles), appending their handles
+    /// to `retired`.
+    pub fn poll_retired(&mut self, retired: &mut Vec<u64>) {
         while let Some(job) = self.jobs.front() {
             if job.done() {
                 retired.push(job.d.handle);
@@ -881,48 +1075,46 @@ impl IndirectUnit {
                 break;
             }
         }
-        retired
     }
 
-    fn remove_col(&mut self, slice_idx: usize, col_id: u64) -> Option<ColEntry> {
+    /// Unlinks a completed (sent) column from its row entry, slice and line,
+    /// and returns it; its arena slot and words stay allocated until the
+    /// caller has read them.
+    fn remove_col(&mut self, c: Idx) -> ColEntry {
+        let col = self.cols[c as usize];
+        debug_assert!(col.sent, "only a sent column completes");
+        let slice_idx = col.slice as usize;
         let slice = &mut self.slices[slice_idx];
-        for r_idx in 0..slice.rows.len() {
-            if let Some(c_idx) = slice.rows[r_idx]
-                .cols
-                .iter()
-                .position(|c| col_matches(c, col_id))
-            {
-                let col = slice.rows[r_idx].cols.remove(c_idx);
-                slice.ready -= (col.sendable && !col.sent) as usize;
-                self.buffered_cols -= 1;
-                if slice.rows[r_idx].cols.is_empty() {
-                    slice.rows.remove(r_idx);
-                }
-                if let Some(owner) = self.line_owners.get_mut(&col.line) {
-                    owner.1 -= 1;
-                    if owner.1 == 0 {
-                        self.line_owners.remove(&col.line);
-                    }
-                }
-                return Some(col);
-            }
+        let pos = slice
+            .cols_of(col.entry)
+            .iter()
+            .position(|&x| x == c)
+            .expect("column in its row entry");
+        let start = col.entry as usize * slice.width;
+        let entry = &mut slice.entries[col.entry as usize];
+        slice
+            .col_slots
+            .copy_within(start + pos + 1..start + entry.len, start + pos);
+        entry.len -= 1;
+        let emptied = entry.len == 0;
+        slice.cols -= 1;
+        if slice.filler == col.job {
+            slice.filler_cols -= 1;
         }
-        None
+        if emptied {
+            self.free_entry(slice_idx, col.entry);
+        }
+        let l = self
+            .lines
+            .get_mut(&col.line)
+            .expect("line of a live column");
+        l.cols -= 1;
+        if l.newest == c {
+            l.newest = NIL;
+        }
+        if l.cols == 0 {
+            self.lines.remove(&col.line);
+        }
+        col
     }
-}
-
-#[inline]
-fn col_matches(c: &ColEntry, id: u64) -> bool {
-    c.id == id
-}
-
-/// The first sendable, unsent column id in `row` of `slice`.
-fn find_unsent(slice: &Slice, row: u64) -> Option<u64> {
-    slice
-        .rows
-        .iter()
-        .filter(|r| r.row == row)
-        .flat_map(|r| r.cols.iter())
-        .find(|c| c.sendable && !c.sent)
-        .map(|c| c.id)
 }

@@ -81,6 +81,8 @@ pub struct StreamUnit {
     queue: VecDeque<StreamJob>,
     outstanding: HashMap<ReqId, LineReq>,
     inflight_lines: HashMap<LineAddr, ReqId>,
+    /// Emptied element lists of completed line requests, reused by new ones.
+    spare: Vec<Vec<(usize, Addr)>>,
 }
 
 impl StreamUnit {
@@ -93,6 +95,7 @@ impl StreamUnit {
             queue: VecDeque::new(),
             outstanding: HashMap::default(),
             inflight_lines: HashMap::default(),
+            spare: Vec::new(),
         }
     }
 
@@ -225,10 +228,12 @@ impl StreamUnit {
                         break; // Request Table full: structural stall.
                     }
                     let rid = ids.alloc(UnitTag::Stream);
+                    let mut elems = self.spare.pop().unwrap_or_default();
+                    elems.push((i, addr));
                     self.outstanding.insert(
                         rid,
                         LineReq {
-                            elems: vec![(i, addr)],
+                            elems,
                             is_write: false,
                         },
                     );
@@ -267,7 +272,7 @@ impl StreamUnit {
                     let v = dx100_common::value::truncate(dtype, spd.tile(ts).get(i));
                     mem.write(dtype, addr, v);
                     job.current_write
-                        .get_or_insert_with(|| (line, Vec::new()))
+                        .get_or_insert_with(|| (line, self.spare.pop().unwrap_or_default()))
                         .1
                         .push((i, addr));
                     job.next += 1;
@@ -304,7 +309,7 @@ impl StreamUnit {
         spd: &mut Scratchpad,
         mem: &MemoryImage,
     ) -> Option<u64> {
-        let req = self
+        let mut req = self
             .outstanding
             .remove(&id)
             .expect("unknown stream response");
@@ -326,6 +331,8 @@ impl StreamUnit {
                 self.inflight_lines.remove(&line);
             }
         }
+        req.elems.clear();
+        self.spare.push(req.elems);
         self.try_retire(spd)
     }
 

@@ -253,8 +253,8 @@ impl Core {
 
     /// Signals from completed MMIO ops (DX100 instruction beats), in
     /// completion order. The system glue drains these every cycle.
-    pub fn drain_mmio_signals(&mut self) -> Vec<u32> {
-        std::mem::take(&mut self.mmio_signals)
+    pub fn drain_mmio_signals(&mut self) -> std::vec::Drain<'_, u32> {
+        self.mmio_signals.drain(..)
     }
 
     /// Whether completed-MMIO signals await [`Core::drain_mmio_signals`].

@@ -70,7 +70,7 @@ impl Channel {
 
     /// Earliest tick a CAS to `bank_group` may issue given channel-level
     /// constraints (tCCD_S/L, turnaround, data bus).
-    fn cas_channel_ready_at(&self, bank_group: usize, is_write: bool) -> Cycle {
+    pub(crate) fn cas_channel_ready_at(&self, bank_group: usize, is_write: bool) -> Cycle {
         let t = &self.config.timings;
         let mut ready = 0;
         if let Some(last) = self.last_cas {
@@ -117,6 +117,17 @@ impl Channel {
     ) -> bool {
         self.banks[bank_idx].open_row() == Some(row)
             && self.cas_ready_tick(bank_idx, bank_group, is_write) <= now
+    }
+
+    /// A lower bound on [`Channel::cas_channel_ready_at`] over every bank
+    /// group and direction (the shorter tCCD, the longer data latency): no
+    /// CAS can issue before it.
+    pub(crate) fn cas_channel_earliest(&self) -> Cycle {
+        let t = &self.config.timings;
+        let ccd = self
+            .last_cas
+            .map_or(0, |last| last.tick + t.t_ccd_s.min(t.t_ccd_l));
+        ccd.max(self.data_busy_until.saturating_sub(t.cl.max(t.cwl)))
     }
 
     /// Whether channel-level constraints alone (tCCD, turnaround, data bus)

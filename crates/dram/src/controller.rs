@@ -21,12 +21,10 @@ use crate::{MemRequest, MemResponse};
 
 /// The request buffer in struct-of-arrays layout.
 ///
-/// The FR-FCFS scheduler scans the buffer several times per tick (the CAS,
-/// ACT, and PRE phases, plus the `next_event` probe under cycle skipping),
-/// and each scan touches only two or three fields per entry. Parallel flat
-/// vectors keep a scan inside a handful of cache lines instead of striding
-/// over wide array-of-struct entries. FIFO age order *is* the vector order;
-/// removal shifts the tail, which is fine at 32 entries (Table 3).
+/// FIFO age order *is* the vector order: position `i` holds the `i`-th
+/// oldest request, and removal shifts the tail, which is fine at 32 entries
+/// (Table 3). The scheduler finds its candidates through the per-bank
+/// position masks in [`BankQueue`], then reads only the fields it needs.
 #[derive(Clone, Debug, Default)]
 struct RequestBuffer {
     ids: Vec<ReqId>,
@@ -43,6 +41,39 @@ struct RequestBuffer {
     /// Whether this request forced a PRE first (row conflict) — refines the
     /// profiled per-bank miss/conflict split.
     caused_pre: Vec<bool>,
+}
+
+/// One bank's view of the request buffer, kept current on every enqueue,
+/// ACT, PRE and CAS, so each scheduling phase visits only banks with work.
+///
+/// Both masks are over buffer positions (bit `i` is the `i`-th oldest
+/// request), so a bank's requests in age order are its set bits from the
+/// lowest up, and its oldest request is the lowest set bit.
+#[derive(Clone, Copy, Debug, Default)]
+struct BankQueue {
+    /// Positions of the requests to this bank.
+    queued: u64,
+    /// The subset of `queued` whose row is the bank's open row: the bank's
+    /// CAS candidates, and what keeps the row open.
+    hits: u64,
+}
+
+/// The set bits of `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+/// `mask` with position `i` removed and every higher position moved down
+/// one, as [`RequestBuffer::remove`] moves the requests behind `i`.
+fn remove_position(mask: u64, i: usize) -> u64 {
+    let below = (1u64 << i) - 1;
+    (mask & below) | ((mask >> 1) & !below)
 }
 
 /// What one controller tick did, for the profiled cmd/refresh/idle split.
@@ -114,6 +145,10 @@ pub struct ChannelController {
     config: DramConfig,
     channel: Channel,
     buffer: RequestBuffer,
+    /// Per-bank buffer positions, indexed like the channel's banks.
+    banks: Vec<BankQueue>,
+    /// Banks with at least one buffered request.
+    busy: u64,
     /// Reads whose data burst is in flight.
     in_flight: DelayQueue<MemResponse>,
     stats: DramStats,
@@ -131,10 +166,19 @@ impl ChannelController {
     /// Creates a controller for one channel.
     pub fn new(config: DramConfig) -> Self {
         let next_refresh = config.timings.t_refi;
+        let num_banks = config.organization.banks_per_channel();
+        // Banks and buffer positions are bits of a `u64`.
+        assert!(num_banks <= 64, "at most 64 banks per channel");
+        assert!(
+            config.request_buffer_size <= 64,
+            "at most 64 request-buffer entries"
+        );
         ChannelController {
             channel: Channel::new(config.clone()),
             config,
             buffer: RequestBuffer::default(),
+            banks: vec![BankQueue::default(); num_banks],
+            busy: 0,
             in_flight: DelayQueue::new(),
             stats: DramStats::default(),
             next_refresh,
@@ -171,8 +215,52 @@ impl ChannelController {
             return false;
         }
         let bank_idx = coord.bank_index(&self.config.organization);
+        let bit = 1u64 << self.buffer.len();
+        let bank = &mut self.banks[bank_idx];
+        bank.queued |= bit;
+        if self.channel.bank(bank_idx).open_row() == Some(coord.row) {
+            bank.hits |= bit;
+        }
+        self.busy |= 1u64 << bank_idx;
         self.buffer.push(req, coord, bank_idx, now);
         true
+    }
+
+    /// Removes the request at buffer position `i` for issue, moving every
+    /// bank's younger positions down one.
+    fn take(&mut self, i: usize) -> Issued {
+        let issued = self.buffer.remove(i);
+        for b in bits(self.busy) {
+            let bank = &mut self.banks[b];
+            bank.queued = remove_position(bank.queued, i);
+            bank.hits = remove_position(bank.hits, i);
+            if bank.queued == 0 {
+                self.busy &= !(1u64 << b);
+            }
+        }
+        issued
+    }
+
+    /// Recomputes every [`BankQueue`] from the buffer and the open rows
+    /// (debug checks only).
+    fn banks_match_buffer(&self) -> bool {
+        self.banks.iter().enumerate().all(|(b, bank)| {
+            let queued = (0..self.buffer.len())
+                .filter(|&i| self.buffer.bank_idx[i] == b)
+                .fold(0u64, |m, i| m | 1u64 << i);
+            let open = self.channel.bank(b).open_row();
+            bank.queued == queued
+                && bank.hits == open.map_or(0, |row| self.positions_in_row(b, row))
+                && (self.busy >> b & 1 == 1) == (queued != 0)
+        })
+    }
+
+    /// The positions of `bank`'s requests to `row` (its hits once `row` is
+    /// open).
+    fn positions_in_row(&self, bank: usize, row: u64) -> u64 {
+        bits(self.banks[bank].queued)
+            .filter(|&i| self.buffer.rows[i] == row)
+            .fold(0, |m, i| m | 1u64 << i)
     }
 
     /// Whether the controller has no buffered or in-flight work.
@@ -268,6 +356,7 @@ impl ChannelController {
         if self.buffer.is_empty() {
             return TickWork::Idle;
         }
+        debug_assert!(self.banks_match_buffer(), "per-bank masks drifted");
 
         // Starvation escape hatch: when the oldest request has waited too
         // long, consider only that request for every phase this tick.
@@ -292,6 +381,7 @@ impl ChannelController {
         for b in 0..self.channel.num_banks() {
             if self.channel.bank(b).open_row().is_some() && self.channel.can_pre(b, now) {
                 self.channel.issue_pre(b, now);
+                self.banks[b].hits = 0;
                 if let Some(t) = &self.trace {
                     t.instant("dram", format!("PRE b{b}"), now);
                 }
@@ -309,34 +399,27 @@ impl ChannelController {
         responses: &mut VecDeque<MemResponse>,
         starving: bool,
     ) -> bool {
-        let limit = if starving { 1 } else { self.buffer.len() };
-        // Open-row index: one bit per bank whose open row is CAS-timing-ready
-        // at `now`. Most ticks under load have zero or few ready banks, so
-        // the per-request test collapses to a bitmask probe instead of
-        // re-deriving the full bank + channel timing chain per entry.
-        let mut bank_ready = 0u64;
-        for b in 0..self.channel.num_banks() {
-            let bank = self.channel.bank(b);
-            if bank.open_row().is_some() && now >= bank.cas_ready_at() {
-                bank_ready |= 1u64 << b;
+        if now < self.channel.cas_channel_earliest() {
+            return false; // no bank group is channel-ready in either direction
+        }
+        // Candidates: the open-row hits of every bank whose open row is
+        // CAS-timing-ready at `now`, as one mask of buffer positions, so the
+        // scan below visits them in age order and nothing else.
+        let mut candidates = 0u64;
+        for b in bits(self.busy) {
+            let hits = self.banks[b].hits;
+            if hits != 0 && now >= self.channel.bank(b).cas_ready_at() {
+                candidates |= hits;
             }
         }
-        if bank_ready == 0 {
-            return false;
+        if starving {
+            candidates &= 1; // only the oldest request
         }
         // Channel-level readiness depends only on (bank group, direction);
-        // memoize it lazily across the scan. The scan itself touches only
-        // the `bank_idx`/`rows` columns until a candidate passes the bank
-        // filter, which is the common early-out under load.
+        // memoize it lazily across the scan.
         let mut ch_ready = [[None::<bool>; 2]; 8];
         let mut chosen = None;
-        'outer: for i in 0..limit {
-            let (bank_idx, row) = (self.buffer.bank_idx[i], self.buffer.rows[i]);
-            if bank_ready & (1u64 << bank_idx) == 0
-                || self.channel.bank(bank_idx).open_row() != Some(row)
-            {
-                continue;
-            }
+        'outer: for i in bits(candidates) {
             let (bg, is_write) = (self.buffer.bank_group[i], self.buffer.is_write[i]);
             let dir = is_write as usize;
             let ready = if bg < ch_ready.len() {
@@ -349,9 +432,11 @@ impl ChannelController {
                 continue;
             }
             // Never reorder conflicting accesses to the same line: an older
-            // pending access (read or write) to the same line must go first.
+            // pending access (read or write) to the same line, which maps to
+            // the same bank, must go first.
             let line = self.buffer.lines[i];
-            for j in 0..i {
+            let older = self.banks[self.buffer.bank_idx[i]].queued & ((1u64 << i) - 1);
+            for j in bits(older) {
                 if self.buffer.lines[j] == line && (self.buffer.is_write[j] || is_write) {
                     continue 'outer;
                 }
@@ -360,7 +445,7 @@ impl ChannelController {
             break;
         }
         let Some(i) = chosen else { return false };
-        let p = self.buffer.remove(i);
+        let p = self.take(i);
         let data_end = self
             .channel
             .issue_cas(p.bank_idx, p.bank_group, p.row, p.is_write, now);
@@ -405,23 +490,28 @@ impl ChannelController {
 
     /// Phase 2: ACT for the oldest request per closed bank.
     fn try_issue_act(&mut self, now: Cycle, starving: bool) -> bool {
-        let limit = if starving { 1 } else { self.buffer.len() };
-        let mut banks_seen = 0u64;
-        for i in 0..limit {
-            let bank_idx = self.buffer.bank_idx[i];
-            let bank_bit = 1u64 << bank_idx;
-            if banks_seen & bank_bit != 0 {
-                continue; // an older request already owns this bank's next command
+        // Each closed bank's oldest request owns its next command.
+        let mut heads = 0u64;
+        for b in bits(self.busy) {
+            if self.channel.bank(b).open_row().is_none() {
+                let queued = self.banks[b].queued;
+                heads |= queued & queued.wrapping_neg();
             }
-            banks_seen |= bank_bit;
-            if self.channel.bank(bank_idx).open_row().is_some() {
-                continue;
-            }
-            let (rank, bg) = (self.buffer.rank[i], self.buffer.bank_group[i]);
+        }
+        if starving {
+            heads &= 1;
+        }
+        for i in bits(heads) {
+            let (bank_idx, rank, bg) = (
+                self.buffer.bank_idx[i],
+                self.buffer.rank[i],
+                self.buffer.bank_group[i],
+            );
             if self.channel.can_act(bank_idx, rank, bg, now) {
                 let row = self.buffer.rows[i];
                 self.buffer.caused_act[i] = true;
                 self.channel.issue_act(bank_idx, rank, bg, row, now);
+                self.banks[bank_idx].hits = self.positions_in_row(bank_idx, row);
                 if let Some(t) = &self.trace {
                     t.instant("dram", format!("ACT b{bank_idx}"), now);
                 }
@@ -434,36 +524,30 @@ impl ChannelController {
     /// Phase 3: PRE a bank whose open row serves no pending request, on
     /// behalf of the oldest request that needs that bank.
     fn try_issue_pre(&mut self, now: Cycle, starving: bool) -> bool {
-        let limit = if starving { 1 } else { self.buffer.len() };
-        let mut banks_seen = 0u64;
-        for i in 0..limit {
+        let heads = if starving {
+            // The oldest request wins even over pending hits to the open
+            // row.
+            let bank = self.channel.bank(self.buffer.bank_idx[0]);
+            (bank
+                .open_row()
+                .is_some_and(|open| open != self.buffer.rows[0])) as u64
+        } else {
+            // Keep a row open while any pending request can still use it.
+            let mut heads = 0u64;
+            for b in bits(self.busy) {
+                let bank = self.banks[b];
+                if bank.hits == 0 && self.channel.bank(b).open_row().is_some() {
+                    heads |= bank.queued & bank.queued.wrapping_neg();
+                }
+            }
+            heads
+        };
+        for i in bits(heads) {
             let bank_idx = self.buffer.bank_idx[i];
-            let bank_bit = 1u64 << bank_idx;
-            if banks_seen & bank_bit != 0 {
-                continue;
-            }
-            banks_seen |= bank_bit;
-            let Some(open) = self.channel.bank(bank_idx).open_row() else {
-                continue;
-            };
-            if open == self.buffer.rows[i] {
-                continue;
-            }
-            // Keep the row open while any pending request can still use it —
-            // unless we are in starvation mode, where the oldest wins.
-            if !starving
-                && self
-                    .buffer
-                    .bank_idx
-                    .iter()
-                    .zip(&self.buffer.rows)
-                    .any(|(&b, &r)| b == bank_idx && r == open)
-            {
-                continue;
-            }
             if self.channel.can_pre(bank_idx, now) {
                 self.buffer.caused_pre[i] = true;
                 self.channel.issue_pre(bank_idx, now);
+                self.banks[bank_idx].hits = 0;
                 if let Some(t) = &self.trace {
                     t.instant("dram", format!("PRE b{bank_idx}"), now);
                 }
@@ -517,27 +601,43 @@ impl ChannelController {
         if onset > from {
             consider(onset);
         }
-        // Per-request earliest command-legal tick, scanning the buffer (a
-        // superset of the starving scan, so never late in either mode) until
-        // some command is legal at `from` already.
-        for i in 0..self.buffer.len() {
-            let bank_idx = self.buffer.bank_idx[i];
-            let t = match self.channel.bank(bank_idx).open_row() {
-                Some(row) if row == self.buffer.rows[i] => self.channel.cas_ready_tick(
-                    bank_idx,
-                    self.buffer.bank_group[i],
-                    self.buffer.is_write[i],
-                ),
-                Some(_) => self.channel.pre_ready_tick(bank_idx),
-                None => self.channel.act_ready_tick(
-                    bank_idx,
-                    self.buffer.rank[i],
-                    self.buffer.bank_group[i],
-                ),
+        // Earliest command-legal tick per bank with work: a CAS for its
+        // open-row hits (per direction), a PRE for its misses, an ACT while
+        // closed. The same bound as per request over the whole buffer (a
+        // superset of the starving scan, so never late in either mode). The
+        // channel-level CAS readiness is memoized per (bank group,
+        // direction) across banks.
+        let mut channel_ready = [[None::<Cycle>; 2]; 8];
+        for b in bits(self.busy) {
+            let bank = self.banks[b];
+            let head = bank.queued.trailing_zeros() as usize;
+            let (rank, bg) = (self.buffer.rank[head], self.buffer.bank_group[head]);
+            let t = if self.channel.bank(b).open_row().is_none() {
+                self.channel.act_ready_tick(b, rank, bg)
+            } else {
+                let mut dirs = [false; 2];
+                for i in bits(bank.hits) {
+                    dirs[self.buffer.is_write[i] as usize] = true;
+                }
+                let mut t = if bank.queued != bank.hits {
+                    self.channel.pre_ready_tick(b)
+                } else {
+                    Cycle::MAX
+                };
+                for dir in (0..2).filter(|&dir| dirs[dir]) {
+                    let is_write = dir == 1;
+                    let ready = match channel_ready.get_mut(bg) {
+                        Some(memo) => *memo[dir]
+                            .get_or_insert_with(|| self.channel.cas_channel_ready_at(bg, is_write)),
+                        None => self.channel.cas_channel_ready_at(bg, is_write),
+                    };
+                    t = t.min(self.channel.bank(b).cas_ready_at().max(ready));
+                }
+                t
             };
             consider(t);
             if t <= from {
-                break;
+                break; // some command is legal at `from` already
             }
         }
         ev

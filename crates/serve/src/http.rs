@@ -228,8 +228,8 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
-    /// Spawns a one-request server, runs `client` against it, and returns
-    /// what the server parsed.
+    /// Spawns a one-request server, sends it `raw`, and returns what the
+    /// server parsed.
     fn round_trip(raw: &str) -> Result<Request, HttpError> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -238,7 +238,10 @@ mod tests {
             let mut s = TcpStream::connect(addr).unwrap();
             s.write_all(raw.as_bytes()).unwrap();
             s.flush().unwrap();
-            // Keep the socket open until the server has parsed.
+            // Half-close: a request cut short reads as end of stream at
+            // once instead of waiting out `READ_TIMEOUT`.
+            s.shutdown(std::net::Shutdown::Write).unwrap();
+            // Keep the read side open until the server has parsed.
             let mut buf = Vec::new();
             let _ = s.read_to_end(&mut buf);
         });

@@ -1,27 +1,37 @@
-//! Allocation guard for the per-cycle path under `System::step`.
+//! Allocation guards for the per-cycle path under `System::step`.
 //!
 //! Once a run is warm, simulating more cycles must not allocate more: every
 //! per-event structure (ROB waiter lists, MSHR waiter lists, cache tags,
-//! link and DRAM queues, the ring a core's loops generate into) is reused in
-//! place. The test counts heap allocations made inside `System::finish` for
-//! a canned program of `n` and of `2n` ops per core, fed once as literal ops
-//! (`System::push_ops`) and once as a loop (`System::push_loop`); the
-//! second run simulates about twice the cycles, so any per-op or per-cycle
-//! allocation shows up as a difference of thousands, and one per batch of
-//! generated ops as a difference of a hundred, while amortized queue growth
-//! adds only a handful.
+//! link and DRAM queues, the ring a core's loops generate into, DX100's Row
+//! Table, Word Table and request-id windows) is reused in place. Each test
+//! counts heap allocations made inside `System::finish` for a run of size
+//! `n` and of size `2n`; the second run simulates about twice the cycles,
+//! so any per-op, per-word or per-cycle allocation shows up as a difference
+//! of thousands, and one per batch of generated ops or per tile as a
+//! difference of a hundred, while amortized queue growth adds only a
+//! handful.
 //!
-//! It is the only test in this file because the counter belongs to the
-//! process-wide allocator; it counts only on the thread that sets the
-//! thread-local switch, so the test harness's own threads never add to it.
+//! * The baseline machine runs a canned program of `n` and of `2n` ops per
+//!   core, fed once as literal ops (`System::push_ops`) and once as a loop
+//!   (`System::push_loop`).
+//! * The DX100 machine runs `n` and `2n` tile jobs, each a gather and an
+//!   indirect add (IRMW). Indirect stores (IST) are left out: each IST job
+//!   keeps a map of the last iteration applied per address, for
+//!   duplicate-index ordering, which allocates as it fills.
+//!
+//! The counter belongs to the process-wide allocator, but it counts only
+//! on the thread that sets the thread-local switch, so the test harness's
+//! own threads, and a test running beside, never add to it.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 use std::collections::VecDeque;
 
-use dx100::common::DType;
+use dx100::common::{AluOp, DType};
 use dx100::cpu::CoreOp;
 use dx100::sim::{System, SystemConfig};
+use dx100::workloads::util::{install_jobs, Placement};
+use dx100_core::isa::Instruction;
 use dx100_core::{ArrayHandle, MemoryImage};
 
 thread_local! {
@@ -100,6 +110,16 @@ fn canned_body(
     }
 }
 
+/// Heap allocations made inside `System::finish` on this thread, and the
+/// simulated cycle count.
+fn allocs_in_finish(mut sys: System) -> (u64, u64) {
+    ALLOCS.with(|c| c.set(0));
+    COUNTING.with(|on| on.set(true));
+    let stats = sys.finish();
+    COUNTING.with(|on| on.set(false));
+    (ALLOCS.with(|c| c.get()), stats.cycles)
+}
+
 /// Heap allocations made inside `System::finish` for `n` ops per core fed as
 /// `feed`, and the simulated cycle count.
 fn allocs_in_run(n: usize, feed: Feed) -> (u64, u64) {
@@ -118,11 +138,43 @@ fn allocs_in_run(n: usize, feed: Feed) -> (u64, u64) {
             Feed::Loop => sys.push_loop(core, 0..n / 4, body),
         }
     }
-    ALLOCS.with(|c| c.set(0));
-    COUNTING.with(|on| on.set(true));
-    let stats = sys.finish();
-    COUNTING.with(|on| on.set(false));
-    (ALLOCS.with(|c| c.get()), stats.cycles)
+    allocs_in_finish(sys)
+}
+
+/// Elements per DX100 tile job.
+const TILE: usize = 512;
+
+/// Heap allocations made inside `System::finish` for `tiles` DX100 tile
+/// jobs, and the simulated cycle count. Each job stream-loads `TILE`
+/// scattered indices into the 4 MB array `A` (most miss to DRAM), gathers
+/// `A` at them, and adds the gathered values into `B` at the same indices.
+fn allocs_in_tile_run(tiles: usize) -> (u64, u64) {
+    let n = tiles * TILE;
+    let mut image = MemoryImage::new();
+    let idx = image.alloc("IDX", DType::U32, n as u64);
+    let a = image.alloc("A", DType::U32, 1 << 20);
+    let b = image.alloc("B", DType::U32, 1 << 20);
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for i in 0..n as u64 {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        image.write_elem(idx, i, (x >> 33) % (1 << 20));
+    }
+    let mut sys = System::new(SystemConfig::paper_dx100(), image);
+    let jobs = Placement::of(&sys).tiles::<2>(n, TILE).map(|s| {
+        let [ti, tv] = s.tiles();
+        s.job(
+            &[],
+            vec![
+                s.sld(DType::U32, idx.base(), ti),
+                Instruction::ild(DType::U32, a.base(), tv, ti),
+                Instruction::irmw(DType::U32, AluOp::Add, b.base(), ti, tv),
+            ],
+        )
+    });
+    install_jobs(&mut sys, jobs.collect::<Vec<_>>());
+    allocs_in_finish(sys)
 }
 
 #[test]
@@ -148,5 +200,22 @@ fn steady_state_run_does_not_allocate_per_op() {
     assert_eq!(
         cycles[0], cycles[1],
         "the same program must simulate the same cycles fed as ops or as a loop"
+    );
+}
+
+#[test]
+fn dx100_tile_jobs_do_not_allocate_per_word() {
+    let n = 8;
+    let (small, small_cycles) = allocs_in_tile_run(n);
+    let (large, large_cycles) = allocs_in_tile_run(2 * n);
+    assert!(
+        large_cycles > small_cycles * 3 / 2,
+        "the 2n run must simulate markedly more cycles: {small_cycles} vs {large_cycles}"
+    );
+    assert!(
+        large <= small + 64,
+        "System::finish allocated {small} times for {n} tile jobs and {large} times for {}; \
+         the DX100 path allocates per tile or per word",
+        2 * n
     );
 }

@@ -221,3 +221,136 @@ fn refresh_happens_and_is_bounded() {
         "expected ~4 refreshes per channel pair over 4*tREFI, got {refreshes}"
     );
 }
+
+/// One seeded request stream for [`fr_fcfs_schedule_is_pinned`]: a bursty
+/// mix of reads and writes over a few hot rows per bank, with same-line
+/// pairs, replayed through `DramSystem` for `ticks` DRAM ticks. Returns an
+/// FNV-1a digest of every response's `(id, finished_at)` in delivery order,
+/// the ACT and PRE counts, the refresh count and the longest wait.
+fn replay_seeded_stream(seed: u64, ticks: u64, gating: bool) -> (u64, u64, u64, u64, u64) {
+    use dx100::common::hash::Fnv64;
+    use dx100::dram::DramCoord;
+    // splitmix64: a self-contained generator, so the stream cannot drift
+    // with a dependency's.
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut cfg = DramConfig::ddr4_3200_2ch();
+    cfg.starvation_threshold = 300;
+    let org = cfg.organization.clone();
+    let mut dram = DramSystem::new(cfg.clone());
+    if gating {
+        dram.enable_gating();
+    }
+    let mut queue: VecDeque<MemRequest> = VecDeque::new();
+    let mut enqueued_at = Vec::new();
+    let mut recent: Vec<LineAddr> = Vec::new();
+    let mut digest = Fnv64::new();
+    let mut longest_wait = 0;
+    for now in 0..ticks {
+        // Bursts of up to three requests on a quarter of the ticks, quiet
+        // stretches of 512 ticks in every 4096 so banks idle and close.
+        if now % 4096 < 3584 && next() % 4 == 0 {
+            for _ in 0..1 + next() % 3 {
+                let id = enqueued_at.len() as u64;
+                let r = next();
+                let line = if r % 8 == 0 && !recent.is_empty() {
+                    // Same-line pair with an earlier request.
+                    recent[(r >> 8) as usize % recent.len()]
+                } else {
+                    let hot = (r >> 4) % 3;
+                    let row = if r % 16 == 1 {
+                        (r >> 12) % 4096
+                    } else {
+                        hot * 977
+                    };
+                    cfg.addr_map.encode(
+                        DramCoord {
+                            channel: (r >> 20) as usize % org.channels,
+                            rank: 0,
+                            bank_group: (r >> 24) as usize % org.bank_groups,
+                            bank: (r >> 28) as usize % org.banks_per_group,
+                            row,
+                            col: (r >> 32) % org.cols_per_row,
+                        },
+                        &org,
+                    )
+                };
+                if recent.len() < 16 {
+                    recent.push(line);
+                } else {
+                    recent[(r >> 40) as usize % 16] = line;
+                }
+                let req = if (r >> 48) % 3 == 0 {
+                    MemRequest::write(id, line)
+                } else {
+                    MemRequest::read(id, line)
+                };
+                queue.push_back(req);
+                enqueued_at.push(None);
+            }
+        }
+        while let Some(&req) = queue.front() {
+            if !dram.try_enqueue(req, now) {
+                break;
+            }
+            enqueued_at[req.id as usize] = Some(now);
+            queue.pop_front();
+        }
+        dram.tick(now);
+        while let Some(resp) = dram.pop_response() {
+            digest.write(&resp.id.to_le_bytes());
+            digest.write(&resp.finished_at.to_le_bytes());
+            let at = enqueued_at[resp.id as usize].expect("answered before enqueue");
+            longest_wait = longest_wait.max(resp.finished_at - at);
+        }
+    }
+    let s = dram.stats();
+    (
+        digest.finish(),
+        s.activates,
+        s.precharges,
+        s.refreshes,
+        longest_wait,
+    )
+}
+
+/// Pins the FR-FCFS scheduler's choices (CAS/ACT/PRE order, the
+/// keep-row-open rule, starvation mode and the refresh drain): seeded
+/// streams must reproduce the recorded response schedule and command counts
+/// tick for tick, with and without channel gating. The values were recorded
+/// from the scan-based scheduler; a change to them is a modeling change.
+#[test]
+fn fr_fcfs_schedule_is_pinned() {
+    let expected: [(u64, (u64, u64, u64)); 3] = [
+        (1, (1_367_344_614_300_050_026, 2521, 2489)),
+        (2, (14_686_204_391_303_450_406, 2454, 2423)),
+        (3, (3_583_302_147_294_432_331, 2353, 2321)),
+    ];
+    let mut got = Vec::new();
+    for (seed, _) in expected {
+        let (digest, acts, pres, refreshes, longest_wait) =
+            replay_seeded_stream(seed, 60_000, false);
+        assert!(
+            refreshes >= 8,
+            "seed {seed}: the stream must cross refreshes"
+        );
+        assert!(
+            longest_wait > 300,
+            "seed {seed}: some request must wait past the starvation threshold"
+        );
+        let gated = replay_seeded_stream(seed, 60_000, true);
+        assert_eq!(
+            gated,
+            (digest, acts, pres, refreshes, longest_wait),
+            "seed {seed}: gating moved the schedule"
+        );
+        got.push((seed, (digest, acts, pres)));
+    }
+    assert_eq!(got, expected, "FR-FCFS schedule moved");
+}

@@ -38,7 +38,7 @@ pub mod trace;
 pub mod types;
 pub mod value;
 
-pub use profile::{Counter, OccAccum, Pow2Histogram};
+pub use profile::{OccAccum, Pow2Histogram};
 pub use queue::DelayQueue;
 pub use sleep::Sleep;
 pub use trace::{SpanTracker, TraceBuffer, TraceHandle};

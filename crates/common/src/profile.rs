@@ -1,5 +1,5 @@
-//! Low-overhead profiling primitives: monotonic counters, exact integer
-//! occupancy accumulators, and power-of-two-bucketed histograms.
+//! Low-overhead profiling primitives: exact integer occupancy accumulators
+//! and power-of-two-bucketed histograms.
 //!
 //! These are the building blocks of the cycle-attribution profiler. Every
 //! timed component keeps a small profile struct made of these types and
@@ -19,35 +19,6 @@
 //! Both hold exactly because all state is integer — there is no running
 //! float mean to drift. (Contrast `stats::RunningAverage`, whose `sample_n`
 //! needs a dyadic-grid argument for the same guarantee.)
-
-/// A monotonic event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Adds one event.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n` events.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Folds another counter in.
-    pub fn merge(&mut self, other: &Counter) {
-        self.0 += other.0;
-    }
-}
 
 /// Exact integer occupancy accumulator: the sum of one sample per cycle,
 /// plus the sample count and the peak value seen.
@@ -413,14 +384,7 @@ mod tests {
     }
 
     #[test]
-    fn counter_and_merge() {
-        let mut c = Counter::default();
-        c.inc();
-        c.add(4);
-        let mut d = Counter(10);
-        d.merge(&c);
-        assert_eq!(d.get(), 15);
-
+    fn occ_accum_merge() {
         let mut x = OccAccum::default();
         x.add(2, 3);
         let mut y = OccAccum::default();

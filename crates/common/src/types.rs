@@ -216,15 +216,6 @@ impl AluOp {
         AluOp::ALL.get(bits as usize).copied()
     }
 
-    /// Whether the operation produces a 0/1 condition value.
-    #[inline]
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            AluOp::Lt | AluOp::Le | AluOp::Gt | AluOp::Ge | AluOp::Eq
-        )
-    }
-
     /// Whether the operation is associative and commutative, and therefore
     /// legal for `IRMW` instructions, whose hardware reorders the updates
     /// (paper Section 3.1: "DX100 only supports a subset of associative and
@@ -324,11 +315,5 @@ mod tests {
         assert!(!AluOp::Sub.is_rmw_legal());
         assert!(!AluOp::Shl.is_rmw_legal());
         assert!(!AluOp::Lt.is_rmw_legal());
-    }
-
-    #[test]
-    fn comparisons_flagged() {
-        assert!(AluOp::Lt.is_comparison());
-        assert!(!AluOp::Add.is_comparison());
     }
 }

@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 use dx100_common::flags::FlagId;
 use dx100_common::hash::HashSet;
 use dx100_common::{Addr, Cycle, LineAddr, ReqId, SpanTracker, TraceHandle};
-use dx100_dram::{AddrMap, DramConfig, Organization};
+use dx100_dram::DramConfig;
 
 use crate::alu_unit::AluUnit;
 use crate::config::Dx100Config;
@@ -32,107 +32,33 @@ pub const SPD_REGION_BASE: Addr = 0x4000_0000_0000;
 /// Bytes per scratchpad element in the memory-mapped view.
 pub const SPD_ELEM_BYTES: u64 = 8;
 
-/// Which unit owns an in-flight request id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnitTag {
-    /// Stream unit line (read or write).
-    Stream,
-    /// Indirect unit line read.
-    IndirectRead,
-    /// Indirect unit write-back.
-    IndirectWrite,
-}
-
-/// Values keyed by request id, for ids handed out in increasing order: a
-/// window over ids `base..base + slots.len()`, so insertion and removal
-/// index a ring instead of probing a hash map. Ids in the window that hold
-/// no value (another unit's, or completed ones behind a live one) are
-/// `None`; the window drops them from its front as the oldest live id
-/// completes, and its ring only grows. Its length is the id span of the
-/// live requests, not their count, so it suits small values.
-#[derive(Clone, Debug)]
-pub(crate) struct IdWindow<T> {
-    base: ReqId,
-    slots: VecDeque<Option<T>>,
-    live: usize,
-}
-
-impl<T> Default for IdWindow<T> {
-    fn default() -> Self {
-        IdWindow {
-            base: 0,
-            slots: VecDeque::new(),
-            live: 0,
-        }
-    }
-}
-
-impl<T> IdWindow<T> {
-    /// Inserts `v` under `id`, which must be newer than every id inserted
-    /// since the window last emptied.
-    pub(crate) fn insert(&mut self, id: ReqId, v: T) {
-        if self.slots.is_empty() {
-            self.base = id;
-        }
-        let idx = (id - self.base) as usize;
-        assert!(idx >= self.slots.len(), "request ids must increase");
-        self.slots.resize_with(idx, || None);
-        self.slots.push_back(Some(v));
-        self.live += 1;
-    }
-
-    /// Removes and returns the value under `id`, if any.
-    pub(crate) fn remove(&mut self, id: ReqId) -> Option<T> {
-        let idx = id.checked_sub(self.base)? as usize;
-        let v = self.slots.get_mut(idx)?.take()?;
-        self.live -= 1;
-        while self.slots.front().is_some_and(Option::is_none) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        Some(v)
-    }
-
-    /// Ids holding a value.
-    pub(crate) fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether no id holds a value.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-}
-
-/// Request-id allocator + response router shared by the units.
+/// Request-id allocator shared by the units. A response finds its unit
+/// through the unit's own in-flight record, so the allocator keeps only
+/// the next id and a count of live ones (the profile's `wait_mem` test).
 #[derive(Clone, Debug, Default)]
 pub struct IdAlloc {
     next: ReqId,
-    routes: IdWindow<UnitTag>,
+    live: usize,
 }
 
 impl IdAlloc {
-    /// Allocates an id routed to `tag`.
-    pub fn alloc(&mut self, tag: UnitTag) -> ReqId {
+    /// Allocates the next id.
+    pub fn alloc(&mut self) -> ReqId {
         let id = self.next;
         self.next += 1;
-        self.routes.insert(id, tag);
+        self.live += 1;
         id
     }
 
-    /// Cancels an id whose request was refused (buffer full).
-    pub fn cancel(&mut self, id: ReqId) {
-        self.routes.remove(id);
+    /// Releases a live id: its request was refused (buffer full) or its
+    /// response arrived.
+    pub fn release(&mut self) {
+        self.live -= 1;
     }
 
-    /// Resolves and removes the route for a completed id.
-    pub fn take_route(&mut self, id: ReqId) -> Option<UnitTag> {
-        self.routes.remove(id)
-    }
-
-    /// Outstanding routed requests.
+    /// Live ids: allocated and not yet released.
     pub fn outstanding(&self) -> usize {
-        self.routes.len()
+        self.live
     }
 }
 
@@ -178,17 +104,12 @@ const PHASE_NAMES: [&str; 3] = ["fill", "issue", "drain"];
 impl Dx100Engine {
     /// Builds an engine whose Row Table mirrors `dram`'s bank geometry.
     pub fn new(cfg: Dx100Config, dram: &DramConfig) -> Self {
-        Self::with_geometry(cfg, dram.organization.clone(), dram.addr_map)
-    }
-
-    /// Builds an engine for an explicit DRAM organization and mapping.
-    pub fn with_geometry(cfg: Dx100Config, org: Organization, map: AddrMap) -> Self {
         Dx100Engine {
             spd: Scratchpad::new(cfg.num_tiles, cfg.tile_elems),
             regs: RegFile::new(),
             controller: Controller::new(),
             stream: StreamUnit::new(cfg.stream_rate, cfg.request_table_entries),
-            indirect: IndirectUnit::new(cfg.clone(), org, map),
+            indirect: IndirectUnit::new(cfg.clone(), dram.organization.clone()),
             alu: AluUnit::new(cfg.alu_lanes),
             range: RangeFuser::new(cfg.range_rate),
             tlb: Tlb::new(cfg.tlb_entries),
@@ -319,19 +240,6 @@ impl Dx100Engine {
             flag,
         });
         Ok(handle)
-    }
-
-    /// Submits an instruction from its 192-bit wire encoding.
-    ///
-    /// # Errors
-    /// Rejects undecodable or illegal encodings.
-    pub fn push_encoded(
-        &mut self,
-        words: [u64; 3],
-        flag: Option<FlagId>,
-    ) -> Result<u64, ExecError> {
-        let instr = Instruction::decode(words)?;
-        self.push_instruction(instr, flag)
     }
 
     /// Delivers a memory completion from the system glue (which wakes a
@@ -501,16 +409,11 @@ impl Dx100Engine {
 
         // 1. Route completed memory requests.
         while let Some(id) = self.resp_inbox.pop_front() {
-            match self.ids.take_route(id) {
-                Some(UnitTag::Stream) => {
-                    if let Some(h) = self.stream.on_response(id, &mut self.spd, mem) {
-                        retiring.push(h);
-                    }
-                }
-                Some(UnitTag::IndirectRead) | Some(UnitTag::IndirectWrite) => {
-                    self.indirect.push_response(id);
-                }
-                None => debug_assert!(false, "response for unrouted id {id}"),
+            self.ids.release();
+            if self.indirect.owns(id) {
+                self.indirect.push_response(id);
+            } else if let Some(h) = self.stream.on_response(id, &mut self.spd, mem) {
+                retiring.push(h);
             }
         }
 
@@ -706,26 +609,6 @@ mod tests {
             }
         }
         panic!("engine did not drain in {max_cycles} cycles");
-    }
-
-    #[test]
-    fn id_window_indexes_by_id_and_drops_completed_ids() {
-        let mut w = IdWindow::default();
-        w.insert(10, 'a');
-        w.insert(13, 'b'); // 11 and 12 belong to another unit
-        w.insert(14, 'c');
-        assert_eq!((w.len(), w.remove(12)), (3, None));
-        assert_eq!(w.remove(13), Some('b'));
-        assert_eq!(w.remove(13), None, "removed once");
-        assert_eq!(w.remove(10), Some('a'));
-        // The front is now the oldest live id; older ids are out of range.
-        assert_eq!((w.base, w.slots.len()), (14, 1));
-        assert_eq!(w.remove(9), None);
-        assert_eq!(w.remove(14), Some('c'));
-        assert!(w.is_empty() && w.slots.is_empty());
-        // An empty window restarts at the next id, however far ahead.
-        w.insert(1_000, 'd');
-        assert_eq!((w.base, w.slots.len()), (1_000, 1));
     }
 
     /// End-to-end gather: SLD indices, ILD values; compare with functional.
@@ -962,23 +845,5 @@ mod tests {
         assert!(p.indirect_busy > 0, "indirect unit did the gather");
         assert!(p.fill_ticks > 0 && p.issue_ticks > 0 && p.drain_ticks > 0);
         assert!(p.row_table_depth.total() == ticks);
-    }
-
-    #[test]
-    fn encoded_instruction_round_trip_executes() {
-        let dram = DramConfig::ddr4_3200_2ch();
-        let mut mem = MemoryImage::new();
-        let a = mem.alloc("A", DType::U32, 64);
-        for i in 0..64 {
-            mem.write_elem(a, i, i + 5);
-        }
-        let mut engine = Dx100Engine::new(small_cfg(), &dram);
-        engine.preload_ptes(0, mem.high_water());
-        engine.write_tile(T0, &[3, 1, 4, 1, 5]);
-        let words = Instruction::ild(DType::U32, a.base(), T1, T0).encode();
-        engine.push_encoded(words, None).unwrap();
-        let mut ports = TestPorts::new(10);
-        run_engine(&mut engine, &mut mem, &mut ports, 10_000);
-        assert_eq!(engine.tile(T1).valid(), &[8, 6, 9, 6, 10]);
     }
 }

@@ -26,17 +26,85 @@ use std::collections::VecDeque;
 
 use dx100_common::hash::HashMap;
 use dx100_common::{value, Addr, AluOp, Cycle, DType, LineAddr, ReqId};
-use dx100_dram::{AddrMap, Organization};
+use dx100_dram::Organization;
 
 use crate::config::Dx100Config;
 use crate::controller::DispatchedInstr;
-use crate::engine::{IdAlloc, IdWindow, UnitTag};
+use crate::engine::IdAlloc;
 use crate::isa::{Instruction, TileId};
 use crate::memimg::MemoryImage;
 use crate::ports::MemPorts;
 use crate::scratchpad::Scratchpad;
 use crate::stats::Dx100Stats;
 use crate::tlb::Tlb;
+
+/// Values keyed by request id, for ids handed out in increasing order: a
+/// window over ids `base..base + slots.len()`, so insertion and removal
+/// index a ring instead of probing a hash map. Ids in the window that hold
+/// no value (another unit's, or completed ones behind a live one) are
+/// `None`; the window drops them from its front as the oldest live id
+/// completes, and its ring only grows. Its length is the id span of the
+/// live requests, not their count, so it suits small values.
+#[derive(Clone, Debug)]
+struct IdWindow<T> {
+    base: ReqId,
+    slots: VecDeque<Option<T>>,
+    live: usize,
+}
+
+impl<T> Default for IdWindow<T> {
+    fn default() -> Self {
+        IdWindow {
+            base: 0,
+            slots: VecDeque::new(),
+            live: 0,
+        }
+    }
+}
+
+impl<T> IdWindow<T> {
+    /// Inserts `v` under `id`, which must be newer than every id inserted
+    /// since the window last emptied.
+    fn insert(&mut self, id: ReqId, v: T) {
+        if self.slots.is_empty() {
+            self.base = id;
+        }
+        let idx = (id - self.base) as usize;
+        assert!(idx >= self.slots.len(), "request ids must increase");
+        self.slots.resize_with(idx, || None);
+        self.slots.push_back(Some(v));
+        self.live += 1;
+    }
+
+    /// Removes and returns the value under `id`, if any.
+    fn remove(&mut self, id: ReqId) -> Option<T> {
+        let idx = id.checked_sub(self.base)? as usize;
+        let v = self.slots.get_mut(idx)?.take()?;
+        self.live -= 1;
+        while self.slots.front().is_some_and(Option::is_none) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(v)
+    }
+
+    /// Whether `id` holds a value.
+    fn contains(&self, id: ReqId) -> bool {
+        id.checked_sub(self.base)
+            .and_then(|idx| self.slots.get(idx as usize))
+            .is_some_and(Option::is_some)
+    }
+
+    /// Ids holding a value.
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Whether no id holds a value.
+    fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+}
 
 /// What an indirect job does with each word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,7 +281,6 @@ impl IndirectJob {
 pub struct IndirectUnit {
     cfg: Dx100Config,
     org: Organization,
-    map: AddrMap,
     jobs: VecDeque<IndirectJob>,
     slices: Vec<Slice>,
     /// Slice visit order for interleaving (channel fastest, then bank group).
@@ -249,9 +316,9 @@ pub struct IndirectUnit {
 }
 
 impl IndirectUnit {
-    /// Creates the unit for a given DRAM organization/mapping (the Row Table
+    /// Creates the unit for a given DRAM organization (the Row Table
     /// geometry mirrors the physical bank layout).
-    pub fn new(cfg: Dx100Config, org: Organization, map: AddrMap) -> Self {
+    pub fn new(cfg: Dx100Config, org: Organization) -> Self {
         let num_slices = org.channels * org.banks_per_channel();
         // Channel varies fastest, then bank group, then bank: consecutive
         // requests interleave channels and bank groups.
@@ -272,7 +339,6 @@ impl IndirectUnit {
                 .collect(),
             cfg,
             org,
-            map,
             jobs: VecDeque::new(),
             slice_order,
             rr: 0,
@@ -343,6 +409,11 @@ impl IndirectUnit {
             && self.outstanding_writes.is_empty()
             && self.pending_writes.is_empty()
             && self.resp_queue.is_empty()
+    }
+
+    /// Whether `id` is one of this unit's in-flight line reads or writes.
+    pub fn owns(&self, id: ReqId) -> bool {
+        self.outstanding.contains(id) || self.outstanding_writes.contains(id)
     }
 
     /// Queues a completed line/write acknowledgement for the Word Modifier.
@@ -559,7 +630,7 @@ impl IndirectUnit {
             }
             stats.tlb_hits += 1;
             let line = LineAddr::containing(addr);
-            let coord = self.map.decode(line, &self.org);
+            let coord = self.org.decode(line);
             let slice_idx =
                 coord.channel * self.org.banks_per_channel() + coord.bank_index(&self.org);
             if !self.insert_word(slice_idx, coord.row, line, (i, addr), job_idx, ports, stats) {
@@ -831,7 +902,7 @@ impl IndirectUnit {
             let Some(&(line, h, job)) = self.pending_writes.front() else {
                 break;
             };
-            let id = ids.alloc(UnitTag::IndirectWrite);
+            let id = ids.alloc();
             let accepted = if h {
                 ports.llc_request(id, line, true, now);
                 true
@@ -839,7 +910,7 @@ impl IndirectUnit {
                 ports.dram_try_request(id, line, true, now)
             };
             if !accepted {
-                ids.cancel(id);
+                ids.release();
                 stats.reqbuf_stall_cycles += 1;
                 return;
             }
@@ -857,7 +928,7 @@ impl IndirectUnit {
             };
             let col = &self.cols[c as usize];
             let (line, h) = (col.line, col.h);
-            let id = ids.alloc(UnitTag::IndirectRead);
+            let id = ids.alloc();
             let accepted = if h {
                 ports.llc_request(id, line, false, now);
                 true
@@ -865,7 +936,7 @@ impl IndirectUnit {
                 ports.dram_try_request(id, line, false, now)
             };
             if !accepted {
-                ids.cancel(id);
+                ids.release();
                 stats.reqbuf_stall_cycles += 1;
                 if !self.cfg.reorder {
                     // Insertion-order mode popped the candidate; put it
@@ -1116,5 +1187,31 @@ impl IndirectUnit {
             self.lines.remove(&col.line);
         }
         col
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn id_window_indexes_by_id_and_drops_completed_ids() {
+        let mut w = IdWindow::default();
+        w.insert(10, 'a');
+        w.insert(13, 'b'); // 11 and 12 belong to another unit
+        w.insert(14, 'c');
+        assert!(w.contains(13) && !w.contains(12) && !w.contains(9));
+        assert_eq!((w.len(), w.remove(12)), (3, None));
+        assert_eq!(w.remove(13), Some('b'));
+        assert_eq!(w.remove(13), None, "removed once");
+        assert_eq!(w.remove(10), Some('a'));
+        // The front is now the oldest live id; older ids are out of range.
+        assert_eq!((w.base, w.slots.len()), (14, 1));
+        assert_eq!(w.remove(9), None);
+        assert_eq!(w.remove(14), Some('c'));
+        assert!(w.is_empty() && w.slots.is_empty());
+        // An empty window restarts at the next id, however far ahead.
+        w.insert(1_000, 'd');
+        assert_eq!((w.base, w.slots.len()), (1_000, 1));
     }
 }

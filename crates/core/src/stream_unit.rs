@@ -11,7 +11,7 @@ use dx100_common::hash::HashMap;
 use dx100_common::{Addr, Cycle, DType, LineAddr, ReqId};
 
 use crate::controller::DispatchedInstr;
-use crate::engine::{IdAlloc, UnitTag};
+use crate::engine::IdAlloc;
 use crate::isa::{Instruction, TileId};
 use crate::memimg::MemoryImage;
 use crate::ports::MemPorts;
@@ -227,7 +227,7 @@ impl StreamUnit {
                     if self.outstanding.len() >= self.table_cap {
                         break; // Request Table full: structural stall.
                     }
-                    let rid = ids.alloc(UnitTag::Stream);
+                    let rid = ids.alloc();
                     let mut elems = self.spare.pop().unwrap_or_default();
                     elems.push((i, addr));
                     self.outstanding.insert(
@@ -256,7 +256,7 @@ impl StreamUnit {
                             break;
                         }
                         let (l, elems) = job.current_write.take().unwrap();
-                        let rid = ids.alloc(UnitTag::Stream);
+                        let rid = ids.alloc();
                         self.outstanding.insert(
                             rid,
                             LineReq {
@@ -284,7 +284,7 @@ impl StreamUnit {
         if job.next >= count {
             if let Some((l, elems)) = job.current_write.take() {
                 if self.outstanding.len() < self.table_cap {
-                    let rid = ids.alloc(UnitTag::Stream);
+                    let rid = ids.alloc();
                     self.outstanding.insert(
                         rid,
                         LineReq {

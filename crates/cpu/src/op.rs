@@ -126,15 +126,6 @@ impl CoreOp {
         }
         self
     }
-
-    /// Number of retired instructions this op accounts for.
-    pub fn instruction_count(&self) -> u64 {
-        match self {
-            // Waits are pure stalls; spin charges are added separately.
-            CoreOp::WaitFlag { .. } => 0,
-            _ => 1,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -158,18 +149,5 @@ mod tests {
     #[should_panic(expected = "both dependency slots in use")]
     fn with_dep_overflow_panics() {
         let _ = CoreOp::alu().with_dep(1).with_dep(2).with_dep(3);
-    }
-
-    #[test]
-    fn instruction_counts() {
-        assert_eq!(CoreOp::load(0, 0).instruction_count(), 1);
-        assert_eq!(
-            CoreOp::WaitFlag {
-                flag: FlagId(0),
-                spin: false
-            }
-            .instruction_count(),
-            0
-        );
     }
 }

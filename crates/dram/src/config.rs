@@ -1,7 +1,5 @@
 //! DRAM organization, timing parameters, and top-level configuration.
 
-use crate::mapping::AddrMap;
-
 /// Physical organization of the DRAM system.
 ///
 /// The paper's configuration (Table 3) is two channels of DDR4-3200, each
@@ -113,8 +111,6 @@ pub struct DramConfig {
     pub organization: Organization,
     /// Timing constraints in tCK.
     pub timings: DramTimings,
-    /// Address-to-coordinate mapping scheme.
-    pub addr_map: AddrMap,
     /// FR-FCFS request buffer entries per channel (Table 3: 32).
     pub request_buffer_size: usize,
     /// Age (in tCK) after which the oldest request is serviced strictly
@@ -143,17 +139,10 @@ impl DramConfig {
                 cols_per_row: 128,
             },
             timings: DramTimings::ddr4_3200(),
-            addr_map: AddrMap::ChBgColBaRow,
             request_buffer_size: 32,
             starvation_threshold: 4096,
             bytes_per_tick_per_channel: 16.0,
         }
-    }
-
-    /// Peak bandwidth across all channels in GB/s (tCK = 625 ps).
-    pub fn peak_bandwidth_gbps(&self) -> f64 {
-        // bytes per tick * ticks per second / 1e9; 1 tick = 625 ps.
-        self.bytes_per_tick_per_channel * self.organization.channels as f64 * 1.6
     }
 }
 
@@ -173,15 +162,6 @@ mod tests {
         assert_eq!(t.t_rtp as f64 * 0.625, 7.5);
         assert_eq!(t.t_ras as f64 * 0.625, 32.5);
         assert_eq!(t.t_rc(), 72);
-    }
-
-    #[test]
-    fn peak_bandwidth_matches_table3() {
-        // Table 3: 2 channels DDR4-3200 → 51.2 GB/s max.
-        let cfg = DramConfig::ddr4_3200_2ch();
-        assert!((cfg.peak_bandwidth_gbps() - 51.2).abs() < 1e-9);
-        let cfg4 = DramConfig::ddr4_3200_n_ch(4);
-        assert!((cfg4.peak_bandwidth_gbps() - 102.4).abs() < 1e-9);
     }
 
     #[test]

@@ -679,7 +679,6 @@ impl ChannelController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::AddrMap;
     use dx100_common::LineAddr;
 
     fn run_until_drained(ctrl: &mut ChannelController, max_ticks: Cycle) -> Vec<MemResponse> {
@@ -703,7 +702,7 @@ mod tests {
         line: LineAddr,
         write: bool,
     ) {
-        let coord = cfg.addr_map.decode(line, &cfg.organization);
+        let coord = cfg.organization.decode(line);
         assert_eq!(coord.channel, 0, "test lines must map to channel 0");
         let req = if write {
             MemRequest::write(id, line)
@@ -715,17 +714,14 @@ mod tests {
 
     /// Build a line address with chosen row/col in channel 0, bank 0, bg 0.
     fn line(cfg: &DramConfig, row: u64, col: u64) -> LineAddr {
-        AddrMap::ChBgColBaRow.encode(
-            DramCoord {
-                channel: 0,
-                rank: 0,
-                bank_group: 0,
-                bank: 0,
-                row,
-                col,
-            },
-            &cfg.organization,
-        )
+        cfg.organization.encode(DramCoord {
+            channel: 0,
+            rank: 0,
+            bank_group: 0,
+            bank: 0,
+            row,
+            col,
+        })
     }
 
     #[test]
@@ -783,7 +779,7 @@ mod tests {
             enqueue_line(&mut ctrl, &cfg, i, line(&cfg, i, 0), false);
         }
         assert_eq!(ctrl.free_slots(), 0);
-        let coord = cfg.addr_map.decode(line(&cfg, 99, 0), &cfg.organization);
+        let coord = cfg.organization.decode(line(&cfg, 99, 0));
         assert!(!ctrl.try_enqueue(MemRequest::read(999, line(&cfg, 99, 0)), coord, 0));
     }
 
@@ -803,7 +799,7 @@ mod tests {
             // Keep refilling row-1 hits so FR would starve row 2 forever.
             if ctrl.free_slots() > 0 {
                 let l = line(&cfg, 1, col % cfg.organization.cols_per_row);
-                let coord = cfg.addr_map.decode(l, &cfg.organization);
+                let coord = cfg.organization.decode(l);
                 ctrl.try_enqueue(MemRequest::read(1000 + col, l), coord, now);
                 col += 1;
             }
@@ -832,7 +828,7 @@ mod tests {
             // Stream across bank groups: line addresses with channel bit 0.
             while sent < total && ctrl.free_slots() > 0 {
                 let l = LineAddr(sent * cfg.organization.channels as u64);
-                let coord = cfg.addr_map.decode(l, &cfg.organization);
+                let coord = cfg.organization.decode(l);
                 assert_eq!(coord.channel, 0);
                 ctrl.try_enqueue(MemRequest::read(sent, l), coord, now);
                 sent += 1;

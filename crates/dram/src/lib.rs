@@ -46,7 +46,7 @@ pub mod stats;
 
 pub use config::{DramConfig, DramTimings, Organization};
 pub use controller::ChannelController;
-pub use mapping::{AddrMap, DramCoord};
+pub use mapping::DramCoord;
 pub use profile::{CasOutcome, ChannelProfile};
 pub use stats::DramStats;
 
@@ -199,10 +199,7 @@ impl DramSystem {
     /// An accepted request wakes its channel, crediting the slept span from
     /// the buffer occupancy before the request.
     pub fn try_enqueue(&mut self, req: MemRequest, now: Cycle) -> bool {
-        let coord = self
-            .config
-            .addr_map
-            .decode(req.line, &self.config.organization);
+        let coord = self.config.organization.decode(req.line);
         let ch = coord.channel;
         let ctrl = &mut self.controllers[ch];
         if ctrl.free_slots() == 0 {

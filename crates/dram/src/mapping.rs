@@ -2,15 +2,15 @@
 //!
 //! The mapping determines which bits of a cache-line address select the
 //! channel, bank group, bank, row, and column — and therefore how much
-//! channel/bank-group parallelism a given access stream enjoys. The default
-//! scheme interleaves consecutive lines across channels and bank groups (as
-//! server memory controllers do); an alternative column-major scheme is kept
-//! for the interleaving ablation.
+//! channel/bank-group parallelism a given access stream enjoys. The one
+//! scheme, `channel : bank-group : column : bank : rank : row` (LSB → MSB),
+//! interleaves consecutive lines across channels and then bank groups, as
+//! server memory controllers do and as the paper's baseline assumes.
 //!
-//! Both directions are implemented: `decode` (address → coordinates) drives
-//! the simulator, while `encode` (coordinates → address) lets the
-//! microbenchmarks of Figure 8 construct index patterns with exact
-//! row-buffer-hit and interleaving properties.
+//! Both directions are implemented: [`Organization::decode`] (address →
+//! coordinates) drives the simulator, while [`Organization::encode`]
+//! (coordinates → address) lets the microbenchmarks of Figure 8 construct
+//! index patterns with exact row-buffer-hit and interleaving properties.
 
 use crate::config::Organization;
 use dx100_common::LineAddr;
@@ -39,25 +39,6 @@ impl DramCoord {
     }
 }
 
-/// Address-mapping schemes, named LSB-first by the field each bit range
-/// selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AddrMap {
-    /// `channel : bank-group : column : bank : rank : row` (LSB → MSB).
-    ///
-    /// Consecutive cache lines alternate channels, then bank groups, so
-    /// streaming accesses achieve full channel and bank-group interleaving —
-    /// the scheme the paper's baseline assumes.
-    #[default]
-    ChBgColBaRow,
-    /// `channel : column : bank-group : bank : rank : row` (LSB → MSB).
-    ///
-    /// Consecutive lines walk a whole row in one bank before switching bank
-    /// group; streams become `tCCD_L`-bound. Used by the interleaving
-    /// ablation.
-    ChColBgBaRow,
-}
-
 fn ilog2(v: usize) -> u32 {
     debug_assert!(
         v.is_power_of_two(),
@@ -66,64 +47,33 @@ fn ilog2(v: usize) -> u32 {
     v.trailing_zeros()
 }
 
-impl AddrMap {
+impl Organization {
     /// Decodes a cache-line address into DRAM coordinates.
-    pub fn decode(self, line: LineAddr, org: &Organization) -> DramCoord {
+    pub fn decode(&self, line: LineAddr) -> DramCoord {
         let mut bits = line.0;
         let mut take = |n: u32| -> u64 {
             let v = bits & ((1u64 << n) - 1);
             bits >>= n;
             v
         };
-        let ch_b = ilog2(org.channels);
-        let bg_b = ilog2(org.bank_groups);
-        let ba_b = ilog2(org.banks_per_group);
-        let ra_b = ilog2(org.ranks);
-        let co_b = ilog2(org.cols_per_row as usize);
-        match self {
-            AddrMap::ChBgColBaRow => {
-                let channel = take(ch_b) as usize;
-                let bank_group = take(bg_b) as usize;
-                let col = take(co_b);
-                let bank = take(ba_b) as usize;
-                let rank = take(ra_b) as usize;
-                let row = bits;
-                DramCoord {
-                    channel,
-                    rank,
-                    bank_group,
-                    bank,
-                    row,
-                    col,
-                }
-            }
-            AddrMap::ChColBgBaRow => {
-                let channel = take(ch_b) as usize;
-                let col = take(co_b);
-                let bank_group = take(bg_b) as usize;
-                let bank = take(ba_b) as usize;
-                let rank = take(ra_b) as usize;
-                let row = bits;
-                DramCoord {
-                    channel,
-                    rank,
-                    bank_group,
-                    bank,
-                    row,
-                    col,
-                }
-            }
+        let channel = take(ilog2(self.channels)) as usize;
+        let bank_group = take(ilog2(self.bank_groups)) as usize;
+        let col = take(ilog2(self.cols_per_row as usize));
+        let bank = take(ilog2(self.banks_per_group)) as usize;
+        let rank = take(ilog2(self.ranks)) as usize;
+        DramCoord {
+            channel,
+            rank,
+            bank_group,
+            bank,
+            row: bits,
+            col,
         }
     }
 
     /// Encodes DRAM coordinates back into a cache-line address; exact inverse
-    /// of [`AddrMap::decode`].
-    pub fn encode(self, coord: DramCoord, org: &Organization) -> LineAddr {
-        let ch_b = ilog2(org.channels);
-        let bg_b = ilog2(org.bank_groups);
-        let ba_b = ilog2(org.banks_per_group);
-        let ra_b = ilog2(org.ranks);
-        let co_b = ilog2(org.cols_per_row as usize);
+    /// of [`Organization::decode`].
+    pub fn encode(&self, coord: DramCoord) -> LineAddr {
         let mut bits: u64 = 0;
         let mut shift: u32 = 0;
         let mut put = |v: u64, n: u32| {
@@ -131,25 +81,12 @@ impl AddrMap {
             bits |= v << shift;
             shift += n;
         };
-        match self {
-            AddrMap::ChBgColBaRow => {
-                put(coord.channel as u64, ch_b);
-                put(coord.bank_group as u64, bg_b);
-                put(coord.col, co_b);
-                put(coord.bank as u64, ba_b);
-                put(coord.rank as u64, ra_b);
-                bits |= coord.row << shift;
-            }
-            AddrMap::ChColBgBaRow => {
-                put(coord.channel as u64, ch_b);
-                put(coord.col, co_b);
-                put(coord.bank_group as u64, bg_b);
-                put(coord.bank as u64, ba_b);
-                put(coord.rank as u64, ra_b);
-                bits |= coord.row << shift;
-            }
-        }
-        LineAddr(bits)
+        put(coord.channel as u64, ilog2(self.channels));
+        put(coord.bank_group as u64, ilog2(self.bank_groups));
+        put(coord.col, ilog2(self.cols_per_row as usize));
+        put(coord.bank as u64, ilog2(self.banks_per_group));
+        put(coord.rank as u64, ilog2(self.ranks));
+        LineAddr(bits | (coord.row << shift))
     }
 }
 
@@ -165,10 +102,9 @@ mod tests {
     #[test]
     fn default_map_interleaves_channels_then_bank_groups() {
         let org = org();
-        let m = AddrMap::ChBgColBaRow;
-        let c0 = m.decode(LineAddr(0), &org);
-        let c1 = m.decode(LineAddr(1), &org);
-        let c2 = m.decode(LineAddr(2), &org);
+        let c0 = org.decode(LineAddr(0));
+        let c1 = org.decode(LineAddr(1));
+        let c2 = org.decode(LineAddr(2));
         assert_eq!(c0.channel, 0);
         assert_eq!(c1.channel, 1);
         // After the channel bit, the next bits pick the bank group.
@@ -178,29 +114,11 @@ mod tests {
     }
 
     #[test]
-    fn column_major_map_stays_in_one_bank_group() {
-        let org = org();
-        let m = AddrMap::ChColBgBaRow;
-        for i in 0..(org.cols_per_row * 2) {
-            let c = m.decode(LineAddr(i), &org);
-            // Even lines are channel 0; all of them land in bank group 0
-            // until a whole row's worth of columns has been consumed.
-            if i % 2 == 0 {
-                assert_eq!(c.channel, 0);
-                assert_eq!(c.bank_group, 0, "line {i}");
-            }
-        }
-    }
-
-    #[test]
     fn encode_is_inverse_of_decode() {
         let org = org();
-        for map in [AddrMap::ChBgColBaRow, AddrMap::ChColBgBaRow] {
-            for raw in [0u64, 1, 2, 17, 12345, 0xf_ffff, 0xdead_beef] {
-                let line = LineAddr(raw);
-                let coord = map.decode(line, &org);
-                assert_eq!(map.encode(coord, &org), line, "{map:?} {raw:#x}");
-            }
+        for raw in [0u64, 1, 2, 17, 12345, 0xf_ffff, 0xdead_beef] {
+            let line = LineAddr(raw);
+            assert_eq!(org.encode(org.decode(line)), line, "{raw:#x}");
         }
     }
 
@@ -208,7 +126,7 @@ mod tests {
     fn decode_fields_in_range() {
         let org = org();
         for raw in 0..4096u64 {
-            let c = AddrMap::ChBgColBaRow.decode(LineAddr(raw), &org);
+            let c = org.decode(LineAddr(raw));
             assert!(c.channel < org.channels);
             assert!(c.bank_group < org.bank_groups);
             assert!(c.bank < org.banks_per_group);
@@ -222,7 +140,7 @@ mod tests {
         let org = org();
         let mut seen = std::collections::HashSet::new();
         for raw in 0..8192u64 {
-            let c = AddrMap::ChBgColBaRow.decode(LineAddr(raw), &org);
+            let c = org.decode(LineAddr(raw));
             assert!(seen.insert((c.channel, c.rank, c.bank_group, c.bank, c.row, c.col)));
         }
     }

@@ -1,13 +1,13 @@
 //! dx100-serve: simulation-as-a-service over the DX100 simulator.
 //!
 //! A dependency-free HTTP/1.1 JSON daemon (`std::net` only — no async
-//! runtime, builds offline) that accepts simulation jobs, schedules them
-//! on a worker pool, and memoizes every report in a content-addressed
-//! on-disk cache. Because the simulator is bit-deterministic for a fully
-//! resolved job config (kernel, machine, scale, seed, mode flags), the
-//! cache key is simply the FNV-1a 64 hash of the config's canonical JSON
-//! — a repeat submission is an O(1) file read returning a byte-identical
-//! report with `"cached": true`.
+//! runtime, builds offline) that accepts simulation jobs, runs them on
+//! the scheduler's worker threads, and memoizes every report in a
+//! content-addressed on-disk cache. Because the simulator is
+//! bit-deterministic for a fully resolved job config (kernel, machine,
+//! scale, seed, mode flags), the cache key is simply the FNV-1a 64 hash of
+//! the config's canonical JSON — a repeat submission is an O(1) file read
+//! returning a byte-identical report with `"cached": true`.
 //!
 //! Layering, bottom-up:
 //!
@@ -16,7 +16,7 @@
 //! - [`cache`] — the content-addressed result store (atomic writes,
 //!   size-capped LRU eviction by mtime).
 //! - [`scheduler`] — specs → jobs: cache lookup, in-flight coalescing,
-//!   worker-pool execution, a bounded job table, graceful drain.
+//!   a bounded job table whose queue feeds the workers, graceful drain.
 //! - [`server`] — routing and the accept loop.
 //!
 //! Start one with `dx100 serve`, which fills a

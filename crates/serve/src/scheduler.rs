@@ -1,6 +1,6 @@
-//! The job scheduler: accepted specs become numbered jobs, simulated on a
-//! shared [`WorkerPool`] (`--max-jobs`
-//! workers), with results memoized through the [`ResultCache`].
+//! The job scheduler: accepted specs become numbered jobs, simulated by
+//! its own `--max-jobs` worker threads, with results memoized through the
+//! [`ResultCache`].
 //!
 //! Three ways a submission resolves:
 //!
@@ -13,8 +13,10 @@
 //!    caller is handed *that* job's id rather than a second simulation of
 //!    the same config (the common thundering-herd shape under repeated
 //!    traffic).
-//! 3. **Scheduled** — a worker runs [`JobSpec::run`], the report is
-//!    written to the cache, and every waiter wakes. A run that panics
+//! 3. **Scheduled** — the job joins the scheduler's queue; the first free
+//!    worker takes it (queued jobs start in submission order), runs
+//!    [`JobSpec::run`], writes the report to the cache, and wakes every
+//!    waiter. A run that panics
 //!    (a spec that validates but cannot be built, such as an absurd
 //!    scale) ends the job `failed` with the panic message; the worker
 //!    lives on.
@@ -31,9 +33,9 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 
 use dx100_bench::JobSpec;
-use dx100_common::pool::WorkerPool;
 
 use crate::cache::ResultCache;
 
@@ -104,12 +106,16 @@ struct JobRecord {
 #[derive(Default)]
 struct SchedState {
     jobs: BTreeMap<u64, JobRecord>,
+    /// Queued jobs' ids and specs, in submission order.
+    queued: VecDeque<(u64, JobSpec)>,
     /// Ids of the finished jobs in `jobs`, in the order they finished.
     finished: VecDeque<u64>,
     /// cache-key → job id for queued/running jobs (coalescing index).
     inflight: HashMap<String, u64>,
     next_id: u64,
     simulated: u64,
+    /// Set by [`Scheduler::shutdown`]: workers exit once `queued` is empty.
+    draining: bool,
 }
 
 impl SchedState {
@@ -151,31 +157,99 @@ impl SchedState {
 
 struct SchedInner {
     state: Mutex<SchedState>,
+    /// Signaled when a job is queued and when draining starts.
+    work: Condvar,
     /// Signaled whenever any job reaches a terminal status.
     done: Condvar,
     cache: ResultCache,
 }
 
+impl SchedInner {
+    /// A worker's life: runs queued jobs, oldest first, until the
+    /// scheduler drains and the queue is empty.
+    fn work(&self) {
+        loop {
+            let (id, key, spec) = {
+                let mut st = self.state.lock().expect("scheduler lock poisoned");
+                let (id, spec) = loop {
+                    if let Some(job) = st.queued.pop_front() {
+                        break job;
+                    }
+                    if st.draining {
+                        return;
+                    }
+                    st = self.work.wait(st).expect("scheduler lock poisoned");
+                };
+                // Queued and running records are never evicted.
+                let view = &mut st.jobs.get_mut(&id).expect("queued record").view;
+                view.status = JobStatus::Running;
+                (id, view.key.clone(), spec)
+            };
+            self.run(id, &key, &spec);
+        }
+    }
+
+    /// Simulates job `id`, caches its report, and wakes every waiter.
+    fn run(&self, id: u64, key: &str, spec: &JobSpec) {
+        // No lock is held while the spec runs, so a panic poisons nothing;
+        // it only has to reach the job record.
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| spec.run()))
+            .unwrap_or_else(|payload| Err(format!("job panicked: {}", panic_text(&*payload))));
+        let mut st = self.state.lock().expect("scheduler lock poisoned");
+        let view = &mut st.jobs.get_mut(&id).expect("running record").view;
+        match outcome {
+            Ok(report) => {
+                let body = report.to_string() + "\n";
+                // A cache write failure degrades to a miss next time; the
+                // in-memory result still reaches every waiter.
+                if let Err(e) = self.cache.put(key, &body) {
+                    eprintln!("serve: cache write for {key} failed: {e}");
+                }
+                view.status = JobStatus::Done { cached: false };
+                view.report = Some(body);
+                st.simulated += 1;
+            }
+            Err(msg) => {
+                view.status = JobStatus::Failed;
+                view.error = Some(msg);
+            }
+        }
+        st.inflight.remove(key);
+        st.finish(id);
+        drop(st);
+        self.done.notify_all();
+    }
+}
+
 /// See module docs.
 pub struct Scheduler {
     inner: Arc<SchedInner>,
-    pool: WorkerPool,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Scheduler {
-    /// Builds a scheduler over `cache` with `max_jobs` simulation workers.
+    /// Builds a scheduler over `cache` with `max_jobs` simulation workers
+    /// (at least one).
     pub fn new(cache: ResultCache, max_jobs: usize) -> Self {
-        Scheduler {
-            inner: Arc::new(SchedInner {
-                state: Mutex::new(SchedState {
-                    next_id: 1,
-                    ..SchedState::default()
-                }),
-                done: Condvar::new(),
-                cache,
+        let inner = Arc::new(SchedInner {
+            state: Mutex::new(SchedState {
+                next_id: 1,
+                ..SchedState::default()
             }),
-            pool: WorkerPool::new(max_jobs),
-        }
+            work: Condvar::new(),
+            done: Condvar::new(),
+            cache,
+        });
+        let workers = (0..max_jobs.max(1))
+            .map(|i| {
+                let inner = Arc::clone(&inner);
+                std::thread::Builder::new()
+                    .name(format!("dx100-job-{i}"))
+                    .spawn(move || inner.work())
+                    .expect("spawn job worker")
+            })
+            .collect();
+        Scheduler { inner, workers }
     }
 
     /// The result cache (for stats endpoints).
@@ -217,8 +291,9 @@ impl Scheduler {
             // 3. Schedule.
             (None, None) => {
                 let id = st.add(key.clone(), JobStatus::Queued, None);
-                st.inflight.insert(key.clone(), id);
-                self.schedule(id, key, spec);
+                st.inflight.insert(key, id);
+                st.queued.push_back((id, spec));
+                self.inner.work.notify_one();
                 id
             }
         };
@@ -239,49 +314,6 @@ impl Scheduler {
         view
     }
 
-    /// Queues job `id`'s simulation on the worker pool.
-    fn schedule(&self, id: u64, key: String, spec: JobSpec) {
-        let inner = Arc::clone(&self.inner);
-        self.pool.submit(Box::new(move || {
-            {
-                let mut st = inner.state.lock().unwrap();
-                if let Some(rec) = st.jobs.get_mut(&id) {
-                    rec.view.status = JobStatus::Running;
-                }
-            }
-            // No lock is held while the spec runs, so a panic poisons
-            // nothing; it only has to reach the job record.
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| spec.run()))
-                .unwrap_or_else(|payload| Err(format!("job panicked: {}", panic_text(&*payload))));
-            let mut st = inner.state.lock().unwrap();
-            match outcome {
-                Ok(report) => {
-                    let body = report.to_string() + "\n";
-                    // A cache write failure degrades to a miss next time;
-                    // the in-memory result still reaches every waiter.
-                    if let Err(e) = inner.cache.put(&key, &body) {
-                        eprintln!("serve: cache write for {key} failed: {e}");
-                    }
-                    st.simulated += 1;
-                    if let Some(rec) = st.jobs.get_mut(&id) {
-                        rec.view.status = JobStatus::Done { cached: false };
-                        rec.view.report = Some(body);
-                    }
-                }
-                Err(msg) => {
-                    if let Some(rec) = st.jobs.get_mut(&id) {
-                        rec.view.status = JobStatus::Failed;
-                        rec.view.error = Some(msg);
-                    }
-                }
-            }
-            st.inflight.remove(&key);
-            st.finish(id);
-            drop(st);
-            inner.done.notify_all();
-        }));
-    }
-
     /// A job's current view.
     pub fn get(&self, id: u64) -> Result<JobView, NoJob> {
         let st = self.inner.state.lock().unwrap();
@@ -293,9 +325,22 @@ impl Scheduler {
     }
 
     /// Graceful drain: every queued and running job completes (reports
-    /// cached) before this returns.
+    /// cached) and the workers exit before this returns. A worker's panic
+    /// propagates once every worker has been joined.
     pub fn shutdown(self) {
-        self.pool.shutdown();
+        self.inner
+            .state
+            .lock()
+            .expect("scheduler lock poisoned")
+            .draining = true;
+        self.inner.work.notify_all();
+        let mut panic = None;
+        for w in self.workers {
+            panic = w.join().err().or(panic);
+        }
+        if let Some(p) = panic {
+            panic::resume_unwind(p);
+        }
     }
 }
 
@@ -354,6 +399,28 @@ mod tests {
         assert_eq!(a.id, b.id);
         assert_eq!(b.status, JobStatus::Done { cached: false });
         assert_eq!(sched.simulated(), 1);
+        sched.shutdown();
+    }
+
+    #[test]
+    fn one_worker_runs_jobs_in_submission_order() {
+        let sched = scheduler("order", 1);
+        let ids: Vec<u64> = ["is", "pr", "cg", "bc"]
+            .map(|k| sched.submit(tiny(k), false).id)
+            .to_vec();
+        // An identical submission attaches to the last job and waits for it.
+        assert_eq!(sched.submit(tiny("bc"), true).id, ids[3]);
+        let st = sched.inner.state.lock().unwrap();
+        assert_eq!(st.finished.iter().copied().collect::<Vec<_>>(), ids);
+        drop(st);
+        sched.shutdown();
+    }
+
+    #[test]
+    fn zero_max_jobs_still_runs_a_job() {
+        let sched = scheduler("zero", 0);
+        let view = sched.submit(tiny("is"), true);
+        assert_eq!(view.status, JobStatus::Done { cached: false });
         sched.shutdown();
     }
 

@@ -83,7 +83,7 @@ impl Server {
 
     /// Serves until a shutdown request arrives, then drains in-flight
     /// jobs and returns. Each connection is handled on its own thread
-    /// (jobs themselves run on the scheduler's worker pool, so slow
+    /// (jobs themselves run on the scheduler's workers, so slow
     /// simulations never block the accept loop).
     pub fn run(self) {
         let Server {

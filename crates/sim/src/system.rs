@@ -21,19 +21,28 @@ use crate::profile::{RunTelemetry, SystemProfile};
 use crate::region::{RegionCoherence, RegionGrant};
 use crate::stats::RunStats;
 
-/// Where a DRAM-level request originated.
-#[derive(Debug, Clone, Copy)]
-enum DramOrigin {
-    /// LLC demand/prefetch miss: fill the hierarchy on completion.
-    HierRead,
-    /// LLC write-back: fire and forget.
-    HierWrite,
-    /// DX100 direct injection: deliver to the engine's response inbox.
-    Dx100 { engine: usize, id: ReqId },
+/// A memory request's id: the top byte names the DX100 instance that sent
+/// it, or [`HIER`], and the rest is the instance's own id, so a response
+/// from the LLC or from DRAM finds its engine without a lookup.
+const ENGINE_ID_SHIFT: u32 = 56;
+
+/// Top byte of the cache hierarchy's DRAM requests (misses and
+/// write-backs), whose responses need only their line and direction.
+const HIER: usize = 0xff;
+
+/// The id of instance `e_idx`'s request `id` outside the engine.
+fn req_id(e_idx: usize, id: ReqId) -> ReqId {
+    debug_assert!(e_idx <= HIER && id >> ENGINE_ID_SHIFT == 0);
+    ((e_idx as u64) << ENGINE_ID_SHIFT) | id
 }
 
-/// Mask separating a DX100 instance's LLC-request ids.
-const ENGINE_ID_SHIFT: u32 = 56;
+/// The inverse of [`req_id`]: `(e_idx, id)`.
+fn split_req_id(id: ReqId) -> (usize, ReqId) {
+    (
+        (id >> ENGINE_ID_SHIFT) as usize,
+        id & ((1 << ENGINE_ID_SHIFT) - 1),
+    )
+}
 
 /// Page granularity of the directory's H-bits (4 KiB).
 const PAGE_SHIFT: u32 = 12;
@@ -74,9 +83,7 @@ pub struct System {
     /// Sent MMIO messages with their instance, indexed by the signal of
     /// the store that lands them; taken when it does.
     mmio_sent: Vec<Option<(usize, Mmio)>>,
-    dram_pending: HashMap<ReqId, DramOrigin>,
-    next_dram_id: ReqId,
-    dram_retry: VecDeque<(MemRequest, DramOrigin)>,
+    dram_retry: VecDeque<MemRequest>,
     spd_fills: DelayQueue<LineAddr>,
     region: RegionCoherence,
     /// Pages whose data the host produced through its caches (the
@@ -137,6 +144,7 @@ impl System {
         let mut dram = DramSystem::new(cfg.dram.clone());
         let mut engines = Vec::new();
         if let Some(dxcfg) = &cfg.dx100 {
+            assert!(cfg.dx100_instances < HIER, "too many DX100 instances");
             for i in 0..cfg.dx100_instances {
                 let mut e = Dx100Engine::new(dxcfg.clone(), &cfg.dram);
                 e.set_spd_base(dx100_core::engine::SPD_REGION_BASE + ((i as u64) << 40));
@@ -193,8 +201,6 @@ impl System {
             flags: FlagBoard::new(),
             image,
             mmio_sent: Vec::new(),
-            dram_pending: HashMap::default(),
-            next_dram_id: 0,
             dram_retry: VecDeque::new(),
             spd_fills: DelayQueue::new(),
             region: RegionCoherence::new(),
@@ -799,8 +805,6 @@ impl System {
                     e_idx,
                     hier,
                     dram,
-                    pending: &mut self.dram_pending,
-                    next_id: &mut self.next_dram_id,
                     dram_now,
                     host_pages: &self.host_pages,
                 };
@@ -831,10 +835,9 @@ impl System {
         }
         // Engine LLC responses.
         while let Some((id, _w)) = self.hier.pop_dx100_response() {
-            let e_idx = (id >> ENGINE_ID_SHIFT) as usize;
-            let inner = id & ((1u64 << ENGINE_ID_SHIFT) - 1);
+            let (e_idx, id) = split_req_id(id);
             self.wake_engine(e_idx, now + 1);
-            self.engines[e_idx].mem_response(inner);
+            self.engines[e_idx].mem_response(id);
         }
 
         // --- Route LLC↔DRAM traffic (with SPD-region interception). ---
@@ -844,12 +847,11 @@ impl System {
         // Retry DRAM enqueues that hit a full buffer: peek to probe for
         // space, pop exactly once on success.
         let dram_now = now / self.cfg.cpu_cycles_per_dram_tick;
-        while let Some(&(req, _)) = self.dram_retry.front() {
+        while let Some(&req) = self.dram_retry.front() {
             if !self.dram.try_enqueue(req, dram_now) {
                 break;
             }
-            let (req, origin) = self.dram_retry.pop_front().expect("probed head");
-            self.dram_pending.insert(req.id, origin);
+            self.dram_retry.pop_front();
         }
 
         // --- Scratchpad-region fills (core reads of gathered tiles). ---
@@ -869,14 +871,13 @@ impl System {
             let mut fills = std::mem::take(&mut self.fill_scratch);
             fills.clear();
             while let Some(resp) = self.dram.pop_response() {
-                match self.dram_pending.remove(&resp.id) {
-                    Some(DramOrigin::HierRead) => fills.push(resp.line),
-                    Some(DramOrigin::HierWrite) => {}
-                    Some(DramOrigin::Dx100 { engine, id }) => {
-                        self.wake_engine(engine, now + 1);
-                        self.engines[engine].mem_response(id);
+                match split_req_id(resp.id) {
+                    (HIER, _) if !resp.is_write => fills.push(resp.line),
+                    (HIER, _) => {}
+                    (e_idx, id) => {
+                        self.wake_engine(e_idx, now + 1);
+                        self.engines[e_idx].mem_response(id);
                     }
-                    None => debug_assert!(false, "unknown DRAM response"),
                 }
             }
             let mut extra = std::mem::take(&mut self.wb_scratch);
@@ -992,22 +993,13 @@ impl System {
                 }
                 continue;
             }
-            let id = self.next_dram_id;
-            self.next_dram_id += 1;
-            let origin = if d.is_write {
-                DramOrigin::HierWrite
-            } else {
-                DramOrigin::HierRead
+            let req = MemRequest {
+                id: req_id(HIER, 0),
+                line: d.line,
+                is_write: d.is_write,
             };
-            let req = if d.is_write {
-                MemRequest::write(id, d.line)
-            } else {
-                MemRequest::read(id, d.line)
-            };
-            if self.dram.try_enqueue(req, dram_now) {
-                self.dram_pending.insert(id, origin);
-            } else {
-                self.dram_retry.push_back((req, origin));
+            if !self.dram.try_enqueue(req, dram_now) {
+                self.dram_retry.push_back(req);
             }
         }
     }
@@ -1028,13 +1020,12 @@ impl System {
             })
             .collect();
         format!(
-            "cycle={} {} hier_idle={} dram_idle={} retry={} pending_dram={} spd_fills={}",
+            "cycle={} {} hier_idle={} dram_idle={} retry={} spd_fills={}",
             self.clock,
             cores.join(" "),
             self.hier.is_idle(),
             self.dram.is_idle(),
             self.dram_retry.len(),
-            self.dram_pending.len(),
             self.spd_fills.len()
         ) + &format!(" | hier: {}", self.hier.debug_state())
             + &self
@@ -1101,8 +1092,6 @@ struct SystemPorts<'a> {
     e_idx: usize,
     hier: &'a mut MemoryHierarchy,
     dram: &'a mut DramSystem,
-    pending: &'a mut HashMap<ReqId, DramOrigin>,
-    next_id: &'a mut ReqId,
     dram_now: Cycle,
     host_pages: &'a HashSet<u64>,
 }
@@ -1117,9 +1106,8 @@ impl MemPorts for SystemPorts<'_> {
     }
 
     fn llc_request(&mut self, id: ReqId, line: LineAddr, is_write: bool, now: Cycle) {
-        let wrapped = ((self.e_idx as u64) << ENGINE_ID_SHIFT) | id;
         let access = Access {
-            id: wrapped,
+            id: req_id(self.e_idx, id),
             line,
             is_write,
             stream: 0,
@@ -1130,30 +1118,17 @@ impl MemPorts for SystemPorts<'_> {
     }
 
     fn dram_try_request(&mut self, id: ReqId, line: LineAddr, is_write: bool, _now: Cycle) -> bool {
-        let dram_id = *self.next_id;
-        let req = if is_write {
-            MemRequest::write(dram_id, line)
-        } else {
-            MemRequest::read(dram_id, line)
+        let req = MemRequest {
+            id: req_id(self.e_idx, id),
+            line,
+            is_write,
         };
-        if self.dram.try_enqueue(req, self.dram_now) {
-            *self.next_id += 1;
-            self.pending.insert(
-                dram_id,
-                DramOrigin::Dx100 {
-                    engine: self.e_idx,
-                    id,
-                },
-            );
-            true
-        } else {
-            false
-        }
+        self.dram.try_enqueue(req, self.dram_now)
     }
 }
 
 #[cfg(test)]
-mod send_tests {
+mod tests {
     use super::*;
 
     /// The parallel sweep executor moves whole simulation jobs — including
@@ -1162,5 +1137,13 @@ mod send_tests {
     fn system_is_send() {
         fn assert_send<T: Send>() {}
         assert_send::<System>();
+    }
+
+    #[test]
+    fn request_ids_carry_their_route() {
+        let (last, big) = (HIER - 1, (1 << ENGINE_ID_SHIFT) - 1);
+        assert_eq!(split_req_id(req_id(last, big)), (last, big));
+        assert_eq!(split_req_id(req_id(0, 7)), (0, 7));
+        assert_eq!(split_req_id(req_id(HIER, 0)).0, HIER);
     }
 }

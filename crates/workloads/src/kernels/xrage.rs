@@ -41,9 +41,9 @@ struct Data {
     h_pat: ArrayHandle,
     h_val: ArrayHandle,
     h_out: ArrayHandle,
-    /// Reference output plus writer multiplicity per position.
+    /// Reference output, and whether any writer targets each position.
     ref_out: Vec<u32>,
-    writers: Vec<u8>,
+    touched: Vec<bool>,
 }
 
 impl Xrage {
@@ -57,10 +57,10 @@ impl Xrage {
         let vals: Vec<u32> = (0..self.n as u32).map(|i| i ^ 0x5a5a).collect();
         image.fill_u32(h_val, &vals);
         let mut ref_out = vec![0u32; self.target];
-        let mut writers = vec![0u8; self.target];
+        let mut touched = vec![false; self.target];
         for (i, &p) in pattern.iter().enumerate() {
             ref_out[p as usize] = vals[i];
-            writers[p as usize] = writers[p as usize].saturating_add(1);
+            touched[p as usize] = true;
         }
         (
             image,
@@ -70,7 +70,7 @@ impl Xrage {
                 h_val,
                 h_out,
                 ref_out,
-                writers,
+                touched,
             },
         )
     }
@@ -138,27 +138,22 @@ impl KernelRun for Xrage {
         let telemetry = sys.telemetry();
 
         if mode == Mode::Dx100 {
-            // Positions with a single writer must match the reference
-            // exactly; multi-writer positions (cross-tile write races,
-            // "don't care" in Spatter semantics) must hold *some* writer's
-            // value.
+            // Every written position must hold *some* writer's value:
+            // cross-tile write races are "don't care" in Spatter
+            // semantics, and a single writer's value is the reference.
+            // `vals[j] = j ^ 0x5a5a` is a bijection, so the value names
+            // its writer.
             let image = sys.into_image();
-            let vals_of: std::collections::HashMap<u32, Vec<u32>> = {
-                let mut m: std::collections::HashMap<u32, Vec<u32>> = Default::default();
-                for (i, &p) in d.pattern.iter().enumerate() {
-                    m.entry(p).or_default().push((i as u32) ^ 0x5a5a);
-                }
-                m
-            };
-            for (p, want) in d.ref_out.iter().enumerate() {
+            for (p, &touched) in d.touched.iter().enumerate() {
                 let got = image.read_elem(d.h_out, p as u64) as u32;
-                match d.writers[p] {
-                    0 => assert_eq!(got, 0, "untouched out[{p}]"),
-                    1 => assert_eq!(got, *want, "out[{p}]"),
-                    _ => assert!(
-                        vals_of[&(p as u32)].contains(&got),
+                if touched {
+                    let j = (got ^ 0x5a5a) as usize;
+                    assert!(
+                        j < n && d.pattern[j] as usize == p,
                         "out[{p}] = {got} not among its writers"
-                    ),
+                    );
+                } else {
+                    assert_eq!(got, 0, "untouched out[{p}]");
                 }
             }
         }

@@ -100,7 +100,7 @@ pub fn build_indices(scenario: Scenario, a_base_line: LineAddr, dram: &DramConfi
     let mut per_bank: Vec<Vec<(u64, u64)>> = vec![Vec::new(); nbanks]; // (row, elem_idx)
     for k in 0..ACCESSES as u64 {
         let line = LineAddr(a_base_line.0 + k);
-        let c = dram.addr_map.decode(line, org);
+        let c = org.decode(line);
         let bank_idx = c.channel * org.banks_per_channel() + c.bank_index(org);
         per_bank[bank_idx].push((c.row, k * 16)); // 16 u32 words per line
     }
@@ -243,7 +243,6 @@ pub fn run_allmiss(scenario: Scenario, dx100: bool, cfg: &SystemConfig) -> RunSt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dx100_dram::AddrMap;
 
     fn cfg() -> SystemConfig {
         SystemConfig::paper_baseline()
@@ -281,7 +280,7 @@ mod tests {
         let mut switches = vec![0usize; org.channels * org.banks_per_channel()];
         for &e in &idx {
             let line = LineAddr(base.0 + e as u64 / 16);
-            let c = dram.addr_map.decode(line, org);
+            let c = org.decode(line);
             let bidx = c.channel * org.banks_per_channel() + c.bank_index(org);
             if let Some(&prev) = last_row.get(&bidx) {
                 if prev != c.row {
@@ -309,7 +308,7 @@ mod tests {
         let alternations = idx
             .windows(2)
             .filter(|w| {
-                let ch = |e: u32| dram.addr_map.decode(LineAddr(e as u64 / 16), org).channel;
+                let ch = |e: u32| org.decode(LineAddr(e as u64 / 16)).channel;
                 ch(w[0]) != ch(w[1])
             })
             .count();
@@ -328,7 +327,7 @@ mod tests {
         let alternations2 = idx2
             .windows(2)
             .filter(|w| {
-                let ch = |e: u32| dram.addr_map.decode(LineAddr(e as u64 / 16), org).channel;
+                let ch = |e: u32| org.decode(LineAddr(e as u64 / 16)).channel;
                 ch(w[0]) != ch(w[1])
             })
             .count();
@@ -338,6 +337,5 @@ mod tests {
             "no-CHI order: {alternations2} switches"
         );
         assert!(alternations2 * 100 < alternations, "no-CHI ≪ CHI");
-        let _ = AddrMap::ChBgColBaRow;
     }
 }

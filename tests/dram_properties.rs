@@ -139,7 +139,7 @@ proptest! {
 /// hits; rotating rows in one bank must be nearly all misses.
 #[test]
 fn row_buffer_hit_rate_extremes() {
-    use dx100::dram::{AddrMap, DramCoord};
+    use dx100::dram::DramCoord;
     let cfg = DramConfig::ddr4_3200_2ch();
     let org = cfg.organization.clone();
     let run = |coords: Vec<DramCoord>| {
@@ -148,7 +148,7 @@ fn row_buffer_hit_rate_extremes() {
         let mut queue: VecDeque<MemRequest> = coords
             .iter()
             .enumerate()
-            .map(|(i, c)| MemRequest::read(i as u64, AddrMap::ChBgColBaRow.encode(*c, &org)))
+            .map(|(i, c)| MemRequest::read(i as u64, org.encode(*c)))
             .collect();
         let total = queue.len();
         let mut done = 0;
@@ -269,17 +269,14 @@ fn replay_seeded_stream(seed: u64, ticks: u64, gating: bool) -> (u64, u64, u64, 
                     } else {
                         hot * 977
                     };
-                    cfg.addr_map.encode(
-                        DramCoord {
-                            channel: (r >> 20) as usize % org.channels,
-                            rank: 0,
-                            bank_group: (r >> 24) as usize % org.bank_groups,
-                            bank: (r >> 28) as usize % org.banks_per_group,
-                            row,
-                            col: (r >> 32) % org.cols_per_row,
-                        },
-                        &org,
-                    )
+                    org.encode(DramCoord {
+                        channel: (r >> 20) as usize % org.channels,
+                        rank: 0,
+                        bank_group: (r >> 24) as usize % org.bank_groups,
+                        bank: (r >> 28) as usize % org.banks_per_group,
+                        row,
+                        col: (r >> 32) % org.cols_per_row,
+                    })
                 };
                 if recent.len() < 16 {
                     recent.push(line);

@@ -371,10 +371,10 @@ mod tests {
         const IS: u64 = 12710991020669359088;
         const PR: u64 = 15036263534936017701;
         const GOLDEN: [(&str, Mode, u64, u64); 4] = [
-            ("is", Mode::Baseline, IS, 0x709b_956b_b698_39c6),
-            ("is", Mode::Dx100, IS, 0x5e0b_0e0c_122f_8bf7),
-            ("pr", Mode::Baseline, PR, 0xb5e9_6c3b_7a65_59f8),
-            ("pr", Mode::Dx100, PR, 0xcd6e_2170_d380_78e2),
+            ("is", Mode::Baseline, IS, 0x51ef_885e_4a76_2cc9),
+            ("is", Mode::Dx100, IS, 0xd05f_f65e_f4aa_2158),
+            ("pr", Mode::Baseline, PR, 0xb28b_7530_00f9_033a),
+            ("pr", Mode::Dx100, PR, 0x8c4c_afcf_7c29_ee31),
         ];
         for (kernel, machine, checksum, run_hash) in GOLDEN {
             let report = spec(kernel, machine).run().unwrap();

@@ -1,10 +1,16 @@
 //! Per-unit activity gating: the sleep state of one timed unit.
 //!
-//! A unit whose tick did no work asks its own `next_event` once and sleeps
-//! until then, or until an input reaches it. If the answer is the very next
-//! cycle, the unit stays awake and asks again only after it next does work
-//! or wakes from a sleep, so a unit that idles in short gaps pays for one
-//! probe per gap at most.
+//! Two rules set a unit's timer. Under the probe-once rule
+//! ([`Sleep::after_tick`]), a unit whose tick did no work asks its own
+//! `next_event` once and sleeps until then, or until an input reaches it.
+//! If the answer is the very next cycle, the unit stays awake and asks
+//! again only after it next does work or wakes from a sleep, so a unit
+//! that idles in short gaps pays for one probe per gap at most. Under the
+//! exact rule ([`Sleep::sleep_until`]), the owner asks after every tick;
+//! an input that only schedules work moves the timer without waking the
+//! unit ([`Sleep::lower`]), and one that changes the unit but not its next
+//! event credits the span so far ([`Sleep::settle`]), so the timer always
+//! equals the unit's `next_event`.
 //!
 //! The unit's owner skips it while it sleeps and, when it wakes, credits
 //! the slept span with the unit's batch rule (`credit_idle_span` /
@@ -66,6 +72,32 @@ impl Sleep {
         }
     }
 
+    /// Exact-rule gating from cycle `from` on: the unit sleeps from `from`
+    /// until `next`, its `next_event(from)` (`None`: no event without
+    /// input), or stays awake if that is `from` or earlier. Every cycle
+    /// before `from` must already be ticked or credited, so an asleep unit
+    /// is first [`wake`](Self::wake)d.
+    #[inline]
+    pub fn sleep_until(&mut self, from: Cycle, next: Option<Cycle>) {
+        debug_assert!(self.until == 0, "re-timing a unit with an uncredited span");
+        let until = next.unwrap_or(Cycle::MAX);
+        if until > from {
+            self.from = from;
+            self.until = until;
+        }
+    }
+
+    /// An input that gives a sleeping unit an event at `at` and changes
+    /// nothing its idle ticks do (a cache's `accept`): the timer moves to
+    /// `at` if that is earlier. Credits nothing; an awake unit is
+    /// unaffected.
+    #[inline]
+    pub fn lower(&mut self, at: Cycle) {
+        if self.until > at {
+            self.until = at;
+        }
+    }
+
     /// Wakes the unit with its slept span ending at `to`. Returns the span
     /// `[from, to)` its owner must credit, if the unit slept and the span
     /// is non-empty.
@@ -81,7 +113,8 @@ impl Sleep {
 
     /// Like [`wake`](Self::wake) but leaves the unit asleep: returns the
     /// span `[from, to)` to credit now and moves the uncredited start to
-    /// `to`. Used where statistics are read mid-run.
+    /// `to`. Used where statistics are read mid-run, and before an input
+    /// that changes what an idle tick samples but not the unit's timer.
     #[inline]
     pub fn settle(&mut self, to: Cycle) -> Option<(Cycle, Cycle)> {
         if self.until == 0 || self.from >= to {
@@ -133,6 +166,25 @@ mod tests {
         assert_eq!(s.wake(8), None, "the settled span is not credited twice");
         s.after_tick(8, false, |_| None);
         assert_eq!(s.wake(9), None, "an input right after the sleep began");
+    }
+
+    #[test]
+    fn exact_timer_sleeps_until_the_next_event() {
+        let mut s = Sleep::default();
+        s.sleep_until(5, Some(5));
+        assert_eq!(s.until(), None, "an event at `from` keeps the unit awake");
+        s.sleep_until(5, Some(12));
+        assert_eq!(s.until(), Some(12));
+        s.lower(20);
+        assert_eq!(s.until(), Some(12), "a later input leaves the timer");
+        s.lower(9);
+        assert_eq!(s.until(), Some(9), "an earlier input lowers it");
+        assert!(!s.due(8) && s.due(9));
+        assert_eq!(s.wake(9), Some((5, 9)));
+        s.lower(3);
+        assert_eq!(s.until(), None, "lowering leaves an awake unit awake");
+        s.sleep_until(10, None);
+        assert_eq!(s.until(), Some(Cycle::MAX));
     }
 
     #[test]

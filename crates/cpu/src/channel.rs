@@ -5,9 +5,13 @@
 //! micro-ops to a ring. When a loop reaches the front of the channel, the
 //! channel runs the body for successive elements, one whole element at a
 //! time, until the ring holds at least `GEN_BATCH` ops, and the core then
-//! pops the ring. The ring is one buffer the channel reuses for every
+//! reads the ring. The ring is one buffer the channel reuses for every
 //! loop, so generating ops allocates nothing once it has grown to its
 //! working size, and the body's virtual call is paid once per element.
+//!
+//! The core reads its next op where it lies ([`ChannelQueue::peek`]) and
+//! drops it once dispatched ([`ChannelQueue::pop`]), so an op stalled at
+//! dispatch is never copied out and back.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -68,22 +72,45 @@ impl ChannelQueue {
         });
     }
 
-    /// The next queued op. A loop at the front is first run into the ring,
-    /// whole elements at a time, until the ring holds `GEN_BATCH` ops or
-    /// the loop ends, so the common case is a ring pop.
+    /// The next queued op, in place; repeated calls return the same op
+    /// until [`ChannelQueue::pop`]. When the ring is empty, a loop at the
+    /// front is first run into it, whole elements at a time, until it holds
+    /// `GEN_BATCH` ops or the loop ends, so the common case is a ring read.
     #[inline]
-    pub fn next_op(&mut self) -> Option<CoreOp> {
-        loop {
-            if let Some(op) = self.ring.pop_front() {
-                return Some(op);
+    pub fn peek(&mut self) -> Option<&CoreOp> {
+        if self.ring.is_empty() {
+            self.refill();
+        }
+        match (self.ring.front(), self.segments.front()) {
+            (Some(op), _) => Some(op),
+            (None, Some(Segment::Ops(q))) => q.front(),
+            (None, _) => None,
+        }
+    }
+
+    /// Drops the op [`ChannelQueue::peek`] returned.
+    #[inline]
+    pub fn pop(&mut self) {
+        if self.ring.pop_front().is_none() {
+            if let Some(Segment::Ops(q)) = self.segments.front_mut() {
+                q.pop_front();
             }
-            match self.segments.front_mut()? {
-                Segment::Ops(q) => {
-                    if let Some(op) = q.pop_front() {
-                        return Some(op);
+        }
+    }
+
+    /// With the ring empty, drops spent segments and runs a loop at the
+    /// front until the ring or a literal segment at the front holds an op,
+    /// or no segment is left.
+    fn refill(&mut self) {
+        while self.ring.is_empty() {
+            match self.segments.front_mut() {
+                None => return,
+                Some(Segment::Ops(q)) => {
+                    if !q.is_empty() {
+                        return;
                     }
                 }
-                Segment::Loop { elems, body } => {
+                Some(Segment::Loop { elems, body }) => {
                     for i in elems.by_ref() {
                         body(i, &mut self.ring);
                         if self.ring.len() >= GEN_BATCH {
@@ -112,6 +139,15 @@ impl std::fmt::Debug for ChannelQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// The next op, popped.
+    fn take(ch: &mut ChannelQueue) -> Option<CoreOp> {
+        let op = ch.peek().copied();
+        ch.pop();
+        op
+    }
 
     #[test]
     fn ops_then_loop_then_ops() {
@@ -120,14 +156,14 @@ mod tests {
         ch.push_loop(1..3, |i, ops| ops.push_back(CoreOp::load(i as u64 * 64, 1)));
         ch.push_loop(0..0, |_, _| unreachable!("an empty loop runs no body"));
         ch.push_ops([CoreOp::store(128, 2)]);
-        assert_eq!(ch.next_op(), Some(CoreOp::alu()));
-        assert_eq!(ch.next_op(), Some(CoreOp::load(64, 1)));
-        assert_eq!(ch.next_op(), Some(CoreOp::load(128, 1)));
-        assert_eq!(ch.next_op(), Some(CoreOp::store(128, 2)));
-        assert_eq!(ch.next_op(), None);
+        assert_eq!(take(&mut ch), Some(CoreOp::alu()));
+        assert_eq!(take(&mut ch), Some(CoreOp::load(64, 1)));
+        assert_eq!(take(&mut ch), Some(CoreOp::load(128, 1)));
+        assert_eq!(take(&mut ch), Some(CoreOp::store(128, 2)));
+        assert_eq!(take(&mut ch), None);
         // Refill after exhaustion works (the program appends later).
         ch.push_ops([CoreOp::alu()]);
-        assert_eq!(ch.next_op(), Some(CoreOp::alu()));
+        assert_eq!(take(&mut ch), Some(CoreOp::alu()));
     }
 
     #[test]
@@ -136,6 +172,30 @@ mod tests {
         ch.push_ops([CoreOp::alu()]);
         ch.push_ops([CoreOp::alu()]);
         assert_eq!(ch.segments.len(), 1);
+    }
+
+    /// Peeking twice yields the same op in place and runs no loop body
+    /// beyond the first refill; only `pop` moves on.
+    #[test]
+    fn repeated_peeks_return_the_same_op_and_generate_nothing() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&calls);
+        let mut ch = ChannelQueue::new();
+        ch.push_loop(0..GEN_BATCH * 2, move |i, ops| {
+            counted.fetch_add(1, Ordering::Relaxed);
+            ops.push_back(CoreOp::load(i as u64 * 64, 0));
+        });
+        let first = ch.peek().copied();
+        let (generated, ring) = (calls.load(Ordering::Relaxed), ch.ring.len());
+        assert_eq!(generated, GEN_BATCH, "one refill of whole elements");
+        for _ in 0..3 {
+            assert_eq!(ch.peek().copied(), first);
+            assert_eq!(calls.load(Ordering::Relaxed), generated);
+            assert_eq!(ch.ring.len(), ring);
+        }
+        ch.pop();
+        assert_eq!(ch.peek().copied(), Some(CoreOp::load(64, 0)));
+        assert_eq!(calls.load(Ordering::Relaxed), generated);
     }
 
     /// A loop of several refills, with bodies of varying length (empty
@@ -159,7 +219,7 @@ mod tests {
         ch.push_ops([CoreOp::alu()]);
         let mut capacity = None;
         for (k, expect) in want.iter().enumerate() {
-            assert_eq!(ch.next_op().as_ref(), Some(expect), "op {k}");
+            assert_eq!(take(&mut ch).as_ref(), Some(expect), "op {k}");
             if ch.ring.is_empty() {
                 let CoreOp::Load { addr, .. } = expect else {
                     unreachable!("the loop emits loads only")
@@ -170,7 +230,7 @@ mod tests {
             let cap = *capacity.get_or_insert(ch.ring.capacity());
             assert_eq!(ch.ring.capacity(), cap, "the ring reallocated");
         }
-        assert_eq!(ch.next_op(), Some(CoreOp::alu()));
-        assert_eq!(ch.next_op(), None);
+        assert_eq!(take(&mut ch), Some(CoreOp::alu()));
+        assert_eq!(take(&mut ch), None);
     }
 }

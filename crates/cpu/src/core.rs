@@ -73,17 +73,17 @@ pub struct Core {
     channel: ChannelQueue,
     /// The channel had no op at the last poll; appending clears it.
     stream_done: bool,
-    peeked: Option<CoreOp>,
-    rob: VecDeque<Entry>,
+    /// The in-flight ops `head_seq..next_seq`, oldest first, op `seq` in
+    /// ROB slot [`Core::slot`]`(seq)`. There are a power of two ≥
+    /// `cfg.rob` slots and the ROB holds at most `cfg.rob` ops, so no two
+    /// live ops share a slot.
+    rob: Vec<Entry>,
     head_seq: u64,
     next_seq: u64,
     lq_used: usize,
     sq_used: usize,
     /// Dependents of each in-flight op, in dispatch order, indexed by ROB
-    /// slot (see [`Core::slot`]). There are a power of two ≥ `cfg.rob`
-    /// slots and the ROB holds at most `cfg.rob` ops, so no two live ops
-    /// share a slot; each list keeps its capacity from one occupant to the
-    /// next.
+    /// slot; each list keeps its capacity from one occupant to the next.
     waiters: Vec<Vec<u64>>,
     ready_mem: VecDeque<u64>,
     internal_done: DelayQueue<u64>,
@@ -151,7 +151,7 @@ impl std::fmt::Debug for Core {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Core")
             .field("id", &self.id)
-            .field("rob_occupancy", &self.rob.len())
+            .field("rob_occupancy", &self.rob_len())
             .field("head_seq", &self.head_seq)
             .field("stream_done", &self.stream_done)
             .finish()
@@ -162,13 +162,18 @@ impl Core {
     /// Creates a core with an empty op channel.
     pub fn new(id: CoreId, cfg: CoreConfig) -> Self {
         let slots = cfg.rob.next_power_of_two();
+        let free = Entry {
+            kind: EntryKind::Alu,
+            state: EntryState::Complete,
+            addr: 0,
+            stream: 0,
+        };
         Core {
             id,
             cfg,
             channel: ChannelQueue::new(),
             stream_done: false,
-            peeked: None,
-            rob: VecDeque::new(),
+            rob: vec![free; slots],
             head_seq: 0,
             next_seq: 0,
             lq_used: 0,
@@ -231,10 +236,7 @@ impl Core {
     /// Whether the core has fully drained: stream exhausted, ROB empty, and
     /// no wait pending.
     pub fn is_done(&self) -> bool {
-        self.stream_done
-            && self.peeked.is_none()
-            && self.rob.is_empty()
-            && self.waiting_flag.is_none()
+        self.stream_done && self.rob_len() == 0 && self.waiting_flag.is_none()
     }
 
     /// Accumulated statistics.
@@ -325,9 +327,8 @@ impl Core {
         // 2. Retire from the head, in order.
         let mut retired = 0;
         while retired < self.cfg.width {
-            match self.rob.front() {
+            match self.rob_head() {
                 Some(e) if e.state == EntryState::Complete => {
-                    let e = self.rob.pop_front().unwrap();
                     match e.kind {
                         EntryKind::Load => self.lq_used -= 1,
                         EntryKind::Store | EntryKind::Mmio { .. } => self.sq_used -= 1,
@@ -403,7 +404,7 @@ impl Core {
         }
 
         // 5. Occupancy statistics (Figure 10c analysis inputs).
-        self.stats.rob_occupancy.sample(self.rob.len() as f64);
+        self.stats.rob_occupancy.sample(self.rob_len() as f64);
         self.stats.lq_occupancy.sample(self.lq_used as f64);
 
         // 6. Stall tracing: a reason is active this cycle iff its counter
@@ -440,7 +441,7 @@ impl Core {
                 return None;
             }
         }
-        if matches!(self.rob.front(), Some(e) if e.state == EntryState::Complete) {
+        if matches!(self.rob_head(), Some(e) if e.state == EntryState::Complete) {
             return None;
         }
         let dispatch = if let Some(w) = self.waiting_flag {
@@ -448,28 +449,26 @@ impl Core {
                 return None;
             }
             DispatchIdle::Wait { spin: w.spin }
-        } else if let Some(op) = self.peek_op() {
-            match op {
-                CoreOp::WaitFlag { .. } => return None,
-                CoreOp::SetFlag { .. } => {
-                    if self.rob.is_empty() {
+        } else {
+            let rob = self.rob_len();
+            let lq_full = self.lq_used >= self.cfg.lq;
+            let sq_full = self.sq_used >= self.cfg.sq;
+            match peek(&mut self.channel, &mut self.stream_done) {
+                None => DispatchIdle::Empty,
+                Some(CoreOp::WaitFlag { .. }) => return None,
+                Some(CoreOp::SetFlag { .. }) => {
+                    if rob == 0 {
                         return None;
                     }
                     DispatchIdle::Fence
                 }
-                _ if self.rob.len() >= self.cfg.rob => DispatchIdle::RobFull,
-                CoreOp::Load { .. } if self.lq_used >= self.cfg.lq => DispatchIdle::LqFull,
-                CoreOp::Store { .. } if self.sq_used >= self.cfg.sq => DispatchIdle::SqFull,
-                CoreOp::AtomicRmw { .. }
-                    if self.lq_used >= self.cfg.lq || self.sq_used >= self.cfg.sq =>
-                {
-                    DispatchIdle::LqFull
-                }
-                CoreOp::Mmio { .. } if self.sq_used >= self.cfg.sq => DispatchIdle::SqFull,
-                _ => return None,
+                Some(_) if rob >= self.cfg.rob => DispatchIdle::RobFull,
+                Some(CoreOp::Load { .. }) if lq_full => DispatchIdle::LqFull,
+                Some(CoreOp::Store { .. }) if sq_full => DispatchIdle::SqFull,
+                Some(CoreOp::AtomicRmw { .. }) if lq_full || sq_full => DispatchIdle::LqFull,
+                Some(CoreOp::Mmio { .. }) if sq_full => DispatchIdle::SqFull,
+                Some(_) => return None,
             }
-        } else {
-            DispatchIdle::Empty
         };
         let issue = if self.atomic_pending {
             IssueIdle::Fence
@@ -554,7 +553,7 @@ impl Core {
             IssueIdle::Fence => self.stats.stall_fence += n,
             IssueIdle::Empty => {}
         }
-        self.stats.rob_occupancy.sample_n(self.rob.len() as f64, n);
+        self.stats.rob_occupancy.sample_n(self.rob_len() as f64, n);
         self.stats.lq_occupancy.sample_n(self.lq_used as f64, n);
         // Span tracking: the per-reason increment pattern is constant over
         // the span, so one edge-triggered update at `from` reproduces what
@@ -596,14 +595,27 @@ impl Core {
         }
     }
 
-    /// ROB slot of `seq`: the index of its waiter list.
+    /// ROB slot of `seq`: the index of its entry and of its waiter list.
     fn slot(&self, seq: u64) -> usize {
-        seq as usize & (self.waiters.len() - 1)
+        seq as usize & (self.rob.len() - 1)
+    }
+
+    /// Number of in-flight ops.
+    fn rob_len(&self) -> usize {
+        (self.next_seq - self.head_seq) as usize
+    }
+
+    /// The oldest in-flight op.
+    fn rob_head(&self) -> Option<Entry> {
+        (self.head_seq < self.next_seq).then(|| self.rob[self.slot(self.head_seq)])
     }
 
     fn entry_mut(&mut self, seq: u64) -> Option<&mut Entry> {
-        let idx = seq.checked_sub(self.head_seq)? as usize;
-        self.rob.get_mut(idx)
+        if !(self.head_seq..self.next_seq).contains(&seq) {
+            return None;
+        }
+        let slot = self.slot(seq);
+        Some(&mut self.rob[slot])
     }
 
     /// Marks `seq` complete and wakes dependents.
@@ -682,12 +694,13 @@ impl Core {
                     return progressed;
                 }
             }
-            let Some(op) = self.peek_op() else {
+            let Some(op) = peek(&mut self.channel, &mut self.stream_done) else {
                 return progressed;
             };
-            match op {
+            // The op's fields are read where it lies in the channel.
+            let (kind, addr, stream, dep) = match *op {
                 CoreOp::WaitFlag { flag, spin } => {
-                    self.take_op();
+                    self.channel.pop();
                     progressed = true;
                     self.waiting_flag = Some(WaitState {
                         flag,
@@ -698,58 +711,48 @@ impl Core {
                 }
                 CoreOp::SetFlag { flag } => {
                     // Light fence: publish only once prior work retired.
-                    if !self.rob.is_empty() {
+                    if self.rob_len() > 0 {
                         self.stats.stall_fence += 1;
                         return progressed;
                     }
-                    self.take_op();
+                    self.channel.pop();
                     progressed = true;
                     flags.set(flag);
                     self.stats.instructions += 1;
                     continue;
                 }
-                _ => {}
-            }
-            if self.rob.len() >= self.cfg.rob {
-                self.stats.stall_rob_full += 1;
-                return progressed;
-            }
-            let (kind, addr, stream, dep) = match op {
-                CoreOp::Load { addr, stream, dep } => {
-                    if self.lq_used >= self.cfg.lq {
-                        self.stats.stall_lq_full += 1;
-                        return progressed;
-                    }
-                    (EntryKind::Load, addr, stream, dep)
-                }
-                CoreOp::Store { addr, stream, dep } => {
-                    if self.sq_used >= self.cfg.sq {
-                        self.stats.stall_sq_full += 1;
-                        return progressed;
-                    }
-                    (EntryKind::Store, addr, stream, dep)
-                }
+                CoreOp::Load { addr, stream, dep } => (EntryKind::Load, addr, stream, dep),
+                CoreOp::Store { addr, stream, dep } => (EntryKind::Store, addr, stream, dep),
                 CoreOp::AtomicRmw { addr, stream, dep } => {
-                    if self.lq_used >= self.cfg.lq || self.sq_used >= self.cfg.sq {
-                        self.stats.stall_lq_full += 1;
-                        return progressed;
-                    }
                     (EntryKind::Atomic { locked: false }, addr, stream, dep)
                 }
                 CoreOp::Alu { dep } => (EntryKind::Alu, 0, 0, dep),
+                // Stash the latency in `addr`; see `route_ready`.
                 CoreOp::Mmio { latency, signal } => {
-                    if self.sq_used >= self.cfg.sq {
-                        self.stats.stall_sq_full += 1;
-                        return progressed;
-                    }
-                    // Stash the latency in `addr`; see `route_ready`.
                     (EntryKind::Mmio { signal }, latency as Addr, 0, [0, 0])
                 }
-                CoreOp::WaitFlag { .. } | CoreOp::SetFlag { .. } => {
-                    unreachable!("handled before the ROB-entry path")
-                }
             };
-            self.take_op();
+            if self.rob_len() >= self.cfg.rob {
+                self.stats.stall_rob_full += 1;
+                return progressed;
+            }
+            let lq_full = self.lq_used >= self.cfg.lq;
+            let sq_full = self.sq_used >= self.cfg.sq;
+            let stall = match kind {
+                EntryKind::Load if lq_full => Some(&mut self.stats.stall_lq_full),
+                EntryKind::Atomic { .. } if lq_full || sq_full => {
+                    Some(&mut self.stats.stall_lq_full)
+                }
+                EntryKind::Store | EntryKind::Mmio { .. } if sq_full => {
+                    Some(&mut self.stats.stall_sq_full)
+                }
+                _ => None,
+            };
+            if let Some(counter) = stall {
+                *counter += 1;
+                return progressed;
+            }
+            self.channel.pop();
             progressed = true;
             let seq = self.next_seq;
             self.next_seq += 1;
@@ -774,8 +777,7 @@ impl Core {
                 if dep_seq < self.head_seq {
                     continue; // already retired → satisfied
                 }
-                let idx = (dep_seq - self.head_seq) as usize;
-                if self.rob[idx].state == EntryState::Complete {
+                if self.rob[self.slot(dep_seq)].state == EntryState::Complete {
                     continue;
                 }
                 let slot = self.slot(dep_seq);
@@ -787,32 +789,32 @@ impl Core {
             } else {
                 EntryState::Waiting(remaining)
             };
-            self.rob.push_back(Entry {
+            let slot = self.slot(seq);
+            self.rob[slot] = Entry {
                 kind,
                 state,
                 addr,
                 stream,
-            });
+            };
             if state == EntryState::Ready {
                 self.route_ready(seq, now, self.cfg.alu_latency);
             }
         }
         progressed
     }
+}
 
-    fn peek_op(&mut self) -> Option<CoreOp> {
-        if self.peeked.is_none() && !self.stream_done {
-            self.peeked = self.channel.next_op();
-            if self.peeked.is_none() {
-                self.stream_done = true;
-            }
-        }
-        self.peeked
+/// A core's next op, read in place from its channel. Finding the channel
+/// empty sets `stream_done`, and the core stops polling until the program
+/// appends again.
+#[inline]
+fn peek<'a>(channel: &'a mut ChannelQueue, stream_done: &mut bool) -> Option<&'a CoreOp> {
+    if *stream_done {
+        return None;
     }
-
-    fn take_op(&mut self) {
-        self.peeked = None;
-    }
+    let op = channel.peek();
+    *stream_done = op.is_none();
+    op
 }
 
 #[cfg(test)]

@@ -105,7 +105,7 @@ impl DramTimings {
 }
 
 /// Full configuration of the DRAM back-end.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DramConfig {
     /// Physical layout.
     pub organization: Organization,
@@ -116,8 +116,6 @@ pub struct DramConfig {
     /// Age (in tCK) after which the oldest request is serviced strictly
     /// first, bounding starvation under continuous row hits.
     pub starvation_threshold: u64,
-    /// Peak bandwidth of one channel in bytes per tCK (64 B / 4 tCK = 16).
-    pub bytes_per_tick_per_channel: f64,
 }
 
 impl DramConfig {
@@ -141,7 +139,6 @@ impl DramConfig {
             timings: DramTimings::ddr4_3200(),
             request_buffer_size: 32,
             starvation_threshold: 4096,
-            bytes_per_tick_per_channel: 16.0,
         }
     }
 }

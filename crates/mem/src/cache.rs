@@ -97,9 +97,12 @@ impl Cache {
         self.trace = Some(handle);
     }
 
-    /// Enqueues an access; its lookup completes after the hit latency.
-    pub fn accept(&mut self, access: Access, now: Cycle) {
-        self.input.push_at(now + self.config.latency, access);
+    /// Enqueues an access; its lookup completes after the hit latency, at
+    /// the returned cycle.
+    pub fn accept(&mut self, access: Access, now: Cycle) -> Cycle {
+        let at = now + self.config.latency;
+        self.input.push_at(at, access);
+        at
     }
 
     /// Whether this level holds `line` (snoop; does not disturb LRU).
@@ -142,8 +145,9 @@ impl Cache {
 
     /// Earliest cycle ≥ `from` at which [`Cache::tick`] would process an
     /// access: immediately while a retry is queued, else when the oldest
-    /// in-flight input matures. `None` means the tick is a no-op until new
-    /// work is [`Cache::accept`]ed or a fill arrives.
+    /// in-flight input matures. `None` means every tick only samples
+    /// occupancy until new work is [`Cache::accept`]ed. Only `accept` and a
+    /// tick change the answer.
     pub fn next_event(&self, from: Cycle) -> Option<Cycle> {
         if !self.retry.is_empty() {
             return Some(from);
@@ -152,16 +156,15 @@ impl Cache {
     }
 
     /// Processes up to `ports` ready accesses (retries first), producing
-    /// hits and newly allocated misses. Returns whether any access was
-    /// looked up; a tick that looked up none only sampled occupancy, as
+    /// hits and newly allocated misses. A tick before
+    /// [`Cache::next_event`] only samples occupancy, as
     /// [`Cache::credit_idle_ticks`] would have.
-    pub fn tick(&mut self, now: Cycle, out: &mut CacheOutputs) -> bool {
+    pub fn tick(&mut self, now: Cycle, out: &mut CacheOutputs) {
         // Sample occupancy from the pre-tick state so a credited span (which
         // sees the same frozen state) is bit-identical to per-cycle ticks.
         if self.profile.is_some() {
             self.credit_idle_ticks(1);
         }
-        let mut worked = false;
         for _ in 0..self.ports {
             let access = if let Some(a) = self.retry.pop_front() {
                 a
@@ -171,9 +174,7 @@ impl Cache {
                 break;
             };
             self.lookup(access, now, out);
-            worked = true;
         }
-        worked
     }
 
     fn lookup(&mut self, access: Access, now: Cycle, out: &mut CacheOutputs) {

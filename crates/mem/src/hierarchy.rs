@@ -57,7 +57,8 @@ pub struct MemoryHierarchy {
     fill_waiters: Vec<Access>,
     /// Whether idle caches sleep (see [`MemoryHierarchy::enable_gating`]).
     gating: bool,
-    /// One sleep state per cache: the L1s, then the L2s, then the LLC.
+    /// One sleep state per cache: the L1s, then the L2s, then the LLC. A
+    /// sleeping cache's timer is always its [`Cache::next_event`].
     sleep: Vec<Sleep>,
     /// First cycle whose cache slots have not run yet. An input arriving
     /// at `now` ends a sleeping cache's span at `max(now, clock)`: at `now`
@@ -99,10 +100,13 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Turns on per-cache activity gating: a cache whose tick looked up
-    /// nothing sleeps until its next event or its next input, and its
-    /// occupancy profile is credited for the slept span when it wakes.
-    /// Off, every cache ticks every cycle.
+    /// Turns on per-cache activity gating: a cache sleeps until its next
+    /// lookup is due, and its occupancy profile is credited for the slept
+    /// span when it wakes. The timer is read after every tick; an `accept`
+    /// moves it to the new lookup's cycle, and an input that changes the
+    /// cache but not its next event (a fill, a write-back insert, an
+    /// invalidation) credits the span so far. Off, every cache ticks every
+    /// cycle.
     pub fn enable_gating(&mut self) {
         self.gating = true;
     }
@@ -138,12 +142,30 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Wakes cache `unit` for an input arriving at `now`, crediting its
-    /// slept span from the state before the input.
-    fn wake(&mut self, unit: usize, now: Cycle) {
-        if let Some((from, to)) = self.sleep[unit].wake(now.max(self.clock)) {
+    /// Wakes cache `unit` with its slept span ending at `to`.
+    fn wake(&mut self, unit: usize, to: Cycle) {
+        if let Some((from, to)) = self.sleep[unit].wake(to) {
             self.cache_mut(unit).credit_idle_ticks(to - from);
         }
+    }
+
+    /// Credits cache `unit`'s slept span up to an input that changes it at
+    /// `now` (a fill, a write-back insert, an invalidation), from the state
+    /// before the input. The span ends at `now` before this cycle's cache
+    /// slots and at `now + 1` after them. Such an input leaves the cache's
+    /// next event where it was, so the cache sleeps on.
+    fn credit(&mut self, unit: usize, now: Cycle) {
+        if let Some((from, to)) = self.sleep[unit].settle(now.max(self.clock)) {
+            self.cache_mut(unit).credit_idle_ticks(to - from);
+        }
+    }
+
+    /// Schedules an access into cache `unit` at `now`. A sleeping cache's
+    /// timer moves to the lookup cycle; the access changes nothing its idle
+    /// ticks sample, so nothing is credited.
+    fn accept(&mut self, unit: usize, access: Access, now: Cycle) {
+        let at = self.cache_mut(unit).accept(access, now);
+        self.sleep[unit].lower(at);
     }
 
     /// Whether cache `unit` ticks at `now`. A sleeper whose timer ran out
@@ -156,20 +178,12 @@ impl MemoryHierarchy {
         true
     }
 
-    /// Gates cache `unit` after its tick at `now` (see [`Sleep::after_tick`]).
-    fn sleep_if_idle(&mut self, unit: usize, worked: bool, now: Cycle) {
+    /// Puts cache `unit` to sleep after its tick at `now`, until its next
+    /// event, unless that is the next cycle.
+    fn sleep_after_tick(&mut self, unit: usize, now: Cycle) {
         if self.gating {
-            // `Self::cache` spelled out, so the cache and its sleep state
-            // can be borrowed together.
-            let n = self.config.cores;
-            let cache = if unit < n {
-                &self.l1[unit]
-            } else if unit < 2 * n {
-                &self.l2[unit - n]
-            } else {
-                &self.llc
-            };
-            self.sleep[unit].after_tick(now, worked, |t| cache.next_event(t));
+            let next = self.cache(unit).next_event(now + 1);
+            self.sleep[unit].sleep_until(now + 1, next);
         }
     }
 
@@ -214,8 +228,7 @@ impl MemoryHierarchy {
         let Requester::Core(core) = access.requester else {
             panic!("core_access requires a Core requester");
         };
-        self.wake(core, now);
-        self.l1[core].accept(access, now);
+        self.accept(core, access, now);
     }
 
     /// Issues a DX100 access directly into the LLC (the accelerator's Cache
@@ -238,8 +251,7 @@ impl MemoryHierarchy {
             is_prefetch: true,
             requester: Requester::PrefetchL2(core),
         };
-        self.wake(self.l2_unit(core), now);
-        self.l2[core].accept(access, now);
+        self.accept(self.l2_unit(core), access, now);
     }
 
     /// Pops a completed core access.
@@ -267,7 +279,7 @@ impl MemoryHierarchy {
         let mut dirty = false;
         for unit in 0..self.sleep.len() {
             if self.cache(unit).contains(line) {
-                self.wake(unit, self.clock);
+                self.credit(unit, self.clock);
                 dirty |= self.cache_mut(unit).invalidate(line).unwrap_or(false);
             }
         }
@@ -291,14 +303,8 @@ impl MemoryHierarchy {
         // 1. Deliver link messages that arrive this cycle.
         while let Some(msg) = self.links.pop_ready(now) {
             match msg {
-                Msg::AccessL2(core, acc) => {
-                    self.wake(self.l2_unit(core), now);
-                    self.l2[core].accept(acc, now);
-                }
-                Msg::AccessLlc(acc) => {
-                    self.wake(self.llc_unit(), now);
-                    self.llc.accept(acc, now);
-                }
+                Msg::AccessL2(core, acc) => self.accept(self.l2_unit(core), acc, now),
+                Msg::AccessLlc(acc) => self.accept(self.llc_unit(), acc, now),
                 Msg::FillL2(core, line) => self.fill_l2(core, line, now, to_dram),
                 Msg::FillL1(core, line) => self.fill_l1(core, line, now, to_dram),
             }
@@ -313,14 +319,14 @@ impl MemoryHierarchy {
             }
             self.scratch.completed.clear();
             self.scratch.downstream.clear();
-            let worked = self.l1[core].tick(now, &mut self.scratch);
+            self.l1[core].tick(now, &mut self.scratch);
             for acc in self.scratch.completed.drain(..) {
                 route_from_l1(core, acc, &mut self.core_responses);
             }
             for acc in self.scratch.downstream.drain(..) {
                 self.links.push_at(now + link, Msg::AccessL2(core, acc));
             }
-            self.sleep_if_idle(core, worked, now);
+            self.sleep_after_tick(core, now);
         }
 
         // 3. L2 lookups.
@@ -331,7 +337,7 @@ impl MemoryHierarchy {
             }
             self.scratch.completed.clear();
             self.scratch.downstream.clear();
-            let worked = self.l2[core].tick(now, &mut self.scratch);
+            self.l2[core].tick(now, &mut self.scratch);
             for acc in self.scratch.completed.drain(..) {
                 // A hit at L2 climbs one level toward the requester.
                 match acc.requester {
@@ -346,7 +352,7 @@ impl MemoryHierarchy {
             for acc in self.scratch.downstream.drain(..) {
                 self.links.push_at(now + link, Msg::AccessLlc(acc));
             }
-            self.sleep_if_idle(unit, worked, now);
+            self.sleep_after_tick(unit, now);
         }
 
         // 4. LLC lookups.
@@ -354,7 +360,7 @@ impl MemoryHierarchy {
         if self.tick_due(unit, now) {
             self.scratch.completed.clear();
             self.scratch.downstream.clear();
-            let worked = self.llc.tick(now, &mut self.scratch);
+            self.llc.tick(now, &mut self.scratch);
             for acc in self.scratch.completed.drain(..) {
                 match acc.requester {
                     Requester::Core(c) | Requester::PrefetchL1(c) | Requester::PrefetchL2(c) => {
@@ -369,7 +375,7 @@ impl MemoryHierarchy {
                     is_write: false,
                 });
             }
-            self.sleep_if_idle(unit, worked, now);
+            self.sleep_after_tick(unit, now);
         }
         self.clock = now + 1;
     }
@@ -377,7 +383,7 @@ impl MemoryHierarchy {
     /// Delivers a DRAM read completion: fills the LLC and propagates fills
     /// (and write-backs) upward.
     pub fn dram_fill(&mut self, line: LineAddr, now: Cycle, to_dram: &mut Vec<DramBound>) {
-        self.wake(self.llc_unit(), now);
+        self.credit(self.llc_unit(), now);
         if let Some(victim) = self.llc.fill(line, now, &mut self.fill_waiters) {
             to_dram.push(DramBound {
                 line: victim,
@@ -402,7 +408,7 @@ impl MemoryHierarchy {
     }
 
     fn fill_l2(&mut self, core: CoreId, line: LineAddr, now: Cycle, to_dram: &mut Vec<DramBound>) {
-        self.wake(self.l2_unit(core), now);
+        self.credit(self.l2_unit(core), now);
         if let Some(victim) = self.l2[core].fill(line, now, &mut self.fill_waiters) {
             self.writeback_to_llc(victim, now, to_dram);
         }
@@ -424,9 +430,9 @@ impl MemoryHierarchy {
     }
 
     fn fill_l1(&mut self, core: CoreId, line: LineAddr, now: Cycle, to_dram: &mut Vec<DramBound>) {
-        self.wake(core, now);
+        self.credit(core, now);
         if let Some(victim) = self.l1[core].fill(line, now, &mut self.fill_waiters) {
-            self.wake(self.l2_unit(core), now);
+            self.credit(self.l2_unit(core), now);
             if let Some(v2) = self.l2[core].insert_writeback(victim) {
                 self.writeback_to_llc(v2, now, to_dram);
             }
@@ -448,7 +454,7 @@ impl MemoryHierarchy {
     }
 
     fn writeback_to_llc(&mut self, line: LineAddr, now: Cycle, to_dram: &mut Vec<DramBound>) {
-        self.wake(self.llc_unit(), now);
+        self.credit(self.llc_unit(), now);
         if let Some(victim) = self.llc.insert_writeback(line) {
             to_dram.push(DramBound {
                 line: victim,

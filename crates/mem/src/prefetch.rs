@@ -7,7 +7,6 @@
 //! evaluation, so the model trains per logical stream and only issues
 //! prefetches once a stride has repeated.
 
-use dx100_common::hash::HashMap;
 use dx100_common::LineAddr;
 
 /// Training state for one stream.
@@ -21,7 +20,10 @@ struct StreamEntry {
 /// A per-stream stride detector that emits prefetch candidates.
 #[derive(Clone, Debug)]
 pub struct StridePrefetcher {
-    table: HashMap<u32, StreamEntry>,
+    /// `(stream, state)` in first-seen order, scanned linearly: an L1 or
+    /// L2 sees a handful of streams, and the table is cleared before it
+    /// would exceed `max_streams`.
+    table: Vec<(u32, StreamEntry)>,
     /// Prefetch distance: how many strides ahead to fetch.
     distance: i64,
     /// Prefetch degree: how many lines to issue per trigger.
@@ -35,7 +37,7 @@ impl StridePrefetcher {
     /// degree (4 lines per trigger).
     pub fn new() -> Self {
         StridePrefetcher {
-            table: HashMap::default(),
+            table: Vec::new(),
             distance: 8,
             degree: 4,
             confidence_threshold: 2,
@@ -46,8 +48,8 @@ impl StridePrefetcher {
     /// Trains on a demand access and returns prefetch candidate lines.
     pub fn observe(&mut self, stream: u32, line: LineAddr, out: &mut Vec<LineAddr>) {
         let cur = line.0 as i64;
-        match self.table.get_mut(&stream) {
-            Some(e) => {
+        match self.table.iter_mut().find(|(s, _)| *s == stream) {
+            Some((_, e)) => {
                 let stride = cur - e.last_line;
                 if stride == 0 {
                     return; // same line; no information
@@ -72,14 +74,14 @@ impl StridePrefetcher {
                 if self.table.len() >= self.max_streams {
                     self.table.clear(); // cheap aging for a bounded table
                 }
-                self.table.insert(
+                self.table.push((
                     stream,
                     StreamEntry {
                         last_line: cur,
                         stride: 0,
                         confidence: 0,
                     },
-                );
+                ));
             }
         }
     }
@@ -142,5 +144,117 @@ mod tests {
         }
         assert!(out.iter().any(|l| l.0 < 100));
         assert!(out.iter().any(|l| l.0 > 100_000));
+    }
+}
+
+/// Differential property test: the linearly scanned table must produce the
+/// same candidates as the `HashMap` table it replaced, on random streams
+/// that include more than `max_streams` distinct ids (the clear-at-64 rule).
+#[cfg(test)]
+mod differential {
+    use dx100_common::LineAddr;
+    use proptest::prelude::*;
+
+    /// The `HashMap` implementation, kept verbatim as the reference model.
+    mod reference {
+        use dx100_common::hash::HashMap;
+        use dx100_common::LineAddr;
+
+        /// Training state for one stream.
+        #[derive(Debug, Clone, Copy)]
+        struct StreamEntry {
+            last_line: i64,
+            stride: i64,
+            confidence: u8,
+        }
+
+        /// A per-stream stride detector that emits prefetch candidates.
+        #[derive(Clone, Debug)]
+        pub struct StridePrefetcher {
+            table: HashMap<u32, StreamEntry>,
+            /// Prefetch distance: how many strides ahead to fetch.
+            distance: i64,
+            /// Prefetch degree: how many lines to issue per trigger.
+            degree: usize,
+            confidence_threshold: u8,
+            max_streams: usize,
+        }
+
+        impl StridePrefetcher {
+            /// Creates a prefetcher with the default distance (8 strides ahead) and
+            /// degree (4 lines per trigger).
+            pub fn new() -> Self {
+                StridePrefetcher {
+                    table: HashMap::default(),
+                    distance: 8,
+                    degree: 4,
+                    confidence_threshold: 2,
+                    max_streams: 64,
+                }
+            }
+
+            /// Trains on a demand access and returns prefetch candidate lines.
+            pub fn observe(&mut self, stream: u32, line: LineAddr, out: &mut Vec<LineAddr>) {
+                let cur = line.0 as i64;
+                match self.table.get_mut(&stream) {
+                    Some(e) => {
+                        let stride = cur - e.last_line;
+                        if stride == 0 {
+                            return; // same line; no information
+                        }
+                        if stride == e.stride {
+                            e.confidence = e.confidence.saturating_add(1);
+                        } else {
+                            e.stride = stride;
+                            e.confidence = 0;
+                        }
+                        e.last_line = cur;
+                        if e.confidence >= self.confidence_threshold {
+                            for k in 0..self.degree as i64 {
+                                let target = cur + (self.distance + k) * e.stride;
+                                if target >= 0 {
+                                    out.push(LineAddr(target as u64));
+                                }
+                            }
+                        }
+                    }
+                    None => {
+                        if self.table.len() >= self.max_streams {
+                            self.table.clear(); // cheap aging for a bounded table
+                        }
+                        self.table.insert(
+                            stream,
+                            StreamEntry {
+                                last_line: cur,
+                                stride: 0,
+                                confidence: 0,
+                            },
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn vec_table_matches_hashmap_reference(
+            accesses in proptest::collection::vec((0u32..80, 0u64..8, any::<bool>()), 1..400),
+        ) {
+            let mut table = super::StridePrefetcher::new();
+            let mut reference = reference::StridePrefetcher::new();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            // Each stream walks its own region with a stride it sometimes
+            // keeps, so some streams train and prefetch, others never do.
+            let mut next = vec![0u64; 80];
+            for (stream, step, keep) in accesses {
+                let s = stream as usize;
+                next[s] = next[s].wrapping_add(if keep { 2 } else { step });
+                let line = LineAddr((s as u64) << 20 | next[s]);
+                table.observe(stream, line, &mut got);
+                reference.observe(stream, line, &mut want);
+                prop_assert_eq!(&got, &want);
+            }
+        }
     }
 }

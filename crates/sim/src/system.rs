@@ -709,13 +709,15 @@ impl System {
     /// Advances the machine one CPU cycle.
     ///
     /// With `cycle_skip` on, each core, cache, DRAM channel and DX100
-    /// engine is gated: after a tick that did no work it asks its own
-    /// `next_event` once and sleeps until then, or until an input reaches
-    /// it, and its slept span is credited with its batch rule when it
-    /// wakes. A cycle on which every unit sleeps costs a compare and an
-    /// increment. A barrier ([`System::run_until`]) still checks its
-    /// predicate before every cycle, so a program sees the same clock
-    /// values as on an ungated run.
+    /// engine is gated: a core, channel or engine whose tick did no work
+    /// asks its own `next_event` once and sleeps until then, or until an
+    /// input reaches it; a cache sleeps until its next lookup is due (see
+    /// [`MemoryHierarchy::enable_gating`]). A unit's slept span is credited
+    /// with its batch rule when it wakes. A cycle on which every unit
+    /// sleeps costs a compare and an increment. A barrier
+    /// ([`System::run_until`]) still checks its predicate before every
+    /// cycle, so a program sees the same clock values as on an ungated
+    /// run.
     fn step(&mut self) {
         if self.clock < self.all_asleep_until {
             self.skipped_cycles += 1;

@@ -12,10 +12,11 @@
 //! on.
 
 use dx100::common::hash::fnv1a_64;
-use dx100::common::{DType, DelayQueue, LineAddr};
+use dx100::common::{Cycle, DType, DelayQueue, LineAddr};
 use dx100::core::isa::{Instruction, TileId};
 use dx100::cpu::CoreOp;
 use dx100::dram::{DramConfig, DramSystem, MemRequest};
+use dx100::mem::{Access, HierarchyConfig, MemoryHierarchy, Requester};
 use dx100::sim::{System, SystemConfig};
 use dx100::workloads::micro::allhit::{run_allhit, MicroKind};
 use dx100::workloads::{all_kernels, Mode, Scale};
@@ -463,6 +464,88 @@ fn load_after_idle_gap(sys: &mut System) {
 #[test]
 fn core_access_wakes_sleeping_l1() {
     assert_gating_invisible(SystemConfig::paper_baseline(), load_after_idle_gap);
+}
+
+/// Forty independent cold loads from one core: the L1's 16 MSHRs fill, the
+/// rest wait in its retry queue, and each fill frees an MSHR for a retry.
+fn loads_past_full_mshrs(sys: &mut System) {
+    let a = big_image().1;
+    sys.push_ops(0, (0..40).map(|i| CoreOp::load(a.addr_of(i << 14), 1)));
+}
+
+/// A fill reaches an L1 whose MSHR file is full while an access waits in
+/// its retry queue.
+#[test]
+fn fill_wakes_l1_with_full_mshrs() {
+    let mut cfg = SystemConfig::paper_baseline();
+    cfg.max_cycles = 1_000_000;
+    let (image, _) = big_image();
+    let mut sys = System::new(cfg, image);
+    loads_past_full_mshrs(&mut sys);
+    let stats = sys.finish();
+    assert!(
+        stats.hierarchy.l1.mshr_full_stalls > 0,
+        "the scenario must fill the L1's MSHR file"
+    );
+    assert_gating_invisible(SystemConfig::paper_baseline(), loads_past_full_mshrs);
+}
+
+/// An `accept` into a sleeping cache moves its timer to the lookup cycle
+/// and wakes nothing: the hierarchy then sleeps until exactly `now +
+/// latency`, and its statistics and occupancy profile still match an
+/// ungated hierarchy's.
+#[test]
+fn accept_sleeps_cache_until_its_lookup() {
+    let cfg = HierarchyConfig::paper_baseline(1);
+    let latency = cfg.l1.latency;
+    let mut mems = [MemoryHierarchy::new(cfg.clone()), MemoryHierarchy::new(cfg)];
+    mems[0].enable_gating();
+    let mut fills = [DelayQueue::new(), DelayQueue::new()];
+    let mut to_dram = Vec::new();
+    for mem in &mut mems {
+        mem.enable_profile();
+    }
+    // One cold load every 500 cycles, each done long before the next.
+    for now in 0..2000 {
+        let load_at = now - now % 500 + 100;
+        if now == load_at {
+            assert_eq!(
+                mems[0].asleep_until(),
+                Some(Cycle::MAX),
+                "every cache sleeps before the access at {now}"
+            );
+            for mem in &mut mems {
+                mem.core_access(
+                    Access::load(now, LineAddr(now << 8), 0, Requester::Core(0)),
+                    now,
+                );
+            }
+        }
+        if (load_at..load_at + latency).contains(&now) {
+            assert_eq!(
+                mems[0].asleep_until(),
+                Some(load_at + latency),
+                "the L1 must sleep until exactly its lookup"
+            );
+        }
+        for (mem, fills) in mems.iter_mut().zip(&mut fills) {
+            mem.tick(now, &mut to_dram);
+            for d in to_dram.drain(..).filter(|d| !d.is_write) {
+                fills.push_at(now + 60, d.line);
+            }
+            while let Some(line) = fills.pop_ready(now) {
+                mem.dram_fill(line, now, &mut to_dram);
+            }
+            while mem.pop_core_response().is_some() {}
+        }
+    }
+    let [gated, ungated] = &mut mems;
+    gated.settle(2000);
+    assert_eq!(
+        format!("{:?}", gated.stats()),
+        format!("{:?}", ungated.stats())
+    );
+    assert_eq!(gated.profile(), ungated.profile());
 }
 
 /// An LLC miss's enqueue reaches a sleeping DRAM channel.

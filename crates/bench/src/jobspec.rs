@@ -371,10 +371,10 @@ mod tests {
         const IS: u64 = 12710991020669359088;
         const PR: u64 = 15036263534936017701;
         const GOLDEN: [(&str, Mode, u64, u64); 4] = [
-            ("is", Mode::Baseline, IS, 0x51ef_885e_4a76_2cc9),
-            ("is", Mode::Dx100, IS, 0xd05f_f65e_f4aa_2158),
-            ("pr", Mode::Baseline, PR, 0xb28b_7530_00f9_033a),
-            ("pr", Mode::Dx100, PR, 0x8c4c_afcf_7c29_ee31),
+            ("is", Mode::Baseline, IS, 0x35e3_97b0_abd0_964a),
+            ("is", Mode::Dx100, IS, 0x773f_093e_2004_e05a),
+            ("pr", Mode::Baseline, PR, 0x61a5_eab1_c832_3366),
+            ("pr", Mode::Dx100, PR, 0x5bba_8a9d_2200_4c18),
         ];
         for (kernel, machine, checksum, run_hash) in GOLDEN {
             let report = spec(kernel, machine).run().unwrap();

@@ -1,16 +1,17 @@
 //! Per-unit activity gating: the sleep state of one timed unit.
 //!
-//! Two rules set a unit's timer. Under the probe-once rule
-//! ([`Sleep::after_tick`]), a unit whose tick did no work asks its own
-//! `next_event` once and sleeps until then, or until an input reaches it.
-//! If the answer is the very next cycle, the unit stays awake and asks
-//! again only after it next does work or wakes from a sleep, so a unit
-//! that idles in short gaps pays for one probe per gap at most. Under the
-//! exact rule ([`Sleep::sleep_until`]), the owner asks after every tick;
-//! an input that only schedules work moves the timer without waking the
-//! unit ([`Sleep::lower`]), and one that changes the unit but not its next
-//! event credits the span so far ([`Sleep::settle`]), so the timer always
-//! equals the unit's `next_event`.
+//! One rule sets every unit's timer: a sleeping unit's timer is its next
+//! event. After each tick the owner asks the unit's `next_event` and the
+//! unit sleeps until then ([`Sleep::sleep_until`]), or stays awake if the
+//! answer is the next cycle. An input reaching a sleeping unit goes through
+//! [`Sleep::input`], which credits the span so far from the state before
+//! the input, applies the input, and asks `next_event` again; the unit
+//! wakes only if that event is due at once.
+//! Two inputs take a cheaper form of the same rule because their outcome
+//! is known in advance: one that only schedules work at a known cycle and
+//! changes nothing an idle tick samples (a cache's `accept`) lowers the
+//! timer without crediting ([`Sleep::lower`]), and one that always makes
+//! its unit due wakes it ([`Sleep::wake`]).
 //!
 //! The unit's owner skips it while it sleeps and, when it wakes, credits
 //! the slept span with the unit's batch rule (`credit_idle_span` /
@@ -30,8 +31,6 @@ pub struct Sleep {
     from: Cycle,
     /// Cycle at which the unit must tick again; `0` while awake.
     until: Cycle,
-    /// Whether the current idle run has already asked for its next event.
-    probed: bool,
 }
 
 impl Sleep {
@@ -49,34 +48,11 @@ impl Sleep {
         (self.until != 0).then_some(self.until)
     }
 
-    /// Gating after a tick at `now`: a tick that did work re-arms the
-    /// probe; the first idle tick after it asks `next_event(now + 1)` and
-    /// sleeps from `now + 1` if the answer (`None`: no event without input)
-    /// lies beyond that.
-    #[inline]
-    pub fn after_tick(
-        &mut self,
-        now: Cycle,
-        worked: bool,
-        next_event: impl FnOnce(Cycle) -> Option<Cycle>,
-    ) {
-        if worked {
-            self.probed = false;
-        } else if !self.probed {
-            self.probed = true;
-            let until = next_event(now + 1).unwrap_or(Cycle::MAX);
-            if until > now + 1 {
-                self.from = now + 1;
-                self.until = until;
-            }
-        }
-    }
-
-    /// Exact-rule gating from cycle `from` on: the unit sleeps from `from`
-    /// until `next`, its `next_event(from)` (`None`: no event without
-    /// input), or stays awake if that is `from` or earlier. Every cycle
-    /// before `from` must already be ticked or credited, so an asleep unit
-    /// is first [`wake`](Self::wake)d.
+    /// Gating after a tick: the unit sleeps from `from` until `next`, its
+    /// `next_event(from)` (`None`: no event without input), or stays awake
+    /// if that is `from` or earlier. Every cycle before `from` must already
+    /// be ticked or credited, so an asleep unit is first
+    /// [`wake`](Self::wake)d.
     #[inline]
     pub fn sleep_until(&mut self, from: Cycle, next: Option<Cycle>) {
         debug_assert!(self.until == 0, "re-timing a unit with an uncredited span");
@@ -85,6 +61,34 @@ impl Sleep {
             self.from = from;
             self.until = until;
         }
+    }
+
+    /// Delivers an input to `unit`, whose slept span ends at `to` as for
+    /// [`wake`](Self::wake). A sleeping unit has the span credited from
+    /// its state before the input (`credit(unit, from, to)`), then takes
+    /// the input (`apply`), then sleeps until its `next_event` asked from
+    /// the first uncredited cycle, now `to` (`None`: no event without
+    /// input); an event at or before that cycle makes it due then. An
+    /// awake unit only takes the input. Returns what `apply` returned.
+    #[inline]
+    pub fn input<U, R>(
+        &mut self,
+        to: Cycle,
+        unit: &mut U,
+        credit: impl FnOnce(&mut U, Cycle, Cycle),
+        apply: impl FnOnce(&mut U) -> R,
+        next_event: impl FnOnce(&mut U, Cycle) -> Option<Cycle>,
+    ) -> R {
+        if let Some((from, to)) = self.settle(to) {
+            credit(unit, from, to);
+        }
+        let out = apply(unit);
+        if self.until != 0 {
+            self.until = next_event(unit, self.from)
+                .unwrap_or(Cycle::MAX)
+                .max(self.from);
+        }
+        out
     }
 
     /// An input that gives a sleeping unit an event at `at` and changes
@@ -107,14 +111,13 @@ impl Sleep {
             return None;
         }
         self.until = 0;
-        self.probed = false;
         (self.from < to).then_some((self.from, to))
     }
 
     /// Like [`wake`](Self::wake) but leaves the unit asleep: returns the
     /// span `[from, to)` to credit now and moves the uncredited start to
-    /// `to`. Used where statistics are read mid-run, and before an input
-    /// that changes what an idle tick samples but not the unit's timer.
+    /// `to`. Used where statistics are read mid-run, and by
+    /// [`input`](Self::input).
     #[inline]
     pub fn settle(&mut self, to: Cycle) -> Option<(Cycle, Cycle)> {
         if self.until == 0 || self.from >= to {
@@ -140,36 +143,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sleeps_only_past_the_next_cycle() {
-        let mut s = Sleep::default();
-        s.after_tick(9, false, Some);
-        assert_eq!(s.until(), None, "an event next cycle keeps the unit awake");
-        s.after_tick(10, false, |_| panic!("an idle run asks once"));
-        s.after_tick(11, true, |_| panic!("a working tick does not ask"));
-        s.after_tick(12, false, |t| Some(t + 3));
-        assert_eq!(s.until(), Some(16));
-        assert!(!s.due(15) && s.due(16));
-        assert_eq!(s.wake(16), Some((13, 16)));
-        assert_eq!(s.until(), None);
-        assert_eq!(s.wake(20), None, "waking an awake unit credits nothing");
-        s.after_tick(16, false, |_| None);
-        assert_eq!(s.until(), Some(Cycle::MAX), "a wake re-arms the probe");
-    }
-
-    #[test]
-    fn settle_credits_without_waking() {
-        let mut s = Sleep::default();
-        s.after_tick(4, false, |_| None);
-        assert_eq!(s.until(), Some(Cycle::MAX));
-        assert_eq!(s.settle(8), Some((5, 8)));
-        assert_eq!(s.settle(8), None);
-        assert_eq!(s.wake(8), None, "the settled span is not credited twice");
-        s.after_tick(8, false, |_| None);
-        assert_eq!(s.wake(9), None, "an input right after the sleep began");
-    }
-
-    #[test]
-    fn exact_timer_sleeps_until_the_next_event() {
+    fn sleeps_until_the_next_event() {
         let mut s = Sleep::default();
         s.sleep_until(5, Some(5));
         assert_eq!(s.until(), None, "an event at `from` keeps the unit awake");
@@ -181,6 +155,7 @@ mod tests {
         assert_eq!(s.until(), Some(9), "an earlier input lowers it");
         assert!(!s.due(8) && s.due(9));
         assert_eq!(s.wake(9), Some((5, 9)));
+        assert_eq!(s.wake(9), None, "waking an awake unit credits nothing");
         s.lower(3);
         assert_eq!(s.until(), None, "lowering leaves an awake unit awake");
         s.sleep_until(10, None);
@@ -188,12 +163,56 @@ mod tests {
     }
 
     #[test]
+    fn settle_credits_without_waking() {
+        let mut s = Sleep::default();
+        s.sleep_until(5, None);
+        assert_eq!(s.settle(8), Some((5, 8)));
+        assert_eq!(s.settle(8), None);
+        assert_eq!(s.wake(8), None, "the settled span is not credited twice");
+        s.sleep_until(9, None);
+        assert_eq!(s.wake(9), None, "an input right after the sleep began");
+    }
+
+    /// The unit is a log of what `input` does to it, in order.
+    #[test]
+    fn input_credits_then_applies_then_retimes() {
+        let credit = |log: &mut Vec<String>, from, to| log.push(format!("credit {from}..{to}"));
+        let apply = |log: &mut Vec<String>| log.push("apply".into());
+        let mut log = Vec::new();
+        let mut s = Sleep::default();
+        s.input(3, &mut log, credit, apply, |_, _| {
+            panic!("an awake unit is not asked")
+        });
+        assert_eq!(log, ["apply"], "an awake unit only takes the input");
+        log.clear();
+        s.sleep_until(5, Some(40));
+        let apply_len = |log: &mut Vec<String>| {
+            log.push("apply".into());
+            log.len()
+        };
+        let out = s.input(8, &mut log, credit, apply_len, |log, t| {
+            log.push(format!("asked at {t}"));
+            None
+        });
+        assert_eq!(out, 2, "`apply`'s value is returned");
+        assert_eq!(log, ["credit 5..8", "apply", "asked at 8"]);
+        assert_eq!(s.until(), Some(Cycle::MAX), "an input that gives no work");
+        log.clear();
+        s.input(8, &mut log, credit, apply, |_, t| Some(t + 3));
+        assert_eq!(log, ["apply"], "nothing is credited twice");
+        assert_eq!(s.until(), Some(11));
+        s.input(9, &mut log, credit, apply, |_, t| Some(t - 1));
+        assert!(s.due(9), "an event at once makes the unit due");
+        assert_eq!(s.wake(9), None, "with nothing left to credit");
+    }
+
+    #[test]
     fn earliest_timer_needs_every_unit_asleep() {
         let mut a = Sleep::default();
         let mut b = Sleep::default();
-        a.after_tick(0, false, |_| Some(30));
+        a.sleep_until(1, Some(30));
         assert_eq!(all_asleep_until([&a, &b]), None);
-        b.after_tick(0, false, |_| Some(20));
+        b.sleep_until(1, Some(20));
         assert_eq!(all_asleep_until([&a, &b]), Some(20));
     }
 }

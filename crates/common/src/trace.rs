@@ -234,6 +234,11 @@ impl SpanTracker {
         }
     }
 
+    /// Whether a span is open: the last update was active.
+    pub fn is_open(&self) -> bool {
+        self.since.is_some()
+    }
+
     /// Closes any open span at end of run.
     pub fn finish(&mut self, now: Cycle, handle: &TraceHandle, cat: &'static str, name: &str) {
         if let Some(start) = self.since.take() {

@@ -243,7 +243,7 @@ impl Dx100Engine {
     }
 
     /// Delivers a memory completion from the system glue (which wakes a
-    /// sleeping engine first).
+    /// sleeping engine: a response always makes the next tick do work).
     pub fn mem_response(&mut self, id: ReqId) {
         self.resp_inbox.push_back(id);
     }
@@ -320,21 +320,29 @@ impl Dx100Engine {
     /// Earliest cycle ≥ `now` at which `tick` might not be a pure no-op, or
     /// `None` when the engine wakes only on external input (a memory
     /// response or a newly received instruction).
+    ///
+    /// While tracing, an open `fill` or `issue` span is an event at `now`:
+    /// it closes on the first tick whose counter did not move, and every
+    /// unit records into one shared trace buffer, so closing it in a
+    /// slept span's credit would record it later than an ungated run.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         if self.halted.is_some() {
             return None;
         }
-        if !self.quiescent(now) {
+        let span_open =
+            self.trace.is_some() && self.phase_spans[..2].iter().any(SpanTracker::is_open);
+        if span_open || !self.quiescent(now) {
             return Some(now);
         }
         self.indirect.next_time_event(now)
     }
 
-    /// Replays the per-tick phase-span trace update for a quiescent span
-    /// `[from, to)`. With frozen counters the update is edge-triggered: the
-    /// first tick may open or close spans (counter deltas versus the last
-    /// active tick), and every later tick sees zero deltas — so one update
-    /// at `from` plus one at `from + 1` reproduces the whole span.
+    /// Credits the quiescent span `[from, to)` in bulk: bit-identical to
+    /// ticking through it, which the caller guarantees by crediting only
+    /// spans that [`Self::next_event`] certified. Such a span records no
+    /// trace event: `next_event` keeps a traced engine awake while a
+    /// `fill` or `issue` span is open, and the `drain` span follows the
+    /// outstanding responses, which change only on ticks.
     pub fn credit_idle_span(&mut self, from: Cycle, to: Cycle) {
         let n = to - from;
         if self.halted.is_some() {
@@ -349,6 +357,11 @@ impl Dx100Engine {
         let outstanding = self.ids.outstanding();
         let depth = self.indirect.buffered_columns() as u64;
         let draining = self.indirect.pending_responses() > 0;
+        debug_assert!(
+            self.trace.is_none()
+                || self.phase_spans.map(|s| s.is_open()) == [false, false, draining],
+            "a slept span would change the trace"
+        );
         if let Some(p) = &mut self.profile {
             p.row_table_depth.record_n(depth, n);
             if outstanding > 0 {
@@ -360,45 +373,16 @@ impl Dx100Engine {
                 p.drain_ticks += n;
             }
         }
-        let Some(t) = self.trace.clone() else {
-            return;
-        };
-        let cur = [
-            self.stats.snoop_hits + self.stats.snoop_misses,
-            self.stats.indirect_line_reads + self.stats.indirect_line_writes,
-        ];
-        let drain = self.indirect.pending_responses() > 0;
-        let first = [
-            cur[0] > self.prev_phase_counts[0],
-            cur[1] > self.prev_phase_counts[1],
-            drain,
-        ];
-        for (i, name) in PHASE_NAMES.iter().enumerate() {
-            self.phase_spans[i].update(first[i], from, &t, "dx100", name);
-        }
-        self.prev_phase_counts = cur;
-        if to > from + 1 {
-            let rest = [false, false, drain];
-            for (i, name) in PHASE_NAMES.iter().enumerate() {
-                self.phase_spans[i].update(rest[i], from + 1, &t, "dx100", name);
-            }
-        }
     }
 
-    /// Advances one CPU cycle. Returns whether the tick visibly did work:
-    /// routed a response, dispatched or retired an instruction, or moved a
-    /// counter. `false` is a hint, not a certificate: some unit steps (tile
-    /// sizing, say) progress without a counter, which [`Self::next_event`]
-    /// then reports.
-    pub fn tick(&mut self, now: Cycle, mem: &mut MemoryImage, ports: &mut dyn MemPorts) -> bool {
+    /// Advances one CPU cycle.
+    pub fn tick(&mut self, now: Cycle, mem: &mut MemoryImage, ports: &mut dyn MemPorts) {
         if self.halted.is_some() {
             if let Some(p) = &mut self.profile {
                 p.halted += 1;
             }
-            return false;
+            return;
         }
-        let stats_before = self.stats;
-        let mut worked = !self.resp_inbox.is_empty();
         // Cycle attribution: classify before any state changes so the
         // class matches what `credit_idle_span` computes for a skipped
         // span (whose inputs are exactly this pre-tick state).
@@ -422,7 +406,6 @@ impl Dx100Engine {
             let Some(d) = self.controller.try_dispatch() else {
                 break;
             };
-            worked = true;
             // Coherency agent: invalidate any host-cached scratchpad lines
             // of the instruction's tiles.
             let (dests, sources) = (d.instr.dest_tiles(), d.instr.source_tiles());
@@ -463,7 +446,7 @@ impl Dx100Engine {
             Ok(None) => {}
             Err(e) => {
                 self.halted = Some(e);
-                return true;
+                return;
             }
         }
         match self.range.step(&mut self.spd) {
@@ -471,12 +454,11 @@ impl Dx100Engine {
             Ok(None) => {}
             Err(e) => {
                 self.halted = Some(e);
-                return true;
+                return;
             }
         }
 
         // 4. Retire.
-        worked |= !retiring.is_empty();
         for h in retiring.drain(..) {
             let (dests, flag) = self.controller.retire(h);
             for d in dests {
@@ -512,7 +494,6 @@ impl Dx100Engine {
             }
             self.prev_phase_counts = cur;
         }
-        worked || self.stats != stats_before
     }
 
     /// Computes this tick's attribution class from the pre-tick state: the

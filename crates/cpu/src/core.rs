@@ -294,18 +294,10 @@ impl Core {
         self.finish(seq, now);
     }
 
-    /// Advances one cycle. Ready memory ops are handed to `issue`. Returns
-    /// whether the tick did work (completed, retired, dispatched or issued
-    /// something); a tick that did none only advanced stall counters, as
-    /// [`Core::credit_idle_span`] would have.
-    pub fn tick(
-        &mut self,
-        now: Cycle,
-        flags: &mut FlagBoard,
-        issue: &mut dyn FnMut(MemIssue),
-    ) -> bool {
+    /// Advances one cycle. Ready memory ops are handed to `issue`.
+    pub fn tick(&mut self, now: Cycle, flags: &mut FlagBoard, issue: &mut dyn FnMut(MemIssue)) {
         if self.is_done() {
-            return false;
+            return;
         }
         self.stats.cycles += 1;
 
@@ -318,10 +310,8 @@ impl Core {
         }
 
         // 1. Internal completions (ALU latency, MMIO latency, atomic locks).
-        let mut worked = false;
         while let Some(seq) = self.internal_done.pop_ready(now) {
             self.finish(seq, now);
-            worked = true;
         }
 
         // 2. Retire from the head, in order.
@@ -352,8 +342,7 @@ impl Core {
         }
 
         // 3. Dispatch up to `width` new µops.
-        worked |= retired > 0;
-        worked |= self.dispatch(now, flags);
+        self.dispatch(now, flags);
 
         // 4. Issue ready memory ops to the L1 port. Atomics have fence
         //    semantics on the memory stream: an atomic issues only when no
@@ -394,7 +383,6 @@ impl Core {
             };
             self.mem_inflight += 1;
             self.stats.mem_ops_issued += 1;
-            worked = true;
             issue(MemIssue {
                 seq,
                 addr,
@@ -421,7 +409,6 @@ impl Core {
             }
             self.prev_stalls = cur;
         }
-        worked
     }
 
     /// Classifies this cycle as quiescent (returns what each stage's stall
@@ -490,10 +477,10 @@ impl Core {
 
     /// Earliest cycle ≥ `now` at which [`Core::tick`] might change
     /// architectural state, assuming no external input (flag set, memory
-    /// completion, stream refill) arrives — the system glue wakes a
-    /// sleeping core on each of those. `None` means the core is inert until
-    /// such input: its only self-timed wakeup source is the internal
-    /// completion queue.
+    /// completion, stream refill) arrives — the system glue asks again
+    /// after each of those. `None` means the core is inert until such
+    /// input: its only self-timed wakeup source is the internal completion
+    /// queue.
     pub fn next_event(&mut self, now: Cycle, flags: &FlagBoard) -> Option<Cycle> {
         if self.is_done() {
             return None;
@@ -507,9 +494,9 @@ impl Core {
     /// Credits the stall-only cycles `[from, to)` in bulk: bit-identical to
     /// calling [`Core::tick`] once per cycle while `Core::idle_class` holds,
     /// which the caller guarantees by crediting only spans that
-    /// [`Core::next_event`] certified and no input interrupted. A flag the
-    /// core waits on was therefore clear throughout the span, even when it
-    /// has just been set by the input that ends the span.
+    /// [`Core::next_event`] certified, each ending at or before the next
+    /// input. A flag the core waits on was therefore clear throughout the
+    /// span, even when it has just been set by the input that ends the span.
     pub fn credit_idle_span(&mut self, from: Cycle, to: Cycle) {
         if self.is_done() || from >= to {
             return;
@@ -671,16 +658,13 @@ impl Core {
         }
     }
 
-    /// Dispatches up to `width` µops; returns whether anything moved (an op
-    /// taken from the stream or a flag wait released).
-    fn dispatch(&mut self, now: Cycle, flags: &mut FlagBoard) -> bool {
-        let mut progressed = false;
+    /// Dispatches up to `width` µops.
+    fn dispatch(&mut self, now: Cycle, flags: &mut FlagBoard) {
         for _ in 0..self.cfg.width {
             // Blocked on a flag?
             if let Some(w) = self.waiting_flag {
                 if flags.get(w.flag) {
                     self.waiting_flag = None;
-                    progressed = true;
                 } else {
                     self.stats.wait_cycles += 1;
                     if w.spin && now >= w.next_poll_at {
@@ -691,17 +675,16 @@ impl Core {
                             ..w
                         });
                     }
-                    return progressed;
+                    return;
                 }
             }
             let Some(op) = peek(&mut self.channel, &mut self.stream_done) else {
-                return progressed;
+                return;
             };
             // The op's fields are read where it lies in the channel.
             let (kind, addr, stream, dep) = match *op {
                 CoreOp::WaitFlag { flag, spin } => {
                     self.channel.pop();
-                    progressed = true;
                     self.waiting_flag = Some(WaitState {
                         flag,
                         spin,
@@ -713,10 +696,9 @@ impl Core {
                     // Light fence: publish only once prior work retired.
                     if self.rob_len() > 0 {
                         self.stats.stall_fence += 1;
-                        return progressed;
+                        return;
                     }
                     self.channel.pop();
-                    progressed = true;
                     flags.set(flag);
                     self.stats.instructions += 1;
                     continue;
@@ -734,7 +716,7 @@ impl Core {
             };
             if self.rob_len() >= self.cfg.rob {
                 self.stats.stall_rob_full += 1;
-                return progressed;
+                return;
             }
             let lq_full = self.lq_used >= self.cfg.lq;
             let sq_full = self.sq_used >= self.cfg.sq;
@@ -750,10 +732,9 @@ impl Core {
             };
             if let Some(counter) = stall {
                 *counter += 1;
-                return progressed;
+                return;
             }
             self.channel.pop();
-            progressed = true;
             let seq = self.next_seq;
             self.next_seq += 1;
             match kind {
@@ -800,7 +781,6 @@ impl Core {
                 self.route_ready(seq, now, self.cfg.alu_latency);
             }
         }
-        progressed
     }
 }
 

@@ -290,14 +290,10 @@ impl ChannelController {
     }
 
     /// Advances one DRAM tick: deliver completed reads, sample occupancy,
-    /// issue at most one command. Returns whether the tick delivered a read
-    /// or issued a command; one that did neither took the bookkeeping-only
-    /// path [`ChannelController::credit_idle_ticks`] reproduces.
-    pub fn tick(&mut self, now: Cycle, responses: &mut VecDeque<MemResponse>) -> bool {
-        let mut worked = false;
+    /// issue at most one command.
+    pub fn tick(&mut self, now: Cycle, responses: &mut VecDeque<MemResponse>) {
         while let Some(resp) = self.in_flight.pop_ready(now) {
             responses.push_back(resp);
-            worked = true;
         }
         self.stats.ticks += 1;
         self.stats
@@ -316,7 +312,6 @@ impl ChannelController {
                 TickWork::Idle => p.idle_ticks += 1,
             }
         }
-        worked || matches!(work, TickWork::Command)
     }
 
     /// Re-derives the ROI-relative command counters from the channel's

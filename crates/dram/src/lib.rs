@@ -132,11 +132,11 @@ impl DramSystem {
         }
     }
 
-    /// Turns on per-channel activity gating: a channel whose tick did no
-    /// work sleeps until its next event or its next enqueue, and the slept
-    /// ticks are credited by [`ChannelController::credit_idle_ticks`] when
-    /// it wakes. Off, every channel ticks on every call to
-    /// [`DramSystem::tick`].
+    /// Turns on per-channel activity gating: after each tick a channel
+    /// sleeps until its [`ChannelController::next_event`], an enqueue
+    /// re-times a sleeping channel from its new state, and the slept ticks
+    /// are credited by [`ChannelController::credit_idle_ticks`]. Off, every
+    /// channel ticks on every call to [`DramSystem::tick`].
     pub fn enable_gating(&mut self) {
         self.gating = true;
     }
@@ -196,23 +196,28 @@ impl DramSystem {
     /// retry later, which is exactly the back-pressure a real controller
     /// exerts on the on-chip fabric.
     ///
-    /// An accepted request wakes its channel, crediting the slept span from
-    /// the buffer occupancy before the request.
+    /// An accepted request reaching a sleeping channel credits the slept
+    /// span from the buffer occupancy before the request, then re-times the
+    /// channel from its `next_event`: it wakes only if the request can be
+    /// scheduled at once.
     pub fn try_enqueue(&mut self, req: MemRequest, now: Cycle) -> bool {
         let coord = self.config.organization.decode(req.line);
-        let ch = coord.channel;
-        let ctrl = &mut self.controllers[ch];
+        let ctrl = &mut self.controllers[coord.channel];
         if ctrl.free_slots() == 0 {
             return false;
         }
-        if let Some((from, to)) = self.sleep[ch].wake(now.max(self.clock)) {
-            ctrl.credit_idle_ticks(from, to - from);
-        }
-        ctrl.try_enqueue(req, coord, now)
+        self.sleep[coord.channel].input(
+            now.max(self.clock),
+            ctrl,
+            |ctrl, from, to| ctrl.credit_idle_ticks(from, to - from),
+            |ctrl| ctrl.try_enqueue(req, coord, now),
+            |ctrl, t| ctrl.next_event(t),
+        )
     }
 
     /// Advances every channel by one DRAM tick. With gating on, a sleeping
-    /// channel is skipped until its timer runs out.
+    /// channel is skipped until its timer runs out, and every channel that
+    /// ticks sleeps until its next event.
     pub fn tick(&mut self, now: Cycle) {
         for (s, ctrl) in self.sleep.iter_mut().zip(&mut self.controllers) {
             if !s.due(now) {
@@ -221,9 +226,9 @@ impl DramSystem {
             if let Some((from, to)) = s.wake(now) {
                 ctrl.credit_idle_ticks(from, to - from);
             }
-            let worked = ctrl.tick(now, &mut self.responses);
+            ctrl.tick(now, &mut self.responses);
             if self.gating {
-                s.after_tick(now, worked, |t| ctrl.next_event(t));
+                s.sleep_until(now + 1, ctrl.next_event(now + 1));
             }
         }
         self.clock = now + 1;
@@ -237,28 +242,6 @@ impl DramSystem {
     /// Whether all request buffers are empty and no command is in flight.
     pub fn is_idle(&self) -> bool {
         self.responses.is_empty() && self.controllers.iter().all(|c| c.is_idle())
-    }
-
-    /// Earliest DRAM tick ≥ `from` at which any channel might do more than
-    /// bookkeeping (see [`ChannelController::next_event`]). A pending
-    /// undelivered response makes the system active immediately.
-    pub fn next_event(&self, from: Cycle) -> Option<Cycle> {
-        if !self.responses.is_empty() {
-            return Some(from);
-        }
-        self.controllers
-            .iter()
-            .filter_map(|c| c.next_event(from))
-            .min()
-    }
-
-    /// Credits `n` skipped ticks of bookkeeping starting at tick `from` to
-    /// every channel (see [`ChannelController::credit_idle_ticks`]), for a
-    /// caller that skips whole spans itself with gating off.
-    pub fn credit_idle_ticks(&mut self, from: Cycle, n: u64) {
-        for c in &mut self.controllers {
-            c.credit_idle_ticks(from, n);
-        }
     }
 
     /// Aggregate statistics across all channels.
@@ -275,6 +258,11 @@ impl DramSystem {
         for c in &mut self.controllers {
             c.enable_profile();
         }
+    }
+
+    /// The channels' controllers, in channel order.
+    pub fn controllers(&self) -> &[ChannelController] {
+        &self.controllers
     }
 
     /// Per-channel attribution profiles, in channel order. `None` entries
@@ -299,5 +287,51 @@ impl DramSystem {
         for (ch, ctrl) in self.controllers.iter_mut().enumerate() {
             ctrl.set_trace(scaled.track(format!("DRAM ch{ch}")));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An enqueue that cannot issue before its channel's timer leaves the
+    /// channel asleep on it: here every channel sleeps in its first
+    /// refresh (tRFC), and a read reaching channel 0 mid-refresh moves no
+    /// timer. The read still completes on the ungated system's tick.
+    #[test]
+    fn enqueue_during_refresh_leaves_the_timer() {
+        let cfg = DramConfig::ddr4_3200_2ch();
+        let (refi, rfc) = (cfg.timings.t_refi, cfg.timings.t_rfc);
+        let mut drams = [DramSystem::new(cfg.clone()), DramSystem::new(cfg)];
+        drams[0].enable_gating();
+        let arrival = refi + 10;
+        let mut done = [None, None];
+        for now in 0..refi + rfc + 200 {
+            if now == arrival {
+                let asleep = drams[0].next_tick_due();
+                assert_eq!(asleep, Some(refi + rfc), "every channel sleeps in tRFC");
+                for dram in &mut drams {
+                    assert!(dram.try_enqueue(MemRequest::read(1, LineAddr(0)), now));
+                }
+                assert_eq!(
+                    drams[0].next_tick_due(),
+                    asleep,
+                    "the enqueue moved a timer"
+                );
+            }
+            for (dram, done) in drams.iter_mut().zip(&mut done) {
+                dram.tick(now);
+                if let Some(resp) = dram.pop_response() {
+                    *done = Some(resp.finished_at);
+                }
+            }
+        }
+        assert!(done[0].is_some_and(|t| t > refi + rfc));
+        assert_eq!(done[0], done[1]);
+        drams[0].settle(refi + rfc + 200);
+        assert_eq!(
+            format!("{:?}", drams[0].stats()),
+            format!("{:?}", drams[1].stats())
+        );
     }
 }

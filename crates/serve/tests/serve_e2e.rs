@@ -8,6 +8,7 @@
 //! 3. Async submission (`"wait": false`) + status polling.
 //! 4. Protocol errors answer with the right statuses and JSON bodies, and
 //!    a job whose run panics answers `failed` without wedging the daemon.
+//!    A body nested past the JSON parser's depth bound answers 400.
 //! 5. The cache outlives the daemon: a restart on the same cache dir
 //!    serves the old reports as hits.
 //! 6. A stored report is served only for its own spec.
@@ -251,6 +252,17 @@ fn protocol_errors_answer_with_json_and_right_statuses() {
         kernels >= 5,
         "expected the paper kernel suite, got {kernels}"
     );
+    stop(&addr, handle);
+}
+
+#[test]
+fn a_deeply_nested_body_answers_400_and_the_daemon_lives() {
+    let (addr, handle, _cache) = start("deep", 1);
+    let body = "[".repeat(100_000);
+    let resp = request(&addr, "POST", "/v1/jobs", Some(&body)).unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    let resp = request(&addr, "GET", "/v1/health", None).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
     stop(&addr, handle);
 }
 

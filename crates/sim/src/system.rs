@@ -638,16 +638,17 @@ impl System {
         self.all_asleep_until = 0;
     }
 
-    /// Wakes core `c` for an input; its slept span ends at `to`, which is
-    /// the current cycle if the core's slot in it is still ahead and the
-    /// next cycle otherwise.
+    /// Wakes core `c` for an input that always gives it work; its slept
+    /// span ends at `to`, which is the current cycle if the core's slot in
+    /// it is still ahead and the next cycle otherwise.
     fn wake_core(&mut self, c: usize, to: Cycle) {
         if let Some((from, to)) = self.core_sleep[c].wake(to) {
             self.cores[c].credit_idle_span(from, to);
         }
     }
 
-    /// Wakes engine `e` for an input; `to` as in [`System::wake_core`].
+    /// Wakes engine `e` for an input that always gives it work; `to` as in
+    /// [`System::wake_core`].
     fn wake_engine(&mut self, e: usize, to: Cycle) {
         if let Some((from, to)) = self.engine_sleep[e].wake(to) {
             self.engines[e].credit_idle_span(from, to);
@@ -709,12 +710,11 @@ impl System {
     /// Advances the machine one CPU cycle.
     ///
     /// With `cycle_skip` on, each core, cache, DRAM channel and DX100
-    /// engine is gated: a core, channel or engine whose tick did no work
-    /// asks its own `next_event` once and sleeps until then, or until an
-    /// input reaches it; a cache sleeps until its next lookup is due (see
-    /// [`MemoryHierarchy::enable_gating`]). A unit's slept span is credited
-    /// with its batch rule when it wakes. A cycle on which every unit
-    /// sleeps costs a compare and an increment. A barrier
+    /// engine is gated: after every tick a unit sleeps until its own
+    /// `next_event`, and an input that reaches it asleep re-times it from
+    /// its state after the input (see [`dx100_common::sleep`]). A unit's
+    /// slept span is credited with its batch rule. A cycle on which every
+    /// unit sleeps costs a compare and an increment. A barrier
     /// ([`System::run_until`]) still checks its predicate before every
     /// cycle, so a program sees the same clock values as on an ungated
     /// run.
@@ -736,13 +736,13 @@ impl System {
             }
             self.wake_core(c, now);
             let sets = self.flags.set_count();
-            let worked = self.cores[c].tick(now, &mut self.flags, &mut |iss| issues.push((c, iss)));
+            self.cores[c].tick(now, &mut self.flags, &mut |iss| issues.push((c, iss)));
             if self.flags.set_count() != sets {
                 self.wake_flag_waiters(now, c + 1);
             }
             if gating {
                 let (core, flags) = (&mut self.cores[c], &self.flags);
-                self.core_sleep[c].after_tick(now, worked, |t| core.next_event(t, flags));
+                self.core_sleep[c].sleep_until(now + 1, core.next_event(now + 1, flags));
             }
         }
         for (c, iss) in issues.drain(..) {
@@ -810,12 +810,12 @@ impl System {
                     dram_now,
                     host_pages: &self.host_pages,
                 };
-                let worked = engine.tick(now, &mut self.image, &mut ports);
+                engine.tick(now, &mut self.image, &mut ports);
                 if let Some(err) = engine.error() {
                     panic!("DX100 instance {e_idx} halted: {err}");
                 }
                 if gating {
-                    sleep.after_tick(now, worked, |t| engine.next_event(t));
+                    sleep.sleep_until(now + 1, engine.next_event(now + 1));
                 }
             }
         }
@@ -896,8 +896,14 @@ impl System {
 
         // --- Core memory responses. ---
         while let Some(resp) = self.hier.pop_core_response() {
-            self.wake_core(resp.core, now + 1);
-            self.cores[resp.core].mem_complete(resp.id, now);
+            let flags = &self.flags;
+            self.core_sleep[resp.core].input(
+                now + 1,
+                &mut self.cores[resp.core],
+                Core::credit_idle_span,
+                |core| core.mem_complete(resp.id, now),
+                |core, t| core.next_event(t, flags),
+            );
         }
 
         // --- Epoch boundary: snapshot interval metrics. ---
@@ -928,7 +934,7 @@ impl System {
     /// multi-instance machine an indirect instruction first acquires its
     /// region, which may stall or delay the queue's head but never lets a
     /// younger message overtake it. Runs before the engines' slots, so a
-    /// delivery wakes its engine into this very cycle.
+    /// delivery that gives its engine work wakes it into this very cycle.
     fn deliver_mmio(&mut self, now: Cycle) {
         let multi = self.engines.len() > 1;
         for e in 0..self.mmio_queues.len() {
@@ -955,20 +961,29 @@ impl System {
                     self.acquired_at[e] = None;
                 }
                 let msg = self.mmio_queues[e].pop_front().expect("probed head");
-                self.wake_engine(e, now);
-                match msg {
-                    Mmio::Instr { instr, flag } => {
-                        let handle = self.engines[e]
-                            .push_instruction(instr, flag)
-                            .unwrap_or_else(|err| {
+                let handle = self.engine_sleep[e].input(
+                    now,
+                    &mut self.engines[e],
+                    Dx100Engine::credit_idle_span,
+                    |engine| match msg {
+                        Mmio::Instr { instr, flag } => {
+                            Some(engine.push_instruction(instr, flag).unwrap_or_else(|err| {
                                 panic!("illegal instruction reached DX100: {err}")
-                            });
-                        if let Some((base, _)) = region {
-                            self.region_pins.entry((e, handle)).or_insert(base);
+                            }))
                         }
-                    }
-                    Mmio::Reg { reg, value } => self.engines[e].write_reg(reg, value),
-                    Mmio::Tile { tile, data } => self.engines[e].write_tile(tile, &data),
+                        Mmio::Reg { reg, value } => {
+                            engine.write_reg(reg, value);
+                            None
+                        }
+                        Mmio::Tile { tile, data } => {
+                            engine.write_tile(tile, &data);
+                            None
+                        }
+                    },
+                    |engine, t| engine.next_event(t),
+                );
+                if let (Some(handle), Some((base, _))) = (handle, region) {
+                    self.region_pins.entry((e, handle)).or_insert(base);
                 }
             }
         }
@@ -989,8 +1004,13 @@ impl System {
                         .expect("a scratchpad address implies a DX100 config")
                         .spd_read_latency;
                     // Routing runs after the engines' slots.
-                    self.wake_engine(e_idx, now + 1);
-                    self.engines[e_idx].note_spd_cached(d.line);
+                    self.engine_sleep[e_idx].input(
+                        now + 1,
+                        &mut self.engines[e_idx],
+                        Dx100Engine::credit_idle_span,
+                        |e| e.note_spd_cached(d.line),
+                        |e, t| e.next_event(t),
+                    );
                     self.spd_fills.push_at(now + latency, d.line);
                 }
                 continue;
@@ -1139,6 +1159,43 @@ mod tests {
     fn system_is_send() {
         fn assert_send<T: Send>() {}
         assert_send::<System>();
+    }
+
+    /// A completion that frees nothing leaves its core asleep: a core
+    /// asleep on a full ROB behind a cold load receives the completions of
+    /// younger loads that hit in its L1, are not at the ROB head and have
+    /// no dependents, and its timer never moves.
+    #[test]
+    fn completion_that_frees_nothing_leaves_the_core_asleep() {
+        let mut cfg = SystemConfig::paper_baseline();
+        cfg.core.rob = 8;
+        let mut image = MemoryImage::new();
+        let a = image.alloc("A", dx100_common::DType::U32, 1 << 20);
+        let mut sys = System::new(cfg, image);
+        let hot = a.addr_of(0);
+        sys.push_ops(0, [CoreOp::load(hot, 1)]);
+        sys.run_until(System::cores_idle);
+        let mut ops = vec![CoreOp::load(a.addr_of(1 << 19), 1)];
+        ops.extend((0..7).map(|_| CoreOp::load(hot, 1)));
+        ops.extend((0..8).map(|_| CoreOp::alu()));
+        sys.push_ops(0, ops);
+        let hits = |sys: &System| sys.hier.stats().l1.demand_hits;
+        let all_hit = hits(&sys) + 7;
+        while sys.core_sleep[0].until() != Some(Cycle::MAX) {
+            sys.step();
+        }
+        assert!(
+            hits(&sys) < all_hit,
+            "some hit must complete after the core sleeps"
+        );
+        while hits(&sys) < all_hit {
+            sys.step();
+            assert_eq!(
+                sys.core_sleep[0].until(),
+                Some(Cycle::MAX),
+                "a completion that frees nothing moved the core's timer"
+            );
+        }
     }
 
     #[test]

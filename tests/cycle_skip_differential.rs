@@ -460,6 +460,24 @@ fn load_after_idle_gap(sys: &mut System) {
     sys.push_ops(0, ops);
 }
 
+/// Completions that free nothing reach a core asleep on a full ROB: loads
+/// that hit in the L1 behind a cold load at the ROB head, with no
+/// dependents. The core sleeps on through them.
+#[test]
+fn completion_that_frees_nothing_leaves_core_asleep() {
+    let mut cfg = SystemConfig::paper_baseline();
+    cfg.core.rob = 8;
+    assert_gating_invisible(cfg, |sys| {
+        let a = big_image().1;
+        sys.push_ops(0, [CoreOp::load(a.addr_of(0), 1)]);
+        sys.run_until(System::cores_idle);
+        let mut ops = vec![CoreOp::load(a.addr_of(1 << 20), 1)];
+        ops.extend((0..7).map(|_| CoreOp::load(a.addr_of(0), 1)));
+        ops.extend((0..8).map(|_| CoreOp::alu()));
+        sys.push_ops(0, ops);
+    });
+}
+
 /// A core access reaches its sleeping L1.
 #[test]
 fn core_access_wakes_sleeping_l1() {
@@ -554,6 +572,21 @@ fn enqueue_wakes_sleeping_dram_channel() {
     assert_gating_invisible(SystemConfig::paper_baseline(), load_after_idle_gap);
 }
 
+/// An LLC miss's enqueue reaches DRAM channels asleep in their first
+/// refresh (tRFC), where it cannot issue before the refresh ends: the
+/// channel sleeps on until then.
+#[test]
+fn enqueue_during_refresh_leaves_channel_asleep() {
+    let cfg = SystemConfig::paper_baseline();
+    let dram_tick = cfg.cpu_cycles_per_dram_tick;
+    let refresh = cfg.dram.timings.t_refi * dram_tick;
+    assert_gating_invisible(cfg, move |sys| {
+        let a = big_image().1;
+        sys.run_until(|sys| sys.collect_stats().cycles >= refresh + 20);
+        sys.push_ops(0, [CoreOp::load(a.addr_of(1 << 20), 1)]);
+    });
+}
+
 /// An indirect gather whose engine sleeps between responses: through the
 /// LLC when the array's pages are host-resident, straight from DRAM when
 /// they are not.
@@ -611,64 +644,78 @@ proptest! {
         prop_assert_eq!(q.next_ready_at(), None);
     }
 
-    /// The DRAM scheduler's quiescence contract, phrased exactly as the
-    /// gating layer uses it: whenever `next_event(now)` names a future
-    /// tick `t`, (a) ticking each cycle of the gap one-by-one and (b)
-    /// jumping over it with `credit_idle_ticks` must leave bit-identical
-    /// statistics — including the cycle-attribution profile, whose elided
-    /// spans are batch-credited — and produce the same response schedule
-    /// for the rest of the run; and while approaching `t`, `next_event`
-    /// never moves the event later (no missed wakeups). The profile must
-    /// also stay MECE: every channel attributes exactly `ticks` ticks, no
-    /// matter how the random request stream carves the run into spans.
+    /// Per-channel gating is invisible to the DRAM system. A gated
+    /// `DramSystem` (each channel sleeps until its `next_event`, and an
+    /// enqueue re-times a sleeping channel) and an ungated one, driven by
+    /// the same random request stream, produce the same response schedule,
+    /// statistics and cycle-attribution profile. In half the cases the
+    /// requests come back to back, `rate` per tick until the buffers fill,
+    /// so queues run deep and enqueues meet full buffers; in the rest they
+    /// arrive at random gaps of up to `max_gap` ticks, so enqueues reach
+    /// sleeping channels. When every channel sleeps past the next arrival,
+    /// the gated side jumps the gap as the system does (`sleep_through`),
+    /// and while approaching a channel's next event, asking its
+    /// `next_event` later never moves the event later (no missed wakeups).
+    /// The profile must also stay MECE: every channel attributes exactly
+    /// `ticks` ticks, however gating carves the run into spans.
     #[test]
     fn dram_gap_skip_equals_tick_by_tick(
-        reqs in proptest::collection::vec((0u64..4096, any::<bool>()), 1usize..120),
+        reqs in proptest::collection::vec((0u64..4096, any::<bool>(), 0u64..48), 1usize..120),
         rate in 1usize..4,
+        max_gap in prop_oneof![Just(0u64), 1u64..48],
     ) {
-        // (response id, tick) schedule plus final stats and profiles,
-        // driving with or without gap skipping.
+        // (response id, tick) schedule plus final stats and profiles.
         type Driven = Result<(Vec<(u64, u64)>, String, String, u64), TestCaseError>;
-        let drive = |skip: bool| -> Driven {
+        let drive = |gated: bool| -> Driven {
             let mut dram = DramSystem::new(DramConfig::ddr4_3200_2ch());
             dram.enable_profile();
-            let mut pending: VecDeque<(u64, LineAddr, bool)> = reqs
+            if gated {
+                dram.enable_gating();
+            }
+            // Each request arrives its gap after the one before it.
+            let mut pending: VecDeque<(u64, u64, LineAddr, bool)> = reqs
                 .iter()
                 .enumerate()
-                .map(|(i, (l, w))| (i as u64, LineAddr(*l), *w))
+                .scan(0, |at, (i, &(l, w, gap))| {
+                    *at += gap % (max_gap + 1);
+                    Some((*at, i as u64, LineAddr(l), w))
+                })
                 .collect();
             let mut schedule = Vec::new();
             let mut skipped = 0u64;
             let mut now = 0u64;
             while schedule.len() < reqs.len() {
+                prop_assert!(now < 4_000_000, "drain timeout");
                 for _ in 0..rate {
-                    let Some(&(id, line, w)) = pending.front() else { break };
+                    let Some(&(at, id, line, w)) = pending.front() else { break };
                     let req = if w { MemRequest::write(id, line) } else { MemRequest::read(id, line) };
-                    if dram.try_enqueue(req, now) {
-                        pending.pop_front();
-                    } else {
+                    if at > now || !dram.try_enqueue(req, now) {
                         break;
                     }
+                    pending.pop_front();
                 }
-                // Only skip once arrivals stop, mirroring the system layer
-                // (which never skips while external input is due).
-                if skip && pending.is_empty() {
-                    if let Some(t) = dram.next_event(now) {
-                        if t > now {
-                            // No missed wakeups while approaching `t`.
-                            for probe in [now + 1, (now + t) / 2, t - 1] {
+                if gated {
+                    let arrival = pending.front().map_or(Cycle::MAX, |p| p.0);
+                    let due = dram.next_tick_due().map_or(now, |t| t.min(arrival));
+                    if due > now {
+                        for (ch, c) in dram.controllers().iter().enumerate() {
+                            let Some(t) = c.next_event(now).filter(|&t| t > now) else {
+                                continue;
+                            };
+                            for probe in [now + 1, now + (t - now) / 2, t - 1] {
                                 if probe > now && probe < t {
-                                    let e = dram.next_event(probe);
+                                    let e = c.next_event(probe);
                                     prop_assert!(
                                         e.is_some_and(|x| x <= t),
-                                        "event receded: next_event({probe}) = {e:?} > {t}"
+                                        "channel {ch}: event receded: next_event({probe}) = {e:?} > {t}"
                                     );
                                 }
                             }
-                            dram.credit_idle_ticks(now, t - now);
-                            skipped += t - now;
-                            now = t;
                         }
+                        dram.sleep_through(due);
+                        skipped += due - now;
+                        now = due;
+                        continue;
                     }
                 }
                 dram.tick(now);
@@ -676,19 +723,19 @@ proptest! {
                     schedule.push((resp.id, now));
                 }
                 now += 1;
-                prop_assert!(now < 4_000_000, "drain timeout");
             }
+            dram.settle(now);
             let ticks = dram.stats().ticks;
             let profiles = dram.channel_profiles();
             for (i, p) in profiles.iter().enumerate() {
                 let p = p.expect("profile enabled");
                 prop_assert_eq!(
                     p.attributed(), ticks,
-                    "channel {} attribution is not MECE (skip={})", i, skip
+                    "channel {} attribution is not MECE (gated={})", i, gated
                 );
                 prop_assert_eq!(
                     p.queue_depth.total(), ticks,
-                    "channel {} queue-depth samples != ticks (skip={})", i, skip
+                    "channel {} queue-depth samples != ticks (gated={})", i, gated
                 );
             }
             Ok((
@@ -698,10 +745,10 @@ proptest! {
                 skipped,
             ))
         };
-        let (sched_skip, stats_skip, prof_skip, skipped) = drive(true)?;
+        let (sched_gated, stats_gated, prof_gated, skipped) = drive(true)?;
         let (sched_tick, stats_tick, prof_tick, _) = drive(false)?;
-        prop_assert_eq!(sched_skip, sched_tick, "response schedule diverged");
-        prop_assert_eq!(stats_skip, stats_tick, "DRAM stats diverged (skipped {} ticks)", skipped);
-        prop_assert_eq!(prof_skip, prof_tick, "DRAM attribution diverged (skipped {} ticks)", skipped);
+        prop_assert_eq!(sched_gated, sched_tick, "response schedule diverged");
+        prop_assert_eq!(stats_gated, stats_tick, "DRAM stats diverged (skipped {} ticks)", skipped);
+        prop_assert_eq!(prof_gated, prof_tick, "DRAM attribution diverged (skipped {} ticks)", skipped);
     }
 }
